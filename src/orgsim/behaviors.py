@@ -21,10 +21,10 @@ from .control import (ActionProposal, Dock, Drive, Idle, Observation, Recharge,
                       Tow, Undock)
 from .docking import FACES, Face, attempt_align
 from .errors import ConfigError
-from .geometry import Pose, ang_diff_deg, heading_vec, norm_deg
+from .geometry import Pose, ang_diff_deg, heading_vec, norm_deg, rotate_vec
 from .rng import Rng
-from .robot_model import (DriveKind, Health, ModuleClass, alignment_tolerance,
-                          make_module_spec)
+from .robot_model import (DriveKind, Health, ModuleClass, make_module_spec,
+                          pair_tolerance)
 from .world import SensedSocket
 
 EMERGENCY_PRIORITY = 10
@@ -46,12 +46,6 @@ AT_SLOT_RADIUS = 0.05     # close enough to call a slot "mine"
 # -- navigation servos ----------------------------------------------------
 
 
-def _body_frame(pose: Pose, wx: float, wy: float) -> tuple[float, float]:
-    h = math.radians(pose.heading)
-    c, s = math.cos(h), math.sin(h)
-    return wx * c + wy * s, -wx * s + wy * c
-
-
 def servo_drive(pose: Pose, drive_kind: DriveKind, max_speed: float,
                 tx: float, ty: float, dt: float,
                 target_heading: float | None = None) -> Drive | None:
@@ -71,7 +65,7 @@ def servo_drive(pose: Pose, drive_kind: DriveKind, max_speed: float,
         return None
 
     if drive_kind is not DriveKind.TRACKED:
-        bx, by = _body_frame(pose, dx, dy)
+        bx, by = rotate_vec(dx, dy, -pose.heading)   # world -> body frame
         want = target_heading if target_heading is not None else pose.heading
         err = ang_diff_deg(want, pose.heading)
         v = min(max_speed, dist / dt) / dist
@@ -214,7 +208,7 @@ class AggregateController:
                 pred = next((m for m in obs.local.modules
                              if m.id == slot.predecessor), None)
                 if pred is not None and pred.health is Health.OK:
-                    tol = _pair_tolerance(obs.me.module_class, pred.module_class)
+                    tol = pair_tolerance(obs.me.module_class, pred.module_class)
                     if attempt_align(pose, Face.SOUTH, pred.pose, Face.NORTH, tol):
                         out.append(ActionProposal(
                             DOCK_PRIORITY,
@@ -324,7 +318,7 @@ class DisposalController:
         if cmd is not None:
             return [ActionProposal(DISPOSAL_PRIORITY, cmd)]
         if obs.interaction.port_phases[FACES.index(grab)] == "free":
-            tol = _pair_tolerance(obs.me.module_class, corpse.module_class)
+            tol = pair_tolerance(obs.me.module_class, corpse.module_class)
             if attempt_align(pose, grab, corpse.pose, side, tol):
                 return [ActionProposal(DISPOSAL_PRIORITY,
                                        Tow(grab, corpse.id, side))]
@@ -354,7 +348,7 @@ class DisposalController:
         if dist < 1e-9:
             return [ActionProposal(DISPOSAL_PRIORITY, Idle())]
         v = min(_speed_of(obs.me.module_class), dist / obs.internal.dt) / dist
-        bx, by = _body_frame(pose, dx * v, dy * v)
+        bx, by = rotate_vec(dx * v, dy * v, -pose.heading)
         return [ActionProposal(DISPOSAL_PRIORITY, Drive(bx, by, 0.0))]
 
     def _target_corpse(self, obs: Observation):
@@ -380,11 +374,6 @@ class DisposalController:
 
 
 # -- registry -------------------------------------------------------------
-
-
-def _pair_tolerance(class_a: ModuleClass, class_b: ModuleClass):
-    ta, tb = alignment_tolerance(class_a), alignment_tolerance(class_b)
-    return ta if ta.max_offset >= tb.max_offset else tb
 
 
 # a controller knows its own hardware envelope

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 from .docking import Face
 from .errors import FrameworkError
-from .geometry import Pose
+from .geometry import Pose, rotate_vec
 from .organism import LiftQuery, Organism, lift_torque_nm, worst_case_chain
 from .robot_model import (Health, ModuleClass, ModuleSpec, ModuleState,
-                          dof_range, _path_clear)
+                          dof_range, passable_terrain, _path_clear)
 from .world import SensedSocket, TerrainClass
 
 PRIORITY_MIN = 0
@@ -291,17 +291,15 @@ def _guard_drive(action: Drive, ctx: GuardContext) -> Action | Rejected:
         cap = min(ctx.specs[m].max_speed for m in grounded)
     if speed > cap:
         vx, vy = vx * cap / speed, vy * cap / speed
-    h = math.radians(st.pose.heading)
-    wx = vx * math.cos(h) - vy * math.sin(h)
-    wy = vx * math.sin(h) + vy * math.cos(h)
+    wx, wy = rotate_vec(vx, vy, st.pose.heading)
     moved = math.hypot(wx, wy) * ctx.dt
     if moved > 0:
         members = [st.id] if solo else ctx.organism.sorted_nodes()
         for mid in members:
-            p = ctx.states[mid].pose
-            mc = ctx.states[mid].module_class
+            member = ctx.states[mid]
+            p = member.pose
             if not _path_clear(p.x, p.y, p.x + wx * ctx.dt, p.y + wy * ctx.dt,
-                               mc, ctx.terrain_at):
+                               passable_terrain(member), ctx.terrain_at):
                 return Rejected("collision",
                                 f"path of module {mid} is blocked")
     return action

@@ -59,10 +59,6 @@ class DockPort:
     phase: DockPhase = DockPhase.FREE
     peer: "DockPort | None" = None
 
-    @property
-    def peer_ref(self) -> tuple[int, Face] | None:
-        return (self.peer.owner, self.peer.face) if self.peer is not None else None
-
 
 def make_ports(owner: int) -> list[DockPort]:
     return [DockPort(owner=owner, face=f) for f in FACES]

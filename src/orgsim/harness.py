@@ -24,17 +24,17 @@ from .control import (ActionProposal, Actuate, Dock, Drive, GuardContext, Idle,
                       Mailbox, MessageBus, Observation, Recharge, Rejected,
                       SelfChannel, SensedModule, ToggleCoprocessor, Tow,
                       Undock, guard_action, select_action, step_controllers)
-from .docking import (DockPhase, TickInput, advance_dock, attempt_align,
-                      face_center, undock)
+from .docking import (PEERED_PHASES, DockPhase, TickInput, advance_dock,
+                      attempt_align, face_center, undock)
 from .energy import EnergyLedger, classify_deaths, drain, recharge, share_energy
 from .errors import CommandError, ConfigError, InvariantBreach, ReplayError
-from .geometry import Pose
+from .geometry import Pose, rotate_vec
 from .organism import (OrganismRegistry, Translate, Turn, edge_key,
                        organism_move, reach_height)
 from .rng import Fnv1a, Rng
 from .robot_model import (DriveCommand, Health, ModuleState, actuate_joint,
-                          alignment_tolerance, locomotion_step,
-                          make_module_spec, new_module_state)
+                          locomotion_step, make_module_spec, new_module_state,
+                          pair_tolerance)
 from .world import SocketSchedule, SocketScheduler, in_graveyard, sense_sockets
 
 LOG_VERSION = "orgsim-log v1"
@@ -158,7 +158,6 @@ class _Pairing:
     port_a: object
     port_b: object
     tow: bool
-    created: int
 
 
 class Simulation:
@@ -274,8 +273,7 @@ class Simulation:
         self.log.raw(f"# map {_enc(self.cfg.map_text)}")
         self.log.raw(f"# seed {self.seed}")
         self.log.raw(f"# ticks {total_ticks}")
-        for i in sorted(self.states):
-            st = self.states[i]
+        for i, st in self.states.items():
             self.log.event(0, i, "spawn", cls=st.module_class.value,
                            x=st.pose.x, y=st.pose.y, heading=st.pose.heading,
                            battery=st.battery, health=st.health.value)
@@ -327,10 +325,9 @@ class Simulation:
 
         sockets = tuple(sense_sockets(pose, cfg.sensing_range_m, arena))
         others = []
-        for j in sorted(self.states):
+        for j, other in self.states.items():
             if j == i:
                 continue
-            other = self.states[j]
             d = pose.distance_to(other.pose)
             if d > cfg.sensing_range_m:
                 continue
@@ -368,8 +365,7 @@ class Simulation:
 
     def _phase_decide(self, delivered: dict) -> dict[int, ActionProposal]:
         selected = {}
-        for i in sorted(self.states):
-            st = self.states[i]
+        for i, st in self.states.items():
             if st.health is not Health.OK or not self.controllers[i]:
                 continue
             obs = self._observe(i, delivered)
@@ -392,7 +388,7 @@ class Simulation:
                 continue
             ctx = GuardContext(
                 state=st, spec=self.specs[i], states=self.states,
-                specs=self.specs, organism=self.registry.organism_of(i),
+                specs=self.specs, organism=org,
                 terrain_at=self.arena.terrain_at, dt=self.cfg.dt,
                 socket_by_id=self.arena.socket_by_id)
             verdict = guard_action(prop.action, ctx)
@@ -424,8 +420,6 @@ class Simulation:
                 drain(st, mr.energy_j, self.ledger)
                 self._idle_paid.add(i)
             else:
-                if org.id in moved_orgs:
-                    return  # a lower id already steered this organism
                 moved_orgs.add(org.id)
                 self._drive_organism(i, org, action)
             return
@@ -463,10 +457,8 @@ class Simulation:
                 return
             cmd = Turn(action.angular)
         else:
-            h = math.radians(st.pose.heading)
-            wx = action.linear * math.cos(h) - action.lateral * math.sin(h)
-            wy = action.linear * math.sin(h) + action.lateral * math.cos(h)
-            cmd = Translate(wx, wy)
+            cmd = Translate(*rotate_vec(action.linear, action.lateral,
+                                        st.pose.heading))
         try:
             res = organism_move(org, self.states, self.specs, cmd,
                                 self.cfg.dt, self.arena.terrain_at,
@@ -494,8 +486,7 @@ class Simulation:
                 "execute")
             return
         key = edge_key(mine, theirs)
-        self.pairs[key] = _Pairing(mine, theirs, isinstance(action, Tow),
-                                   self.tick)
+        self.pairs[key] = _Pairing(mine, theirs, isinstance(action, Tow))
         self._engaged.add(id(mine))
         self._engaged.add(id(theirs))
 
@@ -535,9 +526,7 @@ class Simulation:
             sta = self.states[pa.owner]
             stb = self.states[pb.owner]
             edge = self.specs[pa.owner].edge_length
-            tol_a = alignment_tolerance(sta.module_class)
-            tol_b = alignment_tolerance(stb.module_class)
-            tol = tol_a if tol_a.max_offset >= tol_b.max_offset else tol_b
+            tol = pair_tolerance(sta.module_class, stb.module_class)
             ax, ay = face_center(sta.pose, pa.face, edge)
             bx, by = face_center(stb.pose, pb.face, edge)
             gap = math.hypot(ax - bx, ay - by)
@@ -599,8 +588,7 @@ class Simulation:
     def _phase_energy(self) -> None:
         tariff = self.cfg.tariff
         dt = self.cfg.dt
-        for i in sorted(self.states):
-            st = self.states[i]
+        for i, st in self.states.items():
             if st.health is Health.OK and i not in self._idle_paid:
                 drain(st, tariff.idle_draw_j(dt, st.coprocessor_on), self.ledger)
         edges = []
@@ -614,15 +602,13 @@ class Simulation:
                                    to=tr.receiver, joules=tr.joules)
 
     def _phase_death(self) -> None:
-        for i in sorted(self.states):
-            st = self.states[i]
+        for i, st in self.states.items():
             if st.health is Health.OK and st.battery_pj == 0:
                 st.health = Health.ENERGY_DEAD
                 self.deaths_energy += 1
                 self.log.event(self.tick, i, "death", cause="energy")
         if self.cfg.hazard_rate > 0.0:
-            for i in sorted(self.states):
-                st = self.states[i]
+            for i, st in self.states.items():
                 if (st.health is Health.OK
                         and self.rng_hazards.random() < self.cfg.hazard_rate):
                     st.health = Health.HARDWARE_DEAD
@@ -674,9 +660,7 @@ class Simulation:
                 self._breach(i, "out_of_bounds",
                              f"({st.pose.x}, {st.pose.y})")
             for p in st.ports:
-                peered = p.phase in (DockPhase.LOCKING, DockPhase.DOCKED,
-                                     DockPhase.UNLOCKING)
-                if peered:
+                if p.phase in PEERED_PHASES:
                     if p.peer is None or p.peer.peer is not p:
                         self._breach(i, "peer_symmetry",
                                      f"face {p.face.value} {p.phase.value}")

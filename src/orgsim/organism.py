@@ -16,8 +16,7 @@ from .docking import DockPhase, DockPort
 from .errors import CommandError, ProtocolError
 from .geometry import Pose, rotate_about, norm_deg
 from .robot_model import (DriveKind, Health, ModuleClass, ModuleSpec, ModuleState,
-                          can_traverse, _path_clear)
-from .world import TerrainClass
+                          passable_terrain, _path_clear)
 
 G = 9.81  # m/s^2
 
@@ -399,14 +398,8 @@ def organism_move(org: Organism, states: dict[int, ModuleState],
         raise CommandError(f"unknown organism command {cmd!r}")
 
     for mid in members:
-        st = states[mid]
-        if st.carried:
-            # riding modules only collide with solid walls
-            clear = _carried_path_clear(old[mid], new[mid], terrain_at)
-        else:
-            clear = _path_clear(old[mid].x, old[mid].y, new[mid].x, new[mid].y,
-                                st.module_class, terrain_at)
-        if not clear:
+        if not _path_clear(old[mid].x, old[mid].y, new[mid].x, new[mid].y,
+                           passable_terrain(states[mid]), terrain_at):
             return OrganismMoveResult(dict(old), {m: 0.0 for m in members}, True)
 
     raw = {mid: tariff.locomotion_j_per_m_kg * old[mid].distance_to(new[mid])
@@ -420,14 +413,3 @@ def organism_move(org: Organism, states: dict[int, ModuleState],
         else:
             energy[mid] = raw[mid] + per_ground_extra
     return OrganismMoveResult(new, energy, False)
-
-
-def _carried_path_clear(a: Pose, b: Pose, terrain_at) -> bool:
-    dist = a.distance_to(b)
-    steps = max(1, math.ceil(dist / 0.05))
-    for i in range(1, steps + 1):
-        t = i / steps
-        terrain = terrain_at(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-        if terrain is None or terrain is TerrainClass.OBSTACLE:
-            return False
-    return True

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .docking import (DockPort, PEERED_PHASES, ACCURATE_TOLERANCE, ROUGH_TOLERANCE,
                       AlignmentTolerance, Face, make_ports)
 from .errors import CommandError, ConfigError
-from .geometry import Pose, norm_deg
+from .geometry import Pose, norm_deg, rotate_vec
 from .world import TerrainClass
 
 PJ = 10 ** 12  # picojoules per joule
@@ -117,12 +117,21 @@ def alignment_tolerance(module_class: ModuleClass) -> AlignmentTolerance:
     return ACCURATE_TOLERANCE
 
 
+def pair_tolerance(class_a: ModuleClass, class_b: ModuleClass) -> AlignmentTolerance:
+    """A pair docks within the looser of its two members' tolerances."""
+    ta, tb = alignment_tolerance(class_a), alignment_tolerance(class_b)
+    return ta if ta.max_offset >= tb.max_offset else tb
+
+
 _TRAVERSABLE = {
     ModuleClass.SCOUT: frozenset({TerrainClass.PLAIN, TerrainClass.ROUGH,
                                   TerrainClass.SLOPE, TerrainClass.SMALL_HOLE}),
     ModuleClass.BACKBONE: frozenset({TerrainClass.PLAIN}),
     ModuleClass.ACTIVE_WHEEL: frozenset({TerrainClass.PLAIN}),
 }
+
+# a carried module rides clear of the floor; only solid walls stop it
+_ABOVE_GROUND = frozenset(TerrainClass) - {TerrainClass.OBSTACLE}
 
 
 def can_traverse(module_class: ModuleClass, terrain: TerrainClass) -> bool:
@@ -143,7 +152,6 @@ class ModuleState:
     ports: list[DockPort] = field(default_factory=list)
     coprocessor_on: bool = False
     carried: bool = False          # riding on an organism, not touching ground
-    joint_mode: str = "bend"       # how a single shared joint is being used
 
     @property
     def battery(self) -> float:
@@ -211,14 +219,20 @@ class MoveResult:
 _PATH_SAMPLE_STEP = 0.05  # m; half a module edge, prevents wall tunnelling
 
 
+def passable_terrain(state: ModuleState) -> frozenset[TerrainClass]:
+    """Terrain a module's swept path may cross: its class's table, or
+    everything but walls while it rides on an organism."""
+    return _ABOVE_GROUND if state.carried else _TRAVERSABLE[state.module_class]
+
+
 def _path_clear(x0: float, y0: float, x1: float, y1: float,
-                module_class: ModuleClass, terrain_at) -> bool:
+                passable: frozenset[TerrainClass], terrain_at) -> bool:
     dist = math.hypot(x1 - x0, y1 - y0)
     steps = max(1, math.ceil(dist / _PATH_SAMPLE_STEP))
     for i in range(1, steps + 1):
         t = i / steps
         terrain = terrain_at(x0 + (x1 - x0) * t, y0 + (y1 - y0) * t)
-        if terrain is None or not can_traverse(module_class, terrain):
+        if terrain is None or terrain not in passable:
             return False
     return True
 
@@ -248,10 +262,8 @@ def locomotion_step(state: ModuleState, spec: ModuleSpec, cmd: DriveCommand,
         scale = spec.max_speed / speed
         vx_b *= scale
         vy_b *= scale
-    h = math.radians(state.pose.heading)
-    c, s = math.cos(h), math.sin(h)
-    dx = (vx_b * c - vy_b * s) * dt
-    dy = (vx_b * s + vy_b * c) * dt
+    vx_w, vy_w = rotate_vec(vx_b, vy_b, state.pose.heading)
+    dx, dy = vx_w * dt, vy_w * dt
 
     idle_j = tariff.idle_w * dt
     if dx == 0.0 and dy == 0.0:
@@ -260,7 +272,7 @@ def locomotion_step(state: ModuleState, spec: ModuleSpec, cmd: DriveCommand,
 
     nx, ny = state.pose.x + dx, state.pose.y + dy
     if not _path_clear(state.pose.x, state.pose.y, nx, ny,
-                       spec.module_class, terrain_at):
+                       passable_terrain(state), terrain_at):
         return MoveResult(state.pose, idle_j, True)
     dist = math.hypot(dx, dy)
     energy = idle_j + tariff.locomotion_j_per_m_kg * dist * spec.mass

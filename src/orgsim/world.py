@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .geometry import Pose
@@ -52,6 +52,7 @@ class Socket:
     height: float  # metres above the floor
     rating: float  # watts while active
     active: bool = False
+    approach_deg: float = 0.0  # wall into the room; set by Arena validation
 
     def position(self, cell_size: float) -> tuple[float, float]:
         cx, cy = self.cell
@@ -64,7 +65,8 @@ class Arena:
     The graveyard is the bounding rectangle of the 'G' cells and must be
     completely filled by them; a run uses it as the drop zone for dead
     modules. Every socket anchor must sit on a walkable cell that touches an
-    obstacle cell, because sockets are mounted on walls.
+    obstacle cell, because sockets are mounted on walls; validation stores
+    on each socket the direction pointing from its wall into the room.
     """
 
     def __init__(self, cells: list[list[TerrainClass]], sockets: list[Socket],
@@ -98,9 +100,15 @@ class Arena:
                 raise ConfigError(f"socket {s.id} anchor {s.cell} outside arena")
             if self.terrain_at_cell(cx, cy) is TerrainClass.OBSTACLE:
                 raise ConfigError(f"socket {s.id} anchor {s.cell} is inside a wall")
-            if not any(self.cell_in_bounds(cx + dx, cy + dy)
-                       and self.terrain_at_cell(cx + dx, cy + dy) is TerrainClass.OBSTACLE
-                       for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))):
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                if (self.cell_in_bounds(cx + dx, cy + dy)
+                        and self.terrain_at_cell(cx + dx, cy + dy) is TerrainClass.OBSTACLE):
+                    # with the anchor wedged against several walls the first
+                    # match in +x, -x, +y, -y order decides, so the answer
+                    # never depends on iteration luck
+                    s.approach_deg = math.degrees(math.atan2(-dy, -dx)) % 360.0
+                    break
+            else:
                 raise ConfigError(f"socket {s.id} anchor {s.cell} does not touch a wall")
             if s.height < 0:
                 raise ConfigError(f"socket {s.id} height {s.height} is negative")
@@ -141,20 +149,6 @@ class Arena:
             if s.id == socket_id:
                 return s
         return None
-
-    def socket_approach_deg(self, socket: Socket) -> float:
-        """Direction pointing from the socket's wall into the room.
-
-        With the anchor wedged against several walls the first match in
-        +x, -x, +y, -y order decides, so the answer never depends on
-        iteration luck.
-        """
-        cx, cy = socket.cell
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            if (self.cell_in_bounds(cx + dx, cy + dy)
-                    and self.terrain_at_cell(cx + dx, cy + dy) is TerrainClass.OBSTACLE):
-                return math.degrees(math.atan2(-dy, -dx)) % 360.0
-        raise ConfigError(f"socket {socket.id} anchor {socket.cell} has no wall")
 
     def walkable_cells(self) -> list[tuple[int, int]]:
         return [(cx, cy) for cy in range(self.height) for cx in range(self.width)
@@ -367,11 +361,6 @@ class SocketScheduler:
         return [s.id for s in self.sockets if s.active]
 
 
-def schedule_step(scheduler: SocketScheduler, tick: int) -> list[tuple[int, bool]]:
-    """Free-function face of SocketScheduler.step for symmetry with the rest."""
-    return scheduler.step(tick)
-
-
 # -- sensing --------------------------------------------------------------
 
 
@@ -400,7 +389,7 @@ def sense_sockets(pose: Pose, range_m: float, arena: Arena) -> list[SensedSocket
         if not arena.line_of_sight(origin, s.cell):
             continue
         out.append(SensedSocket(s.id, (px, py), s.active, s.rating, d, s.height,
-                                arena.socket_approach_deg(s)))
+                                s.approach_deg))
     return out
 
 

@@ -27,6 +27,8 @@ from orgsim.robot_model import (DriveKind, ModuleClass, dof_range,
                                 make_module_spec, new_module_state)
 from orgsim.world import TerrainClass, in_graveyard
 
+pytestmark = pytest.mark.slow
+
 CONFIG_DIR = "configs"
 
 

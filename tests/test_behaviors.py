@@ -16,8 +16,7 @@ from orgsim.behaviors import (ARRIVE_TOL, AT_SLOT_RADIUS, DOCK_PRIORITY,
                               RECHARGE_PRIORITY, SEEK_PRIORITY,
                               AggregateController, DisposalController,
                               ExploreController, REGISTRY,
-                              SeekEnergyController, StackSlot, _pair_tolerance,
-                              assigned_slot, build_controllers, servo_drive)
+                              SeekEnergyController, StackSlot, assigned_slot, build_controllers, servo_drive)
 from orgsim.control import (Dock, Drive, Idle, InteractionChannel,
                             InternalChannel, LocalChannel, Observation,
                             Recharge, SelfChannel, SensedModule, Undock)
@@ -28,7 +27,7 @@ from orgsim.geometry import Pose, ang_diff_deg
 from orgsim.rng import Rng
 from orgsim.robot_model import (DriveCommand, DriveKind, Health, ModuleClass,
                                 locomotion_step, make_module_spec,
-                                new_module_state)
+                                new_module_state, pair_tolerance)
 from orgsim.world import SensedSocket, TerrainClass
 
 TARIFF = Tariff()
@@ -168,10 +167,10 @@ def test_servo_refines_heading_after_arriving():
 
 def test_pair_tolerance_takes_the_looser_side():
     s, b, w = ModuleClass.SCOUT, ModuleClass.BACKBONE, ModuleClass.ACTIVE_WHEEL
-    assert _pair_tolerance(s, b) is ROUGH_TOLERANCE
-    assert _pair_tolerance(b, s) is ROUGH_TOLERANCE
-    assert _pair_tolerance(b, w) is ACCURATE_TOLERANCE
-    assert _pair_tolerance(s, s) is ROUGH_TOLERANCE
+    assert pair_tolerance(s, b) is ROUGH_TOLERANCE
+    assert pair_tolerance(b, s) is ROUGH_TOLERANCE
+    assert pair_tolerance(b, w) is ACCURATE_TOLERANCE
+    assert pair_tolerance(s, s) is ROUGH_TOLERANCE
 
 
 # -- priority ladder ------------------------------------------------------

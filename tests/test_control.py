@@ -12,9 +12,10 @@ from orgsim.control import (IDLE_PROPOSAL, MAX_PROPOSALS_PER_CONTROLLER,
                             fitness, guard_action, select_action,
                             step_controllers)
 from orgsim.docking import DockPhase, Face
+from orgsim.energy import Tariff
 from orgsim.errors import FrameworkError
 from orgsim.geometry import Pose
-from orgsim.organism import OrganismRegistry
+from orgsim.organism import OrganismRegistry, Translate, organism_move
 from orgsim.robot_model import Health, ModuleClass, make_module_spec, new_module_state
 from orgsim.world import SensedSocket, Socket, TerrainClass
 from tests.test_organism import docked_pair
@@ -193,6 +194,35 @@ def test_guard_drive_rejects_carried_proposer_in_an_organism():
     got = guard_action(Drive(0.1), ctx_for(states[0], SCOUT, states,
                                            {0: SCOUT, 1: SCOUT}, organism=org))
     assert got == Rejected("protocol", "carried modules do not drive")
+
+
+def test_guard_drive_judges_a_carried_member_like_execution_does():
+    # a hauled dead backbone rides clear of the floor: rough ground it could
+    # never drive over does not block the haul, a wall still does, and the
+    # guard and organism_move agree on both
+    def rough_then_wall(x, y):
+        return TerrainClass.ROUGH if x < 1.05 else TerrainClass.OBSTACLE
+
+    reg = OrganismRegistry()
+    reg.register_edge(*docked_pair(0, 1))
+    org = reg.organisms[0]
+    states = {0: scout_state(0), 1: new_module_state(1, BACKBONE, Pose(0.1, 0, 0))}
+    states[1].health = Health.ENERGY_DEAD
+    states[1].battery_pj = 0
+    states[1].carried = True
+    specs = {0: SCOUT, 1: BACKBONE}
+
+    def verdicts(speed):
+        guarded = guard_action(Drive(speed), ctx_for(
+            states[0], SCOUT, states, specs, organism=org,
+            terrain=rough_then_wall))
+        moved = organism_move(org, states, specs, Translate(speed, 0.0), 10.0,
+                              rough_then_wall, Tariff())
+        return guarded, moved.blocked
+
+    assert verdicts(0.05) == (Drive(0.05), False)
+    assert verdicts(0.1) == (Rejected("collision", "path of module 1 is blocked"),
+                             True)
 
 
 def test_guard_actuate_clamps_and_checks_torque():

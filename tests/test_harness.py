@@ -1,9 +1,11 @@
 """Run harness: event log, determinism, replay verification, CLI, sweeps."""
 
+from pathlib import Path
+
 import pytest
 
 from orgsim import cli
-from orgsim.config import load_scenario
+from orgsim.config import load_scenario, load_scenario_file
 from orgsim.control import ActionProposal, Drive
 from orgsim.errors import ConfigError, InvariantBreach, ReplayError
 from orgsim.harness import (EventLog, Simulation, replay_file, replay_log,
@@ -116,6 +118,24 @@ def test_seed_override_changes_the_run():
     b = run_scenario(room_cfg(), seed=2, ticks=60)
     assert a.seed == 1 and b.seed == 2
     assert a.digest != b.digest
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("scenario, seed, ticks, pinned", [
+    ("desk_challenge", 11, 500, ["e2fd2665ab52effd", 34]),
+    ("full_scale", 42, 20, ["24e78c658510e1b3", 460]),
+    ("hazard_field", 0, 500, ["216d1570703f4c6d", 211]),
+])
+def test_bundled_runs_reproduce_their_pinned_digests(scenario, seed, ticks,
+                                                     pinned):
+    # docking, sensing, motion and energy all feed the digest, so a
+    # refactor that shifts any of them by one bit shows up here
+    cfg = load_scenario_file(CONFIG_DIR / f"{scenario}.cfg")
+    metrics = Simulation(cfg, seed).run(ticks)
+    assert [metrics.digest, metrics.events] == pinned
+    assert metrics.residual_j == 0.0
 
 
 def test_simulation_runs_once():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from orgsim.errors import ConfigError
 from orgsim.geometry import Pose
 from orgsim.rng import Rng
-from orgsim.world import (DEFAULT_CELL_SIZE, Arena, Socket, SocketSchedule,
+from orgsim.world import (DEFAULT_CELL_SIZE, Arena, SocketSchedule,
                           SocketScheduler, TerrainClass, arena_from_lines,
                           in_graveyard, parse_arena, sense_sockets)
 
@@ -158,26 +158,19 @@ def test_walkable_cells_row_major():
 
 def test_socket_approach_directions(room):
     # west wall beside socket 0 points it east into the room
-    assert room.socket_approach_deg(room.sockets[0]) == pytest.approx(0.0)
+    assert room.sockets[0].approach_deg == pytest.approx(0.0)
     # socket 1 touches both the pillar below-right conventions: the probe
     # order +x, -x, +y, -y finds the pillar at (4, 2) before the top wall
-    assert room.socket_approach_deg(room.sockets[1]) == pytest.approx(270.0)
+    assert room.sockets[1].approach_deg == pytest.approx(270.0)
 
 
 def test_socket_approach_top_and_bottom_walls():
     a = parse_arena("#####\n#...#\n#####\nsocket 0 2 1 0.3 20")
     # anchor touches walls above and below; +y probe wins, so the socket
     # reads as mounted on the bottom-of-grid wall
-    assert a.socket_approach_deg(a.sockets[0]) == pytest.approx(270.0)
+    assert a.sockets[0].approach_deg == pytest.approx(270.0)
     b = parse_arena("#####\n....#\n#####\nsocket 0 1 1 0.3 20")
-    assert b.socket_approach_deg(b.sockets[0]) == pytest.approx(270.0)
-
-
-def test_socket_approach_needs_a_wall():
-    a = arena_from_lines(["...", "...", "..."])
-    stray = Socket(id=9, cell=(1, 1), height=0.3, rating=20.0)
-    with pytest.raises(ConfigError, match="no wall"):
-        a.socket_approach_deg(stray)
+    assert b.sockets[0].approach_deg == pytest.approx(270.0)
 
 
 # -- socket scheduler -----------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .docking import Face
 from .errors import FrameworkError
@@ -29,8 +30,11 @@ MAX_PROPOSALS_PER_CONTROLLER = 16
 # -- observation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SensedModule:
+class SensedModule(NamedTuple):
+    """Another module as one observer sees it this tick. A named tuple, not
+    a frozen dataclass: a crowded run builds one per pair in sight per tick,
+    and a tuple is several times cheaper to construct."""
+
     id: int
     module_class: ModuleClass
     pose: Pose

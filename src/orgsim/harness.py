@@ -160,6 +160,31 @@ class _Pairing:
     tow: bool
 
 
+@dataclass(slots=True)
+class _SightRow:
+    """What one observer sensed from `pose` at `tick`: one entry per module
+    id, its distance when in range and in line of sight, else None (also
+    for the observer itself), plus its sensed sockets as of `socket_epoch`."""
+
+    pose: Pose
+    tick: int
+    entries: list[float | None]
+    sockets: tuple
+    socket_epoch: int
+
+
+@dataclass(slots=True)
+class _SightCache:
+    """Incremental sensing state, indexed by module id: each pose and cell
+    as of the last decide phase, the ids whose pose changed at it, and the
+    row of every live observer."""
+
+    poses: list[Pose | None]
+    cells: list[tuple[int, int] | None]
+    moved: list[int]
+    rows: dict[int, _SightRow]
+
+
 class Simulation:
     """One seeded scenario run. Construct, then call run() exactly once."""
 
@@ -209,6 +234,12 @@ class Simulation:
         self._last_recharge: dict[int, tuple] = {}
         self._delivered_count = 0
         self._ran = False
+
+        # incremental sensing, see _observe; run() builds the cache only
+        # when some module has controllers
+        self._observers: tuple[int, ...] = ()  # live ids with controllers
+        self._sight: _SightCache | None = None
+        self._socket_epoch = 0                # bumped by every socket toggle
 
         # static observation pieces
         self._arena_size = (self.arena.width * self.arena.cell_size,
@@ -289,6 +320,12 @@ class Simulation:
         self._ran = True
         total = self.cfg.total_ticks if ticks is None else ticks
         self._write_header(total)
+        self._observers = tuple([i for i, st in self.states.items()
+                                 if st.health is Health.OK
+                                 and self.controllers[i]])
+        if self._observers:
+            n = len(self.states)
+            self._sight = _SightCache([None] * n, [None] * n, [], {})
         started = time.perf_counter()
         for _ in range(total):
             self.tick += 1
@@ -307,6 +344,7 @@ class Simulation:
         if self.scheduler is None:
             return
         for sid, active in self.scheduler.step(self.tick):
+            self._socket_epoch += 1
             self.log.event(self.tick, -1, "socket", id=sid, active=active)
 
     def _phase_sense(self) -> dict:
@@ -315,28 +353,66 @@ class Simulation:
         self._delivered_count = sum(len(v) for v in delivered.values())
         return delivered
 
+    def _note_moves(self) -> None:
+        """List the modules whose Pose object changed since the last decide
+        phase; poses are immutable, so an unchanged object is an unmoved
+        module."""
+        sight = self._sight
+        moved = []
+        for j, st in self.states.items():
+            pose = st.pose
+            if pose is not sight.poses[j]:
+                sight.poses[j] = pose
+                sight.cells[j] = self.arena.cell_of(pose.x, pose.y)
+                moved.append(j)
+        sight.moved = moved
+
     def _observe(self, i: int, delivered: dict) -> Observation:
+        """Build module i's observation. Sensing is a pure function of
+        poses, health and socket state, so the row cached from last tick is
+        patched only where a pose changed or a socket toggled."""
         cfg = self.cfg
         st = self.states[i]
-        spec = self.specs[i]
         arena = self.arena
         pose = st.pose
-        my_cell = arena.cell_of(pose.x, pose.y)
+        range_m = cfg.sensing_range_m
+        sight = self._sight
 
-        sockets = tuple(sense_sockets(pose, cfg.sensing_range_m, arena))
-        others = []
-        for j, other in self.states.items():
+        row = sight.rows.get(i)
+        if row is not None and row.pose is pose and row.tick == self.tick - 1:
+            if row.socket_epoch != self._socket_epoch:
+                row.sockets = tuple(sense_sockets(pose, range_m, arena))
+                row.socket_epoch = self._socket_epoch
+            todo = sight.moved
+        else:
+            row = _SightRow(pose, self.tick, [None] * len(self.states),
+                            tuple(sense_sockets(pose, range_m, arena)),
+                            self._socket_epoch)
+            sight.rows[i] = row
+            todo = self.states
+        row.tick = self.tick
+
+        entries = row.entries
+        poses = sight.poses
+        cells = sight.cells
+        my_cell = cells[i]
+        line_of_sight = arena.line_of_sight
+        x, y = pose.x, pose.y
+        for j in todo:
             if j == i:
                 continue
-            d = pose.distance_to(other.pose)
-            if d > cfg.sensing_range_m:
-                continue
-            if not arena.line_of_sight(my_cell, arena.cell_of(other.pose.x,
-                                                              other.pose.y)):
-                continue
-            others.append(SensedModule(j, other.module_class, other.pose,
-                                       other.health, d))
+            other = poses[j]
+            d = math.hypot(x - other.x, y - other.y)
+            entries[j] = (d if d <= range_m
+                          and line_of_sight(my_cell, cells[j]) else None)
 
+        states = self.states
+        others = []
+        for j, d in enumerate(entries):
+            if d is not None:
+                other = states[j]
+                others.append(SensedModule(j, other.module_class, other.pose,
+                                           other.health, d))
         org = self.registry.organism_of(i)
         return Observation(
             me=SelfChannel(
@@ -346,7 +422,7 @@ class Simulation:
                 coprocessor_on=st.coprocessor_on, carried=st.carried),
             local=LocalChannel(
                 terrain=arena.terrain_at(pose.x, pose.y),
-                sockets=sockets, modules=tuple(others),
+                sockets=row.sockets, modules=tuple(others),
                 arena_size=self._arena_size, graveyard=self._yard_rect),
             interaction=InteractionChannel(
                 docked_faces=tuple(f.value for f in st.docked_faces),
@@ -365,9 +441,17 @@ class Simulation:
 
     def _phase_decide(self, delivered: dict) -> dict[int, ActionProposal]:
         selected = {}
-        for i, st in self.states.items():
-            if st.health is not Health.OK or not self.controllers[i]:
-                continue
+        observers = self._observers
+        alive = [i for i in observers if self.states[i].health is Health.OK]
+        if len(alive) < len(observers):
+            # death is final: the dead never observe again
+            for i in set(observers).difference(alive):
+                self._sight.rows.pop(i, None)
+            self._observers = tuple(alive)
+        if not alive:
+            return selected
+        self._note_moves()
+        for i in alive:
             obs = self._observe(i, delivered)
             proposals = step_controllers(self.controllers[i], obs)
             choice = select_action(proposals, self.controller_order[i])

@@ -86,7 +86,8 @@ class Arena:
         self.cell_size = cell_size
         self.sockets = sorted(sockets, key=lambda s: s.id)
         self.graveyard = graveyard
-        self._los_cache: dict[tuple[tuple[int, int], tuple[int, int]], bool] = {}
+        # unordered cell pair -> sightline, keyed by one int (see line_of_sight)
+        self._los_cache: dict[int, bool] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -162,8 +163,19 @@ class Arena:
         Grid walk between the cell centers (Amanatides-Woo stepping). Exact
         corner crossings test both corner-adjacent cells, so a ray cannot
         slip diagonally between two wall blocks. Endpoint cells never block.
+        Answers for in-grid pairs are cached per unordered pair; the first
+        query traces from its own first cell.
         """
-        key = (cell_a, cell_b) if cell_a <= cell_b else (cell_b, cell_a)
+        ax, ay = cell_a
+        bx, by = cell_b
+        width = self.width
+        if not (0 <= ax < width and 0 <= bx < width
+                and 0 <= ay < self.height and 0 <= by < self.height):
+            return self._trace(cell_a, cell_b)   # off-grid cells share no key
+        ia = ay * width + ax
+        ib = by * width + bx
+        ncells = width * self.height
+        key = ia * ncells + ib if ia <= ib else ib * ncells + ia
         hit = self._los_cache.get(key)
         if hit is not None:
             return hit

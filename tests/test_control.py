@@ -16,7 +16,9 @@ from orgsim.energy import Tariff
 from orgsim.errors import FrameworkError
 from orgsim.geometry import Pose
 from orgsim.organism import OrganismRegistry, Translate, organism_move
-from orgsim.robot_model import Health, ModuleClass, make_module_spec, new_module_state
+from orgsim.robot_model import (DriveCommand, Health, ModuleClass,
+                                locomotion_step, make_module_spec,
+                                new_module_state)
 from orgsim.world import SensedSocket, Socket, TerrainClass
 from tests.test_organism import docked_pair
 
@@ -223,6 +225,28 @@ def test_guard_drive_judges_a_carried_member_like_execution_does():
     assert verdicts(0.05) == (Drive(0.05), False)
     assert verdicts(0.1) == (Rejected("collision", "path of module 1 is blocked"),
                              True)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_guard_drive caps speed as vx * cap / speed and locomotion_step as "
+    "vx * (cap / speed); the last-bit difference moves the swept-path "
+    "samples, so the two can disagree about a path that grazes a cell"))
+def test_guard_drive_scales_speed_like_locomotion_step():
+    # full_scale seed 81, tick 2, module 67: a backbone asked for just over
+    # its 0.06 m/s cap. Scaled the guard's way the path is 0.6000000000000001
+    # m and its 13 samples miss the corner of rough cell (5, 4); scaled the
+    # locomotion way it is 0.6 m, and sample 7 of 12 lands on that cell.
+    def rough_cell(x, y):
+        cell = (int(x // 0.25), int(y // 0.25))
+        return TerrainClass.ROUGH if cell == (5, 4) else TerrainClass.PLAIN
+
+    st_ = new_module_state(67, BACKBONE,
+                           Pose(1.6357643331513299, 0.9252420337519408, 270.0))
+    drive = Drive(-0.0550242033751941, -0.023923566684867014, 0.0)
+    guarded = guard_action(drive, ctx_for(st_, BACKBONE, terrain=rough_cell))
+    moved = locomotion_step(st_, BACKBONE, DriveCommand(
+        drive.linear, drive.lateral, drive.angular), rough_cell, 10.0, Tariff())
+    assert isinstance(guarded, Rejected) == moved.blocked
 
 
 def test_guard_actuate_clamps_and_checks_torque():

@@ -1,16 +1,19 @@
 """Run harness: event log, determinism, replay verification, CLI, sweeps."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from orgsim import cli
 from orgsim.config import load_scenario, load_scenario_file
-from orgsim.control import ActionProposal, Drive
+from orgsim.control import ActionProposal, Drive, SensedModule
 from orgsim.errors import ConfigError, InvariantBreach, ReplayError
+from orgsim.geometry import Pose
 from orgsim.harness import (EventLog, Simulation, replay_file, replay_log,
                             run_scenario, sweep)
 from orgsim.rng import Fnv1a
+from orgsim.world import SensedSocket
 
 ROOM_MAP = """\
 cellsize 0.25
@@ -136,6 +139,60 @@ def test_bundled_runs_reproduce_their_pinned_digests(scenario, seed, ticks,
     metrics = Simulation(cfg, seed).run(ticks)
     assert [metrics.digest, metrics.events] == pinned
     assert metrics.residual_j == 0.0
+
+
+def _sensed_from_scratch(sim, i):
+    """Module i's sensed modules and sockets, recomputed with no cache."""
+    arena = sim.arena
+    range_m = sim.cfg.sensing_range_m
+    pose = sim.states[i].pose
+    origin = arena.cell_of(pose.x, pose.y)
+    modules = []
+    for j, other in sim.states.items():
+        d = pose.distance_to(other.pose)
+        if (j != i and d <= range_m and arena._trace(
+                origin, arena.cell_of(other.pose.x, other.pose.y))):
+            modules.append(SensedModule(j, other.module_class, other.pose,
+                                        other.health, d))
+    sockets = []
+    for s in arena.sockets:
+        px, py = s.position(arena.cell_size)
+        d = pose.distance_to(Pose(px, py))
+        if d <= range_m and arena._trace(origin, s.cell):
+            sockets.append(SensedSocket(s.id, (px, py), s.active, s.rating, d,
+                                        s.height, s.approach_deg))
+    return tuple(modules), tuple(sockets)
+
+
+@pytest.mark.parametrize("scenario, seed, ticks, dwell", [
+    ("full_scale", 42, 20, None),
+    ("desk_challenge", 11, 200, (2, 5)),
+])
+def test_incremental_sensing_matches_a_fresh_scan(scenario, seed, ticks,
+                                                  dwell):
+    cfg = load_scenario_file(CONFIG_DIR / f"{scenario}.cfg")
+    if dwell is not None:
+        # short dwells toggle sockets every few ticks, so cached socket
+        # readings of modules that stand still must be refreshed too
+        cfg = dataclasses.replace(cfg, dwell_min=dwell[0], dwell_max=dwell[1])
+    sim = Simulation(cfg, seed)
+    observe = sim._observe
+    checked = []
+
+    def observe_and_check(i, delivered):
+        obs = observe(i, delivered)
+        modules, sockets = _sensed_from_scratch(sim, i)
+        assert obs.local.modules == modules, (sim.tick, i)
+        assert obs.local.sockets == sockets, (sim.tick, i)
+        checked.append(sim.tick)
+        return obs
+
+    sim._observe = observe_and_check
+    sim.run(ticks)
+    assert set(checked) == set(range(1, ticks + 1))
+    if dwell is not None:
+        toggles = sum(" socket " in line for line in sim.log.lines)
+        assert toggles > 20
 
 
 def test_simulation_runs_once():

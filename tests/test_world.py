@@ -148,6 +148,28 @@ def test_los_is_symmetric(walls, a, b):
             == arena_from_lines(rows).line_of_sight(b, a))
 
 
+def test_los_cache_answers_every_pair_of_a_tall_arena():
+    # 3 wide by 7 tall: a key that mixed up width and height, or packed a
+    # pair into an int that another pair also maps to, would hand one
+    # pair's cached answer to another
+    rows = ["..#",
+            ".#.",
+            "...",
+            "#..",
+            "..#",
+            ".#.",
+            "#.."]
+    a = arena_from_lines(rows)
+    cells = [(x, y) for y in range(7) for x in range(3)]
+    answers = set()
+    for p in cells:
+        for q in cells:
+            got = a.line_of_sight(p, q)
+            assert got == a._trace(p, q), (p, q)
+            answers.add(got)
+    assert answers == {True, False}
+
+
 def test_walkable_cells_row_major():
     a = arena_from_lines(["#.", ".."])
     assert a.walkable_cells() == [(1, 0), (0, 1), (1, 1)]

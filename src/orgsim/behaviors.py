@@ -23,8 +23,8 @@ from .docking import FACES, Face, attempt_align
 from .errors import ConfigError
 from .geometry import Pose, ang_diff_deg, heading_vec, norm_deg, rotate_vec
 from .rng import Rng
-from .robot_model import (DriveKind, Health, ModuleClass, make_module_spec,
-                          pair_tolerance)
+from .robot_model import (DriveKind, Health, ModuleClass, ModuleSpec,
+                          make_module_spec, pair_tolerance)
 from .world import SensedSocket
 
 EMERGENCY_PRIORITY = 10
@@ -123,7 +123,30 @@ def assigned_slot(module_id: int, sockets: list[SensedSocket]) -> StackSlot | No
     return StackSlot(sock, rank, (px, py), sock.approach_deg, pred)
 
 
-class SeekEnergyController:
+# a controller knows its own hardware envelope
+_CLASS_SPECS = {mc: make_module_spec(mc) for mc in ModuleClass}
+
+
+class _Controller:
+    """Base of the baseline controllers. A controller serves one module,
+    whose class never changes, so its envelope is looked up only once."""
+
+    _spec: ModuleSpec | None = None
+
+    def _hardware(self, obs: Observation) -> ModuleSpec:
+        if self._spec is None:
+            self._spec = _CLASS_SPECS[obs.me.module_class]
+        return self._spec
+
+    def _servo(self, obs: Observation, tx: float, ty: float,
+               target_heading: float | None = None) -> Drive | None:
+        """servo_drive from the module's pose at its class's drive and speed."""
+        spec = self._hardware(obs)
+        return servo_drive(obs.me.pose, spec.drive_kind, spec.max_speed,
+                           tx, ty, obs.internal.dt, target_heading)
+
+
+class SeekEnergyController(_Controller):
     """Walk to the assigned stack slot and draw wall power at rank zero.
 
     Battery below the emergency fraction promotes every proposal into the
@@ -161,10 +184,8 @@ class SeekEnergyController:
         if not docked and not obs.me.carried:
             # drive all the way down to servo tolerance; dock latches need
             # millimetres, not the loose at-slot radius
-            cmd = servo_drive(pose, _drive_kind_of(obs.me.module_class),
-                              _speed_of(obs.me.module_class),
-                              slot.position[0], slot.position[1],
-                              obs.internal.dt, target_heading=slot.heading)
+            cmd = self._servo(obs, slot.position[0], slot.position[1],
+                              target_heading=slot.heading)
             if cmd is not None:
                 parked = False
                 out.append(ActionProposal(seek_pri, cmd))
@@ -175,7 +196,7 @@ class SeekEnergyController:
         return out or None
 
 
-class AggregateController:
+class AggregateController(_Controller):
     """Form and hold the stack: dock onto the predecessor, then stand still."""
 
     def __init__(self, module_id: int, rng: Rng, params: dict | None = None):
@@ -193,10 +214,8 @@ class AggregateController:
         if not obs.interaction.docked_faces:
             # same parked test the seek servo uses; holding any earlier
             # would freeze the module before it is latch-accurate
-            still = servo_drive(pose, _drive_kind_of(obs.me.module_class),
-                                _speed_of(obs.me.module_class),
-                                slot.position[0], slot.position[1],
-                                obs.internal.dt, target_heading=slot.heading)
+            still = self._servo(obs, slot.position[0], slot.position[1],
+                                target_heading=slot.heading)
             if still is not None:
                 return None
         out = [ActionProposal(HOLD_PRIORITY, Idle())]
@@ -216,7 +235,7 @@ class AggregateController:
         return out
 
 
-class ExploreController:
+class ExploreController(_Controller):
     """Random waypoint wandering; the only stochastic baseline behavior."""
 
     def __init__(self, module_id: int, rng: Rng, params: dict | None = None):
@@ -243,15 +262,13 @@ class ExploreController:
             self.waypoint = (self.rng.uniform(margin, w - margin),
                              self.rng.uniform(margin, h - margin))
             self.stuck = 0
-        cmd = servo_drive(pose, _drive_kind_of(obs.me.module_class),
-                          _speed_of(obs.me.module_class),
-                          self.waypoint[0], self.waypoint[1], obs.internal.dt)
+        cmd = self._servo(obs, self.waypoint[0], self.waypoint[1])
         if cmd is None:
             return None
         return [ActionProposal(EXPLORE_PRIORITY, cmd)]
 
 
-class DisposalController:
+class DisposalController(_Controller):
     """Two wheeled haulers drag each dead module into the graveyard.
 
     Recomputed from observation every tick, no internal state: the two
@@ -271,7 +288,6 @@ class DisposalController:
         if yard is None:
             return None
         pose = obs.me.pose
-        dt = obs.internal.dt
 
         # backing off after a drop: finish separating before anything else
         mid_release = any(ph in ("unlocking", "separating")
@@ -291,8 +307,7 @@ class DisposalController:
                          w - margin)
                 ty = min(max(near[0].pose.y + 0.35 * math.sin(away), margin),
                          h - margin)
-                cmd = servo_drive(pose, _drive_kind_of(obs.me.module_class),
-                                  _speed_of(obs.me.module_class), tx, ty, dt)
+                cmd = self._servo(obs, tx, ty)
                 if cmd is not None:
                     return [ActionProposal(DISPOSAL_PRIORITY, cmd)]
             return None
@@ -312,9 +327,7 @@ class DisposalController:
         nx, ny = heading_vec(norm_deg(corpse.pose.heading + side.offset_deg))
         px = corpse.pose.x + SLOT_PITCH * nx
         py = corpse.pose.y + SLOT_PITCH * ny
-        cmd = servo_drive(pose, _drive_kind_of(obs.me.module_class),
-                          _speed_of(obs.me.module_class), px, py, dt,
-                          target_heading=corpse.pose.heading)
+        cmd = self._servo(obs, px, py, target_heading=corpse.pose.heading)
         if cmd is not None:
             return [ActionProposal(DISPOSAL_PRIORITY, cmd)]
         if obs.interaction.port_phases[FACES.index(grab)] == "free":
@@ -347,7 +360,7 @@ class DisposalController:
         dist = math.hypot(dx, dy)
         if dist < 1e-9:
             return [ActionProposal(DISPOSAL_PRIORITY, Idle())]
-        v = min(_speed_of(obs.me.module_class), dist / obs.internal.dt) / dist
+        v = min(self._hardware(obs).max_speed, dist / obs.internal.dt) / dist
         bx, by = rotate_vec(dx * v, dy * v, -pose.heading)
         return [ActionProposal(DISPOSAL_PRIORITY, Drive(bx, by, 0.0))]
 
@@ -374,18 +387,6 @@ class DisposalController:
 
 
 # -- registry -------------------------------------------------------------
-
-
-# a controller knows its own hardware envelope
-_CLASS_SPECS = {mc: make_module_spec(mc) for mc in ModuleClass}
-
-
-def _speed_of(mc: ModuleClass) -> float:
-    return _CLASS_SPECS[mc].max_speed
-
-
-def _drive_kind_of(mc: ModuleClass) -> DriveKind:
-    return _CLASS_SPECS[mc].drive_kind
 
 
 REGISTRY = {

@@ -45,9 +45,11 @@ class DockPhase(enum.Enum):
     SEPARATING = "separating"
 
 
-PEERED_PHASES = frozenset({DockPhase.LOCKING, DockPhase.DOCKED, DockPhase.UNLOCKING})
+# Tuples, not sets: `in` on a tuple compares members by identity in C, where
+# a set would call the pure-Python Enum.__hash__ on every test.
+PEERED_PHASES = (DockPhase.LOCKING, DockPhase.DOCKED, DockPhase.UNLOCKING)
 # Phases where an abort input still cancels the attempt.
-ABORTABLE_PHASES = frozenset({DockPhase.FREE, DockPhase.APPROACHING, DockPhase.ALIGNING})
+ABORTABLE_PHASES = (DockPhase.FREE, DockPhase.APPROACHING, DockPhase.ALIGNING)
 
 
 @dataclass(eq=False)

@@ -96,6 +96,33 @@ def drain(state: ModuleState, joules: float, ledger: EnergyLedger) -> float:
     return to_j(got_pj)
 
 
+def drain_idle(states: dict[int, ModuleState], paid: set[int], tariff: Tariff,
+               dt: float, ledger: EnergyLedger) -> None:
+    """Bill one tick of idle draw to every live module whose id is not in
+    `paid`, in one pass.
+
+    Each module loses exactly what `drain(state, tariff.idle_draw_j(dt,
+    state.coprocessor_on), ledger)` would take from it; the price is worked
+    out in picojoules once per coprocessor setting instead of once per module.
+    """
+    off_j = tariff.idle_draw_j(dt, False)
+    on_j = tariff.idle_draw_j(dt, True)
+    for joules in (off_j, on_j):
+        if joules < 0:
+            raise ValueError(f"cannot drain a negative amount ({joules})")
+    off_pj, on_pj = to_pj(off_j), to_pj(on_j)
+    ok = Health.OK
+    total = 0
+    for i, st in states.items():
+        if st.health is ok and i not in paid:
+            have = st.battery_pj
+            want = on_pj if st.coprocessor_on else off_pj
+            got = want if want < have else have
+            st.battery_pj = have - got
+            total += got
+    ledger.consumed_pj += total
+
+
 @dataclass(frozen=True)
 class RechargeResult:
     granted: bool

@@ -24,9 +24,10 @@ from .control import (ActionProposal, Actuate, Dock, Drive, GuardContext, Idle,
                       Mailbox, MessageBus, Observation, Recharge, Rejected,
                       SelfChannel, SensedModule, ToggleCoprocessor, Tow,
                       Undock, guard_action, select_action, step_controllers)
-from .docking import (PEERED_PHASES, DockPhase, TickInput, advance_dock,
-                      attempt_align, face_center, undock)
-from .energy import EnergyLedger, classify_deaths, drain, recharge, share_energy
+from .docking import (PEERED_PHASES, DockPhase, Face, TickInput,
+                      advance_dock, attempt_align, face_center, undock)
+from .energy import (EnergyLedger, classify_deaths, drain, drain_idle, recharge,
+                     share_energy)
 from .errors import CommandError, ConfigError, InvariantBreach, ReplayError
 from .geometry import Pose, rotate_vec
 from .organism import (OrganismRegistry, Translate, Turn, edge_key,
@@ -38,6 +39,8 @@ from .robot_model import (DriveCommand, Health, ModuleState, actuate_joint,
 from .world import SocketSchedule, SocketScheduler, in_graveyard, sense_sockets
 
 LOG_VERSION = "orgsim-log v1"
+# bound once: on CPython 3.11, EnumType.__getattr__ slows every `Health.OK`
+_OK, _ENERGY_DEAD, _FREE = Health.OK, Health.ENERGY_DEAD, DockPhase.FREE
 
 
 def _fmt(v) -> str:
@@ -224,6 +227,9 @@ class Simulation:
         self._engaged: set[int] = set()        # id(port) of ports in a pairing
         self._reach_cache: dict[int, float] = {}
         self.visited: set[tuple[int, int]] = set()
+        # per id, the (immutable) Pose last added to `visited` / bounds-checked
+        self._visited_poses: list[Pose | None] = [None] * len(self.states)
+        self._checked_poses: list[Pose | None] = [None] * len(self.states)
         self.disposed: set[int] = set()
         self.deaths_energy = 0
         self.deaths_hardware = 0
@@ -348,8 +354,8 @@ class Simulation:
             self.log.event(self.tick, -1, "socket", id=sid, active=active)
 
     def _phase_sense(self) -> dict:
-        positions = {i: st.pose for i, st in self.states.items()}
-        delivered = self.bus.deliver(positions)
+        delivered = self.bus.deliver(
+            {i: s.pose for i, s in self.states.items()} if self.bus.load else {})
         self._delivered_count = sum(len(v) for v in delivered.values())
         return delivered
 
@@ -442,7 +448,7 @@ class Simulation:
     def _phase_decide(self, delivered: dict) -> dict[int, ActionProposal]:
         selected = {}
         observers = self._observers
-        alive = [i for i in observers if self.states[i].health is Health.OK]
+        alive = [i for i in observers if self.states[i].health is _OK]
         if len(alive) < len(observers):
             # death is final: the dead never observe again
             for i in set(observers).difference(alive):
@@ -670,14 +676,9 @@ class Simulation:
                 for p in self.pairs.values())
 
     def _phase_energy(self) -> None:
-        tariff = self.cfg.tariff
-        dt = self.cfg.dt
-        for i, st in self.states.items():
-            if st.health is Health.OK and i not in self._idle_paid:
-                drain(st, tariff.idle_draw_j(dt, st.coprocessor_on), self.ledger)
-        edges = []
-        for org in self.registry.organisms.values():
-            edges.extend(org.edges)
+        tariff, dt = self.cfg.tariff, self.cfg.dt
+        drain_idle(self.states, self._idle_paid, tariff, dt, self.ledger)
+        edges = [e for org in self.registry.organisms.values() for e in org.edges]
         if edges:
             transfers = share_energy(edges, self.states, dt, tariff, self.ledger)
             if self.cfg.credit_log:
@@ -687,24 +688,25 @@ class Simulation:
 
     def _phase_death(self) -> None:
         for i, st in self.states.items():
-            if st.health is Health.OK and st.battery_pj == 0:
+            if st.health is _OK and st.battery_pj == 0:
                 st.health = Health.ENERGY_DEAD
                 self.deaths_energy += 1
                 self.log.event(self.tick, i, "death", cause="energy")
         if self.cfg.hazard_rate > 0.0:
-            for i, st in self.states.items():
-                if (st.health is Health.OK
-                        and self.rng_hazards.random() < self.cfg.hazard_rate):
-                    st.health = Health.HARDWARE_DEAD
-                    self.deaths_hardware += 1
-                    self.log.event(self.tick, i, "death", cause="hazard",
-                                   battery=st.battery)
+            live = [st for st in self.states.values() if st.health is _OK]
+            for k in self.rng_hazards.hits(len(live), self.cfg.hazard_rate):
+                live[k].health = Health.HARDWARE_DEAD
+                self.deaths_hardware += 1
+                self.log.event(self.tick, live[k].id, "death", cause="hazard",
+                               battery=live[k].battery)
 
     def _phase_metrics(self) -> None:
         arena = self.arena
         for i, st in self.states.items():
-            if st.health is Health.OK:
-                self.visited.add(arena.cell_of(st.pose.x, st.pose.y))
+            if st.health is _OK:
+                if st.pose is not self._visited_poses[i]:
+                    self._visited_poses[i] = st.pose
+                    self.visited.add(arena.cell_of(st.pose.x, st.pose.y))
             elif (i not in self.disposed and arena.graveyard is not None
                   and in_graveyard(arena, st.pose.x, st.pose.y)):
                 self.disposed.add(i)
@@ -720,7 +722,8 @@ class Simulation:
                 coverage=round(self._coverage(), 6),
                 drawn_j=self.ledger.as_dict()["drawn_j"],
                 consumed_j=self.ledger.as_dict()["consumed_j"],
-                residual_j=self._residual(),
+                residual_j=self.ledger.residual_j(
+                    sum(st.battery_pj for st in self.states.values())),
                 rejects=sum(self.rejections.values()),
                 msgs=self.bus.posted)
 
@@ -728,38 +731,35 @@ class Simulation:
         total = len(self.arena.walkable_cells())
         return len(self.visited) / total if total else 0.0
 
-    def _residual(self) -> float:
-        stored = sum(st.battery_pj for st in self.states.values())
-        return self.ledger.residual_j(stored)
-
     def _invariant_scan(self) -> None:
         for i, st in self.states.items():
             if not 0 <= st.battery_pj <= st.capacity_pj:
                 self._breach(i, "battery_bounds",
                              f"battery {st.battery_pj} of {st.capacity_pj}")
-            if st.health is Health.ENERGY_DEAD and st.battery_pj != 0:
+            if st.health is _ENERGY_DEAD and st.battery_pj != 0:
                 self._breach(i, "dead_battery",
                              f"energy-dead with {st.battery_pj} pJ")
-            if not self.arena.in_bounds(st.pose.x, st.pose.y):
-                self._breach(i, "out_of_bounds",
-                             f"({st.pose.x}, {st.pose.y})")
+            if (st.pose is not self._checked_poses[i]
+                    and not self.arena.in_bounds(st.pose.x, st.pose.y)):
+                self._breach(i, "out_of_bounds", f"({st.pose.x}, {st.pose.y})")
+            self._checked_poses[i] = st.pose
             for p in st.ports:
+                if p.phase is _FREE and p.peer is None:
+                    continue
                 if p.phase in PEERED_PHASES:
                     if p.peer is None or p.peer.peer is not p:
                         self._breach(i, "peer_symmetry",
                                      f"face {p.face.value} {p.phase.value}")
                     elif p.peer.phase is not p.phase:
-                        self._breach(i, "phase_sync",
-                                     f"face {p.face.value}")
+                        self._breach(i, "phase_sync", f"face {p.face.value}")
                 elif p.peer is not None:
                     self._breach(i, "stale_peer", f"face {p.face.value}")
         for org_id, org in self.registry.organisms.items():
             if org_id != min(org.nodes):
                 self._breach(-1, "organism_id", f"org {org_id}")
-            for (a, fa), (b, fb) in org.edges:
-                for mid, fval in ((a, fa), (b, fb)):
-                    port = next(p for p in self.states[mid].ports
-                                if p.face.value == fval)
+            for edge in org.edges:
+                for mid, fval in edge:
+                    port = self.states[mid].port(Face(fval))
                     if port.phase is not DockPhase.DOCKED:
                         self._breach(mid, "ghost_edge",
                                      f"face {fval} {port.phase.value}")

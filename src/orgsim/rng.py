@@ -18,6 +18,8 @@ adding draws to one stream cannot shift any other.
 
 from __future__ import annotations
 
+import math
+
 _M64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -88,6 +90,32 @@ class Rng:
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return (self.u64() >> 11) * (2.0 ** -53)
+
+    def hits(self, n: int, p: float) -> list[int]:
+        """Indices k in [0, n) whose k-th of n successive random() draws is
+        below p, consuming exactly those n draws.
+
+        random() < p holds exactly when u >> 11 < p * 2**53, because scaling
+        by a power of two is exact in binary floating point; for an integer
+        that is u >> 11 < ceil(p * 2**53), that is u < ceil(p * 2**53) << 11,
+        which compares the raw output u with one integer.
+        """
+        limit = p * 2.0 ** 53
+        if math.isfinite(limit):
+            bound = math.ceil(limit) << 11
+        else:   # inf: every draw hits; -inf and nan: none does
+            bound = 1 << 64 if limit > 0 else 0
+        mask, mult = _M64, 0x2545F4914F6CDD1D
+        s = self._s
+        out = []
+        for k in range(n):
+            s ^= s >> 12
+            s ^= (s << 25) & mask
+            s ^= s >> 27
+            if (s * mult) & mask < bound:
+                out.append(k)
+        self._s = s
+        return out
 
     def uniform(self, a: float, b: float) -> float:
         return a + (b - a) * self.random()

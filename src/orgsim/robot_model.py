@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .docking import (DockPort, PEERED_PHASES, ACCURATE_TOLERANCE, ROUGH_TOLERANCE,
-                      AlignmentTolerance, Face, make_ports)
+                      FACES, AlignmentTolerance, Face, make_ports)
 from .errors import CommandError, ConfigError
 from .geometry import Pose, norm_deg, rotate_vec
 from .world import TerrainClass
@@ -123,15 +123,17 @@ def pair_tolerance(class_a: ModuleClass, class_b: ModuleClass) -> AlignmentToler
     return ta if ta.max_offset >= tb.max_offset else tb
 
 
+# Tuples, not sets, like docking.PEERED_PHASES: `in` then compares by
+# identity in C instead of calling the pure-Python Enum.__hash__.
 _TRAVERSABLE = {
-    ModuleClass.SCOUT: frozenset({TerrainClass.PLAIN, TerrainClass.ROUGH,
-                                  TerrainClass.SLOPE, TerrainClass.SMALL_HOLE}),
-    ModuleClass.BACKBONE: frozenset({TerrainClass.PLAIN}),
-    ModuleClass.ACTIVE_WHEEL: frozenset({TerrainClass.PLAIN}),
+    ModuleClass.SCOUT: (TerrainClass.PLAIN, TerrainClass.ROUGH,
+                        TerrainClass.SLOPE, TerrainClass.SMALL_HOLE),
+    ModuleClass.BACKBONE: (TerrainClass.PLAIN,),
+    ModuleClass.ACTIVE_WHEEL: (TerrainClass.PLAIN,),
 }
 
 # a carried module rides clear of the floor; only solid walls stop it
-_ABOVE_GROUND = frozenset(TerrainClass) - {TerrainClass.OBSTACLE}
+_ABOVE_GROUND = tuple(t for t in TerrainClass if t is not TerrainClass.OBSTACLE)
 
 
 def can_traverse(module_class: ModuleClass, terrain: TerrainClass) -> bool:
@@ -166,7 +168,7 @@ class ModuleState:
         return self.battery_pj / self.capacity_pj if self.capacity_pj else 0.0
 
     def port(self, face: Face) -> DockPort:
-        return self.ports[list(Face).index(face)]
+        return self.ports[FACES.index(face)]
 
     @property
     def is_docked(self) -> bool:
@@ -219,14 +221,14 @@ class MoveResult:
 _PATH_SAMPLE_STEP = 0.05  # m; half a module edge, prevents wall tunnelling
 
 
-def passable_terrain(state: ModuleState) -> frozenset[TerrainClass]:
+def passable_terrain(state: ModuleState) -> tuple[TerrainClass, ...]:
     """Terrain a module's swept path may cross: its class's table, or
     everything but walls while it rides on an organism."""
     return _ABOVE_GROUND if state.carried else _TRAVERSABLE[state.module_class]
 
 
 def _path_clear(x0: float, y0: float, x1: float, y1: float,
-                passable: frozenset[TerrainClass], terrain_at) -> bool:
+                passable: tuple[TerrainClass, ...], terrain_at) -> bool:
     dist = math.hypot(x1 - x0, y1 - y0)
     steps = max(1, math.ceil(dist / _PATH_SAMPLE_STEP))
     for i in range(1, steps + 1):

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orgsim.energy import (DEFAULT_CONTACT_RANGE_M, DeathTally, EnergyLedger,
-                           Tariff, classify_deaths, drain, recharge,
-                           share_energy)
+                           Tariff, classify_deaths, drain, drain_idle,
+                           recharge, share_energy)
 from orgsim.geometry import Pose
 from orgsim.robot_model import (PJ, Health, ModuleClass, make_module_spec,
-                                new_module_state)
+                                new_module_state, to_pj)
 
 SCOUT = make_module_spec(ModuleClass.SCOUT)
 
@@ -66,6 +66,40 @@ def test_drain_clamps_at_empty():
     assert drain(st_, 5.0, led) == 0.0
     with pytest.raises(ValueError):
         drain(st_, -1.0, led)
+
+
+@pytest.mark.parametrize("coprocessor_on", [False, True])
+def test_drain_idle_bills_like_per_module_drain(coprocessor_on):
+    tariff, dt = Tariff(), 10.0
+    price_pj = to_pj(tariff.idle_draw_j(dt, coprocessor_on))
+
+    def fleet():
+        # full, partly full, below one tick's price, empty; then a dead
+        # module and one whose idle draw was already paid this tick
+        states = {i: module(i) for i in range(6)}
+        states[1].battery_pj //= 3
+        states[2].battery_pj = price_pj - 1
+        states[3].battery_pj = 0
+        states[4].health = Health.HARDWARE_DEAD
+        for st_ in states.values():
+            st_.coprocessor_on = coprocessor_on
+        return states
+
+    paid = {5}
+    batch, single = fleet(), fleet()
+    batch_led, single_led = EnergyLedger(), EnergyLedger()
+    for _ in range(2):
+        drain_idle(batch, paid, tariff, dt, batch_led)
+        for i, st_ in single.items():
+            if st_.health is Health.OK and i not in paid:
+                drain(st_, tariff.idle_draw_j(dt, st_.coprocessor_on),
+                      single_led)
+    assert ([st_.battery_pj for st_ in batch.values()]
+            == [st_.battery_pj for st_ in single.values()])
+    assert batch_led.consumed_pj == single_led.consumed_pj
+    assert batch[2].battery_pj == 0 and batch[5].battery_pj == 20000 * PJ
+    with pytest.raises(ValueError):
+        drain_idle(batch, paid, tariff, -dt, EnergyLedger())
 
 
 # -- recharge -------------------------------------------------------------

@@ -8,11 +8,13 @@ import pytest
 from orgsim import cli
 from orgsim.config import load_scenario, load_scenario_file
 from orgsim.control import ActionProposal, Drive, SensedModule
+from orgsim.docking import DockPhase
 from orgsim.errors import ConfigError, InvariantBreach, ReplayError
 from orgsim.geometry import Pose
 from orgsim.harness import (EventLog, Simulation, replay_file, replay_log,
                             run_scenario, sweep)
 from orgsim.rng import Fnv1a
+from orgsim.robot_model import Health
 from orgsim.world import SensedSocket
 
 ROOM_MAP = """\
@@ -246,6 +248,73 @@ def test_day_summary_cadence():
     assert len(days) == 2
     assert days[0].startswith("10 -1 day index=1 ")
     assert days[1].startswith("20 -1 day index=2 ")
+
+
+# -- invariant scan -------------------------------------------------------
+
+
+def _docked_pair(sim):
+    """A real docked link between module 0's north and module 1's south."""
+    a, b = sim.states[0].ports[0], sim.states[1].ports[2]
+    a.peer, b.peer = b, a
+    a.phase = b.phase = DockPhase.DOCKED
+    return a, b
+
+
+def _peered_out_of_sync(sim):
+    a, b = _docked_pair(sim)
+    b.phase = DockPhase.LOCKING
+
+
+def _renamed_organism(sim):
+    sim.registry.register_edge(*_docked_pair(sim))
+    org = sim.registry.organisms.pop(0)
+    org.id = 1
+    sim.registry.organisms[1] = org
+
+
+def _ghost_edge(sim):
+    a, b = _docked_pair(sim)
+    sim.registry.register_edge(a, b)
+    for port in a, b:
+        port.peer, port.phase = None, DockPhase.FREE
+
+
+BREACHES = {
+    "battery_bounds": lambda sim: setattr(
+        sim.states[2], "battery_pj", sim.states[2].capacity_pj + 1),
+    "dead_battery": lambda sim: setattr(
+        sim.states[2], "health", Health.ENERGY_DEAD),
+    # ticks 1 and 2 already bounds-checked module 2's earlier pose
+    "out_of_bounds": lambda sim: setattr(
+        sim.states[2], "pose", Pose(-0.1, 0.5, 0.0)),
+    "peer_symmetry": lambda sim: setattr(
+        sim.states[0].ports[0], "phase", DockPhase.DOCKED),
+    "phase_sync": _peered_out_of_sync,
+    "stale_peer": lambda sim: setattr(
+        sim.states[0].ports[0], "peer", sim.states[1].ports[2]),
+    "organism_id": _renamed_organism,
+    "ghost_edge": _ghost_edge,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BREACHES))
+def test_invariant_scan_catches_each_breach(name):
+    cfg = load_scenario("[roster]\nscout = 2\nbackbone = 2\n",
+                        map_text=ROOM_MAP)
+    sim = Simulation(cfg, 3)
+    death = sim._phase_death
+
+    def death_then_corrupt():
+        death()
+        if sim.tick == 3:
+            BREACHES[name](sim)
+
+    sim._phase_death = death_then_corrupt
+    with pytest.raises(InvariantBreach) as caught:
+        sim.run(6)
+    assert (caught.value.tick, caught.value.name) == (3, name)
+    assert f" breach name={name} " in sim.log.lines[-1]
 
 
 # -- replay ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The RNG recipe is a documented contract; these tests pin it down with
 independent reimplementations of each primitive."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -98,6 +100,27 @@ def test_randrange_in_bounds(seed, n):
     r = Rng(seed)
     for _ in range(10):
         assert 0 <= r.randrange(n) < n
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-4, 0.5, math.nextafter(1.0, 0.0), 1.0,
+                               -0.5, math.inf, math.nan])
+@pytest.mark.parametrize("n", [0, 1, 30000])
+def test_hits_matches_successive_random_draws(p, n):
+    batch, single = Rng(21, "hazards"), Rng(21, "hazards")
+    expect = [k for k in range(n) if single.random() < p]
+    assert batch.hits(n, p) == expect
+    if p == 1e-4 and n == 30000:
+        assert expect  # the rare branch was taken at least once
+    assert batch.random() == single.random()
+
+
+def test_hits_breaks_a_tie_like_random():
+    # a threshold equal to a draw must exclude that draw, as `<` does
+    ref = Rng(4)
+    draws = [ref.random() for _ in range(50)]
+    p = draws[7]
+    assert Rng(4).hits(50, p) == [k for k, r in enumerate(draws) if r < p]
+    assert 7 not in Rng(4).hits(50, p)
 
 
 def test_randint_covers_both_ends():

@@ -15,7 +15,7 @@ from .behaviors import REGISTRY
 from .energy import DEFAULT_CONTACT_RANGE_M, Tariff
 from .errors import ConfigError
 from .robot_model import Health, ModuleClass
-from .world import Arena, parse_arena
+from .world import Arena, TerrainClass, parse_arena
 
 SECONDS_PER_DAY = 86400.0
 
@@ -345,7 +345,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             if not arena.in_bounds(sp.x, sp.y):
                 findings.append(f"spawn {mid} at ({sp.x}, {sp.y}) outside arena")
                 continue
-            from .world import TerrainClass
             if arena.terrain_at(sp.x, sp.y) is TerrainClass.OBSTACLE:
                 findings.append(f"spawn {mid} is inside a wall")
             if sp.battery is not None and not 0.0 <= sp.battery <= 1.0:

@@ -14,12 +14,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .docking import Face
+from .docking import DockPhase, Face
 from .errors import FrameworkError
 from .geometry import Pose, rotate_vec
 from .organism import LiftQuery, Organism, lift_torque_nm, worst_case_chain
-from .robot_model import (Health, ModuleClass, ModuleSpec, ModuleState,
-                          dof_range, passable_terrain, _path_clear)
+from .robot_model import (DriveKind, Health, ModuleClass, ModuleSpec,
+                          ModuleState, dof_range, passable_terrain,
+                          _path_clear)
 from .world import SensedSocket, TerrainClass
 
 PRIORITY_MIN = 0
@@ -247,7 +248,6 @@ def guard_action(action: Action, ctx: GuardContext) -> Action | Rejected:
     if isinstance(action, Dock):    # Tow included
         return _guard_dock(action, ctx)
     if isinstance(action, Undock):
-        from .docking import DockPhase
         port = st.port(action.face)
         if port.phase is not DockPhase.DOCKED:
             return Rejected("protocol",
@@ -265,7 +265,6 @@ def guard_action(action: Action, ctx: GuardContext) -> Action | Rejected:
 
 def _guard_drive(action: Drive, ctx: GuardContext) -> Action | Rejected:
     st, spec = ctx.state, ctx.spec
-    from .robot_model import DriveKind
     if st.carried:
         return Rejected("protocol", "carried modules do not drive")
     solo = ctx.organism is None
@@ -274,7 +273,6 @@ def _guard_drive(action: Drive, ctx: GuardContext) -> Action | Rejected:
         # coupling either registers as an organism edge or lets go
         return Rejected("protocol", "docking in progress pins this module")
     if not solo:
-        from .docking import DockPhase
         for mid in ctx.organism.nodes:
             if any(p.phase is DockPhase.LOCKING
                    for p in ctx.states[mid].ports):
@@ -340,7 +338,6 @@ def _guard_dock(action: Dock, ctx: GuardContext) -> Action | Rejected:
         return Rejected("protocol",
                         f"module {action.target_id} is {other.health.value}; "
                         f"towing requires a tow dock")
-    from .docking import DockPhase
     mine = st.port(action.face)
     theirs = other.port(action.target_face)
     if mine.phase is not DockPhase.FREE:

@@ -198,11 +198,3 @@ def undock(port: DockPort) -> tuple[DockPhase, DockPhase]:
     peer.phase = DockPhase.UNLOCKING
     return port.phase, peer.phase
 
-
-def sustain_cost(port: DockPort, dt: float) -> float:
-    """Holding a locked connection is free; the lock is mechanical."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if port.phase is not DockPhase.DOCKED:
-        raise ProtocolError(f"sustain on a port in phase {port.phase.value}")
-    return 0.0

@@ -163,31 +163,6 @@ class _Pairing:
     tow: bool
 
 
-@dataclass(slots=True)
-class _SightRow:
-    """What one observer sensed from `pose` at `tick`: one entry per module
-    id, its distance when in range and in line of sight, else None (also
-    for the observer itself), plus its sensed sockets as of `socket_epoch`."""
-
-    pose: Pose
-    tick: int
-    entries: list[float | None]
-    sockets: tuple
-    socket_epoch: int
-
-
-@dataclass(slots=True)
-class _SightCache:
-    """Incremental sensing state, indexed by module id: each pose and cell
-    as of the last decide phase, the ids whose pose changed at it, and the
-    row of every live observer."""
-
-    poses: list[Pose | None]
-    cells: list[tuple[int, int] | None]
-    moved: list[int]
-    rows: dict[int, _SightRow]
-
-
 class Simulation:
     """One seeded scenario run. Construct, then call run() exactly once."""
 
@@ -241,11 +216,18 @@ class Simulation:
         self._delivered_count = 0
         self._ran = False
 
-        # incremental sensing, see _observe; run() builds the cache only
-        # when some module has controllers
+        # incremental sensing, see _refresh_sight. run() allocates these
+        # lists, indexed by module id, only when some module has controllers:
+        # each Pose (immutable) and its cell as of the last refresh, and for
+        # a live observer its row (its distance to each module id when in
+        # range and in line of sight, else None; None for any other id) and
+        # its sensed sockets
         self._observers: tuple[int, ...] = ()  # live ids with controllers
-        self._sight: _SightCache | None = None
-        self._socket_epoch = 0                # bumped by every socket toggle
+        self._sight_poses: list[Pose | None] | None = None
+        self._sight_cells: list[tuple[int, int] | None] | None = None
+        self._sight_rows: list[list[float | None] | None] | None = None
+        self._sensed_sockets: list[tuple] | None = None
+        self._socket_toggled = False          # by this tick's schedule phase
 
         # static observation pieces
         self._arena_size = (self.arena.width * self.arena.cell_size,
@@ -331,7 +313,12 @@ class Simulation:
                                  and self.controllers[i]])
         if self._observers:
             n = len(self.states)
-            self._sight = _SightCache([None] * n, [None] * n, [], {})
+            self._sight_poses = [None] * n
+            self._sight_cells = [None] * n
+            self._sight_rows = [None] * n
+            for i in self._observers:
+                self._sight_rows[i] = [None] * n
+            self._sensed_sockets = [()] * n
         started = time.perf_counter()
         for _ in range(total):
             self.tick += 1
@@ -349,8 +336,9 @@ class Simulation:
     def _phase_schedule(self) -> None:
         if self.scheduler is None:
             return
+        self._socket_toggled = False
         for sid, active in self.scheduler.step(self.tick):
-            self._socket_epoch += 1
+            self._socket_toggled = True
             self.log.event(self.tick, -1, "socket", id=sid, active=active)
 
     def _phase_sense(self) -> dict:
@@ -359,62 +347,59 @@ class Simulation:
         self._delivered_count = sum(len(v) for v in delivered.values())
         return delivered
 
-    def _note_moves(self) -> None:
-        """List the modules whose Pose object changed since the last decide
-        phase; poses are immutable, so an unchanged object is an unmoved
-        module."""
-        sight = self._sight
+    def _refresh_sight(self) -> None:
+        """Bring every live observer's row and sockets up to date with the
+        current poses. Poses are immutable, so an unchanged Pose object is an
+        unmoved module; distance and line of sight are symmetric, so each
+        pair with a moved end is computed once and written into the row of
+        each end that observes."""
+        arena = self.arena
+        range_m = self.cfg.sensing_range_m
+        poses, cells, rows = (self._sight_poses, self._sight_cells,
+                              self._sight_rows)
         moved = []
         for j, st in self.states.items():
             pose = st.pose
-            if pose is not sight.poses[j]:
-                sight.poses[j] = pose
-                sight.cells[j] = self.arena.cell_of(pose.x, pose.y)
+            if pose is not poses[j]:
+                poses[j] = pose
+                cells[j] = arena.cell_of(pose.x, pose.y)
                 moved.append(j)
-        sight.moved = moved
+
+        line_of_sight = arena.line_of_sight
+        done = [False] * len(poses)       # moved ids whose pairs are computed
+        for j in moved:
+            done[j] = True
+            row_j = rows[j]
+            pose, cell = poses[j], cells[j]
+            x, y = pose.x, pose.y
+            for k, row_k in enumerate(rows):
+                if done[k] or (row_j is None and row_k is None):
+                    continue
+                other = poses[k]
+                d = math.hypot(x - other.x, y - other.y)
+                if not (d <= range_m and line_of_sight(cell, cells[k])):
+                    d = None
+                if row_j is not None:
+                    row_j[k] = d
+                if row_k is not None:
+                    row_k[j] = d
+
+        toggled = self._socket_toggled
+        for i in self._observers:
+            if toggled or done[i]:
+                self._sensed_sockets[i] = tuple(
+                    sense_sockets(poses[i], range_m, arena))
 
     def _observe(self, i: int, delivered: dict) -> Observation:
-        """Build module i's observation. Sensing is a pure function of
-        poses, health and socket state, so the row cached from last tick is
-        patched only where a pose changed or a socket toggled."""
+        """Build module i's observation from its row, which _refresh_sight
+        brought up to date earlier in this decide phase."""
         cfg = self.cfg
         st = self.states[i]
         arena = self.arena
         pose = st.pose
-        range_m = cfg.sensing_range_m
-        sight = self._sight
-
-        row = sight.rows.get(i)
-        if row is not None and row.pose is pose and row.tick == self.tick - 1:
-            if row.socket_epoch != self._socket_epoch:
-                row.sockets = tuple(sense_sockets(pose, range_m, arena))
-                row.socket_epoch = self._socket_epoch
-            todo = sight.moved
-        else:
-            row = _SightRow(pose, self.tick, [None] * len(self.states),
-                            tuple(sense_sockets(pose, range_m, arena)),
-                            self._socket_epoch)
-            sight.rows[i] = row
-            todo = self.states
-        row.tick = self.tick
-
-        entries = row.entries
-        poses = sight.poses
-        cells = sight.cells
-        my_cell = cells[i]
-        line_of_sight = arena.line_of_sight
-        x, y = pose.x, pose.y
-        for j in todo:
-            if j == i:
-                continue
-            other = poses[j]
-            d = math.hypot(x - other.x, y - other.y)
-            entries[j] = (d if d <= range_m
-                          and line_of_sight(my_cell, cells[j]) else None)
-
         states = self.states
         others = []
-        for j, d in enumerate(entries):
+        for j, d in enumerate(self._sight_rows[i]):
             if d is not None:
                 other = states[j]
                 others.append(SensedModule(j, other.module_class, other.pose,
@@ -428,7 +413,8 @@ class Simulation:
                 coprocessor_on=st.coprocessor_on, carried=st.carried),
             local=LocalChannel(
                 terrain=arena.terrain_at(pose.x, pose.y),
-                sockets=row.sockets, modules=tuple(others),
+                sockets=self._sensed_sockets[i],
+                modules=tuple(others),
                 arena_size=self._arena_size, graveyard=self._yard_rect),
             interaction=InteractionChannel(
                 docked_faces=tuple(f.value for f in st.docked_faces),
@@ -452,11 +438,11 @@ class Simulation:
         if len(alive) < len(observers):
             # death is final: the dead never observe again
             for i in set(observers).difference(alive):
-                self._sight.rows.pop(i, None)
+                self._sight_rows[i] = None
             self._observers = tuple(alive)
         if not alive:
             return selected
-        self._note_moves()
+        self._refresh_sight()
         for i in alive:
             obs = self._observe(i, delivered)
             proposals = step_controllers(self.controllers[i], obs)

@@ -137,21 +137,6 @@ class OrganismRegistry:
             survivors.append(new_org.id)
         return SplitEvent(old_id, tuple(sorted(survivors)), tuple(sorted(dissolved)))
 
-    def drop_module(self, module_id: int) -> list[SplitEvent]:
-        """Remove every edge touching a module (used when it is terminally
-        detached); returns the splits in deterministic order."""
-        events = []
-        while True:
-            org = self.organism_of(module_id)
-            if org is None:
-                break
-            touching = sorted(e for e in org.edges
-                              if e[0][0] == module_id or e[1][0] == module_id)
-            if not touching:
-                break
-            events.append(self.remove_edge(touching[0]))
-        return events
-
 
 def _components(nodes: set[int], edges: set[EdgeKey]) -> list[set[int]]:
     adj: dict[int, set[int]] = {n: set() for n in nodes}

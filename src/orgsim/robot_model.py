@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .docking import (DockPort, PEERED_PHASES, ACCURATE_TOLERANCE, ROUGH_TOLERANCE,
-                      FACES, AlignmentTolerance, Face, make_ports)
+                      FACES, AlignmentTolerance, DockPhase, Face, make_ports)
 from .errors import CommandError, ConfigError
 from .geometry import Pose, norm_deg, rotate_vec
 from .world import TerrainClass
@@ -177,7 +177,6 @@ class ModuleState:
 
     @property
     def docked_faces(self) -> list[Face]:
-        from .docking import DockPhase
         return [p.face for p in self.ports if p.phase is DockPhase.DOCKED]
 
 
@@ -244,8 +243,9 @@ def locomotion_step(state: ModuleState, spec: ModuleSpec, cmd: DriveCommand,
     """Integrate one drive command over dt. Pure: the caller applies the pose.
 
     The reported energy is what a module doing nothing but this for dt would
-    burn: idle draw plus the distance tariff. A move whose path crosses a
-    cell this class cannot traverse is blocked and leaves the pose unchanged.
+    burn: idle draw, coprocessor included when it is on, plus the distance
+    tariff. A move whose path crosses a cell this class cannot traverse is
+    blocked and leaves the pose unchanged.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -267,7 +267,7 @@ def locomotion_step(state: ModuleState, spec: ModuleSpec, cmd: DriveCommand,
     vx_w, vy_w = rotate_vec(vx_b, vy_b, state.pose.heading)
     dx, dy = vx_w * dt, vy_w * dt
 
-    idle_j = tariff.idle_w * dt
+    idle_j = tariff.idle_draw_j(dt, state.coprocessor_on)
     if dx == 0.0 and dy == 0.0:
         heading = norm_deg(state.pose.heading + cmd.angular * dt)
         return MoveResult(Pose(state.pose.x, state.pose.y, heading), idle_j, False)

@@ -21,9 +21,6 @@ from .rng import Rng
 
 DEFAULT_CELL_SIZE = 0.25
 
-# Ratings (watts) drawn for generated sockets that do not pin their own.
-SOCKET_RATING_CHOICES = (10.0, 20.0, 40.0)
-
 
 class TerrainClass(enum.Enum):
     PLAIN = "plain"
@@ -276,11 +273,6 @@ def parse_arena(text: str) -> Arena:
         if len(grave_cells) != expected:
             raise ConfigError("graveyard cells do not fill a rectangle")
     return Arena(cells, sockets, graveyard, cell_size)
-
-
-def load_arena(path) -> Arena:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_arena(f.read())
 
 
 def arena_from_lines(rows: list[str], sockets: list[Socket] | None = None,

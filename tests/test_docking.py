@@ -9,8 +9,7 @@ import pytest
 from orgsim.docking import (ACCURATE_TOLERANCE, DEFAULT_EDGE_LENGTH, FACES,
                             ROUGH_TOLERANCE, DockPhase, DockPort, Face,
                             TickInput, advance_dock, attempt_align,
-                            face_center, face_normal_deg, make_ports,
-                            sustain_cost, undock)
+                            face_center, face_normal_deg, make_ports, undock)
 from orgsim.errors import ProtocolError
 from orgsim.geometry import Pose
 
@@ -197,8 +196,6 @@ def test_attempt_align_rejects_same_direction_faces():
     assert not attempt_align(a, Face.NORTH, b, Face.NORTH, ROUGH_TOLERANCE)
 
 
-def test_make_ports_order_and_sustain_cost():
+def test_make_ports_order():
     ports = make_ports(4)
     assert [p.face for p in ports] == list(FACES)
-    docked = DockPort(owner=0, face=Face.NORTH, phase=P.DOCKED)
-    assert sustain_cost(docked, 10.0) == 0.0

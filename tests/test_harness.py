@@ -169,6 +169,8 @@ def _sensed_from_scratch(sim, i):
 @pytest.mark.parametrize("scenario, seed, ticks, dwell", [
     ("full_scale", 42, 20, None),
     ("desk_challenge", 11, 200, (2, 5)),
+    ("disposal_open", 3, 432, None),
+    ("survival_zero", 7, 500, None),
 ])
 def test_incremental_sensing_matches_a_fresh_scan(scenario, seed, ticks,
                                                   dwell):
@@ -191,7 +193,9 @@ def test_incremental_sensing_matches_a_fresh_scan(scenario, seed, ticks,
 
     sim._observe = observe_and_check
     sim.run(ticks)
-    assert set(checked) == set(range(1, ticks + 1))
+    # every tick is checked until the last observer dies
+    assert set(checked) == set(range(1, max(checked) + 1))
+    assert max(checked) == ticks or not sim._observers
     if dwell is not None:
         toggles = sum(" socket " in line for line in sim.log.lines)
         assert toggles > 20
@@ -224,17 +228,20 @@ def test_idle_only_run_bills_exactly_idle():
     assert m.survivors == 1
 
 
-def test_driving_pays_idle_once_per_tick():
-    # locomotion energy already includes the idle draw; the energy phase
-    # must not add a second helping for a module that drove
+@pytest.mark.parametrize("coprocessor_on", [False, True])
+def test_driving_pays_idle_once_per_tick(coprocessor_on):
+    # locomotion energy already includes the idle draw, coprocessor too; the
+    # energy phase must not add a second helping for a module that drove
     cfg = corridor_cfg()
     sim = Simulation(cfg)
+    sim.states[0].coprocessor_on = coprocessor_on
     push = lambda obs: ActionProposal(60, Drive(0.125, 0.0, 0.0))
     sim.controllers[0] = {"push": push}
     sim.controller_order[0] = {"push": 0}
     m = sim.run(10)
-    # per tick: 0.5 W * 10 s idle + 2 J/m/kg * 1.25 m * 1 kg = 7.5 J
-    assert m.consumed_j == 10 * 7.5
+    # per tick: (0.5 W + 2 W if on) * 10 s idle + 2 J/m/kg * 1.25 m * 1 kg
+    idle_j = 25.0 if coprocessor_on else 5.0
+    assert m.consumed_j == 10 * (idle_j + 2.5)
     assert m.residual_j == 0.0
     assert not any(" reject " in line for line in sim.log.lines)
     assert m.coverage == pytest.approx(10 / 62)

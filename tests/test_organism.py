@@ -150,16 +150,6 @@ def test_split_events():
         reg.remove_edge(((0, "N"), (1, "S")))
 
 
-def test_drop_module_strips_every_touching_edge():
-    reg = OrganismRegistry()
-    reg.register_edge(*docked_pair(0, 1))
-    reg.register_edge(*docked_pair(1, 2))
-    events = reg.drop_module(1)
-    assert len(events) == 2
-    assert reg.organisms == {}
-    assert reg.drop_module(1) == []  # already alone
-
-
 # -- mass and lift --------------------------------------------------------
 
 

@@ -42,6 +42,12 @@ ARRIVE_TOL = 0.004        # snug inside the tightest docking tolerance
 HEADING_TOL = 1.0
 AT_SLOT_RADIUS = 0.05     # close enough to call a slot "mine"
 
+# per-call code reads these members bound once: an Enum class attribute
+# lookup goes through a slow-path __getattr__
+_OK = Health.OK
+_ACTIVE_WHEEL = ModuleClass.ACTIVE_WHEEL
+_TRACKED = DriveKind.TRACKED
+
 
 # -- navigation servos ----------------------------------------------------
 
@@ -64,7 +70,7 @@ def servo_drive(pose: Pose, drive_kind: DriveKind, max_speed: float,
                 return Drive(0.0, 0.0, err / dt)
         return None
 
-    if drive_kind is not DriveKind.TRACKED:
+    if drive_kind is not _TRACKED:
         bx, by = rotate_vec(dx, dy, -pose.heading)   # world -> body frame
         want = target_heading if target_heading is not None else pose.heading
         err = ang_diff_deg(want, pose.heading)
@@ -132,11 +138,23 @@ class _Controller:
     whose class never changes, so its envelope is looked up only once."""
 
     _spec: ModuleSpec | None = None
+    _slot_sockets: tuple[SensedSocket, ...] | None = None
+    _slot: StackSlot | None = None
 
     def _hardware(self, obs: Observation) -> ModuleSpec:
         if self._spec is None:
             self._spec = _CLASS_SPECS[obs.me.module_class]
         return self._spec
+
+    def _assigned_slot(self, obs: Observation) -> StackSlot | None:
+        """assigned_slot of this module, worked out again only for another
+        sockets tuple: the harness hands out the same tuple object until the
+        module moves or a socket toggles, and a tuple cannot change."""
+        sockets = obs.local.sockets
+        if sockets is not self._slot_sockets:
+            self._slot = assigned_slot(self.module_id, list(sockets))
+            self._slot_sockets = sockets
+        return self._slot
 
     def _servo(self, obs: Observation, tx: float, ty: float,
                target_heading: float | None = None) -> Drive | None:
@@ -161,7 +179,7 @@ class SeekEnergyController(_Controller):
                                               EMERGENCY_FRACTION))
 
     def __call__(self, obs: Observation):
-        slot = assigned_slot(self.module_id, list(obs.local.sockets))
+        slot = self._assigned_slot(obs)
         if slot is None:
             return None
         urgent = obs.me.battery_fraction < self.emergency_fraction
@@ -203,7 +221,7 @@ class AggregateController(_Controller):
         self.module_id = module_id
 
     def __call__(self, obs: Observation):
-        slot = assigned_slot(self.module_id, list(obs.local.sockets))
+        slot = self._assigned_slot(obs)
         if slot is None:
             return None
         pose = obs.me.pose
@@ -224,9 +242,8 @@ class AggregateController(_Controller):
             south = FACES.index(Face.SOUTH)
             south_free = obs.interaction.port_phases[south] == "free"
             if south_free:
-                pred = next((m for m in obs.local.modules
-                             if m.id == slot.predecessor), None)
-                if pred is not None and pred.health is Health.OK:
+                pred = obs.local.modules.get(slot.predecessor)
+                if pred is not None and pred.health is _OK:
                     tol = pair_tolerance(obs.me.module_class, pred.module_class)
                     if attempt_align(pose, Face.SOUTH, pred.pose, Face.NORTH, tol):
                         out.append(ActionProposal(
@@ -282,7 +299,7 @@ class DisposalController(_Controller):
         self.module_id = module_id
 
     def __call__(self, obs: Observation):
-        if obs.me.module_class is not ModuleClass.ACTIVE_WHEEL:
+        if obs.me.module_class is not _ACTIVE_WHEEL:
             return None
         yard = obs.local.graveyard
         if yard is None:
@@ -294,8 +311,8 @@ class DisposalController(_Controller):
                           for ph in obs.interaction.port_phases)
         corpse_peer = self._docked_corpse(obs)
         if mid_release and corpse_peer is None:
-            near = [m for m in obs.local.modules
-                    if m.health is not Health.OK and m.distance < 0.3]
+            near = [m for m in obs.local.modules.select(healthy=False)
+                    if m.distance < 0.3]
             if near:
                 # steer to a spot a hand's width past the release distance,
                 # clamped into the room so a wall-side drop cannot wedge us
@@ -341,8 +358,8 @@ class DisposalController(_Controller):
         for i, peer in enumerate(obs.interaction.port_peers):
             if peer is None:
                 continue
-            sensed = next((m for m in obs.local.modules if m.id == peer[0]), None)
-            if sensed is not None and sensed.health is not Health.OK:
+            sensed = obs.local.modules.get(peer[0])
+            if sensed is not None and sensed.health is not _OK:
                 return FACES[i], sensed
         return None
 
@@ -366,19 +383,16 @@ class DisposalController(_Controller):
 
     def _target_corpse(self, obs: Observation):
         yard = obs.local.graveyard
-        dead = [m for m in obs.local.modules
-                if m.health is not Health.OK
-                and not _rect_contains(yard, m.pose.x, m.pose.y)]
-        return min(dead, key=lambda m: m.id) if dead else None
+        # select lists in ascending id order, so the first is the lowest id
+        return next((m for m in obs.local.modules.select(healthy=False)
+                     if not _rect_contains(yard, m.pose.x, m.pose.y)), None)
 
     def _my_rank(self, obs: Observation) -> int | None:
         if obs.interaction.docked_faces:
             return None
         crew = [self.module_id]
-        for m in obs.local.modules:
-            if (m.module_class is ModuleClass.ACTIVE_WHEEL
-                    and m.health is Health.OK):
-                crew.append(m.id)
+        crew += [m.id for m in obs.local.modules.select(_ACTIVE_WHEEL,
+                                                        healthy=True)]
         crew.sort()
         # sensing cannot tell whether others are docked; ids keep it stable
         if self.module_id in crew[:2]:

@@ -11,7 +11,8 @@ scenario tasks, 160-255 exploration and idling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .docking import DockPhase, Face
@@ -43,8 +44,104 @@ class SensedModule(NamedTuple):
     distance: float
 
 
-@dataclass(frozen=True)
-class SelfChannel:
+_OK = Health.OK
+
+
+class SensedModules(Sequence):
+    """The modules one observer sees, as a read-only view in ascending id
+    order that compares equal to the tuple of its `SensedModule` records.
+
+    The view reads immutable tables indexed by module id: `table`, one
+    `(module_class, pose, health)` entry per module, and `unwell`, the
+    ascending ids whose health is not OK, both shared by every view of one
+    decide phase; and `row`, this observer's distance to each id in sight,
+    else None. Records are built only when read: `get` and `select` build
+    the ones they return, and reading the view as a sequence builds its
+    whole tuple, once.
+    """
+
+    __slots__ = ("_table", "_unwell", "_row", "_records")
+
+    def __init__(self,
+                 table: tuple[tuple[ModuleClass, Pose, Health] | None, ...],
+                 unwell: tuple[int, ...], row: tuple[float | None, ...]):
+        self._table = table
+        self._unwell = unwell
+        self._row = row
+        self._records: tuple[SensedModule, ...] | None = None
+
+    @classmethod
+    def of(cls, records) -> "SensedModules":
+        """A view of exactly these records, for an observation built by hand."""
+        records = sorted(records, key=lambda m: m.id)
+        n = records[-1].id + 1 if records else 0
+        table: list = [None] * n
+        row: list = [None] * n
+        for m in records:
+            if m.id < 0 or row[m.id] is not None:
+                raise ValueError(f"sensed module id {m.id} is negative "
+                                 f"or repeated")
+            table[m.id] = (m.module_class, m.pose, m.health)
+            row[m.id] = m.distance
+        unwell = tuple(m.id for m in records if m.health is not _OK)
+        return cls(tuple(table), unwell, tuple(row))
+
+    def get(self, module_id: int) -> SensedModule | None:
+        """Module `module_id` as sensed, or None when it is out of sight."""
+        row = self._row
+        if 0 <= module_id < len(row):
+            d = row[module_id]
+            if d is not None:
+                return SensedModule(module_id, *self._table[module_id], d)
+        return None
+
+    def select(self, module_class: ModuleClass | None = None,
+               healthy: bool | None = None) -> list[SensedModule]:
+        """The modules in sight of `module_class` (any when None) whose
+        health is OK (healthy=True), not OK (False) or either (None), in
+        ascending id order. The filter reads the tables, so only the records
+        returned are built, and healthy=False visits only the unwell ids."""
+        table, row = self._table, self._row
+        out = []
+        for j in self._unwell if healthy is False else range(len(row)):
+            d = row[j]
+            if d is None:
+                continue
+            mc, pose, health = table[j]
+            if ((module_class is None or mc is module_class)
+                    and (healthy is None or (health is _OK) is healthy)):
+                out.append(SensedModule(j, mc, pose, health, d))
+        return out
+
+    def _all(self) -> tuple[SensedModule, ...]:
+        if self._records is None:
+            self._records = tuple(self.select())
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._row) - self._row.count(None)
+
+    def __getitem__(self, index):
+        return self._all()[index]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SensedModules):
+            other = other._all()
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self._all() == other
+
+    def __hash__(self) -> int:
+        return hash(self._all())
+
+    def __repr__(self) -> str:
+        return f"SensedModules({self._all()!r})"
+
+
+class SelfChannel(NamedTuple):
     id: int
     module_class: ModuleClass
     pose: Pose
@@ -55,17 +152,26 @@ class SelfChannel:
     carried: bool
 
 
-@dataclass(frozen=True)
-class LocalChannel:
+class LocalChannel(NamedTuple):
+    """What the observer senses around it during one decide phase.
+
+    `modules` is a `SensedModules` view: the modules in range and in line
+    of sight, in ascending id order, with `get(id)` for one module (None
+    when out of sight). `sockets` are the sockets in sight, in id order.
+    Like every channel, this is a snapshot of its tick's decide phase: it
+    keeps reading the same poses, health and distances however the run goes
+    on. An observation built by hand wraps its records in
+    `SensedModules.of`.
+    """
+
     terrain: TerrainClass | None
     sockets: tuple[SensedSocket, ...]
-    modules: tuple[SensedModule, ...]
+    modules: SensedModules
     arena_size: tuple[float, float]                      # metres (w, h)
     graveyard: tuple[float, float, float, float] | None  # x0, y0, x1, y1
 
 
-@dataclass(frozen=True)
-class InteractionChannel:
+class InteractionChannel(NamedTuple):
     docked_faces: tuple[str, ...]
     port_phases: tuple[str, str, str, str]               # N, E, S, W
     port_peers: tuple[tuple[int, str] | None, ...]       # (module id, face) or None
@@ -75,16 +181,18 @@ class InteractionChannel:
     messages: tuple["Message", ...]
 
 
-@dataclass(frozen=True)
-class InternalChannel:
+class InternalChannel(NamedTuple):
     tick: int
     dt: float
     bus_load: int               # messages the radio delivered fleet-wide this tick
     outbox: "Mailbox | None" = None
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
+    """The four channels one module reads in one decide phase. The channels
+    are named tuples: the harness builds one observation per observer per
+    tick."""
+
     me: SelfChannel
     local: LocalChannel
     interaction: InteractionChannel
@@ -185,7 +293,7 @@ def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
                 raise FrameworkError(
                     f"controller {name!r} used priority {prop.priority!r}, "
                     f"must be an int in [{PRIORITY_MIN}, {PRIORITY_MAX}]")
-            out.append(replace(prop, source=name))
+            out.append(ActionProposal(prop.priority, prop.action, name))
     return out
 
 
@@ -238,7 +346,7 @@ def guard_action(action: Action, ctx: GuardContext) -> Action | Rejected:
     st, spec = ctx.state, ctx.spec
     if isinstance(action, Idle):
         return action
-    if st.health is not Health.OK:
+    if st.health is not _OK:
         return Rejected("protocol", f"module {st.id} is {st.health.value}")
 
     if isinstance(action, Drive):
@@ -334,7 +442,7 @@ def _guard_dock(action: Dock, ctx: GuardContext) -> Action | Rejected:
     other = ctx.states.get(action.target_id)
     if other is None:
         return Rejected("protocol", f"unknown module {action.target_id}")
-    if other.health is not Health.OK and not isinstance(action, Tow):
+    if other.health is not _OK and not isinstance(action, Tow):
         return Rejected("protocol",
                         f"module {action.target_id} is {other.health.value}; "
                         f"towing requires a tow dock")

@@ -22,7 +22,7 @@ from .config import ScenarioConfig, load_scenario
 from .control import (ActionProposal, Actuate, Dock, Drive, GuardContext, Idle,
                       InteractionChannel, InternalChannel, LocalChannel,
                       Mailbox, MessageBus, Observation, Recharge, Rejected,
-                      SelfChannel, SensedModule, ToggleCoprocessor, Tow,
+                      SelfChannel, SensedModules, ToggleCoprocessor, Tow,
                       Undock, guard_action, select_action, step_controllers)
 from .docking import (PEERED_PHASES, DockPhase, Face, TickInput,
                       advance_dock, attempt_align, face_center, undock)
@@ -41,6 +41,11 @@ from .world import SocketSchedule, SocketScheduler, in_graveyard, sense_sockets
 LOG_VERSION = "orgsim-log v1"
 # bound once: on CPython 3.11, EnumType.__getattr__ slows every `Health.OK`
 _OK, _ENERGY_DEAD, _FREE = Health.OK, Health.ENERGY_DEAD, DockPhase.FREE
+_DOCKED = DockPhase.DOCKED
+# the observation carries faces and phases by value; Enum.value is a slow
+# property, so each member's value is looked up here instead
+_FACE_VALUE = {f: f.value for f in Face}
+_PHASE_VALUE = {ph: ph.value for ph in DockPhase}
 
 
 def _fmt(v) -> str:
@@ -220,13 +225,19 @@ class Simulation:
         # lists, indexed by module id, only when some module has controllers:
         # each Pose (immutable) and its cell as of the last refresh, and for
         # a live observer its row (its distance to each module id when in
-        # range and in line of sight, else None; None for any other id) and
-        # its sensed sockets
+        # range and in line of sight, else None; None for any other id), the
+        # immutable copy of that row its observations last handed out, and
+        # its sensed sockets. _phase_decide builds the tables that this
+        # tick's observations share: (module_class, pose, health) per id,
+        # and the ids whose health is not OK
         self._observers: tuple[int, ...] = ()  # live ids with controllers
         self._sight_poses: list[Pose | None] | None = None
         self._sight_cells: list[tuple[int, int] | None] | None = None
         self._sight_rows: list[list[float | None] | None] | None = None
+        self._sight_snaps: list[tuple | None] | None = None
         self._sensed_sockets: list[tuple] | None = None
+        self._sight_table: tuple[tuple, ...] = ()
+        self._sight_unwell: tuple[int, ...] = ()
         self._socket_toggled = False          # by this tick's schedule phase
 
         # static observation pieces
@@ -318,6 +329,7 @@ class Simulation:
             self._sight_rows = [None] * n
             for i in self._observers:
                 self._sight_rows[i] = [None] * n
+            self._sight_snaps = [None] * n
             self._sensed_sockets = [()] * n
         started = time.perf_counter()
         for _ in range(total):
@@ -392,43 +404,41 @@ class Simulation:
 
     def _observe(self, i: int, delivered: dict) -> Observation:
         """Build module i's observation from its row, which _refresh_sight
-        brought up to date earlier in this decide phase."""
-        cfg = self.cfg
+        brought up to date earlier in this decide phase, and this tick's
+        module table. The row is handed out as an immutable copy, and a row
+        equal to the last copy hands out that copy again."""
         st = self.states[i]
-        arena = self.arena
         pose = st.pose
-        states = self.states
-        others = []
-        for j, d in enumerate(self._sight_rows[i]):
-            if d is not None:
-                other = states[j]
-                others.append(SensedModule(j, other.module_class, other.pose,
-                                           other.health, d))
+        row = tuple(self._sight_rows[i])
+        if row == self._sight_snaps[i]:
+            row = self._sight_snaps[i]
+        else:
+            self._sight_snaps[i] = row
+        ports = st.ports
         org = self.registry.organism_of(i)
+        # positional arguments, in field order: a keyword call costs about
+        # twice as much, once per channel per observer per tick
         return Observation(
-            me=SelfChannel(
-                id=i, module_class=st.module_class, pose=pose,
-                battery_fraction=st.battery_fraction, health=st.health,
-                joint_angles=tuple(st.joint_angles),
-                coprocessor_on=st.coprocessor_on, carried=st.carried),
-            local=LocalChannel(
-                terrain=arena.terrain_at(pose.x, pose.y),
-                sockets=self._sensed_sockets[i],
-                modules=tuple(others),
-                arena_size=self._arena_size, graveyard=self._yard_rect),
-            interaction=InteractionChannel(
-                docked_faces=tuple(f.value for f in st.docked_faces),
-                port_phases=tuple(p.phase.value for p in st.ports),
-                port_peers=tuple(
-                    (p.peer.owner, p.peer.face.value) if p.peer is not None
-                    else None for p in st.ports),
-                organism_id=org.id if org is not None else None,
-                organism_size=len(org.nodes) if org is not None else 1,
-                organism_reach=self._reach_of(i),
-                messages=tuple(delivered.get(i, ()))),
-            internal=InternalChannel(
-                tick=self.tick, dt=cfg.dt, bus_load=self._delivered_count,
-                outbox=self._mailboxes[i]),
+            SelfChannel(i, st.module_class, pose, st.battery_fraction,
+                        st.health, tuple(st.joint_angles), st.coprocessor_on,
+                        st.carried),
+            LocalChannel(self.arena.terrain_at(pose.x, pose.y),
+                         self._sensed_sockets[i],
+                         SensedModules(self._sight_table, self._sight_unwell,
+                                       row),
+                         self._arena_size, self._yard_rect),
+            InteractionChannel(
+                tuple([_FACE_VALUE[p.face] for p in ports
+                       if p.phase is _DOCKED]),
+                tuple([_PHASE_VALUE[p.phase] for p in ports]),
+                tuple([(p.peer.owner, _FACE_VALUE[p.peer.face])
+                       if p.peer is not None else None for p in ports]),
+                org.id if org is not None else None,
+                len(org.nodes) if org is not None else 1,
+                self._reach_of(i),
+                tuple(delivered.get(i, ()))),
+            InternalChannel(self.tick, self.cfg.dt, self._delivered_count,
+                            self._mailboxes[i]),
         )
 
     def _phase_decide(self, delivered: dict) -> dict[int, ActionProposal]:
@@ -439,10 +449,16 @@ class Simulation:
             # death is final: the dead never observe again
             for i in set(observers).difference(alive):
                 self._sight_rows[i] = None
+                self._sight_snaps[i] = None
             self._observers = tuple(alive)
         if not alive:
             return selected
         self._refresh_sight()
+        states = self.states.values()
+        self._sight_table = tuple([(st.module_class, st.pose, st.health)
+                                   for st in states])
+        self._sight_unwell = tuple([st.id for st in states
+                                    if st.health is not _OK])
         for i in alive:
             obs = self._observe(i, delivered)
             proposals = step_controllers(self.controllers[i], obs)

@@ -20,6 +20,10 @@ from .world import TerrainClass
 
 PJ = 10 ** 12  # picojoules per joule
 
+# an Enum class attribute lookup costs a slow-path __getattr__; per-call code
+# reads the member bound once here
+_DOCKED = DockPhase.DOCKED
+
 
 def to_pj(joules: float) -> int:
     return round(joules * PJ)
@@ -177,7 +181,7 @@ class ModuleState:
 
     @property
     def docked_faces(self) -> list[Face]:
-        return [p.face for p in self.ports if p.phase is DockPhase.DOCKED]
+        return [p.face for p in self.ports if p.phase is _DOCKED]
 
 
 def new_module_state(module_id: int, spec: ModuleSpec, pose: Pose,

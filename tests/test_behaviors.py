@@ -10,6 +10,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from orgsim import behaviors
 from orgsim.behaviors import (ARRIVE_TOL, AT_SLOT_RADIUS, DOCK_PRIORITY,
                               EMERGENCY_PRIORITY, EXPLORE_PRIORITY,
                               HEADING_TOL, HOLD_PRIORITY, LEAVE_SOCKET_PRIORITY,
@@ -19,7 +20,8 @@ from orgsim.behaviors import (ARRIVE_TOL, AT_SLOT_RADIUS, DOCK_PRIORITY,
                               SeekEnergyController, StackSlot, assigned_slot, build_controllers, servo_drive)
 from orgsim.control import (Dock, Drive, Idle, InteractionChannel,
                             InternalChannel, LocalChannel, Observation,
-                            Recharge, SelfChannel, SensedModule, Undock)
+                            Recharge, SelfChannel, SensedModule,
+                            SensedModules, Undock)
 from orgsim.docking import ACCURATE_TOLERANCE, ROUGH_TOLERANCE, Face
 from orgsim.errors import ConfigError
 from orgsim.energy import Tariff
@@ -49,7 +51,8 @@ def obs_for(mid=0, pose=Pose(0, 0, 0), sockets=(), modules=(), docked=(),
                      joint_angles=(0.0, 0.0), coprocessor_on=False,
                      carried=carried)
     local = LocalChannel(terrain=TerrainClass.PLAIN, sockets=tuple(sockets),
-                         modules=tuple(modules), arena_size=(4.0, 3.0),
+                         modules=SensedModules.of(modules),
+                         arena_size=(4.0, 3.0),
                          graveyard=(3.0, 2.0, 3.9, 2.9))
     inter = InteractionChannel(docked_faces=tuple(docked), port_phases=phases,
                                port_peers=(None,) * 4, organism_id=None,
@@ -222,6 +225,32 @@ def test_seek_releases_a_dock_that_no_longer_matches():
 
 def test_seek_idles_without_sockets():
     assert SeekEnergyController(0, Rng(1))(obs_for()) is None
+
+
+def test_the_slot_is_worked_out_again_only_for_another_sockets_tuple(
+        monkeypatch):
+    calls = []
+
+    def counting_slot(mid, sockets):
+        calls.append(mid)
+        return assigned_slot(mid, sockets)
+
+    monkeypatch.setattr(behaviors, "assigned_slot", counting_slot)
+    lit = (socket(0, 1.0, 0.25), socket(1, 2.0, 0.25))
+    one_dark = (socket(0, 1.0, 0.25), socket(1, 2.0, 0.25, active=False))
+    for ctl in (SeekEnergyController(1, Rng(1)), AggregateController(1, Rng(1))):
+        calls.clear()
+        seen = []
+        for sockets in (lit, lit, list(lit), one_dark, one_dark):
+            obs = obs_for(mid=1, pose=Pose(2.5, 1.5, 0.0), sockets=sockets)
+            ctl(obs)
+            seen.append(ctl._assigned_slot(obs))
+        # the same tuple object is reused; an equal but new tuple, or a
+        # changed one, is worked out again
+        assert calls == [1, 1, 1]
+        assert seen == [assigned_slot(1, list(s)) for s in
+                        (lit, lit, lit, one_dark, one_dark)]
+        assert seen[0].socket.id == 1 and seen[3].socket.id == 0
 
 
 # -- aggregate controller -------------------------------------------------

@@ -8,7 +8,8 @@ from orgsim.control import (IDLE_PROPOSAL, MAX_PROPOSALS_PER_CONTROLLER,
                             GuardContext, Idle, InteractionChannel,
                             InternalChannel, LocalChannel, Mailbox, Message,
                             MessageBus, Observation, Recharge, Rejected,
-                            SelfChannel, ToggleCoprocessor, Tow, Undock,
+                            SelfChannel, SensedModule, SensedModules,
+                            ToggleCoprocessor, Tow, Undock,
                             fitness, guard_action, select_action,
                             step_controllers)
 from orgsim.docking import DockPhase, Face
@@ -36,7 +37,8 @@ def make_obs(mid=0, sockets=(), docked=(), battery=1.0):
                      joint_angles=(0.0, 0.0), coprocessor_on=False,
                      carried=False)
     local = LocalChannel(terrain=TerrainClass.PLAIN, sockets=tuple(sockets),
-                         modules=(), arena_size=(4.0, 3.0), graveyard=None)
+                         modules=SensedModules.of(()), arena_size=(4.0, 3.0),
+                         graveyard=None)
     inter = InteractionChannel(docked_faces=tuple(docked),
                                port_phases=("free",) * 4,
                                port_peers=(None,) * 4, organism_id=None,
@@ -60,6 +62,58 @@ def scout_state(mid=0, pose=Pose(0, 0, 0)):
     return new_module_state(mid, SCOUT, pose)
 
 
+# -- sensed modules -------------------------------------------------------
+
+
+def sensed(mid, health=Health.OK, mc=ModuleClass.SCOUT, d=1.0):
+    return SensedModule(mid, mc, Pose(0.1 * mid, 0.2, 0.0), health, d)
+
+
+def test_sensed_modules_read_like_their_tuple():
+    records = (sensed(1), sensed(4, Health.ENERGY_DEAD, d=0.5),
+               sensed(6, mc=ModuleClass.ACTIVE_WHEEL, d=2.0))
+    view = SensedModules.of(reversed(records))    # any order in, id order out
+    assert len(view) == 3
+    assert tuple(view) == records
+    assert view == records and records == view
+    assert not view != records
+    assert view == SensedModules.of(records)
+    assert view != records[:2] and view != list(records)
+    assert hash(view) == hash(records)
+    assert view[0] == records[0] and view[-1] == records[-1]
+    assert view[1:] == records[1:]
+    assert records[1] in view and sensed(2) not in view
+    assert [m.id for m in view] == [1, 4, 6]
+    empty = SensedModules.of(())
+    assert len(empty) == 0 and not empty and empty == ()
+    assert empty.get(0) is None
+    with pytest.raises(IndexError):
+        empty[0]
+
+
+def test_sensed_modules_get_and_select_build_only_what_they_return():
+    records = (sensed(1), sensed(4, Health.ENERGY_DEAD, d=0.5),
+               sensed(6, mc=ModuleClass.ACTIVE_WHEEL, d=2.0),
+               sensed(7, Health.HARDWARE_DEAD, mc=ModuleClass.ACTIVE_WHEEL))
+    view = SensedModules.of(records)
+    assert view.get(4) == records[1]
+    assert view.get(7) == records[3]
+    for absent in (0, 2, 5, 8, 100, -1, -4):
+        assert view.get(absent) is None, absent
+    assert view.select(healthy=False) == [records[1], records[3]]
+    assert view.select(healthy=True) == [records[0], records[2]]
+    assert view.select(ModuleClass.ACTIVE_WHEEL) == [records[2], records[3]]
+    assert view.select(ModuleClass.ACTIVE_WHEEL, healthy=True) == [records[2]]
+    assert view.select(ModuleClass.BACKBONE) == []
+    assert view.select() == list(records)
+    # none of that read the view as a sequence
+    assert view._records is None
+    with pytest.raises(ValueError, match="repeated"):
+        SensedModules.of([sensed(3), sensed(3)])
+    with pytest.raises(ValueError, match="negative"):
+        SensedModules.of([sensed(-2)])
+
+
 # -- proposal collection --------------------------------------------------
 
 
@@ -74,6 +128,15 @@ def test_step_controllers_collects_in_registration_order():
     props = step_controllers(controllers, obs)
     assert [(p.source, p.priority) for p in props] == [
         ("single", 60), ("batch", 50), ("batch", 40)]
+
+
+def test_step_controllers_stamps_the_controller_name():
+    drive = Drive(0.1)
+    props = step_controllers(
+        {"honest": lambda o: ActionProposal(60, drive, source="spoofed")},
+        make_obs())
+    assert props == [ActionProposal(60, drive, "honest")]
+    assert props[0].action is drive
 
 
 def test_step_controllers_flags_misbehavior():

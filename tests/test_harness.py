@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orgsim import cli
+from orgsim import cli, control
 from orgsim.config import load_scenario, load_scenario_file
 from orgsim.control import ActionProposal, Drive, SensedModule
 from orgsim.docking import DockPhase
@@ -199,6 +199,140 @@ def test_incremental_sensing_matches_a_fresh_scan(scenario, seed, ticks,
     if dwell is not None:
         toggles = sum(" socket " in line for line in sim.log.lines)
         assert toggles > 20
+
+
+@pytest.mark.parametrize("scenario, seed, ticks, dwell, kept_ticks", [
+    ("full_scale", 42, 20, None, (1, 6, 13)),
+    ("desk_challenge", 11, 200, (2, 5), (3, 47, 120)),
+    ("survival_zero", 7, 400, None, (300, 306)),
+])
+def test_an_observation_is_a_snapshot_of_its_tick(scenario, seed, ticks,
+                                                  dwell, kept_ticks):
+    # observations kept from earlier ticks must keep reading those ticks'
+    # poses, health and distances while rows, poses and health move on
+    # (survival_zero: every observer dies from tick 307)
+    cfg = load_scenario_file(CONFIG_DIR / f"{scenario}.cfg")
+    if dwell is not None:
+        cfg = dataclasses.replace(cfg, dwell_min=dwell[0], dwell_max=dwell[1])
+    sim = Simulation(cfg, seed)
+    observe = sim._observe
+    kept = []
+
+    def observe_and_keep(i, delivered):
+        obs = observe(i, delivered)
+        if sim.tick in kept_ticks:
+            kept.append((sim.tick, i, obs, _sensed_from_scratch(sim, i)))
+        return obs
+
+    sim._observe = observe_and_keep
+    sim.run(ticks)
+    assert {t for t, *_ in kept} == set(kept_ticks)
+    ids = range(len(sim.states))
+    for t, i, obs, (modules, sockets) in kept:
+        view = obs.local.modules
+        # get first, before reading the view as a sequence caches it
+        by_id = {m.id: m for m in modules}
+        assert [view.get(j) for j in ids] == [by_id.get(j) for j in ids], (t, i)
+        assert view == modules, (t, i)
+        assert obs.local.sockets == sockets, (t, i)
+
+
+OCCLUDED_MAP = """\
+cellsize 0.25
+##########
+#....#...#
+#....#...#
+#....#...#
+##########
+"""
+
+OCCLUDED_SCENARIO = """\
+[run]
+days = 1
+dt = 10
+seed = 5
+
+[roster]
+scout = 4
+
+[controllers]
+all = seek_energy
+
+[sensing]
+range_m = 8
+
+[spawns]
+mode = fixed
+0 = 0.375 0.375 0
+1 = 1.875 0.625 0
+2 = 0.625 0.875 0 battery=0 health=hardware_dead
+3 = 1.125 0.375 0
+"""
+
+
+def test_sensed_modules_get_on_a_live_observation():
+    cfg = load_scenario(OCCLUDED_SCENARIO, map_text=OCCLUDED_MAP)
+    sim = Simulation(cfg)
+    observe = sim._observe
+    seen = {}
+
+    def observe_and_keep(i, delivered):
+        obs = observe(i, delivered)
+        seen[i] = (obs, _sensed_from_scratch(sim, i)[0])
+        return obs
+
+    sim._observe = observe_and_keep
+    sim.run(1)
+    obs, scratch = seen[0]
+    view = obs.local.modules
+    me, behind_wall = sim.states[0], sim.states[1]
+    assert view.get(0) is None                   # the observer itself
+    assert view.get(4) is None and view.get(99) is None
+    assert view.get(-1) is None                  # not id 3, the last in sight
+    assert view.get(-4) is None
+    assert me.pose.distance_to(behind_wall.pose) <= cfg.sensing_range_m
+    assert view.get(1) is None                   # in range, occluded
+    dead = view.get(2)
+    assert dead == SensedModule(2, sim.states[2].module_class,
+                                sim.states[2].pose, Health.HARDWARE_DEAD,
+                                me.pose.distance_to(sim.states[2].pose))
+    assert view.get(3).health is Health.OK
+    assert view == scratch == (dead, view.get(3))
+
+
+@pytest.mark.parametrize("scenario, seed, ticks, pinned", [
+    ("full_scale", 42, 20, ["24e78c658510e1b3", 460]),
+    ("desk_challenge", 11, 500, ["e2fd2665ab52effd", 34]),
+])
+def test_observing_builds_few_sensed_module_records(scenario, seed, ticks,
+                                                    pinned, monkeypatch):
+    # a deterministic cost guard: the stock controllers read a few sensed
+    # modules by id, so an observation must not build one record per
+    # module in sight, as an eager tuple would
+    built = 0
+
+    def counting_record(*fields):
+        nonlocal built
+        built += 1
+        return SensedModule(*fields)
+
+    monkeypatch.setattr(control, "SensedModule", counting_record)
+    cfg = load_scenario_file(CONFIG_DIR / f"{scenario}.cfg")
+    sim = Simulation(cfg, seed)
+    observe = sim._observe
+    in_sight = 0
+
+    def observe_and_count(i, delivered):
+        nonlocal in_sight
+        obs = observe(i, delivered)
+        in_sight += len(obs.local.modules)          # builds nothing
+        return obs
+
+    sim._observe = observe_and_count
+    metrics = sim.run(ticks)
+    assert [metrics.digest, metrics.events] == pinned
+    assert in_sight > 10_000
+    assert built <= in_sight // 100, (built, in_sight)
 
 
 def test_simulation_runs_once():

@@ -42,10 +42,6 @@ LOG_VERSION = "orgsim-log v1"
 # bound once: on CPython 3.11, EnumType.__getattr__ slows every `Health.OK`
 _OK, _ENERGY_DEAD, _FREE = Health.OK, Health.ENERGY_DEAD, DockPhase.FREE
 _DOCKED = DockPhase.DOCKED
-# the observation carries faces and phases by value; Enum.value is a slow
-# property, so each member's value is looked up here instead
-_FACE_VALUE = {f: f.value for f in Face}
-_PHASE_VALUE = {ph: ph.value for ph in DockPhase}
 
 
 def _fmt(v) -> str:
@@ -416,26 +412,31 @@ class Simulation:
             self._sight_snaps[i] = row
         ports = st.ports
         org = self.registry.organism_of(i)
+        # the row's refresh put the cell of this very pose in _sight_cells
+        cx, cy = self._sight_cells[i]
+        arena = self.arena
+        terrain = (arena.terrain_at_cell(cx, cy)
+                   if arena.cell_in_bounds(cx, cy) else None)
         # positional arguments, in field order: a keyword call costs about
-        # twice as much, once per channel per observer per tick
+        # twice as much, once per channel per observer per tick. Faces and
+        # phases go out by value, read from `_value_`: the `value` property
+        # and a member-keyed dict (Enum.__hash__) both run Python code
         return Observation(
             SelfChannel(i, st.module_class, pose, st.battery_fraction,
                         st.health, tuple(st.joint_angles), st.coprocessor_on,
                         st.carried),
-            LocalChannel(self.arena.terrain_at(pose.x, pose.y),
-                         self._sensed_sockets[i],
+            LocalChannel(terrain, self._sensed_sockets[i],
                          SensedModules(self._sight_table, self._sight_unwell,
                                        row),
                          self._arena_size, self._yard_rect),
             InteractionChannel(
-                tuple([_FACE_VALUE[p.face] for p in ports
-                       if p.phase is _DOCKED]),
-                tuple([_PHASE_VALUE[p.phase] for p in ports]),
-                tuple([(p.peer.owner, _FACE_VALUE[p.peer.face])
+                tuple([p.face._value_ for p in ports if p.phase is _DOCKED]),
+                tuple([p.phase._value_ for p in ports]),
+                tuple([(p.peer.owner, p.peer.face._value_)
                        if p.peer is not None else None for p in ports]),
                 org.id if org is not None else None,
                 len(org.nodes) if org is not None else 1,
-                self._reach_of(i),
+                self._reach_of(i, org),
                 tuple(delivered.get(i, ()))),
             InternalChannel(self.tick, self.cfg.dt, self._delivered_count,
                             self._mailboxes[i]),
@@ -582,8 +583,10 @@ class Simulation:
         self._engaged.add(id(mine))
         self._engaged.add(id(theirs))
 
-    def _reach_of(self, i: int) -> float:
-        org = self.registry.organism_of(i)
+    def _reach_of(self, i: int, org) -> float:
+        """Reach of module i, whose organism (or None) the caller looked up.
+        Cached per organism id; docking drops the ids a merge or split
+        touched."""
         if org is None:
             return self.specs[i].edge_length
         cached = self._reach_cache.get(org.id)
@@ -598,7 +601,8 @@ class Simulation:
         px, py = socket.position(self.arena.cell_size)
         res = recharge(
             st, socket_active=socket.active, socket_rating_w=socket.rating,
-            socket_height=socket.height, reach_m=self._reach_of(i),
+            socket_height=socket.height,
+            reach_m=self._reach_of(i, self.registry.organism_of(i)),
             distance_m=st.pose.distance_to(Pose(px, py)), dt=self.cfg.dt,
             tariff=self.cfg.tariff, ledger=self.ledger,
             contact_range_m=self.cfg.contact_range_m)
@@ -646,7 +650,7 @@ class Simulation:
             elif now is DockPhase.DOCKED:
                 ev = self.registry.register_edge(pa, pb)
                 self.merges += 1
-                self._reach_cache.clear()
+                self._forget_reach(ev.organism_id, *ev.absorbed)
                 self.log.event(self.tick, -1, "merge", org=ev.organism_id,
                                size=len(ev.nodes),
                                absorbed="+".join(map(str, ev.absorbed)) or "-")
@@ -657,7 +661,7 @@ class Simulation:
                 # which is exactly what lets the halves move apart
                 ev = self.registry.remove_edge(key)
                 self.splits += 1
-                self._reach_cache.clear()
+                self._forget_reach(ev.organism_id, *ev.survivors)
                 self.log.event(self.tick, -1, "split", org=ev.organism_id,
                                survivors="+".join(map(str, ev.survivors)) or "-",
                                dissolved="+".join(map(str, ev.dissolved)) or "-")
@@ -666,6 +670,10 @@ class Simulation:
                 del self.pairs[key]
                 self._engaged.discard(id(pa))
                 self._engaged.discard(id(pb))
+
+    def _forget_reach(self, *org_ids: int) -> None:
+        for org_id in org_ids:
+            self._reach_cache.pop(org_id, None)
 
     def _refresh_carried(self, *ids: int) -> None:
         for mid in ids:

@@ -85,6 +85,9 @@ class Arena:
         self.graveyard = graveyard
         # unordered cell pair -> sightline, keyed by one int (see line_of_sight)
         self._los_cache: dict[int, bool] = {}
+        # summed-area table of obstacle cells, built on the first in-grid
+        # sightline query (see _wall_table)
+        self._walls: list[int] | None = None
         self._validate()
 
     def _validate(self) -> None:
@@ -160,8 +163,12 @@ class Arena:
         Grid walk between the cell centers (Amanatides-Woo stepping). Exact
         corner crossings test both corner-adjacent cells, so a ray cannot
         slip diagonally between two wall blocks. Endpoint cells never block.
-        Answers for in-grid pairs are cached per unordered pair; the first
-        query traces from its own first cell.
+
+        The walk never leaves the bounding rectangle of its two end cells,
+        so an in-grid pair whose rectangle holds no obstacle cell is visible
+        without a walk; the wall-count table answers that in four lookups.
+        Other in-grid pairs are traced once and cached per unordered pair;
+        the first query traces from its own first cell.
         """
         ax, ay = cell_a
         bx, by = cell_b
@@ -169,6 +176,15 @@ class Arena:
         if not (0 <= ax < width and 0 <= bx < width
                 and 0 <= ay < self.height and 0 <= by < self.height):
             return self._trace(cell_a, cell_b)   # off-grid cells share no key
+        walls = self._walls
+        if walls is None:
+            walls = self._wall_table()
+        x0, x1 = (ax, bx + 1) if ax <= bx else (bx, ax + 1)
+        r0, r1 = (ay, by + 1) if ay <= by else (by, ay + 1)
+        r0 *= width + 1
+        r1 *= width + 1
+        if not (walls[r1 + x1] - walls[r0 + x1] - walls[r1 + x0] + walls[r0 + x0]):
+            return True
         ia = ay * width + ax
         ib = by * width + bx
         ncells = width * self.height
@@ -179,6 +195,23 @@ class Arena:
         result = self._trace(cell_a, cell_b)
         self._los_cache[key] = result
         return result
+
+    def _wall_table(self) -> list[int]:
+        """Build the flat (width+1) x (height+1) summed-area table: entry
+        y * (width+1) + x counts the obstacle cells with cx < x and cy < y."""
+        stride = self.width + 1
+        walls = [0] * (stride * (self.height + 1))
+        blocked = TerrainClass.OBSTACLE
+        for cy, row in enumerate(self.cells):
+            above = cy * stride
+            here = above + stride
+            run = 0
+            for cx, terrain in enumerate(row):
+                if terrain is blocked:
+                    run += 1
+                walls[here + cx + 1] = walls[above + cx + 1] + run
+        self._walls = walls
+        return walls
 
     def _trace(self, cell_a: tuple[int, int], cell_b: tuple[int, int]) -> bool:
         ax, ay = cell_a

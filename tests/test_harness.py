@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orgsim import cli, control
+from orgsim import cli, control, harness
 from orgsim.config import load_scenario, load_scenario_file
 from orgsim.control import ActionProposal, Drive, SensedModule
 from orgsim.docking import DockPhase
@@ -13,9 +13,10 @@ from orgsim.errors import ConfigError, InvariantBreach, ReplayError
 from orgsim.geometry import Pose
 from orgsim.harness import (EventLog, Simulation, replay_file, replay_log,
                             run_scenario, sweep)
+from orgsim.organism import reach_height
 from orgsim.rng import Fnv1a
 from orgsim.robot_model import Health
-from orgsim.world import SensedSocket
+from orgsim.world import SensedSocket, TerrainClass
 
 ROOM_MAP = """\
 cellsize 0.25
@@ -333,6 +334,113 @@ def test_observing_builds_few_sensed_module_records(scenario, seed, ticks,
     assert [metrics.digest, metrics.events] == pinned
     assert in_sight > 10_000
     assert built <= in_sight // 100, (built, in_sight)
+
+
+def test_open_floor_sightlines_are_neither_traced_nor_cached():
+    # a deterministic cost guard: full_scale has walls on its border only,
+    # so every sightline between two modules on the floor answers from the
+    # wall-count table, with no walk and no cache entry
+    cfg = load_scenario_file(CONFIG_DIR / "full_scale.cfg")
+    sim = Simulation(cfg, 42)
+    metrics = sim.run(20)
+    assert [metrics.digest, metrics.events] == ["24e78c658510e1b3", 460]
+    assert sim.arena._walls is not None
+    assert sim.arena._los_cache == {}
+
+
+def test_a_run_without_observers_builds_no_wall_table():
+    cfg = load_scenario_file(CONFIG_DIR / "hazard_field.cfg")
+    sim = Simulation(cfg, 0)
+    sim.run(20)
+    assert sim.arena._walls is None
+
+
+def test_observation_channels_match_their_enum_values():
+    # faces, phases and terrain come from shortcuts (`_value_`, the cached
+    # cell); each must equal the plain lookup it replaces
+    cfg = load_scenario_file(CONFIG_DIR / "full_scale.cfg")
+    sim = Simulation(cfg, 42)
+    observe = sim._observe
+    docked = 0
+
+    def observe_and_check(i, delivered):
+        nonlocal docked
+        obs = observe(i, delivered)
+        st = sim.states[i]
+        ports = st.ports
+        inter = obs.interaction
+        assert inter.docked_faces == tuple(
+            p.face.value for p in ports if p.phase is DockPhase.DOCKED)
+        assert inter.port_phases == tuple(p.phase.value for p in ports)
+        assert inter.port_peers == tuple(
+            (p.peer.owner, p.peer.face.value) if p.peer is not None else None
+            for p in ports)
+        assert obs.local.terrain is sim.arena.terrain_at(st.pose.x, st.pose.y)
+        docked += len(inter.docked_faces)
+        return obs
+
+    sim._observe = observe_and_check
+    sim.run(20)
+    assert docked > 100
+
+
+def test_an_observer_off_the_arena_senses_no_terrain():
+    # without validate_scenario a run can start with a pose off the arena;
+    # it observes None terrain, then the invariant scan stops the run
+    text = OCCLUDED_SCENARIO.replace("0 = 0.375 0.375 0", "0 = -0.375 0.375 0")
+    sim = Simulation(load_scenario(text, map_text=OCCLUDED_MAP))
+    observe = sim._observe
+    terrain = {}
+
+    def observe_and_keep(i, delivered):
+        obs = observe(i, delivered)
+        terrain[i] = obs.local.terrain
+        return obs
+
+    sim._observe = observe_and_keep
+    with pytest.raises(InvariantBreach, match="out_of_bounds"):
+        sim.run(1)
+    assert terrain == {0: None, 1: TerrainClass.PLAIN, 3: TerrainClass.PLAIN}
+
+
+def test_docking_keeps_the_cached_reach_of_untouched_organisms(monkeypatch):
+    # a merge or split forgets only the organisms it touched; every cached
+    # reach must still equal a fresh reach_height of its organism
+    computed = []
+
+    def counting_reach(org, specs, *args):
+        computed.append((frozenset(org.nodes), frozenset(org.edges)))
+        return reach_height(org, specs, *args)
+
+    monkeypatch.setattr(harness, "reach_height", counting_reach)
+    cfg = load_scenario_file(CONFIG_DIR / "full_scale.cfg")
+    sim = Simulation(cfg, 42)
+    docking = sim._phase_docking
+    kept_across_a_merge = 0
+
+    def docking_and_check():
+        nonlocal kept_across_a_merge
+        before = {k: (frozenset(org.nodes), frozenset(org.edges))
+                  for k, org in sim.registry.organisms.items()
+                  if k in sim._reach_cache}
+        merges = sim.merges
+        docking()
+        organisms = sim.registry.organisms
+        assert set(sim._reach_cache) <= set(organisms)
+        for k, reach in sim._reach_cache.items():
+            assert reach == reach_height(organisms[k], sim.specs), (sim.tick, k)
+        for k, shape in before.items():
+            org = organisms.get(k)
+            if (org is not None and shape == (frozenset(org.nodes),
+                                              frozenset(org.edges))):
+                assert k in sim._reach_cache, (sim.tick, k)
+                kept_across_a_merge += sim.merges > merges
+
+    sim._phase_docking = docking_and_check
+    metrics = sim.run(20)
+    assert [metrics.digest, metrics.events] == ["24e78c658510e1b3", 460]
+    assert kept_across_a_merge > 0
+    assert len(computed) == len(set(computed)) > 0
 
 
 def test_simulation_runs_once():

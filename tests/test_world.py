@@ -1,5 +1,7 @@
 """Arena parsing, cell geometry, line of sight, socket schedule, sensing."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -168,6 +170,95 @@ def test_los_cache_answers_every_pair_of_a_tall_arena():
             assert got == a._trace(p, q), (p, q)
             answers.add(got)
     assert answers == {True, False}
+
+
+MAP_DIR = Path(__file__).resolve().parent.parent / "configs" / "maps"
+
+
+def _assert_los_matches_trace(arena, cells):
+    # every ordered pair on one arena: wall-free boxes answer from the
+    # table, the rest fill the cache, and a cached answer must match a
+    # walk in the direction asked
+    for p in cells:
+        for q in cells:
+            assert arena.line_of_sight(p, q) == arena._trace(p, q), (p, q)
+
+
+@pytest.mark.parametrize("name", [
+    "ample", "challenge", "disposal_open", "disposal_walled", "zero",
+    pytest.param("hazard", marks=pytest.mark.slow),   # 640 cells, ~7 s
+])
+def test_los_matches_a_trace_on_every_pair_of_a_bundled_map(name):
+    a = parse_arena((MAP_DIR / f"{name}.map").read_text())
+    _assert_los_matches_trace(
+        a, [(x, y) for y in range(a.height) for x in range(a.width)])
+
+
+@st.composite
+def walled_grids(draw):
+    # 1-wide and 1-tall grids included; cells one step off the grid too
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cell = st.tuples(st.integers(-1, w), st.integers(-1, h))
+    walls = draw(st.sets(st.tuples(st.integers(0, w - 1),
+                                   st.integers(0, h - 1))))
+    ends = draw(st.lists(st.one_of(st.sampled_from(sorted(walls) or [(0, 0)]),
+                                   cell), min_size=2, max_size=8))
+    rows = ["".join("#" if (x, y) in walls else "." for x in range(w))
+            for y in range(h)]
+    return rows, ends
+
+
+@given(walled_grids())
+def test_los_matches_a_trace_on_random_walls(grid):
+    rows, ends = grid
+    _assert_los_matches_trace(arena_from_lines(rows), ends)
+
+
+@pytest.mark.parametrize("rows", [["."] * 5, ["#"] * 5, [".#.#."],
+                                  ["#....#"], ["#", ".", ".", "#", "."]])
+def test_los_matches_a_trace_on_one_cell_wide_grids(rows):
+    a = arena_from_lines(rows)
+    _assert_los_matches_trace(
+        a, [(x, y) for y in range(-1, a.height + 1)
+            for x in range(-1, a.width + 1)])
+
+
+def test_los_answers_wall_free_boxes_without_tracing_or_caching():
+    a = arena_from_lines(["#########",
+                          "#.......#",
+                          "#...#...#",
+                          "#.......#",
+                          "#########"])
+    assert a._walls is None                      # built on the first query
+    assert a.line_of_sight((1, 1), (3, 3))       # box holds no wall
+    assert a._walls is not None
+    assert a.line_of_sight((5, 3), (7, 1))
+    assert a._los_cache == {}
+    assert a.line_of_sight((1, 2), (1, 0))       # wall end cell: traced
+    assert len(a._los_cache) == 1
+    assert not a.line_of_sight((3, 2), (5, 2))   # wall between: traced
+    assert len(a._los_cache) == 2
+    assert not a.line_of_sight((-1, 1), (1, 1))  # off the grid: traced,
+    assert len(a._los_cache) == 2                # never cached
+
+
+def test_a_walled_pair_still_traces_and_caches():
+    a = parse_arena((MAP_DIR / "disposal_walled.map").read_text())
+    inside, outside = (4, 4), (4, 1)             # the sealed pocket
+    traced = []
+    trace = a._trace
+
+    def counting_trace(p, q):
+        traced.append((p, q))
+        return trace(p, q)
+
+    a._trace = counting_trace
+    assert not a.line_of_sight(outside, inside)
+    assert traced == [(outside, inside)] and list(a._los_cache.values()) == [False]
+    assert not a.line_of_sight(inside, outside)  # the cached answer
+    assert len(traced) == 1
+    assert a.line_of_sight((7, 1), (14, 8))      # open floor: no trace
+    assert len(traced) == 1 and len(a._los_cache) == 1
 
 
 def test_walkable_cells_row_major():

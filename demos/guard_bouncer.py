@@ -11,7 +11,15 @@ from orgsim.docking import Face
 from orgsim.geometry import Pose
 from orgsim.robot_model import (Health, ModuleClass, make_module_spec,
                                 new_module_state)
-from orgsim.world import TerrainClass
+from orgsim.world import parse_arena
+
+# a 2 m x 1 m room of 0.25 m cells, walled from x = 1.25 m on
+ROOM = """\
+.....###
+.....###
+.....###
+.....###
+"""
 
 
 def main():
@@ -20,14 +28,12 @@ def main():
     corpse = new_module_state(1, spec, Pose(0.7, 0.5, 0.0))
     corpse.health = Health.HARDWARE_DEAD
 
-    def terrain(x, y):
-        # a wall 0.75 m ahead of the module
-        return TerrainClass.OBSTACLE if x >= 1.25 else TerrainClass.PLAIN
+    arena = parse_arena(ROOM)   # the wall is 0.75 m ahead of the module
 
     ctx = GuardContext(state=me, spec=spec, states={0: me, 1: corpse},
                        specs={0: spec, 1: spec}, organism=None,
-                       terrain_at=terrain, dt=10.0,
-                       socket_by_id=lambda sid: None)
+                       path_clear=arena.path_clear, dt=10.0,
+                       socket_by_id=arena.socket_by_id)
 
     cases = [
         ("creep forward", Drive(0.05, 0.0, 0.0)),

@@ -15,7 +15,7 @@ to the graveyard 100, wandering 200.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .control import (ActionProposal, Dock, Drive, Idle, Observation, Recharge,
                       Tow, Undock)
@@ -90,6 +90,17 @@ def servo_drive(pose: Pose, drive_kind: DriveKind, max_speed: float,
     return Drive(sign * speed, 0.0, err / dt)
 
 
+def servo_parked(pose: Pose, tx: float, ty: float,
+                 target_heading: float | None = None) -> bool:
+    """True exactly when servo_drive would return None: the pose is within
+    ARRIVE_TOL of the point and, given a target heading, within HEADING_TOL
+    of it. Tells a parked module apart without building its Drive."""
+    if math.hypot(tx - pose.x, ty - pose.y) >= ARRIVE_TOL:
+        return False
+    return (target_heading is None
+            or abs(ang_diff_deg(target_heading, pose.heading)) <= HEADING_TOL)
+
+
 def _rect_contains(rect: tuple[float, float, float, float],
                    x: float, y: float) -> bool:
     x0, y0, x1, y1 = rect
@@ -99,8 +110,7 @@ def _rect_contains(rect: tuple[float, float, float, float],
 # -- socket stacking arithmetic -------------------------------------------
 
 
-@dataclass(frozen=True)
-class StackSlot:
+class StackSlot(NamedTuple):
     socket: SensedSocket
     rank: int                  # 0 touches the socket
     position: tuple[float, float]
@@ -229,13 +239,11 @@ class AggregateController(_Controller):
                               pose.y - slot.position[1]) < AT_SLOT_RADIUS)
         if not at_slot:
             return None
-        if not obs.interaction.docked_faces:
-            # same parked test the seek servo uses; holding any earlier
-            # would freeze the module before it is latch-accurate
-            still = self._servo(obs, slot.position[0], slot.position[1],
-                                target_heading=slot.heading)
-            if still is not None:
-                return None
+        if not obs.interaction.docked_faces and not servo_parked(
+                pose, slot.position[0], slot.position[1], slot.heading):
+            # the seek servo is still driving; holding any earlier would
+            # freeze the module before it is latch-accurate
+            return None
         out = [ActionProposal(HOLD_PRIORITY, Idle())]
 
         if slot.predecessor is not None:

@@ -20,8 +20,7 @@ from .errors import FrameworkError
 from .geometry import Pose, rotate_vec
 from .organism import LiftQuery, Organism, lift_torque_nm, worst_case_chain
 from .robot_model import (DriveKind, Health, ModuleClass, ModuleSpec,
-                          ModuleState, dof_range, passable_terrain,
-                          _path_clear)
+                          ModuleState, dof_range, passable_terrain)
 from .world import SensedSocket, TerrainClass
 
 PRIORITY_MIN = 0
@@ -200,59 +199,57 @@ class Observation(NamedTuple):
 
 
 # -- actions --------------------------------------------------------------
+#
+# Actions, proposals, verdicts and the guard's context are named tuples:
+# every module builds several of them per tick, and a tuple is several times
+# cheaper to construct than a frozen dataclass. Their reprs reach the log,
+# because a Rejected detail may embed an action's repr.
 
 
-@dataclass(frozen=True)
-class Drive:
+class Drive(NamedTuple):
     """Body-frame velocity request; becomes a whole-organism move if docked."""
     linear: float = 0.0
     lateral: float = 0.0
     angular: float = 0.0
 
 
-@dataclass(frozen=True)
-class Actuate:
+class Actuate(NamedTuple):
     dof_index: int
     target_deg: float
 
 
-@dataclass(frozen=True)
-class Dock:
+class Dock(NamedTuple):
     face: Face
     target_id: int
     target_face: Face
 
 
-@dataclass(frozen=True)
 class Tow(Dock):
     """Dock variant that accepts a dead partner for hauling."""
 
+    __slots__ = ()   # no instance dict: a Tow is as immutable as a Dock
 
-@dataclass(frozen=True)
-class Undock:
+
+class Undock(NamedTuple):
     face: Face
 
 
-@dataclass(frozen=True)
-class Recharge:
+class Recharge(NamedTuple):
     socket_id: int
 
 
-@dataclass(frozen=True)
-class ToggleCoprocessor:
+class ToggleCoprocessor(NamedTuple):
     on: bool
 
 
-@dataclass(frozen=True)
-class Idle:
+class Idle(NamedTuple):
     pass
 
 
 Action = Drive | Actuate | Dock | Undock | Recharge | ToggleCoprocessor | Idle
 
 
-@dataclass(frozen=True)
-class ActionProposal:
+class ActionProposal(NamedTuple):
     priority: int
     action: Action
     source: str = ""   # controller name, stamped by the framework
@@ -265,8 +262,9 @@ def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
     """Run a module's controllers in registration order, collect proposals.
 
     `controllers` is an ordered mapping name -> callable(obs). A controller
-    may return None, one proposal or an iterable. Bad priorities, oversized
-    batches and controller crashes are framework errors, not silent drops.
+    may return None, one proposal or an iterable of proposals. Bad
+    priorities, oversized batches, bare actions and controller crashes are
+    framework errors, not silent drops.
     """
     out: list[ActionProposal] = []
     for name, fn in controllers.items():
@@ -278,6 +276,14 @@ def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
             continue
         if isinstance(result, ActionProposal):
             result = [result]
+        elif isinstance(result, tuple) and isinstance(result, Action):
+            # an action is a tuple too: iterating it would read its fields
+            # as proposals, and Idle() as none at all. The tuple test comes
+            # first because a union isinstance costs about five times more,
+            # and most controllers return a list
+            raise FrameworkError(
+                f"controller {name!r} returned {result!r}, "
+                f"expected ActionProposal")
         batch = list(result)
         if len(batch) > MAX_PROPOSALS_PER_CONTROLLER:
             raise FrameworkError(
@@ -316,14 +322,12 @@ def select_action(proposals, controller_order: dict[str, int]) -> ActionProposal
 # -- the guard ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rejected:
+class Rejected(NamedTuple):
     reason: str    # collision | overload | protocol
     detail: str
 
 
-@dataclass
-class GuardContext:
+class GuardContext(NamedTuple):
     """Everything the guard needs to judge one module's action."""
 
     state: ModuleState
@@ -331,7 +335,8 @@ class GuardContext:
     states: dict[int, ModuleState]
     specs: dict[int, ModuleSpec]
     organism: Organism | None
-    terrain_at: object          # callable (x, y) -> TerrainClass | None
+    path_clear: object          # callable (x0, y0, x1, y1, passable) -> bool,
+                                # see world.Arena.path_clear
     dt: float
     socket_by_id: object = None  # callable id -> Socket | None
 
@@ -408,8 +413,8 @@ def _guard_drive(action: Drive, ctx: GuardContext) -> Action | Rejected:
         for mid in members:
             member = ctx.states[mid]
             p = member.pose
-            if not _path_clear(p.x, p.y, p.x + wx * ctx.dt, p.y + wy * ctx.dt,
-                               passable_terrain(member), ctx.terrain_at):
+            if not ctx.path_clear(p.x, p.y, p.x + wx * ctx.dt,
+                                  p.y + wy * ctx.dt, passable_terrain(member)):
                 return Rejected("collision",
                                 f"path of module {mid} is blocked")
     return action

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ProtocolError
 from .geometry import Pose, ang_diff_deg, heading_vec, norm_deg
@@ -103,8 +104,7 @@ def attempt_align(pose_a: Pose, face_a: Face, pose_b: Pose, face_b: Face,
     return ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5 <= tol.max_offset
 
 
-@dataclass(frozen=True)
-class TickInput:
+class TickInput(NamedTuple):
     """Per-tick inputs to advance_dock.
 
     `aligned` reports the attempt_align verdict while the pair is Aligning;

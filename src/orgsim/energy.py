@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .robot_model import PJ, Health, ModuleState, to_j, to_pj
 
@@ -123,8 +124,7 @@ def drain_idle(states: dict[int, ModuleState], paid: set[int], tariff: Tariff,
     ledger.consumed_pj += total
 
 
-@dataclass(frozen=True)
-class RechargeResult:
+class RechargeResult(NamedTuple):
     granted: bool
     reason: str | None      # inactive | dead | reach | position when refused
     drawn_j: float
@@ -165,8 +165,7 @@ def recharge(state: ModuleState, *, socket_active: bool, socket_rating_w: float,
     return RechargeResult(True, None, to_j(drawn_pj), to_j(stored_pj))
 
 
-@dataclass(frozen=True)
-class ShareTransfer:
+class ShareTransfer(NamedTuple):
     donor: int
     receiver: int
     joules: float

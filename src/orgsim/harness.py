@@ -231,6 +231,7 @@ class Simulation:
         self._sight_cells: list[tuple[int, int] | None] | None = None
         self._sight_rows: list[list[float | None] | None] | None = None
         self._sight_snaps: list[tuple | None] | None = None
+        self._sight_moved = True      # the last refresh found a moved module
         self._sensed_sockets: list[tuple] | None = None
         self._sight_table: tuple[tuple, ...] = ()
         self._sight_unwell: tuple[int, ...] = ()
@@ -372,6 +373,7 @@ class Simulation:
                 poses[j] = pose
                 cells[j] = arena.cell_of(pose.x, pose.y)
                 moved.append(j)
+        self._sight_moved = bool(moved)
 
         line_of_sight = arena.line_of_sight
         done = [False] * len(poses)       # moved ids whose pairs are computed
@@ -402,14 +404,16 @@ class Simulation:
         """Build module i's observation from its row, which _refresh_sight
         brought up to date earlier in this decide phase, and this tick's
         module table. The row is handed out as an immutable copy, and a row
-        equal to the last copy hands out that copy again."""
+        equal to the last copy hands out that copy again. When the refresh
+        moved no module it wrote no row, so the last copy goes out as it is,
+        without copying or comparing."""
         st = self.states[i]
         pose = st.pose
-        row = tuple(self._sight_rows[i])
-        if row == self._sight_snaps[i]:
-            row = self._sight_snaps[i]
-        else:
-            self._sight_snaps[i] = row
+        row = self._sight_snaps[i]
+        if self._sight_moved:
+            fresh = tuple(self._sight_rows[i])
+            if fresh != row:
+                row = self._sight_snaps[i] = fresh
         ports = st.ports
         org = self.registry.organism_of(i)
         # the row's refresh put the cell of this very pose in _sight_cells
@@ -479,11 +483,11 @@ class Simulation:
                 # a lower id already steered this organism; guarding the
                 # stale proposal against the moved body would only mislead
                 continue
-            ctx = GuardContext(
-                state=st, spec=self.specs[i], states=self.states,
-                specs=self.specs, organism=org,
-                terrain_at=self.arena.terrain_at, dt=self.cfg.dt,
-                socket_by_id=self.arena.socket_by_id)
+            # positional, in field order: a keyword call to a named tuple
+            # costs about twice as much
+            ctx = GuardContext(st, self.specs[i], self.states, self.specs,
+                               org, self.arena.path_clear, self.cfg.dt,
+                               self.arena.socket_by_id)
             verdict = guard_action(prop.action, ctx)
             if isinstance(verdict, Rejected):
                 self._note_rejection(i, verdict, prop.source)
@@ -507,7 +511,7 @@ class Simulation:
             org = self.registry.organism_of(i)
             if org is None:
                 cmd = DriveCommand(action.linear, action.lateral, action.angular)
-                mr = locomotion_step(st, spec, cmd, self.arena.terrain_at,
+                mr = locomotion_step(st, spec, cmd, self.arena.path_clear,
                                      cfg.dt, cfg.tariff)
                 st.pose = mr.pose
                 drain(st, mr.energy_j, self.ledger)
@@ -554,7 +558,7 @@ class Simulation:
                                         st.pose.heading))
         try:
             res = organism_move(org, self.states, self.specs, cmd,
-                                self.cfg.dt, self.arena.terrain_at,
+                                self.cfg.dt, self.arena.path_clear,
                                 self.cfg.tariff)
         except CommandError as exc:
             self._note_rejection(i, Rejected("protocol", str(exc)), "execute")
@@ -603,7 +607,8 @@ class Simulation:
             st, socket_active=socket.active, socket_rating_w=socket.rating,
             socket_height=socket.height,
             reach_m=self._reach_of(i, self.registry.organism_of(i)),
-            distance_m=st.pose.distance_to(Pose(px, py)), dt=self.cfg.dt,
+            distance_m=math.hypot(st.pose.x - px, st.pose.y - py),
+            dt=self.cfg.dt,
             tariff=self.cfg.tariff, ledger=self.ledger,
             contact_range_m=self.cfg.contact_range_m)
         state = "granted" if res.granted else res.reason

@@ -16,7 +16,7 @@ from .docking import DockPhase, DockPort
 from .errors import CommandError, ProtocolError
 from .geometry import Pose, rotate_about, norm_deg
 from .robot_model import (DriveKind, Health, ModuleClass, ModuleSpec, ModuleState,
-                          passable_terrain, _path_clear)
+                          passable_terrain)
 
 G = 9.81  # m/s^2
 
@@ -320,13 +320,15 @@ def scout_carry_configuration(org: Organism, states: dict[int, ModuleState]) -> 
 
 def organism_move(org: Organism, states: dict[int, ModuleState],
                   specs: dict[int, ModuleSpec], cmd, dt: float,
-                  terrain_at, tariff) -> OrganismMoveResult:
+                  path_clear, tariff) -> OrganismMoveResult:
     """Move the whole organism rigidly.
 
     Speed is capped by the slowest ground-contact member. Translation with a
     sideways component against a tracked ground member is refused unless the
     organism is in the scout-carry configuration. If any member's swept path
-    is impassable nothing moves at all; rigid bodies do not partially move.
+    is impassable, judged by `path_clear(x0, y0, x1, y1, passable)` as
+    `world.Arena.path_clear` does, nothing moves at all; rigid bodies do not
+    partially move.
     Motion energy is the locomotion tariff over each member's displacement
     and mass, with carried members' share billed to the ground crew.
     """
@@ -383,8 +385,8 @@ def organism_move(org: Organism, states: dict[int, ModuleState],
         raise CommandError(f"unknown organism command {cmd!r}")
 
     for mid in members:
-        if not _path_clear(old[mid].x, old[mid].y, new[mid].x, new[mid].y,
-                           passable_terrain(states[mid]), terrain_at):
+        if not path_clear(old[mid].x, old[mid].y, new[mid].x, new[mid].y,
+                          passable_terrain(states[mid])):
             return OrganismMoveResult(dict(old), {m: 0.0 for m in members}, True)
 
     raw = {mid: tariff.locomotion_j_per_m_kg * old[mid].distance_to(new[mid])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .docking import (DockPort, PEERED_PHASES, ACCURATE_TOLERANCE, ROUGH_TOLERANCE,
                       FACES, AlignmentTolerance, DockPhase, Face, make_ports)
@@ -203,8 +204,7 @@ def new_module_state(module_id: int, spec: ModuleSpec, pose: Pose,
 # -- locomotion -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DriveCommand:
+class DriveCommand(NamedTuple):
     """Requested body-frame velocities: linear along the heading, lateral to
     its left, angular in deg/s. Magnitudes beyond the class speed cap are
     scaled down without changing direction."""
@@ -214,14 +214,10 @@ class DriveCommand:
     angular: float = 0.0
 
 
-@dataclass(frozen=True)
-class MoveResult:
+class MoveResult(NamedTuple):
     pose: Pose
     energy_j: float
     blocked: bool
-
-
-_PATH_SAMPLE_STEP = 0.05  # m; half a module edge, prevents wall tunnelling
 
 
 def passable_terrain(state: ModuleState) -> tuple[TerrainClass, ...]:
@@ -230,26 +226,15 @@ def passable_terrain(state: ModuleState) -> tuple[TerrainClass, ...]:
     return _ABOVE_GROUND if state.carried else _TRAVERSABLE[state.module_class]
 
 
-def _path_clear(x0: float, y0: float, x1: float, y1: float,
-                passable: tuple[TerrainClass, ...], terrain_at) -> bool:
-    dist = math.hypot(x1 - x0, y1 - y0)
-    steps = max(1, math.ceil(dist / _PATH_SAMPLE_STEP))
-    for i in range(1, steps + 1):
-        t = i / steps
-        terrain = terrain_at(x0 + (x1 - x0) * t, y0 + (y1 - y0) * t)
-        if terrain is None or terrain not in passable:
-            return False
-    return True
-
-
 def locomotion_step(state: ModuleState, spec: ModuleSpec, cmd: DriveCommand,
-                    terrain_at, dt: float, tariff) -> MoveResult:
+                    path_clear, dt: float, tariff) -> MoveResult:
     """Integrate one drive command over dt. Pure: the caller applies the pose.
 
     The reported energy is what a module doing nothing but this for dt would
     burn: idle draw, coprocessor included when it is on, plus the distance
-    tariff. A move whose path crosses a cell this class cannot traverse is
-    blocked and leaves the pose unchanged.
+    tariff. `path_clear(x0, y0, x1, y1, passable)` judges the swept path,
+    as `world.Arena.path_clear` does; a move whose path crosses a cell this
+    class cannot traverse is blocked and leaves the pose unchanged.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -277,8 +262,8 @@ def locomotion_step(state: ModuleState, spec: ModuleSpec, cmd: DriveCommand,
         return MoveResult(Pose(state.pose.x, state.pose.y, heading), idle_j, False)
 
     nx, ny = state.pose.x + dx, state.pose.y + dy
-    if not _path_clear(state.pose.x, state.pose.y, nx, ny,
-                       passable_terrain(state), terrain_at):
+    if not path_clear(state.pose.x, state.pose.y, nx, ny,
+                      passable_terrain(state)):
         return MoveResult(state.pose, idle_j, True)
     dist = math.hypot(dx, dy)
     energy = idle_j + tariff.locomotion_j_per_m_kg * dist * spec.mass
@@ -289,8 +274,7 @@ def locomotion_step(state: ModuleState, spec: ModuleSpec, cmd: DriveCommand,
 # -- joint actuation ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JointResult:
+class JointResult(NamedTuple):
     angle: float
     energy_j: float
 

@@ -14,12 +14,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .geometry import Pose
 from .rng import Rng
 
 DEFAULT_CELL_SIZE = 0.25
+_PATH_SAMPLE_STEP = 0.05  # m; half a module edge, prevents wall tunnelling
 
 
 class TerrainClass(enum.Enum):
@@ -82,6 +84,7 @@ class Arena:
         self.height = len(cells)
         self.cell_size = cell_size
         self.sockets = sorted(sockets, key=lambda s: s.id)
+        self._socket_ids: dict[int, Socket] = {}   # filled by _validate
         self.graveyard = graveyard
         # unordered cell pair -> sightline, keyed by one int (see line_of_sight)
         self._los_cache: dict[int, bool] = {}
@@ -91,11 +94,10 @@ class Arena:
         self._validate()
 
     def _validate(self) -> None:
-        seen_ids = set()
         for s in self.sockets:
-            if s.id in seen_ids:
+            if s.id in self._socket_ids:
                 raise ConfigError(f"duplicate socket id {s.id}")
-            seen_ids.add(s.id)
+            self._socket_ids[s.id] = s
             cx, cy = s.cell
             if not self.cell_in_bounds(cx, cy):
                 raise ConfigError(f"socket {s.id} anchor {s.cell} outside arena")
@@ -146,10 +148,38 @@ class Arena:
         return self.cells[cy][cx]
 
     def socket_by_id(self, socket_id: int) -> Socket | None:
-        for s in self.sockets:
-            if s.id == socket_id:
-                return s
-        return None
+        return self._socket_ids.get(socket_id)
+
+    def path_clear(self, x0: float, y0: float, x1: float, y1: float,
+                   passable: tuple[TerrainClass, ...]) -> bool:
+        """True when a straight move from (x0, y0) to (x1, y1) crosses only
+        `passable` terrain inside the arena.
+
+        The path is sampled at t = i / steps for i = 1..steps, with steps =
+        max(1, ceil(length / 0.05 m)), so no sample gap is wider than 0.05 m
+        and the start point is never sampled. A sample outside the arena, or
+        on a cell whose terrain is not in `passable`, blocks the move. Each
+        sample's cell is worked out inline, the way `terrain_at` would, and
+        a run of consecutive samples in one cell reads its terrain once.
+        """
+        dx, dy = x1 - x0, y1 - y0
+        steps = max(1, math.ceil(math.hypot(dx, dy) / _PATH_SAMPLE_STEP))
+        size = self.cell_size
+        x_end, y_end = self.width * size, self.height * size
+        cells = self.cells
+        last_cx = last_cy = -1
+        for i in range(1, steps + 1):
+            t = i / steps
+            x = x0 + dx * t
+            y = y0 + dy * t
+            if not (0.0 <= x < x_end and 0.0 <= y < y_end):
+                return False
+            cx, cy = int(x // size), int(y // size)
+            if cx != last_cx or cy != last_cy:
+                if cells[cy][cx] not in passable:
+                    return False
+                last_cx, last_cy = cx, cy
+        return True
 
     def walkable_cells(self) -> list[tuple[int, int]]:
         return [(cx, cy) for cy in range(self.height) for cx in range(self.width)
@@ -401,8 +431,7 @@ class SocketScheduler:
 # -- sensing --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SensedSocket:
+class SensedSocket(NamedTuple):
     id: int
     position: tuple[float, float]
     active: bool

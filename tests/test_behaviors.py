@@ -17,7 +17,8 @@ from orgsim.behaviors import (ARRIVE_TOL, AT_SLOT_RADIUS, DOCK_PRIORITY,
                               RECHARGE_PRIORITY, SEEK_PRIORITY,
                               AggregateController, DisposalController,
                               ExploreController, REGISTRY,
-                              SeekEnergyController, StackSlot, assigned_slot, build_controllers, servo_drive)
+                              SeekEnergyController, StackSlot, assigned_slot,
+                              build_controllers, servo_drive, servo_parked)
 from orgsim.control import (Dock, Drive, Idle, InteractionChannel,
                             InternalChannel, LocalChannel, Observation,
                             Recharge, SelfChannel, SensedModule,
@@ -31,10 +32,12 @@ from orgsim.robot_model import (DriveCommand, DriveKind, Health, ModuleClass,
                                 locomotion_step, make_module_spec,
                                 new_module_state, pair_tolerance)
 from orgsim.world import SensedSocket, TerrainClass
+from tests.path_reference import sampled
 
 TARIFF = Tariff()
 
 
+@sampled
 def open_floor(x, y):
     return TerrainClass.PLAIN
 
@@ -163,6 +166,19 @@ def test_servo_refines_heading_after_arriving():
     assert cmd.angular == pytest.approx(4.5)
     assert servo_drive(Pose(1.0, 1.0, 90.0), DriveKind.TRACKED, 0.125,
                        1.0, 1.0, 10.0, target_heading=90.0) is None
+
+
+@given(st.floats(-2 * ARRIVE_TOL, 2 * ARRIVE_TOL),
+       st.floats(-2 * ARRIVE_TOL, 2 * ARRIVE_TOL),
+       st.floats(-2 * HEADING_TOL, 2 * HEADING_TOL),
+       st.sampled_from([None, 0.0, 90.0, 359.5]),
+       st.sampled_from(list(DriveKind)))
+def test_servo_parked_is_exactly_when_the_servo_stops(dx, dy, dh,
+                                                      target_heading, kind):
+    pose = Pose(1.0 + dx, 1.0 + dy, (target_heading or 0.0) + dh)
+    stopped = servo_drive(pose, kind, SPEC_OF_KIND[kind].max_speed,
+                          1.0, 1.0, 10.0, target_heading) is None
+    assert servo_parked(pose, 1.0, 1.0, target_heading) is stopped
 
 
 # -- tolerance pairing ----------------------------------------------------

@@ -12,21 +12,24 @@ from orgsim.control import (IDLE_PROPOSAL, MAX_PROPOSALS_PER_CONTROLLER,
                             ToggleCoprocessor, Tow, Undock,
                             fitness, guard_action, select_action,
                             step_controllers)
-from orgsim.docking import DockPhase, Face
-from orgsim.energy import Tariff
+from orgsim.behaviors import StackSlot
+from orgsim.docking import DockPhase, Face, TickInput
+from orgsim.energy import RechargeResult, ShareTransfer, Tariff
 from orgsim.errors import FrameworkError
 from orgsim.geometry import Pose
 from orgsim.organism import OrganismRegistry, Translate, organism_move
-from orgsim.robot_model import (DriveCommand, Health, ModuleClass,
-                                locomotion_step, make_module_spec,
-                                new_module_state)
+from orgsim.robot_model import (DriveCommand, Health, JointResult,
+                                ModuleClass, MoveResult, locomotion_step,
+                                make_module_spec, new_module_state)
 from orgsim.world import SensedSocket, Socket, TerrainClass
+from tests.path_reference import sampled
 from tests.test_organism import docked_pair
 
 SCOUT = make_module_spec(ModuleClass.SCOUT)
 BACKBONE = make_module_spec(ModuleClass.BACKBONE)
 
 
+@sampled
 def open_floor(x, y):
     return TerrainClass.PLAIN
 
@@ -49,12 +52,12 @@ def make_obs(mid=0, sockets=(), docked=(), battery=1.0):
 
 
 def ctx_for(state, spec, states=None, specs=None, organism=None,
-            terrain=open_floor, socket_by_id=None):
+            path_clear=open_floor, socket_by_id=None):
     return GuardContext(
         state=state, spec=spec,
         states=states if states is not None else {state.id: state},
         specs=specs if specs is not None else {state.id: spec},
-        organism=organism, terrain_at=terrain, dt=10.0,
+        organism=organism, path_clear=path_clear, dt=10.0,
         socket_by_id=socket_by_id)
 
 
@@ -158,6 +161,83 @@ def test_step_controllers_flags_misbehavior():
         step_controllers({"crashy": boom}, obs)
 
 
+@pytest.mark.parametrize("bare", [Idle(), Drive(0.1)], ids=repr)
+def test_step_controllers_rejects_a_bare_action(bare):
+    # an action is a named tuple: read as a batch it would pass its fields
+    # off as proposals, and Idle() as no proposal at all
+    with pytest.raises(FrameworkError, match="expected ActionProposal"):
+        step_controllers({"bare": lambda o: bare}, make_obs())
+
+
+# -- records --------------------------------------------------------------
+
+
+_SOCKET = SensedSocket(3, (0.125, 1.375), True, 20.0, 0.5, 0.3, 90.0)
+_SOCKET_REPR = ("SensedSocket(id=3, position=(0.125, 1.375), active=True, "
+                "rating=20.0, distance=0.5, height=0.3, approach_deg=90.0)")
+
+# the per-tick records are named tuples with pinned reprs: a Rejected
+# detail that embeds an action's repr is logged as it reads
+RECORD_REPRS = [
+    (Drive(0.1), "Drive(linear=0.1, lateral=0.0, angular=0.0)"),
+    (Drive(linear=0.05, angular=-3.0),
+     "Drive(linear=0.05, lateral=0.0, angular=-3.0)"),
+    (Actuate(0, 90.0), "Actuate(dof_index=0, target_deg=90.0)"),
+    (Dock(Face.SOUTH, 4, Face.NORTH),
+     "Dock(face=<Face.SOUTH: 'S'>, target_id=4, "
+     "target_face=<Face.NORTH: 'N'>)"),
+    (Tow(Face.WEST, 7, Face.EAST),
+     "Tow(face=<Face.WEST: 'W'>, target_id=7, target_face=<Face.EAST: 'E'>)"),
+    (Undock(Face.EAST), "Undock(face=<Face.EAST: 'E'>)"),
+    (Recharge(2), "Recharge(socket_id=2)"),
+    (ToggleCoprocessor(True), "ToggleCoprocessor(on=True)"),
+    (Idle(), "Idle()"),
+    (ActionProposal(40, Recharge(2)),
+     "ActionProposal(priority=40, action=Recharge(socket_id=2), source='')"),
+    (Rejected("protocol", f"unrecognized action {Drive(0.1)!r}"),
+     "Rejected(reason='protocol', detail='unrecognized action "
+     "Drive(linear=0.1, lateral=0.0, angular=0.0)')"),
+    (GuardContext(None, None, {}, {}, None, None, 10.0),
+     "GuardContext(state=None, spec=None, states={}, specs={}, "
+     "organism=None, path_clear=None, dt=10.0, socket_by_id=None)"),
+    (RechargeResult(False, "reach", 0.0, 0.0),
+     "RechargeResult(granted=False, reason='reach', drawn_j=0.0, "
+     "stored_j=0.0)"),
+    (ShareTransfer(1, 2, 0.5),
+     "ShareTransfer(donor=1, receiver=2, joules=0.5)"),
+    (DriveCommand(0.1), "DriveCommand(linear=0.1, lateral=0.0, angular=0.0)"),
+    (MoveResult(Pose(1.0, 2.0, 90.0), 5.0, False),
+     "MoveResult(pose=Pose(x=1.0, y=2.0, heading=90.0), energy_j=5.0, "
+     "blocked=False)"),
+    (JointResult(37.2, 1.5), "JointResult(angle=37.2, energy_j=1.5)"),
+    (TickInput(aligned=True),
+     "TickInput(aligned=True, abort=False, separated=False)"),
+    (_SOCKET, _SOCKET_REPR),
+    (StackSlot(_SOCKET, 1, (0.225, 1.375), 90.0, 0),
+     f"StackSlot(socket={_SOCKET_REPR}, rank=1, position=(0.225, 1.375), "
+     f"heading=90.0, predecessor=0)"),
+]
+
+
+@pytest.mark.parametrize("record, text", RECORD_REPRS,
+                         ids=[type(r).__name__ for r, _ in RECORD_REPRS])
+def test_records_keep_their_repr_and_stay_immutable(record, text):
+    assert repr(record) == text
+    for name in type(record)._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_a_tow_is_a_dock_with_the_same_fields():
+    tow = Tow(Face.WEST, 7, Face.EAST)
+    assert isinstance(tow, Dock)
+    assert not isinstance(Dock(Face.WEST, 7, Face.EAST), Tow)
+    assert (tow.face, tow.target_id, tow.target_face) == (Face.WEST, 7,
+                                                          Face.EAST)
+
+
 # -- selection ------------------------------------------------------------
 
 
@@ -216,11 +296,12 @@ def test_guard_drive_pinned_while_port_engaged():
 
 
 def test_guard_drive_collision_uses_scaled_speed():
+    @sampled
     def cliff(x, y):
         return TerrainClass.PLAIN if x < 0.8 else None
 
     solo = scout_state()
-    got = guard_action(Drive(1.0), ctx_for(solo, SCOUT, terrain=cliff))
+    got = guard_action(Drive(1.0), ctx_for(solo, SCOUT, path_clear=cliff))
     assert got == Rejected("collision", "path of module 0 is blocked")
 
     # grouped with a screw module the whole body is capped to 0.06 m/s,
@@ -231,7 +312,7 @@ def test_guard_drive_collision_uses_scaled_speed():
     states = {0: scout_state(0), 1: new_module_state(1, BACKBONE, Pose(0.1, 0, 0))}
     specs = {0: SCOUT, 1: BACKBONE}
     got = guard_action(Drive(1.0), ctx_for(states[0], SCOUT, states, specs,
-                                           organism=org, terrain=cliff))
+                                           organism=org, path_clear=cliff))
     assert got == Drive(1.0)
 
 
@@ -265,6 +346,7 @@ def test_guard_drive_judges_a_carried_member_like_execution_does():
     # a hauled dead backbone rides clear of the floor: rough ground it could
     # never drive over does not block the haul, a wall still does, and the
     # guard and organism_move agree on both
+    @sampled
     def rough_then_wall(x, y):
         return TerrainClass.ROUGH if x < 1.05 else TerrainClass.OBSTACLE
 
@@ -280,7 +362,7 @@ def test_guard_drive_judges_a_carried_member_like_execution_does():
     def verdicts(speed):
         guarded = guard_action(Drive(speed), ctx_for(
             states[0], SCOUT, states, specs, organism=org,
-            terrain=rough_then_wall))
+            path_clear=rough_then_wall))
         moved = organism_move(org, states, specs, Translate(speed, 0.0), 10.0,
                               rough_then_wall, Tariff())
         return guarded, moved.blocked
@@ -299,6 +381,7 @@ def test_guard_drive_scales_speed_like_locomotion_step():
     # its 0.06 m/s cap. Scaled the guard's way the path is 0.6000000000000001
     # m and its 13 samples miss the corner of rough cell (5, 4); scaled the
     # locomotion way it is 0.6 m, and sample 7 of 12 lands on that cell.
+    @sampled
     def rough_cell(x, y):
         cell = (int(x // 0.25), int(y // 0.25))
         return TerrainClass.ROUGH if cell == (5, 4) else TerrainClass.PLAIN
@@ -306,7 +389,8 @@ def test_guard_drive_scales_speed_like_locomotion_step():
     st_ = new_module_state(67, BACKBONE,
                            Pose(1.6357643331513299, 0.9252420337519408, 270.0))
     drive = Drive(-0.0550242033751941, -0.023923566684867014, 0.0)
-    guarded = guard_action(drive, ctx_for(st_, BACKBONE, terrain=rough_cell))
+    guarded = guard_action(drive, ctx_for(st_, BACKBONE,
+                                          path_clear=rough_cell))
     moved = locomotion_step(st_, BACKBONE, DriveCommand(
         drive.linear, drive.lateral, drive.angular), rough_cell, 10.0, Tariff())
     assert isinstance(guarded, Rejected) == moved.blocked

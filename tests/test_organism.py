@@ -21,6 +21,7 @@ from orgsim.organism import (LiftQuery, OrganismRegistry, Translate, Turn,
 from orgsim.robot_model import (Health, ModuleClass, make_module_spec,
                                 new_module_state)
 from orgsim.world import TerrainClass
+from tests.path_reference import sampled
 
 TARIFF = Tariff()
 
@@ -227,6 +228,7 @@ def test_worst_case_chain_hangs_the_long_side():
 # -- rigid motion ---------------------------------------------------------
 
 
+@sampled
 def plain(x, y):
     return TerrainClass.PLAIN
 
@@ -311,6 +313,7 @@ def test_scout_carry_configuration_and_sideways_motion():
 
 
 def test_blocked_member_freezes_the_whole_body():
+    @sampled
     def walled(x, y):
         return TerrainClass.PLAIN if x < 0.55 else None
     org, states, specs = two_scouts()
@@ -322,6 +325,7 @@ def test_blocked_member_freezes_the_whole_body():
 
 
 def test_carried_module_ignores_soft_terrain_but_not_walls():
+    @sampled
     def rough_north(x, y):
         return TerrainClass.ROUGH if y > 0.25 else TerrainClass.PLAIN
     reg = OrganismRegistry()
@@ -336,6 +340,7 @@ def test_carried_module_ignores_soft_terrain_but_not_walls():
     res = organism_move(org, states, specs, Translate(0.05, 0.0), 10.0,
                         rough_north, TARIFF)
     assert not res.blocked  # rider crosses rough ground it could never walk
+    @sampled
     def obstacle_north(x, y):
         return TerrainClass.OBSTACLE if y > 0.25 else TerrainClass.PLAIN
     res = organism_move(org, states, specs, Translate(0.05, 0.0), 10.0,
@@ -344,6 +349,7 @@ def test_carried_module_ignores_soft_terrain_but_not_walls():
 
 
 def test_ground_member_respects_its_own_traversability():
+    @sampled
     def rough_east(x, y):
         return TerrainClass.ROUGH if x > 0.3 else TerrainClass.PLAIN
     org, states, _ = two_scouts()

@@ -12,10 +12,12 @@ from orgsim.robot_model import (PJ, DriveCommand, DriveKind, Health,
                                 can_traverse, dof_range, locomotion_step,
                                 make_module_spec, new_module_state, to_j, to_pj)
 from orgsim.world import TerrainClass
+from tests.path_reference import sampled
 
 TARIFF = Tariff()
 
 
+@sampled
 def open_floor(x, y):
     return TerrainClass.PLAIN
 
@@ -179,6 +181,7 @@ def test_turn_in_place_costs_idle_only():
 
 
 def test_blocked_path_freezes_pose_and_heading():
+    @sampled
     def wall_east(x, y):
         return TerrainClass.OBSTACLE if x > 0.5 else TerrainClass.PLAIN
     spec = make_module_spec(ModuleClass.SCOUT)
@@ -191,6 +194,7 @@ def test_blocked_path_freezes_pose_and_heading():
 
 
 def test_terrain_rules_apply_to_path():
+    @sampled
     def rough_east(x, y):
         return TerrainClass.ROUGH if x > 0.5 else TerrainClass.PLAIN
     scout = make_module_spec(ModuleClass.SCOUT)

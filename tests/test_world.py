@@ -8,9 +8,11 @@ from hypothesis import given, strategies as st
 from orgsim.errors import ConfigError
 from orgsim.geometry import Pose
 from orgsim.rng import Rng
+from orgsim.robot_model import _ABOVE_GROUND, _TRAVERSABLE
 from orgsim.world import (DEFAULT_CELL_SIZE, Arena, SocketSchedule,
                           SocketScheduler, TerrainClass, arena_from_lines,
                           in_graveyard, parse_arena, sense_sockets)
+from tests.path_reference import PATH_SAMPLE_STEP, reference_path_clear
 
 ROOM = """\
 cellsize 0.25
@@ -42,6 +44,8 @@ def test_parse_room(room):
     assert room.terrain_at_cell(4, 2) is TerrainClass.OBSTACLE
     assert room.graveyard == (1, 4, 2, 4)
     assert [s.id for s in room.sockets] == [0, 1]
+    assert room.socket_by_id(1) is room.sockets[1]
+    assert room.socket_by_id(2) is None
 
 
 def test_terrain_characters():
@@ -259,6 +263,89 @@ def test_a_walled_pair_still_traces_and_caches():
     assert len(traced) == 1
     assert a.line_of_sight((7, 1), (14, 8))      # open floor: no trace
     assert len(traced) == 1 and len(a._los_cache) == 1
+
+
+# -- swept paths ----------------------------------------------------------
+
+
+# every passable set the motion code hands the arena: each class's table,
+# and walls-only for a carried module
+PASSABLE_SETS = sorted({*_TRAVERSABLE.values(), _ABOVE_GROUND}, key=len)
+
+# unit directions, axis-aligned and 3-4-5 diagonal: a move of k * 0.05 m
+# along one puts the sample count ceil(length / 0.05) on a knife edge
+DIRECTIONS = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+              (0.6, 0.8), (-0.8, 0.6), (0.8, -0.6)]
+
+
+@st.composite
+def segments(draw, arena):
+    size = arena.cell_size
+
+    def coord(cells):
+        # anywhere, a little off the arena included, or exactly on a border
+        return draw(st.one_of(
+            st.floats(-0.3, cells * size + 0.3),
+            st.integers(-1, cells + 1).map(lambda k: k * size)))
+
+    x0, y0 = coord(arena.width), coord(arena.height)
+    kind = draw(st.sampled_from(["free", "zero", "step_multiple"]))
+    if kind == "free":
+        return x0, y0, coord(arena.width), coord(arena.height)
+    if kind == "zero":
+        return x0, y0, x0, y0
+    k = draw(st.integers(1, 60))
+    ux, uy = draw(st.sampled_from(DIRECTIONS))
+    return (x0, y0, x0 + ux * k * PATH_SAMPLE_STEP,
+            y0 + uy * k * PATH_SAMPLE_STEP)
+
+
+def _assert_path_matches_sampler(arena, seg):
+    for passable in PASSABLE_SETS:
+        assert arena.path_clear(*seg, passable) == reference_path_clear(
+            *seg, passable, arena.terrain_at), (seg, passable)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in MAP_DIR.glob("*.map")))
+@given(data=st.data())
+def test_path_clear_matches_the_reference_sampler_on_every_map(name, data):
+    arena = parse_arena((MAP_DIR / f"{name}.map").read_text())
+    _assert_path_matches_sampler(arena, data.draw(segments(arena)))
+
+
+@st.composite
+def terrain_grids(draw):
+    # no border walls, so leaving the arena and meeting a wall differ
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rows = ["".join(draw(st.lists(st.sampled_from(".rsh#"), min_size=w,
+                                  max_size=w))) for _ in range(h)]
+    return arena_from_lines(rows, cell_size=draw(st.sampled_from(
+        [DEFAULT_CELL_SIZE, 0.1, 0.3])))
+
+
+@given(data=st.data())
+def test_path_clear_matches_the_reference_sampler_on_random_terrain(data):
+    arena = data.draw(terrain_grids())
+    for _ in range(10):
+        _assert_path_matches_sampler(arena, data.draw(segments(arena)))
+
+
+def test_path_clear_samples_from_the_first_step_to_the_end():
+    a = arena_from_lines(["..#.",
+                          "r..."])
+    plain = (TerrainClass.PLAIN,)
+    assert a.path_clear(0.52, 0.1, 0.1, 0.1, plain)     # start never sampled
+    assert not a.path_clear(0.6, 0.1, 0.6, 0.1, plain)  # zero length: the end
+    assert not a.path_clear(0.1, 0.1, 0.6, 0.1, plain)  # end in the wall
+    assert not a.path_clear(0.1, 0.1, 1.0, 0.1, plain)  # end off the arena
+    # the wall's x span is [0.5, 0.75): no sample gap is wider than 0.05 m
+    assert not a.path_clear(0.48, 0.2, 0.77, 0.3, plain)
+    # 0.064 m takes two samples, and the first clips the wall's corner
+    assert not a.path_clear(0.49, 0.21, 0.53, 0.26, plain)
+    assert a.path_clear(0.3, 0.4, 0.9, 0.4, plain)      # the row below
+    assert not a.path_clear(0.3, 0.4, 0.2, 0.4, plain)  # rough ground
+    assert a.path_clear(0.3, 0.4, 0.2, 0.4, _ABOVE_GROUND)
+    assert not a.path_clear(0.1, 0.1, 0.6, 0.1, _ABOVE_GROUND)
 
 
 def test_walkable_cells_row_major():

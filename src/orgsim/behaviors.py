@@ -150,6 +150,8 @@ class _Controller:
     _spec: ModuleSpec | None = None
     _slot_sockets: tuple[SensedSocket, ...] | None = None
     _slot: StackSlot | None = None
+    # the last servo call: (pose, tx, ty, target_heading, dt, its Drive)
+    _servo_memo: tuple | None = None
 
     def _hardware(self, obs: Observation) -> ModuleSpec:
         if self._spec is None:
@@ -168,10 +170,25 @@ class _Controller:
 
     def _servo(self, obs: Observation, tx: float, ty: float,
                target_heading: float | None = None) -> Drive | None:
-        """servo_drive from the module's pose at its class's drive and speed."""
+        """servo_drive from the module's pose at its class's drive and speed.
+
+        The last call is remembered and answered again for the same pose
+        object and the same target, heading and dt objects: a Pose is
+        frozen, a float cannot change, and servo_drive is a pure function
+        of them. Matching by identity is exact even for -0.0 and NaN; a
+        controller that keeps its target (a slot, a waypoint) passes the
+        same floats tick after tick, and an unmoved module the same pose."""
+        pose, dt = obs.me.pose, obs.internal.dt
+        memo = self._servo_memo
+        if (memo is not None and memo[0] is pose and memo[1] is tx
+                and memo[2] is ty and memo[3] is target_heading
+                and memo[4] is dt):
+            return memo[5]
         spec = self._hardware(obs)
-        return servo_drive(obs.me.pose, spec.drive_kind, spec.max_speed,
-                           tx, ty, obs.internal.dt, target_heading)
+        drive = servo_drive(pose, spec.drive_kind, spec.max_speed,
+                            tx, ty, dt, target_heading)
+        self._servo_memo = (pose, tx, ty, target_heading, dt, drive)
+        return drive
 
 
 class SeekEnergyController(_Controller):

@@ -221,23 +221,33 @@ class Simulation:
         # lists, indexed by module id, only when some module has controllers:
         # each Pose (immutable) and its cell as of the last refresh, and for
         # a live observer its row (its distance to each module id when in
-        # range and in line of sight, else None; None for any other id), the
-        # immutable copy of that row its observations last handed out, and
-        # its sensed sockets. _phase_decide builds the tables that this
-        # tick's observations share: (module_class, pose, health) per id,
-        # and the ids whose health is not OK
+        # range and in line of sight, else None; None for any other id), its
+        # sensed sockets, and the local and interaction channels its last
+        # observation handed out. _phase_decide builds the tables that the
+        # local channels share: (module_class, pose, health) per id, and the
+        # ids whose health is not OK
         self._observers: tuple[int, ...] = ()  # live ids with controllers
         self._sight_poses: list[Pose | None] | None = None
         self._sight_cells: list[tuple[int, int] | None] | None = None
         self._sight_rows: list[list[float | None] | None] | None = None
-        self._sight_snaps: list[tuple | None] | None = None
         self._sight_moved = True      # the last refresh found a moved module
         self._sensed_sockets: list[tuple] | None = None
         self._sight_table: tuple[tuple, ...] = ()
         self._sight_unwell: tuple[int, ...] = ()
+        self._sight_deaths = -1       # deaths counted when the table was built
         self._socket_toggled = False          # by this tick's schedule phase
+        # channel reuse, see _observe: the local channels are out of date
+        # (set per decide phase), and a port changed phase since the last
+        # decide phase, which is when a peer or an organism can change. Only
+        # _phase_docking sets the latter: an undock in _phase_execute moves
+        # its pair to unlocking, which the same tick's docking advances
+        self._local_stale = True
+        self._ports_changed = True
+        self._local_channels: list[LocalChannel | None] | None = None
+        self._interaction_channels: list[InteractionChannel | None] | None = None
 
         # static observation pieces
+        self._walkable_count = len(self.arena.walkable_cells())
         self._arena_size = (self.arena.width * self.arena.cell_size,
                             self.arena.height * self.arena.cell_size)
         if self.arena.graveyard is not None:
@@ -311,6 +321,8 @@ class Simulation:
     # -- the tick pipeline ------------------------------------------------
 
     def run(self, ticks: int | None = None) -> RunMetrics:
+        if ticks is not None and ticks < 0:
+            raise ValueError(f"tick count must not be negative, got {ticks}")
         if self._ran:
             raise RuntimeError("a Simulation instance runs once")
         self._ran = True
@@ -326,11 +338,13 @@ class Simulation:
             self._sight_rows = [None] * n
             for i in self._observers:
                 self._sight_rows[i] = [None] * n
-            self._sight_snaps = [None] * n
             self._sensed_sockets = [()] * n
+            self._local_channels = [None] * n
+            self._interaction_channels = [None] * n
         started = time.perf_counter()
         for _ in range(total):
             self.tick += 1
+            self.arena.age_path_memo()
             self._phase_schedule()
             delivered = self._phase_sense()
             selected = self._phase_decide(delivered)
@@ -401,39 +415,40 @@ class Simulation:
                     sense_sockets(poses[i], range_m, arena))
 
     def _observe(self, i: int, delivered: dict) -> Observation:
-        """Build module i's observation from its row, which _refresh_sight
-        brought up to date earlier in this decide phase, and this tick's
-        module table. The row is handed out as an immutable copy, and a row
-        equal to the last copy hands out that copy again. When the refresh
-        moved no module it wrote no row, so the last copy goes out as it is,
-        without copying or comparing."""
+        """Build module i's observation. The self and internal channels are
+        built every tick. The local channel is built from i's row, which
+        _refresh_sight brought up to date earlier in this decide phase, and
+        this phase's module table; on a tick where no module moved, no
+        socket toggled and no module's health changed, the last one goes out
+        again, as nothing it reads has changed. The interaction channel goes
+        out again while i has no messages, this tick or last, and no port
+        anywhere changed phase: every peer and organism change comes with
+        one."""
         st = self.states[i]
         pose = st.pose
-        row = self._sight_snaps[i]
-        if self._sight_moved:
-            fresh = tuple(self._sight_rows[i])
-            if fresh != row:
-                row = self._sight_snaps[i] = fresh
-        ports = st.ports
-        org = self.registry.organism_of(i)
-        # the row's refresh put the cell of this very pose in _sight_cells
-        cx, cy = self._sight_cells[i]
-        arena = self.arena
-        terrain = (arena.terrain_at_cell(cx, cy)
-                   if arena.cell_in_bounds(cx, cy) else None)
-        # positional arguments, in field order: a keyword call costs about
-        # twice as much, once per channel per observer per tick. Faces and
-        # phases go out by value, read from `_value_`: the `value` property
-        # and a member-keyed dict (Enum.__hash__) both run Python code
-        return Observation(
-            SelfChannel(i, st.module_class, pose, st.battery_fraction,
-                        st.health, tuple(st.joint_angles), st.coprocessor_on,
-                        st.carried),
-            LocalChannel(terrain, self._sensed_sockets[i],
-                         SensedModules(self._sight_table, self._sight_unwell,
-                                       row),
-                         self._arena_size, self._yard_rect),
-            InteractionChannel(
+        local = self._local_channels[i]
+        if self._local_stale:
+            # the row's refresh put the cell of this very pose in _sight_cells
+            cx, cy = self._sight_cells[i]
+            arena = self.arena
+            terrain = (arena.terrain_at_cell(cx, cy)
+                       if arena.cell_in_bounds(cx, cy) else None)
+            # positional arguments, in field order: a keyword call costs
+            # about twice as much
+            local = self._local_channels[i] = LocalChannel(
+                terrain, self._sensed_sockets[i],
+                SensedModules(self._sight_table, self._sight_unwell,
+                              tuple(self._sight_rows[i])),
+                self._arena_size, self._yard_rect)
+        interaction = self._interaction_channels[i]
+        messages = delivered.get(i)
+        if messages or self._ports_changed or interaction.messages:
+            ports = st.ports
+            org = self.registry.organism_of(i)
+            # faces and phases go out by value, read from `_value_`: the
+            # `value` property and a member-keyed dict (Enum.__hash__) both
+            # run Python code
+            interaction = self._interaction_channels[i] = InteractionChannel(
                 tuple([p.face._value_ for p in ports if p.phase is _DOCKED]),
                 tuple([p.phase._value_ for p in ports]),
                 tuple([(p.peer.owner, p.peer.face._value_)
@@ -441,7 +456,12 @@ class Simulation:
                 org.id if org is not None else None,
                 len(org.nodes) if org is not None else 1,
                 self._reach_of(i, org),
-                tuple(delivered.get(i, ()))),
+                tuple(messages) if messages else ())
+        return Observation(
+            SelfChannel(i, st.module_class, pose, st.battery_fraction,
+                        st.health, tuple(st.joint_angles), st.coprocessor_on,
+                        st.carried),
+            local, interaction,
             InternalChannel(self.tick, self.cfg.dt, self._delivered_count,
                             self._mailboxes[i]),
         )
@@ -454,22 +474,30 @@ class Simulation:
             # death is final: the dead never observe again
             for i in set(observers).difference(alive):
                 self._sight_rows[i] = None
-                self._sight_snaps[i] = None
+                self._local_channels[i] = None
+                self._interaction_channels[i] = None
             self._observers = tuple(alive)
         if not alive:
             return selected
         self._refresh_sight()
-        states = self.states.values()
-        self._sight_table = tuple([(st.module_class, st.pose, st.health)
-                                   for st in states])
-        self._sight_unwell = tuple([st.id for st in states
-                                    if st.health is not _OK])
+        deaths = self.deaths_energy + self.deaths_hardware
+        if self._sight_moved or deaths != self._sight_deaths:
+            states = self.states.values()
+            self._sight_table = tuple([(st.module_class, st.pose, st.health)
+                                       for st in states])
+            self._sight_unwell = tuple([st.id for st in states
+                                        if st.health is not _OK])
+            self._sight_deaths = deaths
+            self._local_stale = True
+        else:
+            self._local_stale = self._socket_toggled
         for i in alive:
             obs = self._observe(i, delivered)
             proposals = step_controllers(self.controllers[i], obs)
             choice = select_action(proposals, self.controller_order[i])
             if not isinstance(choice.action, Idle):
                 selected[i] = choice
+        self._ports_changed = False
         return selected
 
     def _phase_execute(self, selected: dict[int, ActionProposal]) -> None:
@@ -646,6 +674,7 @@ class Simulation:
             now = pa.phase
             if now is prev:
                 continue
+            self._ports_changed = True
             self.log.event(self.tick, min(pa.owner, pb.owner), "phase",
                            a=pa.owner, fa=pa.face.value, b=pb.owner,
                            fb=pb.face.value, state=now.value, tow=pairing.tow)
@@ -730,20 +759,20 @@ class Simulation:
         tpd = self.cfg.ticks_per_day
         if self.tick % tpd == 0:
             tally = classify_deaths(self.states.values())
+            led = self.ledger.as_dict()
             self.log.event(
                 self.tick, -1, "day", index=self.tick // tpd,
                 survivors=tally.ok, deaths_energy=self.deaths_energy,
                 deaths_hardware=self.deaths_hardware,
                 coverage=round(self._coverage(), 6),
-                drawn_j=self.ledger.as_dict()["drawn_j"],
-                consumed_j=self.ledger.as_dict()["consumed_j"],
+                drawn_j=led["drawn_j"], consumed_j=led["consumed_j"],
                 residual_j=self.ledger.residual_j(
                     sum(st.battery_pj for st in self.states.values())),
                 rejects=sum(self.rejections.values()),
                 msgs=self.bus.posted)
 
     def _coverage(self) -> float:
-        total = len(self.arena.walkable_cells())
+        total = self._walkable_count
         return len(self.visited) / total if total else 0.0
 
     def _invariant_scan(self) -> None:
@@ -826,16 +855,29 @@ class Simulation:
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                  ticks: int | None = None,
                  out_dir: str | Path | None = None) -> RunMetrics:
-    """Run one seed of a scenario; optionally write events.log + metrics.txt."""
+    """Run one seed of a scenario; optionally write events.log + metrics.txt.
+
+    A run stopped by an invariant breach still writes its events.log, which
+    ends with the breach line, but no metrics.txt; the breach is re-raised.
+    """
     sim = Simulation(cfg, seed)
-    metrics = sim.run(ticks)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        if cfg.log_enabled:
-            sim.log.save(out / "events.log")
+    out = None if out_dir is None else Path(out_dir)
+    try:
+        metrics = sim.run(ticks)
+    except InvariantBreach:
+        if out is not None:
+            _save_log(sim, out)
+        raise
+    if out is not None:
+        _save_log(sim, out)
         (out / "metrics.txt").write_text(metrics.to_text())
     return metrics
+
+
+def _save_log(sim: Simulation, out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    if sim.cfg.log_enabled:
+        sim.log.save(out / "events.log")
 
 
 def replay_log(text: str) -> RunMetrics:

@@ -91,6 +91,10 @@ class Arena:
         # summed-area table of obstacle cells, built on the first in-grid
         # sightline query (see _wall_table)
         self._walls: list[int] | None = None
+        # path_clear answers of this generation and the one before, keyed by
+        # (x0, y0, x1, y1, id(passable)); see age_path_memo
+        self._paths: dict[tuple, tuple[bool, tuple]] = {}
+        self._paths_old: dict[tuple, tuple[bool, tuple]] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -158,10 +162,37 @@ class Arena:
         The path is sampled at t = i / steps for i = 1..steps, with steps =
         max(1, ceil(length / 0.05 m)), so no sample gap is wider than 0.05 m
         and the start point is never sampled. A sample outside the arena, or
-        on a cell whose terrain is not in `passable`, blocks the move. Each
-        sample's cell is worked out inline, the way `terrain_at` would, and
-        a run of consecutive samples in one cell reads its terrain once.
+        on a cell whose terrain is not in `passable`, blocks the move.
+
+        The grid never changes after validation, so an answer holds for
+        good; answers are remembered for this generation and the last one
+        (see `age_path_memo`). The key takes `passable` by id, which costs
+        no `Enum.__hash__`; each entry holds its tuple, so the id cannot be
+        reused by another tuple while the entry lives. -0.0 and 0.0 share a
+        key, and the sampling answers them alike; a NaN raises before
+        anything is stored.
         """
+        key = (x0, y0, x1, y1, id(passable))
+        hit = self._paths.get(key)
+        if hit is None:
+            hit = self._paths_old.get(key)
+            if hit is None:
+                hit = (self._sample_path(x0, y0, x1, y1, passable), passable)
+            self._paths[key] = hit
+        return hit[0]
+
+    def age_path_memo(self) -> None:
+        """Start a new generation of remembered path answers: the current
+        one becomes the last, and the one before it is dropped. A run calls
+        this once per tick, so the memo holds at most two ticks' queries."""
+        self._paths_old = self._paths
+        self._paths = {}
+
+    def _sample_path(self, x0: float, y0: float, x1: float, y1: float,
+                     passable: tuple[TerrainClass, ...]) -> bool:
+        """The sampling behind path_clear. Each sample's cell is worked out
+        inline, the way `terrain_at` would, and a run of consecutive samples
+        in one cell reads its terrain once."""
         dx, dy = x1 - x0, y1 - y0
         steps = max(1, math.ceil(math.hypot(dx, dy) / _PATH_SAMPLE_STEP))
         size = self.cell_size

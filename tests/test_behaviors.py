@@ -181,6 +181,45 @@ def test_servo_parked_is_exactly_when_the_servo_stops(dx, dy, dh,
     assert servo_parked(pose, 1.0, 1.0, target_heading) is stopped
 
 
+def test_servo_memo_answers_what_servo_drive_answers(monkeypatch):
+    # the controller remembers its last servo call; each change of pose,
+    # target, heading or dt must give servo_drive's own answer again
+    computed = []
+
+    def counting_servo(*args):
+        computed.append(args)
+        return servo_drive(*args)
+
+    monkeypatch.setattr(behaviors, "servo_drive", counting_servo)
+    ctrl = SeekEnergyController(0, Rng(1))
+    spec = make_module_spec(ModuleClass.SCOUT)
+
+    def check(obs, tx, ty, heading=None):
+        got = ctrl._servo(obs, tx, ty, heading)
+        assert got == servo_drive(obs.me.pose, spec.drive_kind,
+                                  spec.max_speed, tx, ty, obs.internal.dt,
+                                  heading)
+        return got
+
+    tx, ty, heading = 2.0, 1.5, 90.0
+    obs = obs_for(pose=Pose(1.0, 1.0, 0.0))
+    first = check(obs, tx, ty, heading)
+    assert first is not None
+    assert ctrl._servo(obs, tx, ty, heading) is first
+    assert len(computed) == 1                       # answered from the memo
+    moved = obs_for(pose=Pose(1.0, 1.25, 0.0))
+    check(moved, tx, ty, heading)                   # pose change
+    check(moved, 1.0, ty, heading)                  # target x change
+    check(moved, 1.0, 1.25, heading)                # target y change
+    check(moved, 1.0, 1.25, -0.0)                   # heading change
+    check(moved, 1.0, 1.25, 0.0)                    # the other zero
+    slower = moved._replace(internal=moved.internal._replace(dt=5.0))
+    check(slower, 1.0, 1.25, 0.0)                   # dt change
+    assert check(slower, 1.0, 1.25) is None         # parked, remembered too
+    assert ctrl._servo(slower, 1.0, 1.25) is None
+    assert len(computed) == 8
+
+
 # -- tolerance pairing ----------------------------------------------------
 
 

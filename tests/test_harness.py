@@ -7,7 +7,9 @@ import pytest
 
 from orgsim import cli, control, harness
 from orgsim.config import load_scenario, load_scenario_file
-from orgsim.control import ActionProposal, Drive, SensedModule
+from orgsim.control import (ActionProposal, Drive, InteractionChannel,
+                            InternalChannel, LocalChannel, Observation,
+                            SelfChannel, SensedModule)
 from orgsim.docking import DockPhase
 from orgsim.errors import ConfigError, InvariantBreach, ReplayError
 from orgsim.geometry import Pose
@@ -238,6 +240,113 @@ def test_an_observation_is_a_snapshot_of_its_tick(scenario, seed, ticks,
         assert obs.local.sockets == sockets, (t, i)
 
 
+def _observation_from_scratch(sim, i, delivered):
+    """Module i's observation with every channel built anew from the run."""
+    st = sim.states[i]
+    arena = sim.arena
+    cs = arena.cell_size
+    modules, sockets = _sensed_from_scratch(sim, i)
+    yard = None
+    if arena.graveyard is not None:
+        x0, y0, x1, y1 = arena.graveyard
+        yard = (x0 * cs, y0 * cs, (x1 + 1) * cs, (y1 + 1) * cs)
+    org = sim.registry.organism_of(i)
+    ports = st.ports
+    return Observation(
+        SelfChannel(i, st.module_class, st.pose, st.battery_fraction,
+                    st.health, tuple(st.joint_angles), st.coprocessor_on,
+                    st.carried),
+        LocalChannel(arena.terrain_at(st.pose.x, st.pose.y), sockets, modules,
+                     (arena.width * cs, arena.height * cs), yard),
+        InteractionChannel(
+            tuple(p.face.value for p in ports if p.phase is DockPhase.DOCKED),
+            tuple(p.phase.value for p in ports),
+            tuple((p.peer.owner, p.peer.face.value) if p.peer is not None
+                  else None for p in ports),
+            None if org is None else org.id,
+            1 if org is None else len(org.nodes),
+            reach_height(org, sim.specs, singleton=i),
+            tuple(delivered.get(i, ()))),
+        InternalChannel(sim.tick, sim.cfg.dt,
+                        sum(len(v) for v in delivered.values()),
+                        sim._mailboxes[i]))
+
+
+def _chatter(obs):
+    # posts to module 3 every seventh tick, so module 3's interaction
+    # channel carries a message on the next tick and none on the one after
+    if obs.internal.tick % 7 == 0:
+        obs.internal.outbox.post(3, "ping", (obs.internal.tick,))
+    return None
+
+
+# scenario, seed, ticks, config changes, whether module 0 chatters
+REUSE_RUNS = [
+    ("desk_challenge", 11, 300, {"dwell_min": 2, "dwell_max": 5}, True),
+    ("disposal_open", 3, 432, {}, False),
+    ("disposal_walled", 3, 432, {}, False),
+    ("full_scale", 42, 20, {}, False),
+    ("hazard_field", 0, 5, {"controllers_all": ["seek_energy"],
+                            "hazard_rate": 0.02}, False),
+    ("survival_ample", 1, 300, {"hazard_rate": 0.002}, False),
+    ("survival_zero", 7, 400, {}, False),
+]
+
+
+def test_reused_observation_channels_equal_fresh_ones():
+    # on every bundled scenario each observation, its reused channels
+    # included, must equal one built anew field by field; together the runs
+    # cover every event after which a reused channel could go stale
+    assert sorted(r[0] for r in REUSE_RUNS) == sorted(
+        p.stem for p in CONFIG_DIR.glob("*.cfg"))
+    seen = {"local reused": 0, "local built": 0, "interaction reused": 0,
+            "interaction built": 0, "messages": 0}
+    events = {"merge": 0, "split": 0, "tow=1": 0, "socket": 0,
+              "cause=energy": 0, "cause=hazard": 0}
+    for scenario, seed, ticks, changes, chatter in REUSE_RUNS:
+        cfg = dataclasses.replace(
+            load_scenario_file(CONFIG_DIR / f"{scenario}.cfg"), **changes)
+        sim = Simulation(cfg, seed)
+        if chatter:
+            sim.controllers[0]["chatter"] = _chatter
+            sim.controller_order[0]["chatter"] = len(sim.controller_order[0])
+        observe = sim._observe
+        last = {}
+        ids = range(len(sim.states))
+
+        def observe_and_check(i, delivered):
+            obs = observe(i, delivered)
+            fresh = _observation_from_scratch(sim, i, delivered)
+            # get first, before reading the view as a sequence caches it
+            by_id = {m.id: m for m in fresh.local.modules}
+            view = obs.local.modules
+            assert [view.get(j) for j in ids] == [by_id.get(j) for j in ids]
+            for channel in Observation._fields:
+                got, want = getattr(obs, channel), getattr(fresh, channel)
+                for field in type(want)._fields:
+                    assert getattr(got, field) == getattr(want, field), (
+                        scenario, sim.tick, i, channel, field)
+            local, interaction = last.get(i, (None, None))
+            seen["local reused" if obs.local is local
+                 else "local built"] += 1
+            seen["interaction reused" if obs.interaction is interaction
+                 else "interaction built"] += 1
+            seen["messages"] += len(obs.interaction.messages)
+            last[i] = obs.local, obs.interaction
+            return obs
+
+        sim._observe = observe_and_check
+        sim.run(ticks)
+        for line in sim.log.lines[1:]:
+            fields = line.split()
+            for key in events:
+                events[key] += key in fields[2:]
+        events["socket"] -= sum(line.startswith("0 -1 socket ")
+                                for line in sim.log.lines)
+    assert all(events.values()), events
+    assert all(seen.values()), seen
+
+
 OCCLUDED_MAP = """\
 cellsize 0.25
 ##########
@@ -346,6 +455,43 @@ def test_open_floor_sightlines_are_neither_traced_nor_cached():
     assert [metrics.digest, metrics.events] == ["24e78c658510e1b3", 460]
     assert sim.arena._walls is not None
     assert sim.arena._los_cache == {}
+
+
+def test_a_run_keeps_path_answers_for_this_tick_and_the_last():
+    # the arena's path memo holds exactly the queries of the current tick
+    # and of the one before, whatever the run asks
+    cfg = load_scenario_file(CONFIG_DIR / "desk_challenge.cfg")
+    sim = Simulation(cfg, 11)
+    arena = sim.arena
+    path_clear, sample_path = arena.path_clear, arena._sample_path
+    asked: dict[int, set] = {}
+    sampled = 0
+
+    def recording(x0, y0, x1, y1, passable):
+        asked.setdefault(sim.tick, set()).add((x0, y0, x1, y1, id(passable)))
+        return path_clear(x0, y0, x1, y1, passable)
+
+    def counting(*args):
+        nonlocal sampled
+        sampled += 1
+        return sample_path(*args)
+
+    arena.path_clear = recording
+    arena._sample_path = counting
+    phase_metrics = sim._phase_metrics
+
+    def metrics_and_check():
+        phase_metrics()
+        assert set(arena._paths) == asked.get(sim.tick, set()), sim.tick
+        assert set(arena._paths_old) == asked.get(sim.tick - 1, set()), sim.tick
+
+    sim._phase_metrics = metrics_and_check
+    metrics = sim.run(500)
+    assert [metrics.digest, metrics.events] == ["e2fd2665ab52effd", 34]
+    # a query is sampled only when neither this tick nor the last asked it
+    assert sampled == sum(len(keys - asked.get(t - 1, set()))
+                          for t, keys in asked.items())
+    assert len(asked) > 400 and sampled < 50
 
 
 def test_a_run_without_observers_builds_no_wall_table():
@@ -566,6 +712,33 @@ def test_invariant_scan_catches_each_breach(name):
     assert f" breach name={name} " in sim.log.lines[-1]
 
 
+def _breach_at_tick_3(monkeypatch, name):
+    """Make every Simulation corrupt its state after tick 3's deaths."""
+    death = Simulation._phase_death
+
+    def death_then_corrupt(sim):
+        death(sim)
+        if sim.tick == 3:
+            BREACHES[name](sim)
+
+    monkeypatch.setattr(Simulation, "_phase_death", death_then_corrupt)
+
+
+@pytest.mark.parametrize("name", sorted(BREACHES))
+def test_a_breached_run_still_saves_its_log(name, tmp_path, monkeypatch):
+    _breach_at_tick_3(monkeypatch, name)
+    cfg = load_scenario("[roster]\nscout = 2\nbackbone = 2\n",
+                        map_text=ROOM_MAP)
+    out = tmp_path / "out"
+    with pytest.raises(InvariantBreach) as caught:
+        run_scenario(cfg, seed=3, ticks=6, out_dir=out)
+    assert (caught.value.tick, caught.value.name) == (3, name)
+    lines = (out / "events.log").read_text().splitlines()
+    assert lines[0] == f"# {harness.LOG_VERSION}"
+    assert lines[-1].startswith("3 ") and f" breach name={name} " in lines[-1]
+    assert not (out / "metrics.txt").exists()
+
+
 # -- replay ---------------------------------------------------------------
 
 
@@ -697,3 +870,44 @@ def test_cli_maps_invariant_breach_to_exit_3(cli_dir, capsys, monkeypatch):
     assert rc == 3
     err = capsys.readouterr().err
     assert "invariant breach: invariant breached at tick 5: battery_bounds" in err
+
+
+def test_cli_breach_keeps_the_log_and_writes_no_metrics(cli_dir, capsys,
+                                                        monkeypatch):
+    _breach_at_tick_3(monkeypatch, "battery_bounds")
+    (cli_dir / "four.cfg").write_text(
+        "[arena]\nmap = room.map\n[roster]\nscout = 2\nbackbone = 2\n")
+    out = cli_dir / "out"
+    rc = cli.main(["run", "--config", str(cli_dir / "four.cfg"),
+                   "--ticks", "6", "--out", str(out)])
+    assert rc == 3
+    assert "invariant breach: invariant breached at tick 3: battery_bounds" \
+        in capsys.readouterr().err
+    last = (out / "events.log").read_text().splitlines()[-1]
+    assert last.startswith("3 2 breach name=battery_bounds ")
+    assert not (out / "metrics.txt").exists()
+
+
+def test_a_negative_tick_count_is_refused():
+    sim = Simulation(room_cfg())
+    with pytest.raises(ValueError, match="must not be negative, got -3"):
+        sim.run(-3)
+    assert sim.log.lines == []
+    assert sim.run(0).ticks == 0                  # zero ticks is a real run
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--ticks", "-3"],
+    ["run", "--ticks", "-3", "--out", "OUT"],
+    ["sweep", "--seeds", "1..2", "--ticks", "-1"],
+    ["sweep", "--seeds", "1..2", "--ticks", "-1", "--out", "OUT"],
+])
+def test_cli_refuses_a_negative_tick_count(cli_dir, capsys, argv):
+    out = cli_dir / "out"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    rc = cli.main(argv[:1] + ["--config", str(cli_dir / "run.cfg")] + argv[1:])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: tick count must not be negative" in captured.err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 """Arena parsing, cell geometry, line of sight, socket schedule, sensing."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,65 @@ def test_path_clear_samples_from_the_first_step_to_the_end():
     assert not a.path_clear(0.3, 0.4, 0.2, 0.4, plain)  # rough ground
     assert a.path_clear(0.3, 0.4, 0.2, 0.4, _ABOVE_GROUND)
     assert not a.path_clear(0.1, 0.1, 0.6, 0.1, _ABOVE_GROUND)
+
+
+def _assert_memo_matches_sampler(arena, seg):
+    # every passable set twice, then an equal tuple that is another object
+    for passable in PASSABLE_SETS:
+        want = reference_path_clear(*seg, passable, arena.terrain_at)
+        for query in (passable, passable, tuple(list(passable))):
+            assert arena.path_clear(*seg, query) == want, (seg, passable)
+
+
+def _signed_zeros(seg):
+    """The segment with every zero coordinate given the other sign."""
+    return tuple(-v if v == 0.0 else v for v in seg)
+
+
+@given(data=st.data())
+def test_path_memo_answers_like_the_reference_sampler(data):
+    arena = data.draw(terrain_grids())
+    segs = [data.draw(segments(arena)) for _ in range(6)]
+    segs += [(0.0, 0.0, 0.1, 0.1), (0.1, 0.0, 0.0, 0.0), (0.0, 0.1, 0.0, 0.1)]
+    for seg in segs:
+        if data.draw(st.booleans()):
+            arena.age_path_memo()
+        _assert_memo_matches_sampler(arena, seg)
+        _assert_memo_matches_sampler(arena, _signed_zeros(seg))
+        _assert_memo_matches_sampler(arena, seg)
+
+
+def test_path_memo_stores_no_answer_for_nan():
+    a = arena_from_lines(["....", "...."])
+    plain = (TerrainClass.PLAIN,)
+    for seg in [(math.nan, 0.1, 0.2, 0.1), (0.1, 0.1, 0.2, math.nan),
+                (math.nan, math.nan, math.nan, math.nan)]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                reference_path_clear(*seg, plain, a.terrain_at)
+            with pytest.raises(ValueError):
+                a.path_clear(*seg, plain)
+    assert not a._paths and not a._paths_old
+
+
+def test_path_memo_keeps_this_generation_and_the_last():
+    a = arena_from_lines(["....", "...."])
+    plain, rough = (TerrainClass.PLAIN,), tuple(list(PASSABLE_SETS[-1]))
+    asked = []
+    for gen in range(5):
+        a.age_path_memo()
+        # overlapping with the last generation, so some answers carry over
+        asked.append({(0.1, 0.1, 0.2 + 0.05 * k, 0.3, id(passable))
+                      for k in range(gen, gen + 3)
+                      for passable in (plain, rough)})
+        for key in sorted(asked[-1]):
+            a.path_clear(*key[:4], plain if key[4] == id(plain) else rough)
+        assert set(a._paths) == asked[-1]
+        assert set(a._paths_old) == (asked[-2] if gen else set())
+        # each entry holds its passable tuple, so its id stays unique
+        assert all(held is not None and id(held) == key[4]
+                   for memo in (a._paths, a._paths_old)
+                   for key, (_, held) in memo.items())
 
 
 def test_walkable_cells_row_major():

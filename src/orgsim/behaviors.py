@@ -90,17 +90,6 @@ def servo_drive(pose: Pose, drive_kind: DriveKind, max_speed: float,
     return Drive(sign * speed, 0.0, err / dt)
 
 
-def servo_parked(pose: Pose, tx: float, ty: float,
-                 target_heading: float | None = None) -> bool:
-    """True exactly when servo_drive would return None: the pose is within
-    ARRIVE_TOL of the point and, given a target heading, within HEADING_TOL
-    of it. Tells a parked module apart without building its Drive."""
-    if math.hypot(tx - pose.x, ty - pose.y) >= ARRIVE_TOL:
-        return False
-    return (target_heading is None
-            or abs(ang_diff_deg(target_heading, pose.heading)) <= HEADING_TOL)
-
-
 def _rect_contains(rect: tuple[float, float, float, float],
                    x: float, y: float) -> bool:
     x0, y0, x1, y1 = rect
@@ -256,8 +245,8 @@ class AggregateController(_Controller):
                               pose.y - slot.position[1]) < AT_SLOT_RADIUS)
         if not at_slot:
             return None
-        if not obs.interaction.docked_faces and not servo_parked(
-                pose, slot.position[0], slot.position[1], slot.heading):
+        if not obs.interaction.docked_faces and self._servo(
+                obs, *slot.position, slot.heading) is not None:
             # the seek servo is still driving; holding any earlier would
             # freeze the module before it is latch-accurate
             return None

@@ -8,10 +8,10 @@ makes a finished log replayable with nothing but the log file itself.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .behaviors import REGISTRY
+from .behaviors import EMERGENCY_FRACTION, REGISTRY
 from .energy import DEFAULT_CONTACT_RANGE_M, Tariff
 from .errors import ConfigError
 from .robot_model import Health, ModuleClass
@@ -28,9 +28,8 @@ _CLASS_KEYS = {
 _KNOWN_KEYS = {
     "run": {"name", "days", "dt", "seed"},
     "arena": {"map"},
-    "energy": {"idle_w", "coprocessor_w", "locomotion_j_per_m_kg",
-               "actuation_j_per_nm_rad", "lock_j", "recharge_efficiency",
-               "share_rate_w", "contact_range_m", "hazard_rate", "credit_log"},
+    "energy": {*(f.name for f in fields(Tariff)),
+               "contact_range_m", "hazard_rate", "credit_log"},
     "schedule": {"mode", "active_count", "dwell_min", "dwell_max"},
     "roster": set(_CLASS_KEYS),
     "modules": {"mass", "edge_length", "battery_capacity", "start_fraction"},
@@ -198,15 +197,8 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
     else:
         map_ref = map_ref or "<inline>"
 
-    tariff = Tariff(
-        idle_w=get("energy", "idle_w", 0.5, float),
-        coprocessor_w=get("energy", "coprocessor_w", 2.0, float),
-        locomotion_j_per_m_kg=get("energy", "locomotion_j_per_m_kg", 2.0, float),
-        actuation_j_per_nm_rad=get("energy", "actuation_j_per_nm_rad", 1.0, float),
-        lock_j=get("energy", "lock_j", 5.0, float),
-        recharge_efficiency=get("energy", "recharge_efficiency", 0.9, float),
-        share_rate_w=get("energy", "share_rate_w", 50.0, float),
-    )
+    tariff = Tariff(**{f.name: get("energy", f.name, f.default, float)
+                       for f in fields(Tariff)})
 
     roster = {mc: get("roster", key, 0, int) for key, mc in _CLASS_KEYS.items()}
     overrides = {}
@@ -257,7 +249,7 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
         controllers_by_class=by_class,
         controller_params={
             "emergency_fraction": get("controllers", "emergency_fraction",
-                                      0.15, float),
+                                      EMERGENCY_FRACTION, float),
         },
         sensing_range_m=get("sensing", "range_m", 5.0, float),
         radio_range_m=get("sensing", "radio_range_m", 10.0, float),
@@ -350,9 +342,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             if sp.battery is not None and not 0.0 <= sp.battery <= 1.0:
                 findings.append(f"spawn {mid} battery {sp.battery} outside [0, 1]")
     else:
-        free = len(arena.walkable_cells())
+        free = len(arena.free_cells())
         if n > free:
-            findings.append(
-                f"{n} modules cannot spawn on {free} walkable cells")
+            findings.append(f"{n} modules cannot spawn on {free} free cells")
 
     return findings

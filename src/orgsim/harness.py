@@ -203,9 +203,9 @@ class Simulation:
         self._engaged: set[int] = set()        # id(port) of ports in a pairing
         self._reach_cache: dict[int, float] = {}
         self.visited: set[tuple[int, int]] = set()
-        # per id, the (immutable) Pose last added to `visited` / bounds-checked
-        self._visited_poses: list[Pose | None] = [None] * len(self.states)
-        self._checked_poses: list[Pose | None] = [None] * len(self.states)
+        # per id, the (immutable) Pose the last metrics phase saw: a module
+        # still on it is neither added to `visited` nor bounds-checked again
+        self._metric_poses: list[Pose | None] = [None] * len(self.states)
         self.disposed: set[int] = set()
         self.deaths_energy = 0
         self.deaths_hardware = 0
@@ -264,11 +264,7 @@ class Simulation:
         n = cfg.module_count
         spawn_cells = None
         if cfg.spawn_mode == "seeded":
-            cells = self.arena.walkable_cells()
-            if self.arena.graveyard is not None:
-                x0, y0, x1, y1 = self.arena.graveyard
-                cells = [c for c in cells
-                         if not (x0 <= c[0] <= x1 and y0 <= c[1] <= y1)]
+            cells = self.arena.free_cells()
             if n > len(cells):
                 raise ConfigError(
                     f"{n} modules cannot spawn on {len(cells)} free cells")
@@ -748,8 +744,8 @@ class Simulation:
         arena = self.arena
         for i, st in self.states.items():
             if st.health is _OK:
-                if st.pose is not self._visited_poses[i]:
-                    self._visited_poses[i] = st.pose
+                # _invariant_scan below records the pose as seen
+                if st.pose is not self._metric_poses[i]:
                     self.visited.add(arena.cell_of(st.pose.x, st.pose.y))
             elif (i not in self.disposed and arena.graveyard is not None
                   and in_graveyard(arena, st.pose.x, st.pose.y)):
@@ -783,10 +779,10 @@ class Simulation:
             if st.health is _ENERGY_DEAD and st.battery_pj != 0:
                 self._breach(i, "dead_battery",
                              f"energy-dead with {st.battery_pj} pJ")
-            if (st.pose is not self._checked_poses[i]
+            if (st.pose is not self._metric_poses[i]
                     and not self.arena.in_bounds(st.pose.x, st.pose.y)):
                 self._breach(i, "out_of_bounds", f"({st.pose.x}, {st.pose.y})")
-            self._checked_poses[i] = st.pose
+            self._metric_poses[i] = st.pose
             for p in st.ports:
                 if p.phase is _FREE and p.peer is None:
                     continue

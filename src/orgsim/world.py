@@ -86,8 +86,6 @@ class Arena:
         self.sockets = sorted(sockets, key=lambda s: s.id)
         self._socket_ids: dict[int, Socket] = {}   # filled by _validate
         self.graveyard = graveyard
-        # unordered cell pair -> sightline, keyed by one int (see line_of_sight)
-        self._los_cache: dict[int, bool] = {}
         # summed-area table of obstacle cells, built on the first in-grid
         # sightline query (see _wall_table)
         self._walls: list[int] | None = None
@@ -216,6 +214,15 @@ class Arena:
         return [(cx, cy) for cy in range(self.height) for cx in range(self.width)
                 if self.cells[cy][cx] is not TerrainClass.OBSTACLE]
 
+    def free_cells(self) -> list[tuple[int, int]]:
+        """The walkable cells outside the graveyard, in row order: where a
+        seeded run places its modules."""
+        if self.graveyard is None:
+            return self.walkable_cells()
+        x0, y0, x1, y1 = self.graveyard
+        return [(cx, cy) for cx, cy in self.walkable_cells()
+                if not (x0 <= cx <= x1 and y0 <= cy <= y1)]
+
     # -- line of sight ----------------------------------------------------
 
     def line_of_sight(self, cell_a: tuple[int, int], cell_b: tuple[int, int]) -> bool:
@@ -228,34 +235,24 @@ class Arena:
         The walk never leaves the bounding rectangle of its two end cells,
         so an in-grid pair whose rectangle holds no obstacle cell is visible
         without a walk; the wall-count table answers that in four lookups.
-        Other in-grid pairs are traced once and cached per unordered pair;
-        the first query traces from its own first cell.
+        Any other pair, off-grid cells included, is walked on every query.
         """
         ax, ay = cell_a
         bx, by = cell_b
         width = self.width
-        if not (0 <= ax < width and 0 <= bx < width
+        if (0 <= ax < width and 0 <= bx < width
                 and 0 <= ay < self.height and 0 <= by < self.height):
-            return self._trace(cell_a, cell_b)   # off-grid cells share no key
-        walls = self._walls
-        if walls is None:
-            walls = self._wall_table()
-        x0, x1 = (ax, bx + 1) if ax <= bx else (bx, ax + 1)
-        r0, r1 = (ay, by + 1) if ay <= by else (by, ay + 1)
-        r0 *= width + 1
-        r1 *= width + 1
-        if not (walls[r1 + x1] - walls[r0 + x1] - walls[r1 + x0] + walls[r0 + x0]):
-            return True
-        ia = ay * width + ax
-        ib = by * width + bx
-        ncells = width * self.height
-        key = ia * ncells + ib if ia <= ib else ib * ncells + ia
-        hit = self._los_cache.get(key)
-        if hit is not None:
-            return hit
-        result = self._trace(cell_a, cell_b)
-        self._los_cache[key] = result
-        return result
+            walls = self._walls
+            if walls is None:
+                walls = self._wall_table()
+            x0, x1 = (ax, bx + 1) if ax <= bx else (bx, ax + 1)
+            r0, r1 = (ay, by + 1) if ay <= by else (by, ay + 1)
+            r0 *= width + 1
+            r1 *= width + 1
+            if not (walls[r1 + x1] - walls[r0 + x1]
+                    - walls[r1 + x0] + walls[r0 + x0]):
+                return True
+        return self._trace(cell_a, cell_b)
 
     def _wall_table(self) -> list[int]:
         """Build the flat (width+1) x (height+1) summed-area table: entry

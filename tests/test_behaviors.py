@@ -18,10 +18,10 @@ from orgsim.behaviors import (ARRIVE_TOL, AT_SLOT_RADIUS, DOCK_PRIORITY,
                               AggregateController, DisposalController,
                               ExploreController, REGISTRY,
                               SeekEnergyController, StackSlot, assigned_slot,
-                              build_controllers, servo_drive, servo_parked)
-from orgsim.control import (Dock, Drive, Idle, InteractionChannel,
-                            InternalChannel, LocalChannel, Observation,
-                            Recharge, SelfChannel, SensedModule,
+                              build_controllers, servo_drive)
+from orgsim.control import (ActionProposal, Dock, Drive, Idle,
+                            InteractionChannel, InternalChannel, LocalChannel,
+                            Observation, Recharge, SelfChannel, SensedModule,
                             SensedModules, Undock)
 from orgsim.docking import ACCURATE_TOLERANCE, ROUGH_TOLERANCE, Face
 from orgsim.errors import ConfigError
@@ -166,19 +166,6 @@ def test_servo_refines_heading_after_arriving():
     assert cmd.angular == pytest.approx(4.5)
     assert servo_drive(Pose(1.0, 1.0, 90.0), DriveKind.TRACKED, 0.125,
                        1.0, 1.0, 10.0, target_heading=90.0) is None
-
-
-@given(st.floats(-2 * ARRIVE_TOL, 2 * ARRIVE_TOL),
-       st.floats(-2 * ARRIVE_TOL, 2 * ARRIVE_TOL),
-       st.floats(-2 * HEADING_TOL, 2 * HEADING_TOL),
-       st.sampled_from([None, 0.0, 90.0, 359.5]),
-       st.sampled_from(list(DriveKind)))
-def test_servo_parked_is_exactly_when_the_servo_stops(dx, dy, dh,
-                                                      target_heading, kind):
-    pose = Pose(1.0 + dx, 1.0 + dy, (target_heading or 0.0) + dh)
-    stopped = servo_drive(pose, kind, SPEC_OF_KIND[kind].max_speed,
-                          1.0, 1.0, 10.0, target_heading) is None
-    assert servo_parked(pose, 1.0, 1.0, target_heading) is stopped
 
 
 def test_servo_memo_answers_what_servo_drive_answers(monkeypatch):
@@ -342,6 +329,26 @@ def test_aggregate_waits_when_misaligned_or_busy():
     near = obs_for(mid=1, pose=Pose(1.02, 0.33, 90.0),
                    sockets=[socket(0, 1.0, 0.25)], modules=[pred])
     assert ctl(near) is None
+
+
+@given(st.floats(-2 * ARRIVE_TOL, 2 * ARRIVE_TOL),
+       st.floats(-2 * ARRIVE_TOL, 2 * ARRIVE_TOL),
+       st.floats(-2 * HEADING_TOL, 2 * HEADING_TOL),
+       st.sampled_from([0.0, 90.0, 359.5]),      # a slot always has a heading
+       st.sampled_from(list(DriveKind)))
+def test_aggregate_holds_at_its_slot_exactly_when_the_servo_stops(
+        dx, dy, dh, target_heading, kind):
+    # undocked, at its slot: holding any earlier would freeze the module
+    # before it is latch-accurate, any later would leave it idle
+    spec = SPEC_OF_KIND[kind]
+    pose = Pose(1.0 + dx, 1.0 + dy, target_heading + dh)
+    obs = obs_for(pose=pose, mc=spec.module_class,
+                  sockets=[socket(0, 1.0, 1.0, approach=target_heading)])
+    stopped = servo_drive(pose, kind, spec.max_speed,
+                          1.0, 1.0, 10.0, target_heading) is None
+    props = AggregateController(0, Rng(1))(obs)
+    assert props == ([ActionProposal(HOLD_PRIORITY, Idle())] if stopped
+                     else None)
 
 
 def test_aggregate_ignores_a_dead_predecessor():

@@ -2,9 +2,11 @@
 
 import pytest
 
+from orgsim import cli
 from orgsim.config import (SECONDS_PER_DAY, SpawnSpec, load_scenario,
                            load_scenario_file, validate_scenario)
 from orgsim.errors import ConfigError
+from orgsim.harness import Simulation
 from orgsim.robot_model import Health, ModuleClass
 
 MAP = """\
@@ -362,3 +364,26 @@ def test_validate_spawn_placement():
 def test_validate_seeded_needs_room():
     findings = check("[roster]\nscout = 99\n")
     assert any("cannot spawn on" in f for f in findings)
+
+
+YARD = "#####\n#..G#\n#####\n"      # two floor cells and a graveyard cell
+
+
+def test_validate_counts_the_cells_a_run_spawns_on():
+    # the graveyard is walkable, but a seeded run places no module on it
+    findings = check("[roster]\nscout = 3\n", map_text=YARD)
+    assert "3 modules cannot spawn on 2 free cells" in findings
+    with pytest.raises(ConfigError, match="3 modules cannot spawn on 2 free"):
+        Simulation(load("[roster]\nscout = 3\n", map_text=YARD))
+    fits = load("[roster]\nscout = 2\n", map_text=YARD)
+    assert validate_scenario(fits) == []
+    assert len(Simulation(fits).states) == 2
+
+
+def test_cli_run_reports_a_roster_too_big_for_the_free_cells(tmp_path, capsys):
+    (tmp_path / "yard.map").write_text(YARD)
+    cfg = tmp_path / "yard.cfg"
+    cfg.write_text("[arena]\nmap = yard.map\n[roster]\nscout = 3\n")
+    assert cli.main(["run", "--config", str(cfg), "--ticks", "1"]) == 2
+    assert ("finding: 3 modules cannot spawn on 2 free cells"
+            in capsys.readouterr().err)

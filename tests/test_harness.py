@@ -448,13 +448,23 @@ def test_observing_builds_few_sensed_module_records(scenario, seed, ticks,
 def test_open_floor_sightlines_are_neither_traced_nor_cached():
     # a deterministic cost guard: full_scale has walls on its border only,
     # so every sightline between two modules on the floor answers from the
-    # wall-count table, with no walk and no cache entry
+    # wall-count table, with no walk
     cfg = load_scenario_file(CONFIG_DIR / "full_scale.cfg")
     sim = Simulation(cfg, 42)
+    arena = sim.arena
+    walks = 0
+    trace = arena._trace
+
+    def counting_trace(p, q):
+        nonlocal walks
+        walks += 1
+        return trace(p, q)
+
+    arena._trace = counting_trace
     metrics = sim.run(20)
     assert [metrics.digest, metrics.events] == ["24e78c658510e1b3", 460]
-    assert sim.arena._walls is not None
-    assert sim.arena._los_cache == {}
+    assert arena._walls is not None
+    assert walks == 0
 
 
 def test_a_run_keeps_path_answers_for_this_tick_and_the_last():

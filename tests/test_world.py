@@ -94,6 +94,16 @@ def test_socket_validation():
         parse_arena(open_floor + "\nsocket 0 2 1 0.3 20")
 
 
+def test_free_cells_leave_out_walls_and_the_graveyard(room):
+    free = room.free_cells()
+    assert free == [c for c in room.walkable_cells()
+                    if c not in {(1, 4), (2, 4)}]
+    assert len(free) == 7 * 4 - 1 - 2           # floor less pillar and yard
+    no_grave = parse_arena("..\n#.")
+    assert no_grave.free_cells() == no_grave.walkable_cells() == [
+        (0, 0), (1, 0), (1, 1)]
+
+
 def test_graveyard_must_fill_its_rectangle():
     with pytest.raises(ConfigError, match="rectangle"):
         parse_arena("G.G\n...")
@@ -150,15 +160,13 @@ cells7 = st.tuples(st.integers(0, 6), st.integers(0, 6))
 def test_los_is_symmetric(walls, a, b):
     rows = ["".join("#" if (x, y) in walls else "." for x in range(7))
             for y in range(7)]
-    # two arenas so the direction-normalizing cache cannot mask asymmetry
-    assert (arena_from_lines(rows).line_of_sight(a, b)
-            == arena_from_lines(rows).line_of_sight(b, a))
+    arena = arena_from_lines(rows)
+    assert arena.line_of_sight(a, b) == arena.line_of_sight(b, a)
 
 
-def test_los_cache_answers_every_pair_of_a_tall_arena():
-    # 3 wide by 7 tall: a key that mixed up width and height, or packed a
-    # pair into an int that another pair also maps to, would hand one
-    # pair's cached answer to another
+def test_los_answers_every_pair_of_a_tall_arena():
+    # 3 wide by 7 tall: a wall-table index that mixed up width and height
+    # would count the walls of another pair's rectangle
     rows = ["..#",
             ".#.",
             "...",
@@ -178,25 +186,39 @@ def test_los_cache_answers_every_pair_of_a_tall_arena():
 
 
 MAP_DIR = Path(__file__).resolve().parent.parent / "configs" / "maps"
+BUNDLED_MAPS = ["ample", "challenge", "disposal_open", "disposal_walled", "zero",
+                pytest.param("hazard", marks=pytest.mark.slow)]  # 640 cells
 
 
 def _assert_los_matches_trace(arena, cells):
     # every ordered pair on one arena: wall-free boxes answer from the
-    # table, the rest fill the cache, and a cached answer must match a
-    # walk in the direction asked
+    # table, and that answer must match a walk
     for p in cells:
         for q in cells:
             assert arena.line_of_sight(p, q) == arena._trace(p, q), (p, q)
 
 
-@pytest.mark.parametrize("name", [
-    "ample", "challenge", "disposal_open", "disposal_walled", "zero",
-    pytest.param("hazard", marks=pytest.mark.slow),   # 640 cells, ~7 s
-])
+def _assert_trace_is_symmetric(arena, cells):
+    # a sightline is answered by walking from whichever end is asked first,
+    # and _refresh_sight writes that one answer for both directions
+    for k, p in enumerate(cells):
+        for q in cells[k + 1:]:
+            assert arena._trace(p, q) == arena._trace(q, p), (p, q)
+
+
+@pytest.mark.parametrize("name", BUNDLED_MAPS)
 def test_los_matches_a_trace_on_every_pair_of_a_bundled_map(name):
     a = parse_arena((MAP_DIR / f"{name}.map").read_text())
     _assert_los_matches_trace(
         a, [(x, y) for y in range(a.height) for x in range(a.width)])
+
+
+@pytest.mark.parametrize("name", BUNDLED_MAPS)
+def test_trace_is_symmetric_on_every_pair_of_a_bundled_map(name):
+    a = parse_arena((MAP_DIR / f"{name}.map").read_text())
+    _assert_trace_is_symmetric(
+        a, [(x, y) for y in range(-1, a.height + 1)
+            for x in range(-1, a.width + 1)])
 
 
 @st.composite
@@ -219,6 +241,12 @@ def test_los_matches_a_trace_on_random_walls(grid):
     _assert_los_matches_trace(arena_from_lines(rows), ends)
 
 
+@given(walled_grids())
+def test_trace_is_symmetric_on_random_walls(grid):
+    rows, ends = grid
+    _assert_trace_is_symmetric(arena_from_lines(rows), ends)
+
+
 @pytest.mark.parametrize("rows", [["."] * 5, ["#"] * 5, [".#.#."],
                                   ["#....#"], ["#", ".", ".", "#", "."]])
 def test_los_matches_a_trace_on_one_cell_wide_grids(rows):
@@ -228,42 +256,46 @@ def test_los_matches_a_trace_on_one_cell_wide_grids(rows):
             for x in range(-1, a.width + 1)])
 
 
+def _count_walks(arena):
+    walked = []
+    trace = arena._trace
+
+    def counting_trace(p, q):
+        walked.append((p, q))
+        return trace(p, q)
+
+    arena._trace = counting_trace
+    return walked
+
+
 def test_los_answers_wall_free_boxes_without_tracing_or_caching():
     a = arena_from_lines(["#########",
                           "#.......#",
                           "#...#...#",
                           "#.......#",
                           "#########"])
+    walked = _count_walks(a)
     assert a._walls is None                      # built on the first query
     assert a.line_of_sight((1, 1), (3, 3))       # box holds no wall
     assert a._walls is not None
     assert a.line_of_sight((5, 3), (7, 1))
-    assert a._los_cache == {}
-    assert a.line_of_sight((1, 2), (1, 0))       # wall end cell: traced
-    assert len(a._los_cache) == 1
-    assert not a.line_of_sight((3, 2), (5, 2))   # wall between: traced
-    assert len(a._los_cache) == 2
-    assert not a.line_of_sight((-1, 1), (1, 1))  # off the grid: traced,
-    assert len(a._los_cache) == 2                # never cached
+    assert walked == []
+    assert a.line_of_sight((1, 2), (1, 0))       # wall end cell: walked
+    assert not a.line_of_sight((3, 2), (5, 2))   # wall between: walked
+    assert not a.line_of_sight((-1, 1), (1, 1))  # off the grid: walked
+    assert walked == [((1, 2), (1, 0)), ((3, 2), (5, 2)), ((-1, 1), (1, 1))]
 
 
-def test_a_walled_pair_still_traces_and_caches():
+def test_a_walled_pair_walks_on_every_query_in_both_directions():
     a = parse_arena((MAP_DIR / "disposal_walled.map").read_text())
     inside, outside = (4, 4), (4, 1)             # the sealed pocket
-    traced = []
-    trace = a._trace
-
-    def counting_trace(p, q):
-        traced.append((p, q))
-        return trace(p, q)
-
-    a._trace = counting_trace
-    assert not a.line_of_sight(outside, inside)
-    assert traced == [(outside, inside)] and list(a._los_cache.values()) == [False]
-    assert not a.line_of_sight(inside, outside)  # the cached answer
-    assert len(traced) == 1
-    assert a.line_of_sight((7, 1), (14, 8))      # open floor: no trace
-    assert len(traced) == 1 and len(a._los_cache) == 1
+    walked = _count_walks(a)
+    for _ in range(2):
+        assert not a.line_of_sight(outside, inside)
+        assert not a.line_of_sight(inside, outside)
+    assert walked == [(outside, inside), (inside, outside)] * 2
+    assert a.line_of_sight((7, 1), (14, 8))      # open floor: no walk
+    assert len(walked) == 4
 
 
 # -- swept paths ----------------------------------------------------------

@@ -14,8 +14,7 @@ def main():
     cfg = load_scenario_file("configs/desk_challenge.cfg")
     arena = cfg.build_arena()
     sched = SocketScheduler(
-        SocketSchedule(cfg.seed, cfg.dwell_min, cfg.dwell_max,
-                       cfg.active_count),
+        SocketSchedule(cfg.dwell_min, cfg.dwell_max, cfg.active_count),
         arena.sockets, Rng(cfg.seed).substream("schedule"))
 
     live = sorted(s.id for s in arena.sockets if s.active)

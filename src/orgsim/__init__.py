@@ -10,8 +10,7 @@ event logs bit for bit.
 from .config import ScenarioConfig, load_scenario, load_scenario_file, validate_scenario
 from .control import (ActionProposal, Actuate, Dock, Drive, Idle, Message,
                       MessageBus, Observation, Recharge, Rejected,
-                      ToggleCoprocessor, Tow, Undock, fitness, guard_action,
-                      select_action)
+                      ToggleCoprocessor, Tow, Undock, guard_action, select_action)
 from .docking import DockPhase, DockPort, Face, advance_dock, attempt_align, undock
 from .energy import (EnergyLedger, Tariff, classify_deaths, recharge,
                      share_energy)
@@ -40,7 +39,7 @@ __all__ = [
     "SimulationError", "Simulation", "Socket", "SocketScheduler", "Tariff",
     "TerrainClass", "ToggleCoprocessor", "Tow", "Translate", "Turn",
     "Undock", "actuate_joint", "advance_dock", "attempt_align",
-    "classify_deaths", "fitness", "guard_action", "load_scenario",
+    "classify_deaths", "guard_action", "load_scenario",
     "load_scenario_file", "locomotion_step", "make_module_spec",
     "new_module_state", "organism_move", "parse_arena", "reach_height",
     "recharge", "replay_file", "replay_log", "run_scenario", "select_action",

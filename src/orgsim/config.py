@@ -317,6 +317,9 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         findings.append("sensing range_m must not be negative")
     if cfg.radio_range_m < 0:
         findings.append("radio_range_m must not be negative")
+    if not cfg.contact_range_m >= 0:       # NaN included
+        findings.append(
+            f"contact_range_m {cfg.contact_range_m} must not be negative")
 
     all_lists = [cfg.controllers_all, *cfg.controllers_by_class.values()]
     for names in all_lists:

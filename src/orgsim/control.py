@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from .docking import DockPhase, Face
@@ -256,6 +257,7 @@ class ActionProposal(NamedTuple):
 
 
 IDLE_PROPOSAL = ActionProposal(PRIORITY_MAX, Idle(), source="framework")
+_priority = attrgetter("priority")
 
 
 def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
@@ -303,20 +305,14 @@ def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
     return out
 
 
-def select_action(proposals, controller_order: dict[str, int]) -> ActionProposal:
-    """Pick the most urgent proposal; registration order breaks ties.
+def select_action(proposals) -> ActionProposal:
+    """Pick the first proposal with the lowest priority number.
 
-    The outcome is independent of the order proposals arrive in. With no
-    proposals at all the module idles.
+    Ties go to the earlier proposal in list order; step_controllers lists
+    proposals in registration order, so the controller registered first
+    wins. With no proposals at all the module idles.
     """
-    best = None
-    best_key = None
-    for prop in proposals:
-        key = (prop.priority, controller_order.get(prop.source, len(controller_order)),
-               prop.source)
-        if best_key is None or key < best_key:
-            best, best_key = prop, key
-    return best if best is not None else IDLE_PROPOSAL
+    return min(proposals, key=_priority, default=IDLE_PROPOSAL)
 
 
 # -- the guard ------------------------------------------------------------
@@ -461,41 +457,6 @@ def _guard_dock(action: Dock, ctx: GuardContext) -> Action | Rejected:
                         f"target face {action.target_face.value} is "
                         f"{theirs.phase.value}")
     return action
-
-
-# -- fitness --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FitnessVector:
-    """Per-module wellbeing summary, all components in [0, 1]."""
-
-    coverage: float            # fraction of the arena this module has visited
-    energy_proximity: float    # 1 / (1 + metres to nearest known active socket)
-    docking: float             # docked faces / 4
-    battery: float             # charge fraction
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.coverage, self.energy_proximity, self.docking, self.battery)
-
-    def weighted(self, w_cov=0.25, w_prox=0.25, w_dock=0.25, w_batt=0.25) -> float:
-        return (w_cov * self.coverage + w_prox * self.energy_proximity
-                + w_dock * self.docking + w_batt * self.battery)
-
-
-def fitness(obs: Observation, coverage: float) -> FitnessVector:
-    active = [s for s in obs.local.sockets if s.active]
-    if active:
-        d = min(s.distance for s in active)
-        prox = 1.0 / (1.0 + d)
-    else:
-        prox = 0.0
-    return FitnessVector(
-        coverage=coverage,
-        energy_proximity=prox,
-        docking=len(obs.interaction.docked_faces) / 4.0,
-        battery=obs.me.battery_fraction,
-    )
 
 
 # -- messaging ------------------------------------------------------------

@@ -32,7 +32,7 @@ from .errors import CommandError, ConfigError, InvariantBreach, ReplayError
 from .geometry import Pose, rotate_vec
 from .organism import (OrganismRegistry, Translate, Turn, edge_key,
                        organism_move, reach_height)
-from .rng import Fnv1a, Rng
+from .rng import Rng, fnv1a64
 from .robot_model import (DriveCommand, Health, ModuleState, actuate_joint,
                           locomotion_step, make_module_spec, new_module_state,
                           pair_tolerance)
@@ -65,12 +65,12 @@ class EventLog:
 
     def __init__(self):
         self.lines: list[str] = []
-        self._fnv = Fnv1a()
+        self._fnv = fnv1a64(b"")
         self.event_count = 0
 
     def raw(self, line: str) -> None:
         self.lines.append(line)
-        self._fnv.update(line + "\n")
+        self._fnv = fnv1a64(line + "\n", self._fnv)
 
     def event(self, tick: int, module_id: int, kind: str, **fields) -> None:
         parts = [str(tick), str(module_id), kind]
@@ -80,7 +80,7 @@ class EventLog:
 
     @property
     def digest(self) -> str:
-        return self._fnv.hexdigest()
+        return f"{self._fnv:016x}"
 
     def save(self, path: Path) -> None:
         path.write_text("\n".join(self.lines) + "\n")
@@ -182,8 +182,7 @@ class Simulation:
         self.scheduler: SocketScheduler | None = None
         if cfg.schedule_mode == "rotating" and self.arena.sockets:
             self.scheduler = SocketScheduler(
-                SocketSchedule(self.seed, cfg.dwell_min, cfg.dwell_max,
-                               cfg.active_count),
+                SocketSchedule(cfg.dwell_min, cfg.dwell_max, cfg.active_count),
                 self.arena.sockets, master.substream("schedule"))
         else:
             for s in self.arena.sockets:
@@ -192,7 +191,6 @@ class Simulation:
         self.specs = {}
         self.states: dict[int, ModuleState] = {}
         self.controllers = {}
-        self.controller_order = {}
         self.ledger = EnergyLedger()
         self._spawn_modules()
 
@@ -200,8 +198,6 @@ class Simulation:
         self._mailboxes = {i: Mailbox(self.bus, i) for i in self.states}
         self.registry = OrganismRegistry()
         self.pairs: dict[tuple, _Pairing] = {}
-        self._engaged: set[int] = set()        # id(port) of ports in a pairing
-        self._reach_cache: dict[int, float] = {}
         self.visited: set[tuple[int, int]] = set()
         # per id, the (immutable) Pose the last metrics phase saw: a module
         # still on it is neither added to `visited` nor bounds-checked again
@@ -297,7 +293,6 @@ class Simulation:
             names = cfg.controllers_for(mc)
             self.controllers[i] = build_controllers(
                 names, i, self._rng_noise, cfg.controller_params)
-            self.controller_order[i] = {name: k for k, name in enumerate(names)}
 
     def _write_header(self, total_ticks: int) -> None:
         self.log.raw(f"# {LOG_VERSION}")
@@ -490,7 +485,7 @@ class Simulation:
         for i in alive:
             obs = self._observe(i, delivered)
             proposals = step_controllers(self.controllers[i], obs)
-            choice = select_action(proposals, self.controller_order[i])
+            choice = select_action(proposals)
             if not isinstance(choice.action, Idle):
                 selected[i] = choice
         self._ports_changed = False
@@ -498,8 +493,8 @@ class Simulation:
 
     def _phase_execute(self, selected: dict[int, ActionProposal]) -> None:
         moved_orgs: set[int] = set()
-        for i in sorted(selected):
-            prop = selected[i]
+        # _phase_decide fills `selected` in id order
+        for i, prop in selected.items():
             st = self.states[i]
             org = self.registry.organism_of(i)
             if (isinstance(prop.action, Drive) and org is not None
@@ -599,29 +594,25 @@ class Simulation:
         other = self.states[action.target_id]
         mine = st.port(action.face)
         theirs = other.port(action.target_face)
-        if (id(mine) in self._engaged or id(theirs) in self._engaged
-                or mine.phase is not DockPhase.FREE
-                or theirs.phase is not DockPhase.FREE):
+        key = edge_key(mine, theirs)
+        # the phase test misses only a pairing made earlier in this execute
+        # phase: its ports stay FREE until the docking phase advances it
+        if (mine.phase is not _FREE or theirs.phase is not _FREE
+                or any(end in k for k in self.pairs for end in key)):
             self._note_rejection(i, Rejected(
                 "protocol", "port already engaged by another pairing"),
                 "execute")
             return
-        key = edge_key(mine, theirs)
         self.pairs[key] = _Pairing(mine, theirs, isinstance(action, Tow))
-        self._engaged.add(id(mine))
-        self._engaged.add(id(theirs))
 
     def _reach_of(self, i: int, org) -> float:
         """Reach of module i, whose organism (or None) the caller looked up.
-        Cached per organism id; docking drops the ids a merge or split
-        touched."""
+        Kept on the organism, which the registry replaces on every change."""
         if org is None:
             return self.specs[i].edge_length
-        cached = self._reach_cache.get(org.id)
-        if cached is None:
-            cached = reach_height(org, self.specs)
-            self._reach_cache[org.id] = cached
-        return cached
+        if org.reach is None:
+            org.reach = reach_height(org, self.specs)
+        return org.reach
 
     def _do_recharge(self, i: int, socket_id: int) -> None:
         st = self.states[i]
@@ -680,7 +671,6 @@ class Simulation:
             elif now is DockPhase.DOCKED:
                 ev = self.registry.register_edge(pa, pb)
                 self.merges += 1
-                self._forget_reach(ev.organism_id, *ev.absorbed)
                 self.log.event(self.tick, -1, "merge", org=ev.organism_id,
                                size=len(ev.nodes),
                                absorbed="+".join(map(str, ev.absorbed)) or "-")
@@ -691,19 +681,12 @@ class Simulation:
                 # which is exactly what lets the halves move apart
                 ev = self.registry.remove_edge(key)
                 self.splits += 1
-                self._forget_reach(ev.organism_id, *ev.survivors)
                 self.log.event(self.tick, -1, "split", org=ev.organism_id,
                                survivors="+".join(map(str, ev.survivors)) or "-",
                                dissolved="+".join(map(str, ev.dissolved)) or "-")
                 self._refresh_carried(pa.owner, pb.owner)
             if now is DockPhase.FREE:
                 del self.pairs[key]
-                self._engaged.discard(id(pa))
-                self._engaged.discard(id(pb))
-
-    def _forget_reach(self, *org_ids: int) -> None:
-        for org_id in org_ids:
-            self._reach_cache.pop(org_id, None)
 
     def _refresh_carried(self, *ids: int) -> None:
         for mid in ids:

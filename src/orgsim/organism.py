@@ -32,9 +32,16 @@ def edge_key(port_a: DockPort, port_b: DockPort) -> EdgeKey:
 
 @dataclass
 class Organism:
+    """One connected body. The registry never edits an organism it has
+    published: every merge, split or loop-closing edge builds a new one, so
+    facts derived from the shape, such as `reach`, can live on the object.
+    """
+
     id: int
     nodes: set[int] = field(default_factory=set)
     edges: set[EdgeKey] = field(default_factory=set)
+    # reach_height of this shape, filled by whoever first asks for it
+    reach: float | None = field(default=None, compare=False, repr=False)
 
     def sorted_nodes(self) -> list[int]:
         return sorted(self.nodes)
@@ -88,9 +95,9 @@ class OrganismRegistry:
         absorbed = []
         if org_a is None and org_b is None:
             org = Organism(id=min(a, b), nodes={a, b}, edges={key})
-        elif org_a is org_b:
-            org = org_a
-            org.edges.add(key)  # extra edge closing a loop
+        elif org_a is org_b:   # an extra edge closing a loop
+            org = Organism(id=org_a.id, nodes=set(org_a.nodes),
+                           edges=org_a.edges | {key})
         else:
             parts = [o for o in (org_a, org_b) if o is not None]
             nodes = {a, b}
@@ -101,8 +108,6 @@ class OrganismRegistry:
                 absorbed.append(o.id)
                 del self.organisms[o.id]
             org = Organism(id=min(nodes), nodes=nodes, edges=edges)
-        self.organisms.pop(org.id, None)
-        org.id = min(org.nodes)
         self.organisms[org.id] = org
         for n in org.nodes:
             self._member_of[n] = org.id
@@ -116,12 +121,12 @@ class OrganismRegistry:
         if org is None or key not in org.edges:
             raise ValueError(f"edge {key} is not registered")
         old_id = org.id
-        org.edges.discard(key)
+        edges = org.edges - {key}
         del self.organisms[old_id]
         for n in org.nodes:
             del self._member_of[n]
 
-        components = _components(org.nodes, org.edges)
+        components = _components(org.nodes, edges)
         survivors = []
         dissolved = []
         for comp in components:
@@ -130,7 +135,7 @@ class OrganismRegistry:
                 continue
             new_org = Organism(
                 id=min(comp), nodes=set(comp),
-                edges={e for e in org.edges if e[0][0] in comp and e[1][0] in comp})
+                edges={e for e in edges if e[0][0] in comp and e[1][0] in comp})
             self.organisms[new_org.id] = new_org
             for n in comp:
                 self._member_of[n] = new_org.id

@@ -26,34 +26,14 @@ _FNV_PRIME = 0x100000001B3
 _SPLIT_INC = 0x9E3779B97F4A7C15
 
 
-def fnv1a64(data: bytes | str) -> int:
-    """FNV-1a 64-bit hash, also used for event log digests."""
+def fnv1a64(data: bytes | str, h: int = _FNV_OFFSET) -> int:
+    """FNV-1a 64-bit hash, also used for event log digests. Pass the value
+    of an earlier call as `h` to continue hashing where it stopped."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    h = _FNV_OFFSET
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & _M64
     return h
-
-
-class Fnv1a:
-    """Incremental form of fnv1a64, fed line by line by the event log."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = _FNV_OFFSET
-
-    def update(self, data: bytes | str) -> None:
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        h = self.value
-        for b in data:
-            h = ((h ^ b) * _FNV_PRIME) & _M64
-        self.value = h
-
-    def hexdigest(self) -> str:
-        return f"{self.value:016x}"
 
 
 def splitmix64(x: int) -> int:

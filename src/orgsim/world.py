@@ -385,7 +385,6 @@ def arena_from_lines(rows: list[str], sockets: list[Socket] | None = None,
 class SocketSchedule:
     """Parameters for seeded socket replacement: keep exactly active_count on."""
 
-    seed: int
     dwell_min: int
     dwell_max: int
     active_count: int

@@ -347,7 +347,6 @@ def test_criterion_7_guard_soundness_fuzz():
     counter = [0]
     for i in sim.states:
         sim.controllers[i] = {"fuzz": FuzzBrain(i, counter)}
-        sim.controller_order[i] = {"fuzz": 0}
     metrics = sim.run(16700)   # 6 proposers per tick
     assert counter[0] >= 100_000
     assert sim.audit_failures == []

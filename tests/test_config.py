@@ -1,5 +1,7 @@
 """Scenario file parsing, derived quantities, and semantic validation."""
 
+from pathlib import Path
+
 import pytest
 
 from orgsim import cli
@@ -8,6 +10,8 @@ from orgsim.config import (SECONDS_PER_DAY, SpawnSpec, load_scenario,
 from orgsim.errors import ConfigError
 from orgsim.harness import Simulation
 from orgsim.robot_model import Health, ModuleClass
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 MAP = """\
 cellsize 0.25
@@ -333,6 +337,27 @@ def test_validate_rates_and_fractions():
     assert any("range_m" in f for f in check("[sensing]\nrange_m = -1\n"))
     assert any("radio_range_m" in f
                for f in check("[sensing]\nradio_range_m = -1\n"))
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_validate_refuses_a_negative_or_nan_contact_range(value):
+    findings = check(f"[energy]\ncontact_range_m = {value}\n")
+    assert f"contact_range_m {float(value)} must not be negative" in findings
+    assert check(FULL.replace("contact_range_m = 0.12",
+                              "contact_range_m = 0")) == []
+
+
+def test_cli_validate_refuses_a_negative_contact_range(tmp_path, capsys):
+    # at this range no socket is ever in contact, so a run charges nothing
+    (tmp_path / "maps").mkdir()
+    (tmp_path / "maps" / "ample.map").write_text(
+        (CONFIG_DIR / "maps" / "ample.map").read_text())
+    cfg = tmp_path / "survival_ample.cfg"
+    cfg.write_text((CONFIG_DIR / "survival_ample.cfg").read_text()
+                   + "\n[energy]\ncontact_range_m = -1\n")
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+    assert ("finding: contact_range_m -1.0 must not be negative"
+            in capsys.readouterr().out)
 
 
 def test_validate_unknown_controller():

@@ -9,9 +9,8 @@ from orgsim.control import (IDLE_PROPOSAL, MAX_PROPOSALS_PER_CONTROLLER,
                             InternalChannel, LocalChannel, Mailbox, Message,
                             MessageBus, Observation, Recharge, Rejected,
                             SelfChannel, SensedModule, SensedModules,
-                            ToggleCoprocessor, Tow, Undock,
-                            fitness, guard_action, select_action,
-                            step_controllers)
+                            ToggleCoprocessor, Tow, Undock, guard_action,
+                            select_action, step_controllers)
 from orgsim.behaviors import StackSlot
 from orgsim.docking import DockPhase, Face, TickInput
 from orgsim.energy import RechargeResult, ShareTransfer, Tariff
@@ -241,31 +240,34 @@ def test_a_tow_is_a_dock_with_the_same_fields():
 # -- selection ------------------------------------------------------------
 
 
-ORDER = {"a": 0, "b": 1, "c": 2}
-
-
-def test_selection_prefers_low_priority_then_registration_then_name():
+def test_selection_prefers_low_priority_then_earlier_proposal():
     props = [ActionProposal(60, Drive(0.1), source="b"),
              ActionProposal(40, Idle(), source="c"),
              ActionProposal(40, Recharge(0), source="a")]
-    assert select_action(props, ORDER).source == "a"
-    # a source the order map has never heard of loses every tie
-    props = [ActionProposal(40, Idle(), source="mystery"),
-             ActionProposal(40, Idle(), source="c")]
-    assert select_action(props, ORDER).source == "c"
-    assert select_action([], ORDER) is IDLE_PROPOSAL
+    assert select_action(props).source == "c"
+    assert select_action(props[::-1]).source == "a"
+    assert select_action(iter(props)).source == "c"
+    assert select_action([]) is IDLE_PROPOSAL
 
 
-@given(st.lists(st.tuples(st.integers(0, 255),
-                          st.sampled_from(["a", "b", "c", "zz"])),
-                max_size=12),
-       st.randoms(use_true_random=False))
-def test_selection_is_arrival_order_independent(items, rnd):
-    props = [ActionProposal(p, Idle(), source=s) for p, s in items]
-    base = select_action(props, ORDER)
-    shuffled = list(props)
-    rnd.shuffle(shuffled)
-    assert select_action(shuffled, ORDER) == base
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d"]),
+                          st.lists(st.integers(0, 255), max_size=3)),
+                unique_by=lambda item: item[0], max_size=4))
+def test_selection_breaks_ties_by_registration_order(registered):
+    # step_controllers lists proposals in registration order, so of the
+    # controllers proposing the lowest priority the first registered wins,
+    # with its first proposal at that priority
+    controllers = {name: (lambda obs, ps=ps: [ActionProposal(p, Recharge(j))
+                                              for j, p in enumerate(ps)])
+                   for name, ps in registered}
+    got = select_action(step_controllers(controllers, make_obs()))
+    ranked = sorted((p, k, j) for k, (_, ps) in enumerate(registered)
+                    for j, p in enumerate(ps))
+    if not ranked:
+        assert got is IDLE_PROPOSAL
+    else:
+        p, k, j = ranked[0]
+        assert got == ActionProposal(p, Recharge(j), registered[k][0])
 
 
 # -- guard ----------------------------------------------------------------
@@ -507,18 +509,3 @@ def test_mailbox_stamps_its_sender():
     assert box.post(3, "hello", (1, 2))
     got = bus.deliver({7: Pose(0, 0, 0), 3: Pose(0, 1, 0)})
     assert got == {3: [Message(7, 3, "hello", (1, 2))]}
-
-
-# -- fitness --------------------------------------------------------------
-
-
-def test_fitness_vector():
-    socks = (SensedSocket(0, (1.0, 0.0), True, 20.0, 1.0, 0.3, 0.0),
-             SensedSocket(1, (0.5, 0.0), False, 20.0, 0.5, 0.3, 0.0))
-    obs = make_obs(sockets=socks, docked=("N", "S"), battery=0.8)
-    vec = fitness(obs, coverage=0.3)
-    # the inactive socket at 0.5 m does not count; proximity keys on 1.0 m
-    assert vec.as_tuple() == (0.3, pytest.approx(0.5), 0.5, 0.8)
-    assert vec.weighted() == pytest.approx(0.25 * (0.3 + 0.5 + 0.5 + 0.8))
-    dark = fitness(make_obs(), coverage=0.0)
-    assert dark.energy_proximity == 0.0

@@ -7,16 +7,16 @@ import pytest
 
 from orgsim import cli, control, harness
 from orgsim.config import load_scenario, load_scenario_file
-from orgsim.control import (ActionProposal, Drive, InteractionChannel,
+from orgsim.control import (ActionProposal, Dock, Drive, InteractionChannel,
                             InternalChannel, LocalChannel, Observation,
                             SelfChannel, SensedModule)
-from orgsim.docking import DockPhase
+from orgsim.docking import DockPhase, Face
 from orgsim.errors import ConfigError, InvariantBreach, ReplayError
 from orgsim.geometry import Pose
 from orgsim.harness import (EventLog, Simulation, replay_file, replay_log,
                             run_scenario, sweep)
 from orgsim.organism import reach_height
-from orgsim.rng import Fnv1a
+from orgsim.rng import fnv1a64
 from orgsim.robot_model import Health
 from orgsim.world import SensedSocket, TerrainClass
 
@@ -85,10 +85,11 @@ def test_log_digest_folds_every_line_with_newline():
         "3 7 death cause=energy battery=0.25 carried=1",
         "4 -1 socket id=2 active=0",
     ]
-    oracle = Fnv1a()
+    oracle = fnv1a64("")
     for line in log.lines:
-        oracle.update(line + "\n")
-    assert log.digest == oracle.hexdigest()
+        oracle = fnv1a64(line + "\n", oracle)
+    whole = "".join(line + "\n" for line in log.lines)
+    assert log.digest == f"{oracle:016x}" == f"{fnv1a64(whole):016x}"
     assert log.event_count == 2   # raw lines are not events
 
 
@@ -309,7 +310,6 @@ def test_reused_observation_channels_equal_fresh_ones():
         sim = Simulation(cfg, seed)
         if chatter:
             sim.controllers[0]["chatter"] = _chatter
-            sim.controller_order[0]["chatter"] = len(sim.controller_order[0])
         observe = sim._observe
         last = {}
         ids = range(len(sim.states))
@@ -560,8 +560,9 @@ def test_an_observer_off_the_arena_senses_no_terrain():
 
 
 def test_docking_keeps_the_cached_reach_of_untouched_organisms(monkeypatch):
-    # a merge or split forgets only the organisms it touched; every cached
-    # reach must still equal a fresh reach_height of its organism
+    # the registry replaces an organism on every merge or split, so a docking
+    # phase leaves the reach only on organisms it did not touch; every reach
+    # held must still equal a fresh reach_height of its organism
     computed = []
 
     def counting_reach(org, specs, *args):
@@ -576,20 +577,20 @@ def test_docking_keeps_the_cached_reach_of_untouched_organisms(monkeypatch):
 
     def docking_and_check():
         nonlocal kept_across_a_merge
-        before = {k: (frozenset(org.nodes), frozenset(org.edges))
+        before = {k: (org, frozenset(org.nodes), frozenset(org.edges))
                   for k, org in sim.registry.organisms.items()
-                  if k in sim._reach_cache}
+                  if org.reach is not None}
         merges = sim.merges
         docking()
         organisms = sim.registry.organisms
-        assert set(sim._reach_cache) <= set(organisms)
-        for k, reach in sim._reach_cache.items():
-            assert reach == reach_height(organisms[k], sim.specs), (sim.tick, k)
-        for k, shape in before.items():
+        for k, org in organisms.items():
+            if org.reach is not None:
+                assert org.reach == reach_height(org, sim.specs), (sim.tick, k)
+        for k, (old, nodes, edges) in before.items():
             org = organisms.get(k)
-            if (org is not None and shape == (frozenset(org.nodes),
-                                              frozenset(org.edges))):
-                assert k in sim._reach_cache, (sim.tick, k)
+            if org is not None and (nodes, edges) == (frozenset(org.nodes),
+                                                      frozenset(org.edges)):
+                assert org is old and org.reach is not None, (sim.tick, k)
                 kept_across_a_merge += sim.merges > merges
 
     sim._phase_docking = docking_and_check
@@ -597,6 +598,28 @@ def test_docking_keeps_the_cached_reach_of_untouched_organisms(monkeypatch):
     assert [metrics.digest, metrics.events] == ["24e78c658510e1b3", 460]
     assert kept_across_a_merge > 0
     assert len(computed) == len(set(computed)) > 0
+
+
+def test_a_port_paired_earlier_in_the_phase_refuses_a_second_dock():
+    # both docks pass the guard, which sees every face still free; the
+    # harness must refuse whichever comes second in id order, whether the
+    # engaged port is its target's face or its own
+    text = ("[spawns]\nmode = fixed\n0 = 0.5 0.375 0\n1 = 1.5 0.375 0\n"
+            "2 = 0.75 0.375 0\n3 = 1.0 0.375 0\n[roster]\nscout = 4\n")
+    sim = Simulation(load_scenario(text, map_text=CORRIDOR_MAP))
+    docks = {0: Dock(Face.EAST, 2, Face.WEST), 1: Dock(Face.WEST, 2, Face.WEST),
+             2: Dock(Face.WEST, 3, Face.WEST)}
+    for i, dock in docks.items():
+        sim.controllers[i] = {"dock": lambda obs, d=dock: ActionProposal(40, d)}
+    sim.run(1)
+    refused = "detail=port%20already%20engaged%20by%20another%20pairing"
+    assert [line for line in sim.log.lines if " reject " in line] == [
+        f"1 {i} reject reason=protocol source=execute {refused}"
+        for i in (1, 2)]
+    assert list(sim.pairs) == [((0, "E"), (2, "W"))]
+    assert [p.phase for p in (sim.states[0].port(Face.EAST),
+                              sim.states[2].port(Face.WEST))] == [
+        DockPhase.APPROACHING] * 2
 
 
 def test_simulation_runs_once():
@@ -635,7 +658,6 @@ def test_driving_pays_idle_once_per_tick(coprocessor_on):
     sim.states[0].coprocessor_on = coprocessor_on
     push = lambda obs: ActionProposal(60, Drive(0.125, 0.0, 0.0))
     sim.controllers[0] = {"push": push}
-    sim.controller_order[0] = {"push": 0}
     m = sim.run(10)
     # per tick: (0.5 W + 2 W if on) * 10 s idle + 2 J/m/kg * 1.25 m * 1 kg
     idle_j = 25.0 if coprocessor_on else 5.0

@@ -14,10 +14,11 @@ from orgsim.docking import DockPhase, DockPort, Face
 from orgsim.energy import Tariff
 from orgsim.errors import CommandError, ProtocolError
 from orgsim.geometry import Pose
-from orgsim.organism import (LiftQuery, OrganismRegistry, Translate, Turn,
-                             center_of_mass, edge_key, lift_feasible,
-                             lift_torque_nm, organism_move, reach_height,
-                             scout_carry_configuration, worst_case_chain)
+from orgsim.organism import (LiftQuery, Organism, OrganismRegistry,
+                             Translate, Turn, center_of_mass, edge_key,
+                             lift_feasible, lift_torque_nm, organism_move,
+                             reach_height, scout_carry_configuration,
+                             worst_case_chain)
 from orgsim.robot_model import (Health, ModuleClass, make_module_spec,
                                 new_module_state)
 from orgsim.world import TerrainClass
@@ -67,6 +68,9 @@ ALL_PAIRS = [(a, b) for a in range(N_MODULES) for b in range(a + 1, N_MODULES)]
 def test_registry_tracks_components_exactly(toggles):
     reg = OrganismRegistry()
     live = {}  # (a, b) -> EdgeKey
+    # merges, splits and loop-closing edges all build new organisms, so what
+    # a caller keeps on one it was handed, such as its reach, stays true
+    published = {}  # id(org) -> (org, nodes, edges) when first seen
     for t in toggles:
         a, b = ALL_PAIRS[t]
         if (a, b) in live:
@@ -91,6 +95,17 @@ def test_registry_tracks_components_exactly(toggles):
                 assert org is not None and mid in org.nodes
             else:
                 assert org is None
+        for org in reg.organisms.values():
+            published.setdefault(id(org), (org, frozenset(org.nodes),
+                                            frozenset(org.edges)))
+        for org, nodes, edges in published.values():
+            assert (org.nodes, org.edges) == (nodes, edges)
+
+
+def test_reach_is_kept_out_of_eq_and_repr():
+    a, b = (Organism(0, {0, 1}, {((0, "N"), (1, "S"))}) for _ in range(2))
+    b.reach = 0.2
+    assert a == b and repr(a) == repr(b) and a.reach is None
 
 
 def test_edge_key_is_order_independent():

@@ -476,7 +476,7 @@ def sockets6():
 
 
 def test_scheduler_keeps_exact_active_count():
-    sched = SocketSchedule(seed=7, dwell_min=5, dwell_max=17, active_count=2)
+    sched = SocketSchedule(dwell_min=5, dwell_max=17, active_count=2)
     socks = sockets6()
     sch = SocketScheduler(sched, socks, Rng(7).substream("schedule"))
     assert len(sch.active_ids()) == 2
@@ -497,7 +497,7 @@ def test_scheduler_keeps_exact_active_count():
 def test_scheduler_is_deterministic_per_seed():
     def trace(seed):
         sch = SocketScheduler(
-            SocketSchedule(seed=seed, dwell_min=3, dwell_max=9, active_count=3),
+            SocketSchedule(dwell_min=3, dwell_max=9, active_count=3),
             sockets6(), Rng(seed).substream("schedule"))
         out = [tuple(sch.active_ids())]
         for tick in range(1, 500):
@@ -511,7 +511,7 @@ def test_scheduler_is_deterministic_per_seed():
 def test_scheduler_renews_in_place_when_everything_is_active():
     socks = sockets6()
     sch = SocketScheduler(
-        SocketSchedule(seed=1, dwell_min=2, dwell_max=4, active_count=6),
+        SocketSchedule(dwell_min=2, dwell_max=4, active_count=6),
         socks, Rng(1).substream("schedule"))
     for tick in range(1, 200):
         assert sch.step(tick) == []
@@ -520,14 +520,14 @@ def test_scheduler_renews_in_place_when_everything_is_active():
 
 def test_schedule_validation():
     with pytest.raises(ConfigError):
-        SocketSchedule(seed=1, dwell_min=0, dwell_max=4, active_count=1)
+        SocketSchedule(dwell_min=0, dwell_max=4, active_count=1)
     with pytest.raises(ConfigError):
-        SocketSchedule(seed=1, dwell_min=5, dwell_max=4, active_count=1)
+        SocketSchedule(dwell_min=5, dwell_max=4, active_count=1)
     with pytest.raises(ConfigError):
-        SocketSchedule(seed=1, dwell_min=1, dwell_max=2, active_count=-1)
+        SocketSchedule(dwell_min=1, dwell_max=2, active_count=-1)
     with pytest.raises(ConfigError, match="exceeds"):
         SocketScheduler(
-            SocketSchedule(seed=1, dwell_min=1, dwell_max=2, active_count=9),
+            SocketSchedule(dwell_min=1, dwell_max=2, active_count=9),
             sockets6(), Rng(1))
 
 

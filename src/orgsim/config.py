@@ -8,6 +8,7 @@ makes a finished log replayable with nothing but the log file itself.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -178,10 +179,12 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
     days = get("run", "days", 1.0, float)
     dt = get("run", "dt", 10.0, float)
     seed = get("run", "seed", 0, int)
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-    if days <= 0:
-        raise ConfigError(f"days must be positive, got {days}")
+    # written so that NaN fails each comparison, here and in validation;
+    # an infinite dt or days has no tick count
+    if not 0 < dt < math.inf:
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
+    if not 0 < days < math.inf:
+        raise ConfigError(f"days must be positive and finite, got {days}")
 
     map_ref = get("arena", "map", None)
     if map_text is None:
@@ -311,13 +314,15 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     if not 0.0 <= cfg.start_fraction <= 1.0:
         findings.append(f"start_fraction {cfg.start_fraction} outside [0, 1]")
     for key, val in cfg.module_overrides.items():
-        if val <= 0:
-            findings.append(f"module override {key} must be positive")
-    if cfg.sensing_range_m < 0:
-        findings.append("sensing range_m must not be negative")
-    if cfg.radio_range_m < 0:
-        findings.append("radio_range_m must not be negative")
-    if not cfg.contact_range_m >= 0:       # NaN included
+        if not val > 0:
+            findings.append(f"module override {key} {val} must be positive")
+    if not cfg.sensing_range_m >= 0:
+        findings.append(
+            f"sensing range_m {cfg.sensing_range_m} must not be negative")
+    if not cfg.radio_range_m >= 0:
+        findings.append(
+            f"radio_range_m {cfg.radio_range_m} must not be negative")
+    if not cfg.contact_range_m >= 0:
         findings.append(
             f"contact_range_m {cfg.contact_range_m} must not be negative")
 

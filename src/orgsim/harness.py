@@ -710,13 +710,18 @@ class Simulation:
                                    to=tr.receiver, joules=tr.joules)
 
     def _phase_death(self) -> None:
+        hazards = self.cfg.hazard_rate > 0.0
+        live = []       # with hazards, the modules alive after energy deaths
+        keep = live.append
         for i, st in self.states.items():
-            if st.health is _OK and st.battery_pj == 0:
-                st.health = Health.ENERGY_DEAD
-                self.deaths_energy += 1
-                self.log.event(self.tick, i, "death", cause="energy")
-        if self.cfg.hazard_rate > 0.0:
-            live = [st for st in self.states.values() if st.health is _OK]
+            if st.health is _OK:
+                if st.battery_pj == 0:
+                    st.health = Health.ENERGY_DEAD
+                    self.deaths_energy += 1
+                    self.log.event(self.tick, i, "death", cause="energy")
+                elif hazards:
+                    keep(st)
+        if hazards:
             for k in self.rng_hazards.hits(len(live), self.cfg.hazard_rate):
                 live[k].health = Health.HARDWARE_DEAD
                 self.deaths_hardware += 1
@@ -724,16 +729,6 @@ class Simulation:
                                battery=live[k].battery)
 
     def _phase_metrics(self) -> None:
-        arena = self.arena
-        for i, st in self.states.items():
-            if st.health is _OK:
-                # _invariant_scan below records the pose as seen
-                if st.pose is not self._metric_poses[i]:
-                    self.visited.add(arena.cell_of(st.pose.x, st.pose.y))
-            elif (i not in self.disposed and arena.graveyard is not None
-                  and in_graveyard(arena, st.pose.x, st.pose.y)):
-                self.disposed.add(i)
-                self.log.event(self.tick, i, "dispose")
         self._invariant_scan()
         tpd = self.cfg.ticks_per_day
         if self.tick % tpd == 0:
@@ -755,17 +750,39 @@ class Simulation:
         return len(self.visited) / total if total else 0.0
 
     def _invariant_scan(self) -> None:
+        """One pass over the modules for coverage, disposal and the module
+        invariants, in that order for each module, then the organisms.
+
+        A pose is recorded only after its bounds check; a module still on
+        the pose recorded last is neither counted nor bounds-checked again.
+        """
+        arena, poses = self.arena, self._metric_poses
+        yard = arena.graveyard is not None
         for i, st in self.states.items():
+            pose = st.pose
+            moved = pose is not poses[i]
+            if st.health is _OK:
+                if moved:
+                    self.visited.add(arena.cell_of(pose.x, pose.y))
+            elif (yard and i not in self.disposed
+                  and in_graveyard(arena, pose.x, pose.y)):
+                self.disposed.add(i)
+                self.log.event(self.tick, i, "dispose")
             if not 0 <= st.battery_pj <= st.capacity_pj:
                 self._breach(i, "battery_bounds",
                              f"battery {st.battery_pj} of {st.capacity_pj}")
             if st.health is _ENERGY_DEAD and st.battery_pj != 0:
                 self._breach(i, "dead_battery",
                              f"energy-dead with {st.battery_pj} pJ")
-            if (st.pose is not self._metric_poses[i]
-                    and not self.arena.in_bounds(st.pose.x, st.pose.y)):
-                self._breach(i, "out_of_bounds", f"({st.pose.x}, {st.pose.y})")
-            self._metric_poses[i] = st.pose
+            if moved:
+                if not arena.in_bounds(pose.x, pose.y):
+                    self._breach(i, "out_of_bounds", f"({pose.x}, {pose.y})")
+                poses[i] = pose
+            a, b, c, d = st.ports
+            if (a.phase is _FREE and b.phase is _FREE and c.phase is _FREE
+                    and d.phase is _FREE and a.peer is None and b.peer is None
+                    and c.peer is None and d.peer is None):
+                continue
             for p in st.ports:
                 if p.phase is _FREE and p.peer is None:
                     continue

@@ -77,7 +77,7 @@ class Arena:
         for row in cells:
             if len(row) != width:
                 raise ConfigError("arena grid rows differ in length")
-        if cell_size <= 0:
+        if not cell_size > 0:       # NaN included
             raise ConfigError(f"cell_size must be positive, got {cell_size}")
         self.cells = cells
         self.width = width
@@ -115,9 +115,10 @@ class Arena:
                     break
             else:
                 raise ConfigError(f"socket {s.id} anchor {s.cell} does not touch a wall")
-            if s.height < 0:
-                raise ConfigError(f"socket {s.id} height {s.height} is negative")
-            if s.rating <= 0:
+            if not s.height >= 0:
+                raise ConfigError(f"socket {s.id} height {s.height} is negative "
+                                  f"or not a number")
+            if not s.rating > 0:
                 raise ConfigError(f"socket {s.id} rating {s.rating} must be positive")
         if self.graveyard is not None:
             x0, y0, x1, y1 = self.graveyard

@@ -171,6 +171,14 @@ def test_nonpositive_dt_and_days_raise():
         load("[run]\ndays = -1\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["dt", "days"])
+def test_nan_or_infinite_dt_and_days_raise(key, value):
+    with pytest.raises(ConfigError,
+                       match=f"{key} must be positive and finite, got {value}"):
+        load(f"[run]\n{key} = {value}\n")
+
+
 def test_broken_ini_raises():
     with pytest.raises(ConfigError, match="cannot parse scenario file"):
         load("no section header here\n")
@@ -345,6 +353,48 @@ def test_validate_refuses_a_negative_or_nan_contact_range(value):
     assert f"contact_range_m {float(value)} must not be negative" in findings
     assert check(FULL.replace("contact_range_m = 0.12",
                               "contact_range_m = 0")) == []
+
+
+@pytest.mark.parametrize("text,finding", [
+    ("[sensing]\nrange_m = nan\n", "sensing range_m nan must not be negative"),
+    ("[sensing]\nradio_range_m = nan\n", "radio_range_m nan must not be negative"),
+    ("[modules]\nmass = nan\n", "module override mass nan must be positive"),
+    ("[modules]\nedge_length = nan\n",
+     "module override edge_length nan must be positive"),
+    ("[modules]\nbattery_capacity = nan\n",
+     "module override battery_capacity nan must be positive"),
+])
+def test_validate_refuses_nan(text, finding):
+    assert finding in check(text)
+
+
+@pytest.mark.parametrize("socket,detail", [
+    ("socket 0 1 1 nan 20", "height nan is negative or not a number"),
+    ("socket 0 1 1 0.3 nan", "rating nan must be positive"),
+])
+def test_validate_refuses_a_nan_socket(socket, detail):
+    room = "#####\n#...#\n#####\n"
+    assert check("[roster]\nscout = 1\n", map_text=room) == []
+    assert check("[roster]\nscout = 1\n", map_text=room + socket) == [
+        f"map does not load: socket 0 {detail}"]
+
+
+def test_validate_refuses_a_nan_cellsize():
+    findings = check("[roster]\nscout = 1\n",
+                     map_text="cellsize nan\n#####\n#...#\n#####\n")
+    assert findings == ["map does not load: cell_size must be positive, got nan"]
+
+
+def test_cli_validate_refuses_a_nan_sensing_range(tmp_path, capsys):
+    (tmp_path / "maps").mkdir()
+    (tmp_path / "maps" / "ample.map").write_text(
+        (CONFIG_DIR / "maps" / "ample.map").read_text())
+    cfg = tmp_path / "survival_ample.cfg"
+    text = (CONFIG_DIR / "survival_ample.cfg").read_text()
+    cfg.write_text(text.replace("range_m = 8.0", "range_m = nan"))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+    assert ("finding: sensing range_m nan must not be negative"
+            in capsys.readouterr().out)
 
 
 def test_cli_validate_refuses_a_negative_contact_range(tmp_path, capsys):

@@ -39,6 +39,15 @@ def test_tariff_validation():
     assert Tariff(recharge_efficiency=1.0).recharge_efficiency == 1.0
 
 
+@pytest.mark.parametrize("name", ["idle_w", "coprocessor_w",
+                                  "locomotion_j_per_m_kg",
+                                  "actuation_j_per_nm_rad", "lock_j",
+                                  "share_rate_w", "recharge_efficiency"])
+def test_tariff_refuses_nan(name):
+    with pytest.raises(ValueError, match=name):
+        Tariff(**{name: math.nan})
+
+
 def test_idle_draw():
     t = Tariff()
     assert t.idle_draw_j(10.0, False) == pytest.approx(5.0)

@@ -677,6 +677,26 @@ def test_day_summary_cadence():
     assert days[1].startswith("20 -1 day index=2 ")
 
 
+# -- metrics phase --------------------------------------------------------
+
+
+def test_a_corpse_in_the_graveyard_is_disposed_once_and_no_other():
+    # ROOM_MAP's graveyard is cells (1, 3) and (2, 3); nothing moves
+    text = ("[roster]\nscout = 3\n[spawns]\nmode = fixed\n"
+            "0 = 0.375 0.875 0 health=hardware_dead\n"
+            "1 = 1.375 0.375 0 health=energy_dead\n"
+            "2 = 0.625 0.875 0\n")
+    sim = Simulation(load_scenario(text, map_text=ROOM_MAP))
+    m = sim.run(5)
+    assert [l for l in sim.log.lines
+            if l.split()[2:3] == ["dispose"]] == ["1 0 dispose"]
+    assert sim.disposed == {0}
+    assert (m.disposed, m.tasks_open) == (1, 1)
+    # only the live module counts toward coverage, even in the graveyard
+    assert sim.visited == {(2, 3)}
+    assert m.coverage == pytest.approx(1 / 18)
+
+
 # -- invariant scan -------------------------------------------------------
 
 

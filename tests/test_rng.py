@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from orgsim.rng import Rng, fnv1a64, splitmix64
+from orgsim.rng import _LANE, Rng, _jump, _jump_table, fnv1a64, splitmix64
 
 M64 = (1 << 64) - 1
 
@@ -100,9 +100,12 @@ def test_randrange_in_bounds(seed, n):
         assert 0 <= r.randrange(n) < n
 
 
-@pytest.mark.parametrize("p", [0.0, 1e-4, 0.5, math.nextafter(1.0, 0.0), 1.0,
-                               -0.5, math.inf, math.nan])
-@pytest.mark.parametrize("n", [0, 1, 30000])
+# 2**-10 puts the bound on exactly 2**54, the edge of the carry test
+@pytest.mark.parametrize("p", [0.0, 1e-4, 2 ** -10, 0.5,
+                               math.nextafter(1.0, 0.0), 1.0, -0.5, math.inf,
+                               math.nan])
+@pytest.mark.parametrize("n", [0, 1, _LANE - 1, _LANE, _LANE + 1,
+                               2 * _LANE + 1, 200, 30000])
 def test_hits_matches_successive_random_draws(p, n):
     batch, single = Rng(21, "hazards"), Rng(21, "hazards")
     expect = [k for k in range(n) if single.random() < p]
@@ -110,6 +113,27 @@ def test_hits_matches_successive_random_draws(p, n):
     if p == 1e-4 and n == 30000:
         assert expect  # the rare branch was taken at least once
     assert batch.random() == single.random()
+
+
+@given(st.integers(min_value=0, max_value=M64),
+       st.integers(min_value=0, max_value=5 * _LANE),
+       st.one_of(st.floats(min_value=0.0, max_value=0.05),
+                 st.floats(allow_nan=True, allow_infinity=True)))
+def test_hits_of_any_stream_match_random(seed, n, p):
+    batch, single = Rng(seed, "hazards"), Rng(seed, "hazards")
+    assert batch.hits(n, p) == [k for k in range(n) if single.random() < p]
+    assert batch.random() == single.random()
+
+
+def test_one_table_jump_is_a_lane_of_draws():
+    table = _jump_table()
+    assert len(table) == 256
+    for seed in range(8):
+        rng = Rng(seed, "hazards")
+        start = rng._s
+        for _ in range(_LANE):
+            rng.u64()
+        assert _jump(table, start) == rng._s
 
 
 def test_hits_breaks_a_tie_like_random():

@@ -25,12 +25,20 @@ def _parse_seed_range(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
-def _cmd_run(args) -> int:
-    cfg = load_scenario_file(args.config)
+def _load_valid(path: Path, out=None):
+    """Load and validate a scenario file. Print each finding to `out`
+    (sys.stderr as it is at call time when None) and return None if there
+    are any, else the config."""
+    cfg = load_scenario_file(path)
     findings = validate_scenario(cfg)
-    if findings:
-        for f in findings:
-            print(f"finding: {f}", file=sys.stderr)
+    for f in findings:
+        print(f"finding: {f}", file=sys.stderr if out is None else out)
+    return None if findings else cfg
+
+
+def _cmd_run(args) -> int:
+    cfg = _load_valid(args.config)
+    if cfg is None:
         return 2
     metrics = run_scenario(cfg, seed=args.seed, ticks=args.ticks,
                            out_dir=args.out)
@@ -39,11 +47,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = load_scenario_file(args.config)
-    findings = validate_scenario(cfg)
-    if findings:
-        for f in findings:
-            print(f"finding: {f}")
+    cfg = _load_valid(args.config, sys.stdout)
+    if cfg is None:
         return 2
     print(f"ok: {cfg.name} ({cfg.module_count} modules, "
           f"{cfg.total_ticks} ticks)")
@@ -57,11 +62,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_scenario_file(args.config)
-    findings = validate_scenario(cfg)
-    if findings:
-        for f in findings:
-            print(f"finding: {f}", file=sys.stderr)
+    cfg = _load_valid(args.config)
+    if cfg is None:
         return 2
     seeds = _parse_seed_range(args.seeds)
     results = sweep(cfg, seeds, ticks=args.ticks, out_dir=args.out)

@@ -15,7 +15,7 @@ from pathlib import Path
 from .behaviors import EMERGENCY_FRACTION, REGISTRY
 from .energy import DEFAULT_CONTACT_RANGE_M, Tariff
 from .errors import ConfigError
-from .robot_model import Health, ModuleClass
+from .robot_model import OVERRIDABLE, Health, ModuleClass
 from .world import Arena, TerrainClass, parse_arena
 
 SECONDS_PER_DAY = 86400.0
@@ -33,7 +33,7 @@ _KNOWN_KEYS = {
                "contact_range_m", "hazard_rate", "credit_log"},
     "schedule": {"mode", "active_count", "dwell_min", "dwell_max"},
     "roster": set(_CLASS_KEYS),
-    "modules": {"mass", "edge_length", "battery_capacity", "start_fraction"},
+    "modules": {*OVERRIDABLE, "start_fraction"},
     "controllers": {"all", "emergency_fraction", *_CLASS_KEYS},
     "sensing": {"range_m", "radio_range_m"},
     "spawns": None,   # numeric module ids, checked separately
@@ -205,7 +205,7 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
 
     roster = {mc: get("roster", key, 0, int) for key, mc in _CLASS_KEYS.items()}
     overrides = {}
-    for key in ("mass", "edge_length", "battery_capacity"):
+    for key in OVERRIDABLE:
         val = get("modules", key, None, float)
         if val is not None:
             overrides[key] = val
@@ -313,6 +313,9 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         findings.append(f"hazard_rate {cfg.hazard_rate} outside [0, 1)")
     if not 0.0 <= cfg.start_fraction <= 1.0:
         findings.append(f"start_fraction {cfg.start_fraction} outside [0, 1]")
+    emergency = cfg.controller_params["emergency_fraction"]
+    if not 0.0 <= emergency <= 1.0:
+        findings.append(f"emergency_fraction {emergency} outside [0, 1]")
     for key, val in cfg.module_overrides.items():
         if not val > 0:
             findings.append(f"module override {key} {val} must be positive")
@@ -342,6 +345,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         if extra:
             findings.append(f"spawns given for ids beyond the roster: {extra}")
         for mid, sp in sorted(cfg.fixed_spawns.items()):
+            if not math.isfinite(sp.heading):
+                findings.append(f"spawn {mid} heading {sp.heading} is not finite")
             if not arena.in_bounds(sp.x, sp.y):
                 findings.append(f"spawn {mid} at ({sp.x}, {sp.y}) outside arena")
                 continue

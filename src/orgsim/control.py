@@ -56,11 +56,11 @@ class SensedModules(Sequence):
     ascending ids whose health is not OK, both shared by every view of one
     decide phase; and `row`, this observer's distance to each id in sight,
     else None. Records are built only when read: `get` and `select` build
-    the ones they return, and reading the view as a sequence builds its
-    whole tuple, once.
+    the ones they return, and each read of the view as a sequence builds
+    its whole tuple.
     """
 
-    __slots__ = ("_table", "_unwell", "_row", "_records")
+    __slots__ = ("_table", "_unwell", "_row")
 
     def __init__(self,
                  table: tuple[tuple[ModuleClass, Pose, Health] | None, ...],
@@ -68,7 +68,6 @@ class SensedModules(Sequence):
         self._table = table
         self._unwell = unwell
         self._row = row
-        self._records: tuple[SensedModule, ...] | None = None
 
     @classmethod
     def of(cls, records) -> "SensedModules":
@@ -114,9 +113,7 @@ class SensedModules(Sequence):
         return out
 
     def _all(self) -> tuple[SensedModule, ...]:
-        if self._records is None:
-            self._records = tuple(self.select())
-        return self._records
+        return tuple(self.select())
 
     def __len__(self) -> int:
         return len(self._row) - self._row.count(None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .behaviors import build_controllers
@@ -119,41 +119,24 @@ class RunMetrics:
     wall_time_s: float
 
     def to_text(self) -> str:
-        ratio = ("none" if self.death_ratio is None
-                 else "inf" if math.isinf(self.death_ratio)
-                 else repr(self.death_ratio))
-        lines = [
-            f"name {self.name}",
-            f"seed {self.seed}",
-            f"ticks {self.ticks}",
-            f"dt {self.dt!r}",
-            f"survivors {self.survivors}",
-            f"deaths_energy {self.deaths_energy}",
-            f"deaths_hardware {self.deaths_hardware}",
-            f"death_ratio {ratio}",
-            f"coverage {self.coverage:.6f}",
-            f"disposed {self.disposed}",
-            f"tasks_open {self.tasks_open}",
-            f"merges {self.merges}",
-            f"splits {self.splits}",
-        ]
-        for reason in sorted(self.rejections):
-            lines.append(f"rejections_{reason} {self.rejections[reason]}")
-        lines += [
-            f"messages_posted {self.messages_posted}",
-            f"messages_dropped {self.messages_dropped}",
-            f"initial_j {self.initial_j!r}",
-            f"drawn_j {self.drawn_j!r}",
-            f"charged_j {self.charged_j!r}",
-            f"consumed_j {self.consumed_j!r}",
-            f"shared_j {self.shared_j!r}",
-            f"stored_j {self.stored_j!r}",
-            f"residual_j {self.residual_j!r}",
-            f"residual_j_per_hour {self.residual_j_per_hour!r}",
-            f"events {self.events}",
-            f"digest {self.digest}",
-            f"wall_time_s {self.wall_time_s:.3f}",
-        ]
+        """One `key value` line per field, in declaration order. Floats are
+        written by repr, except `coverage` (6 places) and `wall_time_s` (3);
+        `death_ratio` may read `none` or `inf`, and `rejections` gives one
+        `rejections_<reason>` line per reason, in name order."""
+        lines = []
+        for f in fields(self):
+            key, value = f.name, getattr(self, f.name)
+            if key == "rejections":
+                lines += [f"rejections_{r} {value[r]}" for r in sorted(value)]
+                continue
+            if key == "death_ratio":
+                value = ("none" if value is None
+                         else "inf" if math.isinf(value) else repr(value))
+            elif key == "coverage":
+                value = f"{value:.6f}"
+            elif key == "wall_time_s":
+                value = f"{value:.3f}"
+            lines.append(f"{key} {value}")
         return "\n".join(lines) + "\n"
 
 
@@ -226,7 +209,6 @@ class Simulation:
         self._sight_poses: list[Pose | None] | None = None
         self._sight_cells: list[tuple[int, int] | None] | None = None
         self._sight_rows: list[list[float | None] | None] | None = None
-        self._sight_moved = True      # the last refresh found a moved module
         self._sensed_sockets: list[tuple] | None = None
         self._sight_table: tuple[tuple, ...] = ()
         self._sight_unwell: tuple[int, ...] = ()
@@ -361,12 +343,12 @@ class Simulation:
         self._delivered_count = sum(len(v) for v in delivered.values())
         return delivered
 
-    def _refresh_sight(self) -> None:
+    def _refresh_sight(self) -> bool:
         """Bring every live observer's row and sockets up to date with the
-        current poses. Poses are immutable, so an unchanged Pose object is an
-        unmoved module; distance and line of sight are symmetric, so each
-        pair with a moved end is computed once and written into the row of
-        each end that observes."""
+        current poses, and tell whether any module moved. Poses are
+        immutable, so an unchanged Pose object is an unmoved module; distance
+        and line of sight are symmetric, so each pair with a moved end is
+        computed once and written into the row of each end that observes."""
         arena = self.arena
         range_m = self.cfg.sensing_range_m
         poses, cells, rows = (self._sight_poses, self._sight_cells,
@@ -378,7 +360,6 @@ class Simulation:
                 poses[j] = pose
                 cells[j] = arena.cell_of(pose.x, pose.y)
                 moved.append(j)
-        self._sight_moved = bool(moved)
 
         line_of_sight = arena.line_of_sight
         done = [False] * len(poses)       # moved ids whose pairs are computed
@@ -404,6 +385,7 @@ class Simulation:
             if toggled or done[i]:
                 self._sensed_sockets[i] = tuple(
                     sense_sockets(poses[i], range_m, arena))
+        return bool(moved)
 
     def _observe(self, i: int, delivered: dict) -> Observation:
         """Build module i's observation. The self and internal channels are
@@ -470,9 +452,9 @@ class Simulation:
             self._observers = tuple(alive)
         if not alive:
             return selected
-        self._refresh_sight()
+        moved = self._refresh_sight()
         deaths = self.deaths_energy + self.deaths_hardware
-        if self._sight_moved or deaths != self._sight_deaths:
+        if moved or deaths != self._sight_deaths:
             states = self.states.values()
             self._sight_table = tuple([(st.module_class, st.pose, st.health)
                                        for st in states])
@@ -551,10 +533,8 @@ class Simulation:
             self._start_pairing(i, action)
             return
 
-        if isinstance(action, Undock):
-            port = st.port(action.face)
-            if port.phase is DockPhase.DOCKED:
-                undock(port)
+        if isinstance(action, Undock):   # the guard found the port docked
+            undock(st.port(action.face))
             return
 
         if isinstance(action, Recharge):
@@ -755,6 +735,8 @@ class Simulation:
 
         A pose is recorded only after its bounds check; a module still on
         the pose recorded last is neither counted nor bounds-checked again.
+        A dead module off the arena skips the disposal test, so its bounds
+        check breaches.
         """
         arena, poses = self.arena, self._metric_poses
         yard = arena.graveyard is not None
@@ -765,6 +747,7 @@ class Simulation:
                 if moved:
                     self.visited.add(arena.cell_of(pose.x, pose.y))
             elif (yard and i not in self.disposed
+                  and arena.in_bounds(pose.x, pose.y)
                   and in_graveyard(arena, pose.x, pose.y)):
                 self.disposed.add(i)
                 self.log.event(self.tick, i, "dispose")

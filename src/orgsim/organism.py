@@ -46,12 +46,9 @@ class Organism:
     def sorted_nodes(self) -> list[int]:
         return sorted(self.nodes)
 
-    def sorted_edges(self) -> list[EdgeKey]:
-        return sorted(self.edges)
-
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {n: [] for n in self.sorted_nodes()}
-        for (a, _), (b, _) in self.sorted_edges():
+        for (a, _), (b, _) in sorted(self.edges):
             adj[a].append(b)
             adj[b].append(a)
         return adj

@@ -3,7 +3,7 @@
 Three hardware classes exist and their capability numbers are fixed: a config
 may override only the invented defaults (mass, edge_length, battery_capacity).
 Batteries are stored internally in integer picojoules so that energy transfers
-can be conserved exactly; the public battery fields are plain joules.
+can be conserved exactly; the `battery` property reads plain joules.
 """
 
 from __future__ import annotations
@@ -14,16 +14,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .docking import (DockPort, PEERED_PHASES, ACCURATE_TOLERANCE, ROUGH_TOLERANCE,
-                      FACES, AlignmentTolerance, DockPhase, Face, make_ports)
+                      FACES, AlignmentTolerance, Face, make_ports)
 from .errors import CommandError, ConfigError
 from .geometry import Pose, norm_deg, rotate_vec
 from .world import TerrainClass
 
 PJ = 10 ** 12  # picojoules per joule
-
-# an Enum class attribute lookup costs a slow-path __getattr__; per-call code
-# reads the member bound once here
-_DOCKED = DockPhase.DOCKED
 
 
 def to_pj(joules: float) -> int:
@@ -83,7 +79,8 @@ _CAPABILITIES = {
         max_joint_speed=50.0, rough_terrain_capable=False),
 }
 
-_OVERRIDABLE = ("mass", "edge_length", "battery_capacity")
+# the ModuleSpec fields a scenario's [modules] section may set
+OVERRIDABLE = ("mass", "edge_length", "battery_capacity")
 
 
 def make_module_spec(module_class: ModuleClass,
@@ -93,7 +90,7 @@ def make_module_spec(module_class: ModuleClass,
     fields = dict(_CAPABILITIES[module_class])
     if overrides:
         for key, value in overrides.items():
-            if key not in _OVERRIDABLE:
+            if key not in OVERRIDABLE:
                 raise ConfigError(
                     f"field {key!r} of {module_class.value} is fixed hardware "
                     f"capability and cannot be overridden")
@@ -165,10 +162,6 @@ class ModuleState:
         return to_j(self.battery_pj)
 
     @property
-    def capacity(self) -> float:
-        return to_j(self.capacity_pj)
-
-    @property
     def battery_fraction(self) -> float:
         return self.battery_pj / self.capacity_pj if self.capacity_pj else 0.0
 
@@ -179,10 +172,6 @@ class ModuleState:
     def is_docked(self) -> bool:
         """True while any port holds a peered connection."""
         return any(p.phase in PEERED_PHASES for p in self.ports)
-
-    @property
-    def docked_faces(self) -> list[Face]:
-        return [p.face for p in self.ports if p.phase is _DOCKED]
 
 
 def new_module_state(module_id: int, spec: ModuleSpec, pose: Pose,

@@ -414,6 +414,7 @@ class SocketScheduler:
                 f"{len(sockets)} sockets")
         self.schedule = schedule
         self.sockets = sorted(sockets, key=lambda s: s.id)
+        self._by_id = {s.id: s for s in self.sockets}
         self.rng = rng
         self._expiry: dict[int, int] = {}
         for s in self.sockets:
@@ -423,14 +424,8 @@ class SocketScheduler:
             sid = pool.pop(self.rng.randrange(len(pool)))
             self._activate(sid, 0)
 
-    def _by_id(self, sid: int) -> Socket:
-        for s in self.sockets:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
-
     def _activate(self, sid: int, tick: int) -> None:
-        s = self._by_id(sid)
+        s = self._by_id[sid]
         s.active = True
         dwell = self.rng.randint(self.schedule.dwell_min, self.schedule.dwell_max)
         self._expiry[sid] = tick + dwell
@@ -445,7 +440,7 @@ class SocketScheduler:
             if not inactive:
                 self._activate(sid, tick)  # renew in place, no change visible
                 continue
-            self._by_id(sid).active = False
+            self._by_id[sid].active = False
             changes.append((sid, False))
             replacement = inactive[self.rng.randrange(len(inactive))]
             self._activate(replacement, tick)

@@ -347,6 +347,15 @@ def test_validate_rates_and_fractions():
                for f in check("[sensing]\nradio_range_m = -1\n"))
 
 
+@pytest.mark.parametrize("value", ["-0.1", "1.5", "nan"])
+def test_validate_refuses_an_emergency_fraction_outside_0_to_1(value):
+    findings = check(f"[controllers]\nemergency_fraction = {value}\n")
+    assert f"emergency_fraction {float(value)} outside [0, 1]" in findings
+    for edge in ("0", "1"):
+        assert check(f"[roster]\nscout = 1\n[controllers]\n"
+                     f"emergency_fraction = {edge}\n") == []
+
+
 @pytest.mark.parametrize("value", ["-1", "nan"])
 def test_validate_refuses_a_negative_or_nan_contact_range(value):
     findings = check(f"[energy]\ncontact_range_m = {value}\n")
@@ -434,6 +443,27 @@ def test_validate_spawn_placement():
     assert any("inside a wall" in f for f in check(base + "0 = 0.1 0.1 0\n"))
     assert any("battery 1.5 outside" in f
                for f in check(base + "0 = 0.3 0.3 0 battery=1.5\n"))
+
+
+@pytest.mark.parametrize("heading", ["nan", "inf", "-inf"])
+def test_validate_refuses_a_spawn_heading_that_is_not_finite(heading):
+    base = "[roster]\nscout = 1\n[spawns]\nmode = fixed\n"
+    assert check(base + "0 = 0.3 0.3 -450\n") == []
+    assert check(base + f"0 = 0.3 0.3 {heading}\n") == [
+        f"spawn 0 heading {float(heading)} is not finite"]
+
+
+def test_cli_run_reports_a_spawn_heading_that_is_not_finite(tmp_path, capsys):
+    # before validation checked it, Pose refused the heading mid-setup: exit 1
+    (tmp_path / "maps").mkdir()
+    (tmp_path / "maps" / "ample.map").write_text(
+        (CONFIG_DIR / "maps" / "ample.map").read_text())
+    cfg = tmp_path / "survival_ample.cfg"
+    text = (CONFIG_DIR / "survival_ample.cfg").read_text()
+    cfg.write_text(text.replace("0 = 1.10 1.60 90", "0 = 1.10 1.60 nan"))
+    assert cli.main(["run", "--config", str(cfg), "--ticks", "1"]) == 2
+    assert ("finding: spawn 0 heading nan is not finite"
+            in capsys.readouterr().err)
 
 
 def test_validate_seeded_needs_room():

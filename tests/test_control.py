@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from orgsim import control
 from orgsim.control import (IDLE_PROPOSAL, MAX_PROPOSALS_PER_CONTROLLER,
                             ActionProposal, Actuate, Dock, Drive,
                             GuardContext, Idle, InteractionChannel,
@@ -93,23 +94,41 @@ def test_sensed_modules_read_like_their_tuple():
         empty[0]
 
 
-def test_sensed_modules_get_and_select_build_only_what_they_return():
+def test_sensed_modules_get_and_select_build_only_what_they_return(
+        monkeypatch):
     records = (sensed(1), sensed(4, Health.ENERGY_DEAD, d=0.5),
                sensed(6, mc=ModuleClass.ACTIVE_WHEEL, d=2.0),
                sensed(7, Health.HARDWARE_DEAD, mc=ModuleClass.ACTIVE_WHEEL))
     view = SensedModules.of(records)
-    assert view.get(4) == records[1]
-    assert view.get(7) == records[3]
+    built = []
+
+    def counting(*fields):
+        built.append(fields[0])
+        return SensedModule(*fields)
+
+    monkeypatch.setattr(control, "SensedModule", counting)
+
+    def builds(ids, answer, want):
+        # `answer` was computed before this call, building the ids in `built`
+        assert answer == want
+        assert built == ids
+        built.clear()
+
+    builds([4], view.get(4), records[1])
+    builds([7], view.get(7), records[3])
     for absent in (0, 2, 5, 8, 100, -1, -4):
-        assert view.get(absent) is None, absent
-    assert view.select(healthy=False) == [records[1], records[3]]
-    assert view.select(healthy=True) == [records[0], records[2]]
-    assert view.select(ModuleClass.ACTIVE_WHEEL) == [records[2], records[3]]
-    assert view.select(ModuleClass.ACTIVE_WHEEL, healthy=True) == [records[2]]
-    assert view.select(ModuleClass.BACKBONE) == []
-    assert view.select() == list(records)
-    # none of that read the view as a sequence
-    assert view._records is None
+        builds([], view.get(absent), None)
+    builds([4, 7], view.select(healthy=False), [records[1], records[3]])
+    builds([1, 6], view.select(healthy=True), [records[0], records[2]])
+    builds([6, 7], view.select(ModuleClass.ACTIVE_WHEEL),
+           [records[2], records[3]])
+    builds([6], view.select(ModuleClass.ACTIVE_WHEEL, healthy=True),
+           [records[2]])
+    builds([], view.select(ModuleClass.BACKBONE), [])
+    builds([1, 4, 6, 7], view.select(), list(records))
+    # len does not build records; reading the view as a sequence builds all
+    builds([], len(view), 4)
+    builds([1, 4, 6, 7], view[0], records[0])
     with pytest.raises(ValueError, match="repeated"):
         SensedModules.of([sensed(3), sensed(3)])
     with pytest.raises(ValueError, match="negative"):

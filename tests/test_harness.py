@@ -1,6 +1,7 @@
 """Run harness: event log, determinism, replay verification, CLI, sweeps."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,8 @@ from orgsim.control import (ActionProposal, Dock, Drive, InteractionChannel,
 from orgsim.docking import DockPhase, Face
 from orgsim.errors import ConfigError, InvariantBreach, ReplayError
 from orgsim.geometry import Pose
-from orgsim.harness import (EventLog, Simulation, replay_file, replay_log,
-                            run_scenario, sweep)
+from orgsim.harness import (EventLog, RunMetrics, Simulation, replay_file,
+                            replay_log, run_scenario, sweep)
 from orgsim.organism import reach_height
 from orgsim.rng import fnv1a64
 from orgsim.robot_model import Health
@@ -727,6 +728,12 @@ def _ghost_edge(sim):
         port.peer, port.phase = None, DockPhase.FREE
 
 
+def _dead_off_the_arena(sim):
+    # in_graveyard refuses a point off the arena; the bounds check reports it
+    st = sim.states[2]
+    st.health, st.pose = Health.HARDWARE_DEAD, Pose(-0.1, 0.5, 0.0)
+
+
 BREACHES = {
     "battery_bounds": lambda sim: setattr(
         sim.states[2], "battery_pj", sim.states[2].capacity_pj + 1),
@@ -742,7 +749,10 @@ BREACHES = {
         sim.states[0].ports[0], "peer", sim.states[1].ports[2]),
     "organism_id": _renamed_organism,
     "ghost_edge": _ghost_edge,
+    "dead_out_of_bounds": _dead_off_the_arena,
 }
+# the cases whose breach has another name than the case
+BREACH_NAME = {"dead_out_of_bounds": "out_of_bounds"}
 
 
 @pytest.mark.parametrize("name", sorted(BREACHES))
@@ -760,8 +770,9 @@ def test_invariant_scan_catches_each_breach(name):
     sim._phase_death = death_then_corrupt
     with pytest.raises(InvariantBreach) as caught:
         sim.run(6)
-    assert (caught.value.tick, caught.value.name) == (3, name)
-    assert f" breach name={name} " in sim.log.lines[-1]
+    breach = BREACH_NAME.get(name, name)
+    assert (caught.value.tick, caught.value.name) == (3, breach)
+    assert f" breach name={breach} " in sim.log.lines[-1]
 
 
 def _breach_at_tick_3(monkeypatch, name):
@@ -784,11 +795,50 @@ def test_a_breached_run_still_saves_its_log(name, tmp_path, monkeypatch):
     out = tmp_path / "out"
     with pytest.raises(InvariantBreach) as caught:
         run_scenario(cfg, seed=3, ticks=6, out_dir=out)
-    assert (caught.value.tick, caught.value.name) == (3, name)
+    breach = BREACH_NAME.get(name, name)
+    assert (caught.value.tick, caught.value.name) == (3, breach)
     lines = (out / "events.log").read_text().splitlines()
     assert lines[0] == f"# {harness.LOG_VERSION}"
-    assert lines[-1].startswith("3 ") and f" breach name={name} " in lines[-1]
+    assert lines[-1].startswith("3 ") and f" breach name={breach} " in lines[-1]
     assert not (out / "metrics.txt").exists()
+
+
+# -- metrics text ---------------------------------------------------------
+
+
+def _metrics(**changes):
+    base = dict(
+        name="room", seed=3, ticks=40, dt=10.0, survivors=3,
+        deaths_energy=1, deaths_hardware=0, death_ratio=None,
+        coverage=1 / 3, disposed=0, tasks_open=1, merges=2, splits=1,
+        rejections={"protocol": 2, "collision": 5}, messages_posted=4,
+        messages_dropped=0, initial_j=60000.0, drawn_j=0.0, charged_j=1.5,
+        consumed_j=200.25, shared_j=0.0, stored_j=59801.25, residual_j=0.0,
+        residual_j_per_hour=0.0, events=17, digest="00ff00ff00ff00ff",
+        wall_time_s=0.12345)
+    return RunMetrics(**{**base, **changes})
+
+
+def test_metrics_text_is_one_line_per_field_in_field_order():
+    assert _metrics().to_text() == (
+        "name room\nseed 3\nticks 40\ndt 10.0\nsurvivors 3\n"
+        "deaths_energy 1\ndeaths_hardware 0\ndeath_ratio none\n"
+        "coverage 0.333333\ndisposed 0\ntasks_open 1\nmerges 2\nsplits 1\n"
+        "rejections_collision 5\nrejections_protocol 2\n"
+        "messages_posted 4\nmessages_dropped 0\ninitial_j 60000.0\n"
+        "drawn_j 0.0\ncharged_j 1.5\nconsumed_j 200.25\nshared_j 0.0\n"
+        "stored_j 59801.25\nresidual_j 0.0\nresidual_j_per_hour 0.0\n"
+        "events 17\ndigest 00ff00ff00ff00ff\nwall_time_s 0.123\n")
+    keys = [line.split()[0] for line in
+            _metrics(rejections={}).to_text().splitlines()]
+    assert keys == [f.name for f in dataclasses.fields(RunMetrics)
+                    if f.name != "rejections"]
+
+
+@pytest.mark.parametrize("ratio,text", [
+    (None, "none"), (math.inf, "inf"), (0.5, "0.5"), (1 / 3, repr(1 / 3))])
+def test_metrics_text_writes_the_death_ratio(ratio, text):
+    assert f"\ndeath_ratio {text}\n" in _metrics(death_ratio=ratio).to_text()
 
 
 # -- replay ---------------------------------------------------------------

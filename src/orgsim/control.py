@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -55,16 +56,16 @@ class SensedModules(Sequence):
     `(module_class, pose, health)` entry per module, and `unwell`, the
     ascending ids whose health is not OK, both shared by every view of one
     decide phase; and `row`, this observer's distance to each id in sight,
-    else None. Records are built only when read: `get` and `select` build
-    the ones they return, and each read of the view as a sequence builds
-    its whole tuple.
+    else None, a sequence that nothing else holds or changes. Records are
+    built only when read: `get` and `select` build the ones they return,
+    and each read of the view as a sequence builds its whole tuple.
     """
 
     __slots__ = ("_table", "_unwell", "_row")
 
     def __init__(self,
                  table: tuple[tuple[ModuleClass, Pose, Health] | None, ...],
-                 unwell: tuple[int, ...], row: tuple[float | None, ...]):
+                 unwell: tuple[int, ...], row: Sequence[float | None]):
         self._table = table
         self._unwell = unwell
         self._row = row
@@ -255,6 +256,9 @@ class ActionProposal(NamedTuple):
 
 IDLE_PROPOSAL = ActionProposal(PRIORITY_MAX, Idle(), source="framework")
 _priority = attrgetter("priority")
+# builds a proposal from its three fields in C; ActionProposal(...) runs
+# the generated Python __new__
+_proposal = partial(tuple.__new__, ActionProposal)
 
 
 def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
@@ -271,19 +275,24 @@ def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
             result = fn(obs)
         except Exception as exc:
             raise FrameworkError(f"controller {name!r} raised {exc!r}") from exc
+        # the stock controllers return None or a list; a list or a plain
+        # tuple is read as it is, with no copy
         if result is None:
             continue
-        if isinstance(result, ActionProposal):
-            result = [result]
+        kind = type(result)
+        if kind is list or kind is tuple:
+            batch = result
+        elif isinstance(result, ActionProposal):
+            batch = (result,)
         elif isinstance(result, tuple) and isinstance(result, Action):
             # an action is a tuple too: iterating it would read its fields
             # as proposals, and Idle() as none at all. The tuple test comes
-            # first because a union isinstance costs about five times more,
-            # and most controllers return a list
+            # first because a union isinstance costs about five times more
             raise FrameworkError(
                 f"controller {name!r} returned {result!r}, "
                 f"expected ActionProposal")
-        batch = list(result)
+        else:
+            batch = list(result)
         if len(batch) > MAX_PROPOSALS_PER_CONTROLLER:
             raise FrameworkError(
                 f"controller {name!r} proposed {len(batch)} actions, "
@@ -293,12 +302,14 @@ def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
                 raise FrameworkError(
                     f"controller {name!r} returned {prop!r}, "
                     f"expected ActionProposal")
-            if not (PRIORITY_MIN <= prop.priority <= PRIORITY_MAX
-                    and isinstance(prop.priority, int)):
+            priority, action, _ = prop
+            # the type first: comparing a str or None with an int raises
+            if not (isinstance(priority, int)
+                    and PRIORITY_MIN <= priority <= PRIORITY_MAX):
                 raise FrameworkError(
-                    f"controller {name!r} used priority {prop.priority!r}, "
+                    f"controller {name!r} used priority {priority!r}, "
                     f"must be an int in [{PRIORITY_MIN}, {PRIORITY_MAX}]")
-            out.append(ActionProposal(prop.priority, prop.action, name))
+            out.append(_proposal((priority, action, name)))
     return out
 
 

@@ -15,6 +15,8 @@ import math
 import time
 import urllib.parse
 from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import sub
 from pathlib import Path
 
 from .behaviors import build_controllers
@@ -196,19 +198,22 @@ class Simulation:
         self._delivered_count = 0
         self._ran = False
 
-        # incremental sensing, see _refresh_sight. run() allocates these
-        # lists, indexed by module id, only when some module has controllers:
-        # each Pose (immutable) and its cell as of the last refresh, and for
-        # a live observer its row (its distance to each module id when in
-        # range and in line of sight, else None; None for any other id), its
-        # sensed sockets, and the local and interaction channels its last
+        # incremental sensing, see _refresh_sight. run() allocates these,
+        # indexed by module id, only when some module has controllers: each
+        # Pose (immutable), its x, its y and its cell as of the last refresh;
+        # `_sight`, the flat n x n table whose entry j * n + k is the
+        # distance between modules j and k when in range and in line of
+        # sight, else None (None for j == k); each live observer's sensed
+        # sockets; and the local and interaction channels its last
         # observation handed out. _phase_decide builds the tables that the
         # local channels share: (module_class, pose, health) per id, and the
         # ids whose health is not OK
         self._observers: tuple[int, ...] = ()  # live ids with controllers
         self._sight_poses: list[Pose | None] | None = None
+        self._sight_xs: list[float] | None = None
+        self._sight_ys: list[float] | None = None
         self._sight_cells: list[tuple[int, int] | None] | None = None
-        self._sight_rows: list[list[float | None] | None] | None = None
+        self._sight: list[float | None] | None = None
         self._sensed_sockets: list[tuple] | None = None
         self._sight_table: tuple[tuple, ...] = ()
         self._sight_unwell: tuple[int, ...] = ()
@@ -307,10 +312,10 @@ class Simulation:
         if self._observers:
             n = len(self.states)
             self._sight_poses = [None] * n
+            self._sight_xs = [0.0] * n
+            self._sight_ys = [0.0] * n
             self._sight_cells = [None] * n
-            self._sight_rows = [None] * n
-            for i in self._observers:
-                self._sight_rows[i] = [None] * n
+            self._sight = [None] * (n * n)
             self._sensed_sockets = [()] * n
             self._local_channels = [None] * n
             self._interaction_channels = [None] * n
@@ -344,56 +349,76 @@ class Simulation:
         return delivered
 
     def _refresh_sight(self) -> bool:
-        """Bring every live observer's row and sockets up to date with the
-        current poses, and tell whether any module moved. Poses are
-        immutable, so an unchanged Pose object is an unmoved module; distance
-        and line of sight are symmetric, so each pair with a moved end is
-        computed once and written into the row of each end that observes."""
+        """Bring the sight table and every live observer's sockets up to
+        date with the current poses, and tell whether any module moved.
+        Poses are immutable, so an unchanged Pose object is an unmoved
+        module. Each moved module j gets its distances to every id in one
+        pass, written as row j and, distance and line of sight being
+        symmetric, as column j of the table.
+
+        Line of sight is decided for the whole fleet first: when every
+        module's cell is on the grid and the rectangle spanning them all
+        holds no wall, it spans every pair's rectangle, so every pair is in
+        sight. Otherwise each pair in range is asked of the arena, once
+        when both its ends moved."""
         arena = self.arena
         range_m = self.cfg.sensing_range_m
-        poses, cells, rows = (self._sight_poses, self._sight_cells,
-                              self._sight_rows)
+        poses, xs, ys, cells = (self._sight_poses, self._sight_xs,
+                                self._sight_ys, self._sight_cells)
         moved = []
         for j, st in self.states.items():
             pose = st.pose
             if pose is not poses[j]:
                 poses[j] = pose
-                cells[j] = arena.cell_of(pose.x, pose.y)
+                x = xs[j] = pose.x
+                y = ys[j] = pose.y
+                cells[j] = arena.cell_of(x, y)
                 moved.append(j)
+        if moved:
+            # cell_of floors x / cell_size, which keeps order, so the corner
+            # cells of the fleet come from its extreme coordinates
+            x0, y0 = arena.cell_of(min(xs), min(ys))
+            x1, y1 = arena.cell_of(max(xs), max(ys))
+            all_in_sight = arena.rect_is_open(x0, y0, x1, y1)
+            line_of_sight = arena.line_of_sight
+            hypot = math.hypot
+            table = self._sight
+            n = len(poses)
+            answered = bytearray(n)     # moved ids whose pairs are asked
+            for j in moved:
+                # xs[k] - xs[j] is exactly -(xs[j] - xs[k]), and hypot reads
+                # magnitudes, so either end computes the same distance
+                row = list(map(hypot, map(sub, xs, repeat(xs[j])),
+                               map(sub, ys, repeat(ys[j]))))
+                if max(row) > range_m:
+                    row = [d if d <= range_m else None for d in row]
+                row[j] = None
+                if not all_in_sight:
+                    cell = cells[j]
+                    for k, d in enumerate(row):
+                        if d is None:
+                            continue
+                        if answered[k]:     # k's pass wrote this pair
+                            row[k] = table[j * n + k]
+                        elif not line_of_sight(cell, cells[k]):
+                            row[k] = None
+                    answered[j] = True
+                table[j * n:(j + 1) * n] = row
+                table[j::n] = row
 
-        line_of_sight = arena.line_of_sight
-        done = [False] * len(poses)       # moved ids whose pairs are computed
-        for j in moved:
-            done[j] = True
-            row_j = rows[j]
-            pose, cell = poses[j], cells[j]
-            x, y = pose.x, pose.y
-            for k, row_k in enumerate(rows):
-                if done[k] or (row_j is None and row_k is None):
-                    continue
-                other = poses[k]
-                d = math.hypot(x - other.x, y - other.y)
-                if not (d <= range_m and line_of_sight(cell, cells[k])):
-                    d = None
-                if row_j is not None:
-                    row_j[k] = d
-                if row_k is not None:
-                    row_k[j] = d
-
-        toggled = self._socket_toggled
-        for i in self._observers:
-            if toggled or done[i]:
-                self._sensed_sockets[i] = tuple(
-                    sense_sockets(poses[i], range_m, arena))
+        for i in (self._observers if self._socket_toggled
+                  else set(moved).intersection(self._observers)):
+            self._sensed_sockets[i] = tuple(
+                sense_sockets(poses[i], range_m, arena))
         return bool(moved)
 
     def _observe(self, i: int, delivered: dict) -> Observation:
         """Build module i's observation. The self and internal channels are
-        built every tick. The local channel is built from i's row, which
-        _refresh_sight brought up to date earlier in this decide phase, and
-        this phase's module table; on a tick where no module moved, no
-        socket toggled and no module's health changed, the last one goes out
-        again, as nothing it reads has changed. The interaction channel goes
+        built every tick. The local channel is built from i's row of the
+        sight table, which _refresh_sight brought up to date earlier in this
+        decide phase, and this phase's module table; on a tick where no
+        module moved, no socket toggled and no module's health changed, the
+        last one goes out again, as nothing it reads has changed. The interaction channel goes
         out again while i has no messages, this tick or last, and no port
         anywhere changed phase: every peer and organism change comes with
         one."""
@@ -406,12 +431,13 @@ class Simulation:
             arena = self.arena
             terrain = (arena.terrain_at_cell(cx, cy)
                        if arena.cell_in_bounds(cx, cy) else None)
+            n = len(self.states)
             # positional arguments, in field order: a keyword call costs
-            # about twice as much
+            # about twice as much. The slice is the view's own copy of row i
             local = self._local_channels[i] = LocalChannel(
                 terrain, self._sensed_sockets[i],
                 SensedModules(self._sight_table, self._sight_unwell,
-                              tuple(self._sight_rows[i])),
+                              self._sight[i * n:(i + 1) * n]),
                 self._arena_size, self._yard_rect)
         interaction = self._interaction_channels[i]
         messages = delivered.get(i)
@@ -446,7 +472,6 @@ class Simulation:
         if len(alive) < len(observers):
             # death is final: the dead never observe again
             for i in set(observers).difference(alive):
-                self._sight_rows[i] = None
                 self._local_channels[i] = None
                 self._interaction_channels[i] = None
             self._observers = tuple(alive)

@@ -87,7 +87,7 @@ class Arena:
         self._socket_ids: dict[int, Socket] = {}   # filled by _validate
         self.graveyard = graveyard
         # summed-area table of obstacle cells, built on the first in-grid
-        # sightline query (see _wall_table)
+        # rectangle query (see rect_is_open and _wall_table)
         self._walls: list[int] | None = None
         # path_clear answers of this generation and the one before, keyed by
         # (x0, y0, x1, y1, id(passable)); see age_path_memo
@@ -234,26 +234,32 @@ class Arena:
         slip diagonally between two wall blocks. Endpoint cells never block.
 
         The walk never leaves the bounding rectangle of its two end cells,
-        so an in-grid pair whose rectangle holds no obstacle cell is visible
-        without a walk; the wall-count table answers that in four lookups.
-        Any other pair, off-grid cells included, is walked on every query.
+        so a pair whose rectangle is open (see `rect_is_open`) is visible
+        without a walk. Any other pair, off-grid cells included, is walked
+        on every query.
         """
         ax, ay = cell_a
         bx, by = cell_b
+        x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
+        y0, y1 = (ay, by) if ay <= by else (by, ay)
+        return self.rect_is_open(x0, y0, x1, y1) or self._trace(cell_a, cell_b)
+
+    def rect_is_open(self, x0: int, y0: int, x1: int, y1: int) -> bool:
+        """True when the cells (cx, cy) with x0 <= cx <= x1 and y0 <= cy <= y1
+        all lie on the grid and none of them is an obstacle; the corners
+        must be ordered, x0 <= x1 and y0 <= y1. The wall-count table answers
+        in four lookups, whatever the rectangle's size."""
         width = self.width
-        if (0 <= ax < width and 0 <= bx < width
-                and 0 <= ay < self.height and 0 <= by < self.height):
-            walls = self._walls
-            if walls is None:
-                walls = self._wall_table()
-            x0, x1 = (ax, bx + 1) if ax <= bx else (bx, ax + 1)
-            r0, r1 = (ay, by + 1) if ay <= by else (by, ay + 1)
-            r0 *= width + 1
-            r1 *= width + 1
-            if not (walls[r1 + x1] - walls[r0 + x1]
-                    - walls[r1 + x0] + walls[r0 + x0]):
-                return True
-        return self._trace(cell_a, cell_b)
+        if not (0 <= x0 and x1 < width and 0 <= y0 and y1 < self.height):
+            return False
+        walls = self._walls
+        if walls is None:
+            walls = self._wall_table()
+        x1 += 1
+        r0 = y0 * (width + 1)
+        r1 = (y1 + 1) * (width + 1)
+        return not (walls[r1 + x1] - walls[r0 + x1]
+                    - walls[r1 + x0] + walls[r0 + x0])
 
     def _wall_table(self) -> list[int]:
         """Build the flat (width+1) x (height+1) summed-area table: entry

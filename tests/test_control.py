@@ -179,6 +179,40 @@ def test_step_controllers_flags_misbehavior():
         step_controllers({"crashy": boom}, obs)
 
 
+@pytest.mark.parametrize("priority", ["high", None, 50.0], ids=repr)
+def test_step_controllers_refuses_a_priority_that_is_not_an_int(priority):
+    # the type is tested before the range: "high" <= 255 would raise a
+    # plain TypeError instead of the framework's own error
+    with pytest.raises(FrameworkError,
+                       match=f"'vague' used priority {priority!r}, must be"):
+        step_controllers({"vague": lambda o: ActionProposal(priority, Idle())},
+                         make_obs())
+
+
+class _Urgent(ActionProposal):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda props: props,
+    tuple,
+    iter,
+    lambda props: (p for p in props),
+], ids=["list", "tuple", "iterator", "generator"])
+def test_step_controllers_takes_any_iterable_and_proposal_subclasses(wrap):
+    drive = Drive(0.1)
+    props = [ActionProposal(1, drive), _Urgent(7, Idle(), "spoofed")]
+    got = step_controllers({"any": lambda o: wrap(props)}, make_obs())
+    assert got == [ActionProposal(1, drive, "any"),
+                   ActionProposal(7, Idle(), "any")]
+    assert all(type(p) is ActionProposal for p in got)
+    assert step_controllers({"one": lambda o: _Urgent(9, drive)},
+                            make_obs()) == [ActionProposal(9, drive, "one")]
+    with pytest.raises(FrameworkError, match=r"returned \(9, Idle\(\), ''\)"):
+        step_controllers({"raw": lambda o: wrap([(9, Idle(), "")])},
+                         make_obs())
+
+
 @pytest.mark.parametrize("bare", [Idle(), Drive(0.1)], ids=repr)
 def test_step_controllers_rejects_a_bare_action(bare):
     # an action is a named tuple: read as a batch it would pass its fields

@@ -175,6 +175,9 @@ def _sensed_from_scratch(sim, i):
     ("full_scale", 42, 20, None),
     ("desk_challenge", 11, 200, (2, 5)),
     ("disposal_open", 3, 432, None),
+    # the one bundled map whose fleet rectangle holds walls: every refresh
+    # asks the arena about each pair in range with a moved end
+    ("disposal_walled", 3, 432, None),
     ("survival_zero", 7, 500, None),
 ])
 def test_incremental_sensing_matches_a_fresh_scan(scenario, seed, ticks,
@@ -539,6 +542,117 @@ def test_observation_channels_match_their_enum_values():
     sim._observe = observe_and_check
     sim.run(20)
     assert docked > 100
+
+
+def test_a_walled_refresh_asks_each_pair_in_range_once():
+    # disposal_walled's fleet rectangle holds the pocket's walls, and every
+    # module moves on the first refresh: each of the three pairs is asked
+    # once, from its lower id, and the map has no socket to ask about
+    cfg = load_scenario_file(CONFIG_DIR / "disposal_walled.cfg")
+    sim = Simulation(cfg, 3)
+    arena = sim.arena
+    asked = []
+    line_of_sight = arena.line_of_sight
+
+    def recording(a, b):
+        asked.append((sim.tick, a, b))
+        return line_of_sight(a, b)
+
+    arena.line_of_sight = recording
+    cells = [arena.cell_of(st.pose.x, st.pose.y) for st in sim.states.values()]
+    sim.run(1)
+    assert not arena.sockets
+    assert sorted(asked) == sorted([(1, cells[0], cells[1]),
+                                    (1, cells[0], cells[2]),
+                                    (1, cells[1], cells[2])])
+
+
+POCKET_MAP = """\
+cellsize 0.25
+##########
+#........#
+#........#
+#....#####
+#....#...#
+#....#...#
+##########
+"""
+
+POCKET_SCENARIO = """\
+[run]
+days = 1
+dt = 10
+seed = 5
+
+[roster]
+scout = 3
+
+[controllers]
+all = explore
+
+[sensing]
+range_m = 8
+
+[spawns]
+mode = fixed
+0 = 0.875 0.625 0
+1 = 0.375 0.375 0
+2 = 0.625 1.375 0
+"""
+
+# module 0's column in row 2 on tick 1, 2, ...: into the shadow that the
+# wall row and column cast from module 2, then back out
+POCKET_TRIP = [3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 3, 2]
+
+
+def test_sensing_matches_a_fresh_scan_into_a_walled_shadow_and_out():
+    # the fleet's rectangle is open while every module stays west of the
+    # wall column, and holds walls while module 0 is east of it: one run
+    # takes both paths, and each tick must sense what a fresh scan does
+    sim = Simulation(load_scenario(POCKET_SCENARIO, map_text=POCKET_MAP))
+    for i in sim.controllers:
+        sim.controllers[i] = {"still": lambda obs: None}
+    arena = sim.arena
+    asked = {}
+    line_of_sight = arena.line_of_sight
+
+    def counting(a, b):
+        asked[sim.tick] = asked.get(sim.tick, 0) + 1
+        return line_of_sight(a, b)
+
+    arena.line_of_sight = counting
+    execute = sim._phase_execute
+
+    def execute_and_drive(selected):
+        execute(selected)
+        if sim.tick < len(POCKET_TRIP):      # where the next tick sees it
+            sim.states[0].pose = Pose(
+                *arena.cell_center(POCKET_TRIP[sim.tick], 2))
+            # module 2 steps between (2, 5) and (1, 5), so that both ends
+            # of the occluded pair move on the walled ticks
+            sim.states[2].pose = Pose(*arena.cell_center(2 - sim.tick % 2, 5))
+
+    sim._phase_execute = execute_and_drive
+    observe = sim._observe
+    occluded = set()
+
+    def observe_and_check(i, delivered):
+        obs = observe(i, delivered)
+        modules, sockets = _sensed_from_scratch(sim, i)
+        assert obs.local.modules == modules, (sim.tick, i)
+        assert obs.local.sockets == sockets == (), (sim.tick, i)
+        if len(modules) < 2:                # every pair is in range
+            occluded.add(sim.tick)
+        return obs
+
+    sim._observe = observe_and_check
+    sim.run(len(POCKET_TRIP))
+    # module 0 is east of the wall column from tick 3 to tick 10, and out
+    # of module 2's sight on each of them but the last, when module 2 sees
+    # it from (1, 5); the map has no socket, so only the per-pair path asks
+    # line_of_sight, once for each of the three pairs
+    assert asked == {t: 3 for t in range(3, 11)}
+    assert sorted(occluded) == list(range(3, 10))
 
 
 def test_an_observer_off_the_arena_senses_no_terrain():

@@ -256,6 +256,43 @@ def test_los_matches_a_trace_on_one_cell_wide_grids(rows):
             for x in range(-1, a.width + 1)])
 
 
+def _rect_is_open_by_count(rows, x0, y0, x1, y1):
+    # the rectangle lies on the grid and a plain count finds no wall in it
+    if not (0 <= x0 and x1 < len(rows[0]) and 0 <= y0 and y1 < len(rows)):
+        return False
+    return sum(row[x0:x1 + 1].count("#") for row in rows[y0:y1 + 1]) == 0
+
+
+def _assert_rects_match_a_count(arena, rows):
+    # every ordered rectangle whose corners lie on the grid or one step off
+    xs, ys = range(-1, arena.width + 1), range(-1, arena.height + 1)
+    answers = set()
+    for x0 in xs:
+        for x1 in xs[x0 + 1:]:
+            for y0 in ys:
+                for y1 in ys[y0 + 1:]:
+                    got = arena.rect_is_open(x0, y0, x1, y1)
+                    assert got == _rect_is_open_by_count(rows, x0, y0, x1, y1), (
+                        x0, y0, x1, y1)
+                    answers.add(got)
+    return answers
+
+
+@pytest.mark.parametrize("name", BUNDLED_MAPS)
+def test_rect_is_open_matches_a_wall_count_on_every_rect_of_a_bundled_map(
+        name):
+    a = parse_arena((MAP_DIR / f"{name}.map").read_text())
+    rows = ["".join("#" if t is TerrainClass.OBSTACLE else "." for t in row)
+            for row in a.cells]
+    assert _assert_rects_match_a_count(a, rows) == {True, False}
+
+
+@given(walled_grids())
+def test_rect_is_open_matches_a_wall_count_on_random_walls(grid):
+    rows, _ = grid
+    _assert_rects_match_a_count(arena_from_lines(rows), rows)
+
+
 def _count_walks(arena):
     walked = []
     trace = arena._trace

@@ -303,8 +303,9 @@ def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
                     f"controller {name!r} returned {prop!r}, "
                     f"expected ActionProposal")
             priority, action, _ = prop
-            # the type first: comparing a str or None with an int raises
-            if not (isinstance(priority, int)
+            # the type first: comparing a str or None with an int raises.
+            # A bool is an int as well, but no priority
+            if not (isinstance(priority, int) and type(priority) is not bool
                     and PRIORITY_MIN <= priority <= PRIORITY_MAX):
                 raise FrameworkError(
                     f"controller {name!r} used priority {priority!r}, "

@@ -53,9 +53,10 @@ PEERED_PHASES = (DockPhase.LOCKING, DockPhase.DOCKED, DockPhase.UNLOCKING)
 ABORTABLE_PHASES = (DockPhase.FREE, DockPhase.APPROACHING, DockPhase.ALIGNING)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DockPort:
-    """One of a module's four connectors. Identity matters, not value."""
+    """One of a module's four connectors. Identity matters, not value.
+    Slotted, like ModuleState, so that `phase` reads specialize."""
 
     owner: int
     face: Face

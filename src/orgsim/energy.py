@@ -11,6 +11,7 @@ battery side where it is exact.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -97,10 +98,10 @@ def drain(state: ModuleState, joules: float, ledger: EnergyLedger) -> float:
     return to_j(got_pj)
 
 
-def drain_idle(states: dict[int, ModuleState], paid: set[int], tariff: Tariff,
+def drain_idle(states: Iterable[ModuleState], paid: set[int], tariff: Tariff,
                dt: float, ledger: EnergyLedger) -> None:
-    """Bill one tick of idle draw to every live module whose id is not in
-    `paid`, in one pass.
+    """Bill one tick of idle draw to every live state in `states` whose id
+    is not in `paid`, in one pass.
 
     Each module loses exactly what `drain(state, tariff.idle_draw_j(dt,
     state.coprocessor_on), ledger)` would take from it; the price is worked
@@ -112,10 +113,12 @@ def drain_idle(states: dict[int, ModuleState], paid: set[int], tariff: Tariff,
         if joules < 0:
             raise ValueError(f"cannot drain a negative amount ({joules})")
     off_pj, on_pj = to_pj(off_j), to_pj(on_j)
+    if paid:    # empty when no module drove this tick
+        states = [st for st in states if st.id not in paid]
     ok = Health.OK
     total = 0
-    for i, st in states.items():
-        if st.health is ok and i not in paid:
+    for st in states:
+        if st.health is ok:
             have = st.battery_pj
             want = on_pj if st.coprocessor_on else off_pj
             got = want if want < have else have

@@ -16,7 +16,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass, fields
 from itertools import repeat
-from operator import sub
+from operator import attrgetter, sub
 from pathlib import Path
 
 from .behaviors import build_controllers
@@ -26,7 +26,7 @@ from .control import (ActionProposal, Actuate, Dock, Drive, GuardContext, Idle,
                       Mailbox, MessageBus, Observation, Recharge, Rejected,
                       SelfChannel, SensedModules, ToggleCoprocessor, Tow,
                       Undock, guard_action, select_action, step_controllers)
-from .docking import (PEERED_PHASES, DockPhase, Face, TickInput,
+from .docking import (FACES, PEERED_PHASES, DockPhase, TickInput,
                       advance_dock, attempt_align, face_center, undock)
 from .energy import (EnergyLedger, classify_deaths, drain, drain_idle, recharge,
                      share_energy)
@@ -34,7 +34,7 @@ from .errors import CommandError, ConfigError, InvariantBreach, ReplayError
 from .geometry import Pose, rotate_vec
 from .organism import (OrganismRegistry, Translate, Turn, edge_key,
                        organism_move, reach_height)
-from .rng import Rng, fnv1a64
+from .rng import HitStream, Rng, fnv1a64
 from .robot_model import (DriveCommand, Health, ModuleState, actuate_joint,
                           locomotion_step, make_module_spec, new_module_state,
                           pair_tolerance)
@@ -44,6 +44,9 @@ LOG_VERSION = "orgsim-log v1"
 # bound once: on CPython 3.11, EnumType.__getattr__ slows every `Health.OK`
 _OK, _ENERGY_DEAD, _FREE = Health.OK, Health.ENERGY_DEAD, DockPhase.FREE
 _DOCKED = DockPhase.DOCKED
+# a face's value to its port's index in ModuleState.ports, for the organism
+# edges, which hold faces by value
+_PORT_OF_FACE = {face.value: k for k, face in enumerate(FACES)}
 
 
 def _fmt(v) -> str:
@@ -160,7 +163,9 @@ class Simulation:
         self.tick = 0
 
         master = Rng(self.seed)
-        self.rng_hazards = master.substream("hazards")
+        # its state runs up to a block of draws ahead of the run, see HitStream
+        self._hazards = (HitStream(master.substream("hazards"), cfg.hazard_rate)
+                         if cfg.hazard_rate > 0.0 else None)
         self._rng_noise = master.substream("noise")
         self._rng_placement = master.substream("placement")
 
@@ -175,6 +180,9 @@ class Simulation:
 
         self.specs = {}
         self.states: dict[int, ModuleState] = {}
+        # the live states in id order; run() fills it and only _phase_death,
+        # where health changes, edits it
+        self._live: list[ModuleState] = []
         self.controllers = {}
         self.ledger = EnergyLedger()
         self._spawn_modules()
@@ -306,9 +314,9 @@ class Simulation:
         self._ran = True
         total = self.cfg.total_ticks if ticks is None else ticks
         self._write_header(total)
-        self._observers = tuple([i for i, st in self.states.items()
-                                 if st.health is Health.OK
-                                 and self.controllers[i]])
+        self._live = [st for st in self.states.values() if st.health is _OK]
+        self._observers = tuple([st.id for st in self._live
+                                 if self.controllers[st.id]])
         if self._observers:
             n = len(self.states)
             self._sight_poses = [None] * n
@@ -642,7 +650,7 @@ class Simulation:
         for key in sorted(self.pairs):
             pairing = self.pairs[key]
             pa, pb = pairing.port_a, pairing.port_b
-            if pa.phase is DockPhase.DOCKED:
+            if pa.phase is _DOCKED:
                 continue
             sta = self.states[pa.owner]
             stb = self.states[pb.owner]
@@ -660,8 +668,8 @@ class Simulation:
             )
             prev = pa.phase
             advance_dock(pa, pb, inp,
-                         healthy_a=sta.health is Health.OK,
-                         healthy_b=stb.health is Health.OK,
+                         healthy_a=sta.health is _OK,
+                         healthy_b=stb.health is _OK,
                          tow=pairing.tow)
             now = pa.phase
             if now is prev:
@@ -673,7 +681,7 @@ class Simulation:
             if now is DockPhase.LOCKING:
                 drain(sta, self.cfg.tariff.lock_j, self.ledger)
                 drain(stb, self.cfg.tariff.lock_j, self.ledger)
-            elif now is DockPhase.DOCKED:
+            elif now is _DOCKED:
                 ev = self.registry.register_edge(pa, pb)
                 self.merges += 1
                 self.log.event(self.tick, -1, "merge", org=ev.organism_id,
@@ -690,22 +698,22 @@ class Simulation:
                                survivors="+".join(map(str, ev.survivors)) or "-",
                                dissolved="+".join(map(str, ev.dissolved)) or "-")
                 self._refresh_carried(pa.owner, pb.owner)
-            if now is DockPhase.FREE:
+            if now is _FREE:
                 del self.pairs[key]
 
     def _refresh_carried(self, *ids: int) -> None:
         for mid in ids:
             st = self.states[mid]
-            if st.health is Health.OK:
+            if st.health is _OK:
                 continue
             st.carried = any(
-                p.tow and p.port_a.phase is DockPhase.DOCKED
+                p.tow and p.port_a.phase is _DOCKED
                 and mid in (p.port_a.owner, p.port_b.owner)
                 for p in self.pairs.values())
 
     def _phase_energy(self) -> None:
         tariff, dt = self.cfg.tariff, self.cfg.dt
-        drain_idle(self.states, self._idle_paid, tariff, dt, self.ledger)
+        drain_idle(self._live, self._idle_paid, tariff, dt, self.ledger)
         edges = [e for org in self.registry.organisms.values() for e in org.edges]
         if edges:
             transfers = share_energy(edges, self.states, dt, tariff, self.ledger)
@@ -715,33 +723,39 @@ class Simulation:
                                    to=tr.receiver, joules=tr.joules)
 
     def _phase_death(self) -> None:
-        hazards = self.cfg.hazard_rate > 0.0
-        live = []       # with hazards, the modules alive after energy deaths
-        keep = live.append
-        for i, st in self.states.items():
-            if st.health is _OK:
+        """Energy deaths, then one hazard draw per module still alive, both
+        in id order, over the live roster, which leaves with only the
+        survivors. The roster is walked only when some battery is empty."""
+        live = self._live
+        if 0 in map(attrgetter("battery_pj"), live):
+            kept = []
+            for st in live:
                 if st.battery_pj == 0:
-                    st.health = Health.ENERGY_DEAD
+                    st.health = _ENERGY_DEAD
                     self.deaths_energy += 1
-                    self.log.event(self.tick, i, "death", cause="energy")
-                elif hazards:
-                    keep(st)
-        if hazards:
-            for k in self.rng_hazards.hits(len(live), self.cfg.hazard_rate):
-                live[k].health = Health.HARDWARE_DEAD
+                    self.log.event(self.tick, st.id, "death", cause="energy")
+                else:
+                    kept.append(st)
+            live = self._live = kept
+        if self._hazards is not None:
+            hits = self._hazards.take(len(live))
+            for k in hits:
+                st = live[k]
+                st.health = Health.HARDWARE_DEAD
                 self.deaths_hardware += 1
-                self.log.event(self.tick, live[k].id, "death", cause="hazard",
-                               battery=live[k].battery)
+                self.log.event(self.tick, st.id, "death", cause="hazard",
+                               battery=st.battery)
+            for k in reversed(hits):
+                del live[k]
 
     def _phase_metrics(self) -> None:
         self._invariant_scan()
         tpd = self.cfg.ticks_per_day
         if self.tick % tpd == 0:
-            tally = classify_deaths(self.states.values())
             led = self.ledger.as_dict()
             self.log.event(
                 self.tick, -1, "day", index=self.tick // tpd,
-                survivors=tally.ok, deaths_energy=self.deaths_energy,
+                survivors=len(self._live), deaths_energy=self.deaths_energy,
                 deaths_hardware=self.deaths_hardware,
                 coverage=round(self._coverage(), 6),
                 drawn_j=led["drawn_j"], consumed_j=led["consumed_j"],
@@ -807,8 +821,8 @@ class Simulation:
                 self._breach(-1, "organism_id", f"org {org_id}")
             for edge in org.edges:
                 for mid, fval in edge:
-                    port = self.states[mid].port(Face(fval))
-                    if port.phase is not DockPhase.DOCKED:
+                    port = self.states[mid].ports[_PORT_OF_FACE[fval]]
+                    if port.phase is not _DOCKED:
                         self._breach(mid, "ghost_edge",
                                      f"face {fval} {port.phase.value}")
 
@@ -825,9 +839,8 @@ class Simulation:
         residual = self.ledger.residual_j(stored_pj)
         hours = total * self.cfg.dt / 3600.0
         led = self.ledger.as_dict()
-        tasks_open = sum(
-            1 for i, st in self.states.items()
-            if st.health is not Health.OK and i not in self.disposed)
+        # only the dead are disposed
+        tasks_open = tally.dead - len(self.disposed)
         events_before = self.log.event_count
         self.log.event(
             self.tick, -1, "run_end", events=events_before,
@@ -927,11 +940,7 @@ def replay_file(path: str | Path) -> RunMetrics:
 def sweep(cfg: ScenarioConfig, seeds, ticks: int | None = None,
           out_dir: str | Path | None = None) -> list[RunMetrics]:
     """Run the scenario once per seed, serially and independently."""
-    results = []
-    for seed in seeds:
-        if out_dir is not None:
-            sub = Path(out_dir) / f"seed_{seed}"
-        else:
-            sub = None
-        results.append(run_scenario(cfg, seed=seed, ticks=ticks, out_dir=sub))
-    return results
+    return [run_scenario(cfg, seed=seed, ticks=ticks,
+                         out_dir=None if out_dir is None
+                         else Path(out_dir) / f"seed_{seed}")
+            for seed in seeds]

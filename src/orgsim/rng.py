@@ -21,6 +21,7 @@ state a fixed number of draws ahead is a fixed 64x64 bit matrix applied to
 the current one, and the lanes start at successive jumps of that many
 draws and then step together. The indices, the draws consumed and the
 final state equal those of the same number of `random()` calls.
+`HitStream` hands the hits of such batches out a few draws at a time.
 """
 
 from __future__ import annotations
@@ -34,10 +35,15 @@ _SPLIT_INC = 0x9E3779B97F4A7C15
 _MULT = 0x2545F4914F6CDD1D
 
 # draws per lane in Rng.hits. Each lane start costs one table jump (16
-# lookups) and each step 14 operations on an int as wide as all lanes; at
-# 200 draws the cost is flat from about 20 to 32 draws a lane, and 30 holds
-# 181 to 210 draws in seven lanes
-_LANE = 30
+# lookups) and each step 14 operations on an int as wide as all lanes, so
+# the work on the wide int is the same for any lane length and the lengths
+# trade jumps against steps. For a HitStream block of 4096 draws the cost is
+# flat from about 64 to 160 draws a lane (0.36 to 0.5 ms a block on CPython
+# 3.11), twice that at 16 and a third more at 32; 64 splits the block into
+# 64 full lanes
+_LANE = 64
+# draws per HitStream refill: one Rng.hits call per block
+_BLOCK = 4096
 _LANE_BITS = 128       # holds a 64-bit state times the 64-bit multiplier
 _JUMP: list[int] | None = None   # see _jump_table
 
@@ -207,3 +213,45 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+class HitStream:
+    """Successive Bernoulli draws of `rng` against one `p`, handed out in
+    runs of any length.
+
+    `take(n)` gives the indices k in [0, n) whose k-th of the next n draws
+    is below p: the same list as `rng.hits(n, p)` on the stream as far as
+    earlier takes used it. The draws come from `rng.hits(_BLOCK, p)` one
+    block at a time, the first on the first take that needs one, so the
+    stream's own state runs up to one block ahead of the draws handed out;
+    nothing else may draw from it.
+    """
+
+    __slots__ = ("_rng", "_p", "_hits", "_next", "_pos")
+
+    def __init__(self, rng: Rng, p: float):
+        self._rng = rng
+        self._p = p
+        self._hits: list[int] = []  # the current block's hits, ascending
+        self._next = 0              # index in _hits of the first not given
+        self._pos = _BLOCK          # draws of the current block given out
+
+    def take(self, n: int) -> list[int]:
+        out = []
+        done = 0                    # draws of this take already covered
+        while True:
+            pos, hits, h = self._pos, self._hits, self._next
+            end = pos + n - done
+            if end > _BLOCK:
+                end = _BLOCK
+            while h < len(hits) and hits[h] < end:
+                out.append(hits[h] - pos + done)
+                h += 1
+            self._next = h
+            self._pos = end
+            done += end - pos
+            if done >= n:
+                return out
+            self._hits = self._rng.hits(_BLOCK, self._p)
+            self._next = 0
+            self._pos = 0

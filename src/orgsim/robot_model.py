@@ -142,9 +142,11 @@ def can_traverse(module_class: ModuleClass, terrain: TerrainClass) -> bool:
     return terrain in _TRAVERSABLE[module_class]
 
 
-@dataclass
+@dataclass(slots=True)
 class ModuleState:
-    """Mutable per-module simulation state."""
+    """Mutable per-module simulation state. Slotted: the run reads every
+    module's `health` every tick, and with its default left on the class
+    CPython 3.11 could not specialize those reads."""
 
     id: int
     module_class: ModuleClass

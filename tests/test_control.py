@@ -179,10 +179,12 @@ def test_step_controllers_flags_misbehavior():
         step_controllers({"crashy": boom}, obs)
 
 
-@pytest.mark.parametrize("priority", ["high", None, 50.0], ids=repr)
+@pytest.mark.parametrize("priority", ["high", None, 50.0, True, False],
+                         ids=repr)
 def test_step_controllers_refuses_a_priority_that_is_not_an_int(priority):
     # the type is tested before the range: "high" <= 255 would raise a
-    # plain TypeError instead of the framework's own error
+    # plain TypeError instead of the framework's own error. A bool passes
+    # isinstance(_, int) and lies in [0, 255], yet is no priority
     with pytest.raises(FrameworkError,
                        match=f"'vague' used priority {priority!r}, must be"):
         step_controllers({"vague": lambda o: ActionProposal(priority, Idle())},

@@ -98,7 +98,7 @@ def test_drain_idle_bills_like_per_module_drain(coprocessor_on):
     batch, single = fleet(), fleet()
     batch_led, single_led = EnergyLedger(), EnergyLedger()
     for _ in range(2):
-        drain_idle(batch, paid, tariff, dt, batch_led)
+        drain_idle(batch.values(), paid, tariff, dt, batch_led)
         for i, st_ in single.items():
             if st_.health is Health.OK and i not in paid:
                 drain(st_, tariff.idle_draw_j(dt, st_.coprocessor_on),
@@ -108,7 +108,7 @@ def test_drain_idle_bills_like_per_module_drain(coprocessor_on):
     assert batch_led.consumed_pj == single_led.consumed_pj
     assert batch[2].battery_pj == 0 and batch[5].battery_pj == 20000 * PJ
     with pytest.raises(ValueError):
-        drain_idle(batch, paid, tariff, -dt, EnergyLedger())
+        drain_idle(batch.values(), paid, tariff, -dt, EnergyLedger())
 
 
 # -- recharge -------------------------------------------------------------

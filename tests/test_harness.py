@@ -17,7 +17,7 @@ from orgsim.geometry import Pose
 from orgsim.harness import (EventLog, RunMetrics, Simulation, replay_file,
                             replay_log, run_scenario, sweep)
 from orgsim.organism import reach_height
-from orgsim.rng import fnv1a64
+from orgsim.rng import _BLOCK, Rng, fnv1a64
 from orgsim.robot_model import Health
 from orgsim.world import SensedSocket, TerrainClass
 
@@ -146,6 +146,49 @@ def test_bundled_runs_reproduce_their_pinned_digests(scenario, seed, ticks,
     metrics = Simulation(cfg, seed).run(ticks)
     assert [metrics.digest, metrics.events] == pinned
     assert metrics.residual_j == 0.0
+
+
+def _hazard_blocks_cfg():
+    # survival_zero with batteries that outlast some hazards: five hazard
+    # deaths from tick 554 on, five energy deaths from tick 1998 on, and
+    # about 15k hazard draws, so nearly four blocks of them
+    cfg = load_scenario_file(CONFIG_DIR / "survival_zero.cfg")
+    return dataclasses.replace(
+        cfg, hazard_rate=0.0003,
+        module_overrides={**cfg.module_overrides, "battery_capacity": 12000})
+
+
+def test_a_run_over_several_hazard_blocks_reproduces_its_pin(monkeypatch):
+    blocks = []
+    hits = Rng.hits
+
+    def counted(rng, n, p):
+        blocks.append(n)
+        return hits(rng, n, p)
+
+    monkeypatch.setattr(Rng, "hits", counted)
+    metrics = Simulation(_hazard_blocks_cfg(), 7).run(2200)
+    assert blocks == [_BLOCK] * 4
+    # pinned from drawing one module at a time, before the draws came in
+    # blocks
+    assert [metrics.digest, metrics.events] == ["7219456189120713", 31]
+    assert metrics.residual_j == 0.0
+
+
+def test_the_live_roster_is_every_live_module_after_each_tick():
+    sim = Simulation(_hazard_blocks_cfg(), 7)
+    death = sim._phase_death
+
+    def death_and_check():
+        death()
+        want = [st for st in sim.states.values() if st.health is Health.OK]
+        assert len(sim._live) == len(want)
+        assert all(a is b for a, b in zip(sim._live, want))
+
+    sim._phase_death = death_and_check
+    metrics = sim.run(2200)
+    assert metrics.deaths_energy == 5 and metrics.deaths_hardware == 5
+    assert sim._live == []
 
 
 def _sensed_from_scratch(sim, i):

@@ -6,7 +6,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from orgsim.rng import _LANE, Rng, _jump, _jump_table, fnv1a64, splitmix64
+from orgsim.rng import (_BLOCK, _LANE, HitStream, Rng, _jump, _jump_table,
+                        fnv1a64, splitmix64)
 
 M64 = (1 << 64) - 1
 
@@ -104,8 +105,9 @@ def test_randrange_in_bounds(seed, n):
 @pytest.mark.parametrize("p", [0.0, 1e-4, 2 ** -10, 0.5,
                                math.nextafter(1.0, 0.0), 1.0, -0.5, math.inf,
                                math.nan])
-@pytest.mark.parametrize("n", [0, 1, _LANE - 1, _LANE, _LANE + 1,
-                               2 * _LANE + 1, 200, 30000])
+# 29 to 61: runs shorter than one lane
+@pytest.mark.parametrize("n", [0, 1, 29, 30, 31, 61, _LANE - 1, _LANE,
+                               _LANE + 1, 2 * _LANE + 1, 200, _BLOCK, 30000])
 def test_hits_matches_successive_random_draws(p, n):
     batch, single = Rng(21, "hazards"), Rng(21, "hazards")
     expect = [k for k in range(n) if single.random() < p]
@@ -134,6 +136,53 @@ def test_one_table_jump_is_a_lane_of_draws():
         for _ in range(_LANE):
             rng.u64()
         assert _jump(table, start) == rng._s
+
+
+def _draws_ahead(seed, label, n):
+    rng = Rng(seed, label)
+    for _ in range(n):
+        rng.u64()
+    return rng._s
+
+
+# each run of takes crosses block ends: inside a take, at its first or last
+# draw, and over a whole block or more
+@pytest.mark.parametrize("sizes", [
+    [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 0, 2 * _BLOCK + 7],
+    [_BLOCK - 1, 1, 1, _BLOCK - 2, 1],
+    [_BLOCK + 1, _BLOCK - 1, _BLOCK],
+    [3 * _BLOCK + 5],
+    [200] * 50,
+], ids=["mixed", "ends", "whole", "three_blocks", "ticks"])
+@pytest.mark.parametrize("p", [1e-4, 0.01, 0.5])
+def test_take_matches_successive_random_draws(sizes, p):
+    stream, single = HitStream(Rng(21, "hazards"), p), Rng(21, "hazards")
+    used = 0
+    for n in sizes:
+        assert stream.take(n) == [k for k in range(n) if single.random() < p]
+        used += n
+        # the stream's state stands at the end of the block holding the last
+        # draw handed out, and no further
+        ahead = -(-used // _BLOCK) * _BLOCK
+        assert stream._rng._s == _draws_ahead(21, "hazards", ahead)
+
+
+@given(st.integers(min_value=0, max_value=M64),
+       st.lists(st.integers(min_value=0, max_value=_BLOCK + 50), max_size=6),
+       st.floats(min_value=0.0, max_value=0.05))
+def test_takes_of_any_stream_match_random(seed, sizes, p):
+    stream, single = HitStream(Rng(seed, "hazards"), p), Rng(seed, "hazards")
+    for n in sizes:
+        assert stream.take(n) == [k for k in range(n) if single.random() < p]
+
+
+def test_a_stream_draws_nothing_before_its_first_take():
+    rng = Rng(3, "hazards")
+    start = rng._s
+    stream = HitStream(rng, 0.5)
+    assert stream.take(0) == [] and rng._s == start
+    stream.take(1)
+    assert rng._s == _draws_ahead(3, "hazards", _BLOCK)
 
 
 def test_hits_breaks_a_tie_like_random():

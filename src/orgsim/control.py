@@ -11,11 +11,10 @@ scenario tasks, 160-255 exploration and idling.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .docking import DockPhase, Face
 from .errors import FrameworkError
@@ -25,118 +24,16 @@ from .robot_model import (DriveKind, Health, ModuleClass, ModuleSpec,
                           ModuleState, dof_range, passable_terrain)
 from .world import SensedSocket, TerrainClass
 
+if TYPE_CHECKING:
+    from .sensing import SensedModules
+
 PRIORITY_MIN = 0
 PRIORITY_MAX = 255
 MAX_PROPOSALS_PER_CONTROLLER = 16
-
-
-# -- observation ----------------------------------------------------------
-
-
-class SensedModule(NamedTuple):
-    """Another module as one observer sees it this tick. A named tuple, not
-    a frozen dataclass: a crowded run builds one per pair in sight per tick,
-    and a tuple is several times cheaper to construct."""
-
-    id: int
-    module_class: ModuleClass
-    pose: Pose
-    health: Health
-    distance: float
-
-
 _OK = Health.OK
 
 
-class SensedModules(Sequence):
-    """The modules one observer sees, as a read-only view in ascending id
-    order that compares equal to the tuple of its `SensedModule` records.
-
-    The view reads immutable tables indexed by module id: `table`, one
-    `(module_class, pose, health)` entry per module, and `unwell`, the
-    ascending ids whose health is not OK, both shared by every view of one
-    decide phase; and `row`, this observer's distance to each id in sight,
-    else None, a sequence that nothing else holds or changes. Records are
-    built only when read: `get` and `select` build the ones they return,
-    and each read of the view as a sequence builds its whole tuple.
-    """
-
-    __slots__ = ("_table", "_unwell", "_row")
-
-    def __init__(self,
-                 table: tuple[tuple[ModuleClass, Pose, Health] | None, ...],
-                 unwell: tuple[int, ...], row: Sequence[float | None]):
-        self._table = table
-        self._unwell = unwell
-        self._row = row
-
-    @classmethod
-    def of(cls, records) -> "SensedModules":
-        """A view of exactly these records, for an observation built by hand."""
-        records = sorted(records, key=lambda m: m.id)
-        n = records[-1].id + 1 if records else 0
-        table: list = [None] * n
-        row: list = [None] * n
-        for m in records:
-            if m.id < 0 or row[m.id] is not None:
-                raise ValueError(f"sensed module id {m.id} is negative "
-                                 f"or repeated")
-            table[m.id] = (m.module_class, m.pose, m.health)
-            row[m.id] = m.distance
-        unwell = tuple(m.id for m in records if m.health is not _OK)
-        return cls(tuple(table), unwell, tuple(row))
-
-    def get(self, module_id: int) -> SensedModule | None:
-        """Module `module_id` as sensed, or None when it is out of sight."""
-        row = self._row
-        if 0 <= module_id < len(row):
-            d = row[module_id]
-            if d is not None:
-                return SensedModule(module_id, *self._table[module_id], d)
-        return None
-
-    def select(self, module_class: ModuleClass | None = None,
-               healthy: bool | None = None) -> list[SensedModule]:
-        """The modules in sight of `module_class` (any when None) whose
-        health is OK (healthy=True), not OK (False) or either (None), in
-        ascending id order. The filter reads the tables, so only the records
-        returned are built, and healthy=False visits only the unwell ids."""
-        table, row = self._table, self._row
-        out = []
-        for j in self._unwell if healthy is False else range(len(row)):
-            d = row[j]
-            if d is None:
-                continue
-            mc, pose, health = table[j]
-            if ((module_class is None or mc is module_class)
-                    and (healthy is None or (health is _OK) is healthy)):
-                out.append(SensedModule(j, mc, pose, health, d))
-        return out
-
-    def _all(self) -> tuple[SensedModule, ...]:
-        return tuple(self.select())
-
-    def __len__(self) -> int:
-        return len(self._row) - self._row.count(None)
-
-    def __getitem__(self, index):
-        return self._all()[index]
-
-    def __iter__(self):
-        return iter(self._all())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SensedModules):
-            other = other._all()
-        elif not isinstance(other, tuple):
-            return NotImplemented
-        return self._all() == other
-
-    def __hash__(self) -> int:
-        return hash(self._all())
-
-    def __repr__(self) -> str:
-        return f"SensedModules({self._all()!r})"
+# -- observation ----------------------------------------------------------
 
 
 class SelfChannel(NamedTuple):
@@ -153,9 +50,10 @@ class SelfChannel(NamedTuple):
 class LocalChannel(NamedTuple):
     """What the observer senses around it during one decide phase.
 
-    `modules` is a `SensedModules` view: the modules in range and in line
-    of sight, in ascending id order, with `get(id)` for one module (None
-    when out of sight). `sockets` are the sockets in sight, in id order.
+    `modules` is a `SensedModules` view (`orgsim.sensing`) of the modules
+    in range and in line of sight: `get(id)` reads one module (None when
+    out of sight), and `select()` lists every module in sight, in
+    ascending id order. `sockets` are the sockets in sight, in id order.
     Like every channel, this is a snapshot of its tick's decide phase: it
     keeps reading the same poses, health and distances however the run goes
     on. An observation built by hand wraps its records in

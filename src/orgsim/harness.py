@@ -15,17 +15,16 @@ import math
 import time
 import urllib.parse
 from dataclasses import dataclass, fields
-from itertools import repeat
-from operator import attrgetter, sub
+from operator import attrgetter
 from pathlib import Path
 
 from .behaviors import build_controllers
 from .config import ScenarioConfig, load_scenario
 from .control import (ActionProposal, Actuate, Dock, Drive, GuardContext, Idle,
-                      InteractionChannel, InternalChannel, LocalChannel,
-                      Mailbox, MessageBus, Observation, Recharge, Rejected,
-                      SelfChannel, SensedModules, ToggleCoprocessor, Tow,
-                      Undock, guard_action, select_action, step_controllers)
+                      InteractionChannel, InternalChannel, Mailbox,
+                      MessageBus, Observation, Recharge, Rejected,
+                      SelfChannel, ToggleCoprocessor, Tow, Undock,
+                      guard_action, select_action, step_controllers)
 from .docking import (FACES, PEERED_PHASES, DockPhase, TickInput,
                       advance_dock, attempt_align, face_center, undock)
 from .energy import (EnergyLedger, classify_deaths, drain, drain_idle, recharge,
@@ -38,6 +37,7 @@ from .rng import HitStream, Rng, fnv1a64
 from .robot_model import (DriveCommand, Health, ModuleState, actuate_joint,
                           locomotion_step, make_module_spec, new_module_state,
                           pair_tolerance)
+from .sensing import Sight
 from .world import SocketSchedule, SocketScheduler, in_graveyard, sense_sockets
 
 LOG_VERSION = "orgsim-log v1"
@@ -206,47 +206,11 @@ class Simulation:
         self._delivered_count = 0
         self._ran = False
 
-        # incremental sensing, see _refresh_sight. run() allocates these,
-        # indexed by module id, only when some module has controllers: each
-        # Pose (immutable), its x, its y and its cell as of the last refresh;
-        # `_sight`, the flat n x n table whose entry j * n + k is the
-        # distance between modules j and k when in range and in line of
-        # sight, else None (None for j == k); each live observer's sensed
-        # sockets; and the local and interaction channels its last
-        # observation handed out. _phase_decide builds the tables that the
-        # local channels share: (module_class, pose, health) per id, and the
-        # ids whose health is not OK
-        self._observers: tuple[int, ...] = ()  # live ids with controllers
-        self._sight_poses: list[Pose | None] | None = None
-        self._sight_xs: list[float] | None = None
-        self._sight_ys: list[float] | None = None
-        self._sight_cells: list[tuple[int, int] | None] | None = None
-        self._sight: list[float | None] | None = None
-        self._sensed_sockets: list[tuple] | None = None
-        self._sight_table: tuple[tuple, ...] = ()
-        self._sight_unwell: tuple[int, ...] = ()
-        self._sight_deaths = -1       # deaths counted when the table was built
-        self._socket_toggled = False          # by this tick's schedule phase
-        # channel reuse, see _observe: the local channels are out of date
-        # (set per decide phase), and a port changed phase since the last
-        # decide phase, which is when a peer or an organism can change. Only
-        # _phase_docking sets the latter: an undock in _phase_execute moves
-        # its pair to unlocking, which the same tick's docking advances
-        self._local_stale = True
-        self._ports_changed = True
-        self._local_channels: list[LocalChannel | None] | None = None
-        self._interaction_channels: list[InteractionChannel | None] | None = None
+        # what the observers sense, built by run() only when some module
+        # has controllers
+        self._sight: Sight | None = None
 
-        # static observation pieces
         self._walkable_count = len(self.arena.walkable_cells())
-        self._arena_size = (self.arena.width * self.arena.cell_size,
-                            self.arena.height * self.arena.cell_size)
-        if self.arena.graveyard is not None:
-            x0, y0, x1, y1 = self.arena.graveyard
-            cs = self.arena.cell_size
-            self._yard_rect = (x0 * cs, y0 * cs, (x1 + 1) * cs, (y1 + 1) * cs)
-        else:
-            self._yard_rect = None
 
     # -- setup ------------------------------------------------------------
 
@@ -315,18 +279,11 @@ class Simulation:
         total = self.cfg.total_ticks if ticks is None else ticks
         self._write_header(total)
         self._live = [st for st in self.states.values() if st.health is _OK]
-        self._observers = tuple([st.id for st in self._live
-                                 if self.controllers[st.id]])
-        if self._observers:
-            n = len(self.states)
-            self._sight_poses = [None] * n
-            self._sight_xs = [0.0] * n
-            self._sight_ys = [0.0] * n
-            self._sight_cells = [None] * n
-            self._sight = [None] * (n * n)
-            self._sensed_sockets = [()] * n
-            self._local_channels = [None] * n
-            self._interaction_channels = [None] * n
+        observers = tuple([st.id for st in self._live
+                           if self.controllers[st.id]])
+        if observers:
+            self._sight = Sight(self.arena, self.cfg.sensing_range_m,
+                                len(self.states), observers)
         started = time.perf_counter()
         for _ in range(total):
             self.tick += 1
@@ -345,9 +302,7 @@ class Simulation:
     def _phase_schedule(self) -> None:
         if self.scheduler is None:
             return
-        self._socket_toggled = False
         for sid, active in self.scheduler.step(self.tick):
-            self._socket_toggled = True
             self.log.event(self.tick, -1, "socket", id=sid, active=active)
 
     def _phase_sense(self) -> dict:
@@ -356,106 +311,23 @@ class Simulation:
         self._delivered_count = sum(len(v) for v in delivered.values())
         return delivered
 
-    def _refresh_sight(self) -> bool:
-        """Bring the sight table and every live observer's sockets up to
-        date with the current poses, and tell whether any module moved.
-        Poses are immutable, so an unchanged Pose object is an unmoved
-        module. Each moved module j gets its distances to every id in one
-        pass, written as row j and, distance and line of sight being
-        symmetric, as column j of the table.
-
-        Line of sight is decided for the whole fleet first: when every
-        module's cell is on the grid and the rectangle spanning them all
-        holds no wall, it spans every pair's rectangle, so every pair is in
-        sight. Otherwise each pair in range is asked of the arena, once
-        when both its ends moved."""
-        arena = self.arena
-        range_m = self.cfg.sensing_range_m
-        poses, xs, ys, cells = (self._sight_poses, self._sight_xs,
-                                self._sight_ys, self._sight_cells)
-        moved = []
-        for j, st in self.states.items():
-            pose = st.pose
-            if pose is not poses[j]:
-                poses[j] = pose
-                x = xs[j] = pose.x
-                y = ys[j] = pose.y
-                cells[j] = arena.cell_of(x, y)
-                moved.append(j)
-        if moved:
-            # cell_of floors x / cell_size, which keeps order, so the corner
-            # cells of the fleet come from its extreme coordinates
-            x0, y0 = arena.cell_of(min(xs), min(ys))
-            x1, y1 = arena.cell_of(max(xs), max(ys))
-            all_in_sight = arena.rect_is_open(x0, y0, x1, y1)
-            line_of_sight = arena.line_of_sight
-            hypot = math.hypot
-            table = self._sight
-            n = len(poses)
-            answered = bytearray(n)     # moved ids whose pairs are asked
-            for j in moved:
-                # xs[k] - xs[j] is exactly -(xs[j] - xs[k]), and hypot reads
-                # magnitudes, so either end computes the same distance
-                row = list(map(hypot, map(sub, xs, repeat(xs[j])),
-                               map(sub, ys, repeat(ys[j]))))
-                if max(row) > range_m:
-                    row = [d if d <= range_m else None for d in row]
-                row[j] = None
-                if not all_in_sight:
-                    cell = cells[j]
-                    for k, d in enumerate(row):
-                        if d is None:
-                            continue
-                        if answered[k]:     # k's pass wrote this pair
-                            row[k] = table[j * n + k]
-                        elif not line_of_sight(cell, cells[k]):
-                            row[k] = None
-                    answered[j] = True
-                table[j * n:(j + 1) * n] = row
-                table[j::n] = row
-
-        for i in (self._observers if self._socket_toggled
-                  else set(moved).intersection(self._observers)):
-            self._sensed_sockets[i] = tuple(
-                sense_sockets(poses[i], range_m, arena))
-        return bool(moved)
-
     def _observe(self, i: int, delivered: dict) -> Observation:
         """Build module i's observation. The self and internal channels are
-        built every tick. The local channel is built from i's row of the
-        sight table, which _refresh_sight brought up to date earlier in this
-        decide phase, and this phase's module table; on a tick where no
-        module moved, no socket toggled and no module's health changed, the
-        last one goes out again, as nothing it reads has changed. The interaction channel goes
-        out again while i has no messages, this tick or last, and no port
-        anywhere changed phase: every peer and organism change comes with
-        one."""
+        built every tick, and the local channel comes from the sight (see
+        Sight.local_channel). The interaction channel goes out again while
+        i has no messages, this tick or last, and no port anywhere changed
+        phase: every peer and organism change comes with one."""
         st = self.states[i]
-        pose = st.pose
-        local = self._local_channels[i]
-        if self._local_stale:
-            # the row's refresh put the cell of this very pose in _sight_cells
-            cx, cy = self._sight_cells[i]
-            arena = self.arena
-            terrain = (arena.terrain_at_cell(cx, cy)
-                       if arena.cell_in_bounds(cx, cy) else None)
-            n = len(self.states)
-            # positional arguments, in field order: a keyword call costs
-            # about twice as much. The slice is the view's own copy of row i
-            local = self._local_channels[i] = LocalChannel(
-                terrain, self._sensed_sockets[i],
-                SensedModules(self._sight_table, self._sight_unwell,
-                              self._sight[i * n:(i + 1) * n]),
-                self._arena_size, self._yard_rect)
-        interaction = self._interaction_channels[i]
+        sight = self._sight
+        interaction = sight.interaction[i]
         messages = delivered.get(i)
-        if messages or self._ports_changed or interaction.messages:
+        if messages or sight.ports_changed or interaction.messages:
             ports = st.ports
             org = self.registry.organism_of(i)
             # faces and phases go out by value, read from `_value_`: the
             # `value` property and a member-keyed dict (Enum.__hash__) both
             # run Python code
-            interaction = self._interaction_channels[i] = InteractionChannel(
+            interaction = sight.interaction[i] = InteractionChannel(
                 tuple([p.face._value_ for p in ports if p.phase is _DOCKED]),
                 tuple([p.phase._value_ for p in ports]),
                 tuple([(p.peer.owner, p.peer.face._value_)
@@ -465,45 +337,31 @@ class Simulation:
                 self._reach_of(i, org),
                 tuple(messages) if messages else ())
         return Observation(
-            SelfChannel(i, st.module_class, pose, st.battery_fraction,
+            SelfChannel(i, st.module_class, st.pose, st.battery_fraction,
                         st.health, tuple(st.joint_angles), st.coprocessor_on,
                         st.carried),
-            local, interaction,
+            sight.local_channel(i), interaction,
             InternalChannel(self.tick, self.cfg.dt, self._delivered_count,
                             self._mailboxes[i]),
         )
 
     def _phase_decide(self, delivered: dict) -> dict[int, ActionProposal]:
         selected = {}
-        observers = self._observers
-        alive = [i for i in observers if self.states[i].health is _OK]
-        if len(alive) < len(observers):
-            # death is final: the dead never observe again
-            for i in set(observers).difference(alive):
-                self._local_channels[i] = None
-                self._interaction_channels[i] = None
-            self._observers = tuple(alive)
-        if not alive:
+        sight = self._sight
+        if sight is None:
             return selected
-        moved = self._refresh_sight()
-        deaths = self.deaths_energy + self.deaths_hardware
-        if moved or deaths != self._sight_deaths:
-            states = self.states.values()
-            self._sight_table = tuple([(st.module_class, st.pose, st.health)
-                                       for st in states])
-            self._sight_unwell = tuple([st.id for st in states
-                                        if st.health is not _OK])
-            self._sight_deaths = deaths
-            self._local_stale = True
-        else:
-            self._local_stale = self._socket_toggled
+        # sense_sockets is read from this module's globals on every call,
+        # where perfbench/tracer.py wraps it
+        alive = sight.refresh(self.states,
+                              self.deaths_energy + self.deaths_hardware,
+                              sense_sockets)
         for i in alive:
             obs = self._observe(i, delivered)
             proposals = step_controllers(self.controllers[i], obs)
             choice = select_action(proposals)
             if not isinstance(choice.action, Idle):
                 selected[i] = choice
-        self._ports_changed = False
+        sight.ports_changed = False
         return selected
 
     def _phase_execute(self, selected: dict[int, ActionProposal]) -> None:
@@ -630,7 +488,7 @@ class Simulation:
     def _do_recharge(self, i: int, socket_id: int) -> None:
         st = self.states[i]
         socket = self.arena.socket_by_id(socket_id)
-        px, py = socket.position(self.arena.cell_size)
+        px, py = self.arena.cell_center(*socket.cell)
         res = recharge(
             st, socket_active=socket.active, socket_rating_w=socket.rating,
             socket_height=socket.height,
@@ -647,6 +505,7 @@ class Simulation:
                            state=state)
 
     def _phase_docking(self) -> None:
+        sight = self._sight
         for key in sorted(self.pairs):
             pairing = self.pairs[key]
             pa, pb = pairing.port_a, pairing.port_b
@@ -674,7 +533,8 @@ class Simulation:
             now = pa.phase
             if now is prev:
                 continue
-            self._ports_changed = True
+            if sight is not None:
+                sight.ports_changed = True
             self.log.event(self.tick, min(pa.owner, pb.owner), "phase",
                            a=pa.owner, fa=pa.face.value, b=pb.owner,
                            fb=pb.face.value, state=now.value, tow=pairing.tow)

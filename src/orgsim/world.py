@@ -53,10 +53,6 @@ class Socket:
     active: bool = False
     approach_deg: float = 0.0  # wall into the room; set by Arena validation
 
-    def position(self, cell_size: float) -> tuple[float, float]:
-        cx, cy = self.cell
-        return (cx + 0.5) * cell_size, (cy + 0.5) * cell_size
-
 
 class Arena:
     """Terrain grid plus sockets and an optional graveyard region.
@@ -373,16 +369,10 @@ def parse_arena(text: str) -> Arena:
     return Arena(cells, sockets, graveyard, cell_size)
 
 
-def arena_from_lines(rows: list[str], sockets: list[Socket] | None = None,
+def arena_from_lines(rows: list[str],
                      cell_size: float = DEFAULT_CELL_SIZE) -> Arena:
     """Test and demo helper: build an arena from grid strings directly."""
-    text = "\n".join(rows)
-    if sockets is None:
-        return parse_arena(f"cellsize {cell_size}\n" + text)
-    lines = [f"cellsize {cell_size}", text]
-    for s in sockets:
-        lines.append(f"socket {s.id} {s.cell[0]} {s.cell[1]} {s.height} {s.rating}")
-    return parse_arena("\n".join(lines))
+    return parse_arena(f"cellsize {cell_size}\n" + "\n".join(rows))
 
 
 # -- socket schedule ------------------------------------------------------
@@ -477,7 +467,7 @@ def sense_sockets(pose: Pose, range_m: float, arena: Arena) -> list[SensedSocket
     origin = arena.cell_of(pose.x, pose.y)
     out = []
     for s in arena.sockets:
-        px, py = s.position(arena.cell_size)
+        px, py = arena.cell_center(*s.cell)
         d = math.hypot(px - pose.x, py - pose.y)
         if d > range_m:
             continue

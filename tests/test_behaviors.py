@@ -21,8 +21,7 @@ from orgsim.behaviors import (ARRIVE_TOL, AT_SLOT_RADIUS, DOCK_PRIORITY,
                               build_controllers, servo_drive)
 from orgsim.control import (ActionProposal, Dock, Drive, Idle,
                             InteractionChannel, InternalChannel, LocalChannel,
-                            Observation, Recharge, SelfChannel, SensedModule,
-                            SensedModules, Undock)
+                            Observation, Recharge, SelfChannel, Undock)
 from orgsim.docking import ACCURATE_TOLERANCE, ROUGH_TOLERANCE, Face
 from orgsim.errors import ConfigError
 from orgsim.energy import Tariff
@@ -31,6 +30,7 @@ from orgsim.rng import Rng
 from orgsim.robot_model import (DriveCommand, DriveKind, Health, ModuleClass,
                                 locomotion_step, make_module_spec,
                                 new_module_state, pair_tolerance)
+from orgsim.sensing import SensedModule, SensedModules
 from orgsim.world import SensedSocket, TerrainClass
 from tests.path_reference import sampled
 

@@ -3,15 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from orgsim import control
+from orgsim import sensing
 from orgsim.control import (IDLE_PROPOSAL, MAX_PROPOSALS_PER_CONTROLLER,
                             ActionProposal, Actuate, Dock, Drive,
                             GuardContext, Idle, InteractionChannel,
                             InternalChannel, LocalChannel, Mailbox, Message,
                             MessageBus, Observation, Recharge, Rejected,
-                            SelfChannel, SensedModule, SensedModules,
-                            ToggleCoprocessor, Tow, Undock, guard_action,
-                            select_action, step_controllers)
+                            SelfChannel, ToggleCoprocessor, Tow, Undock,
+                            guard_action, select_action, step_controllers)
 from orgsim.behaviors import StackSlot
 from orgsim.docking import DockPhase, Face, TickInput
 from orgsim.energy import RechargeResult, ShareTransfer, Tariff
@@ -21,6 +20,7 @@ from orgsim.organism import OrganismRegistry, Translate, organism_move
 from orgsim.robot_model import (DriveCommand, Health, JointResult,
                                 ModuleClass, MoveResult, locomotion_step,
                                 make_module_spec, new_module_state)
+from orgsim.sensing import SensedModule, SensedModules
 from orgsim.world import SensedSocket, Socket, TerrainClass
 from tests.path_reference import sampled
 from tests.test_organism import docked_pair
@@ -72,41 +72,19 @@ def sensed(mid, health=Health.OK, mc=ModuleClass.SCOUT, d=1.0):
     return SensedModule(mid, mc, Pose(0.1 * mid, 0.2, 0.0), health, d)
 
 
-def test_sensed_modules_read_like_their_tuple():
-    records = (sensed(1), sensed(4, Health.ENERGY_DEAD, d=0.5),
-               sensed(6, mc=ModuleClass.ACTIVE_WHEEL, d=2.0))
-    view = SensedModules.of(reversed(records))    # any order in, id order out
-    assert len(view) == 3
-    assert tuple(view) == records
-    assert view == records and records == view
-    assert not view != records
-    assert view == SensedModules.of(records)
-    assert view != records[:2] and view != list(records)
-    assert hash(view) == hash(records)
-    assert view[0] == records[0] and view[-1] == records[-1]
-    assert view[1:] == records[1:]
-    assert records[1] in view and sensed(2) not in view
-    assert [m.id for m in view] == [1, 4, 6]
-    empty = SensedModules.of(())
-    assert len(empty) == 0 and not empty and empty == ()
-    assert empty.get(0) is None
-    with pytest.raises(IndexError):
-        empty[0]
-
-
 def test_sensed_modules_get_and_select_build_only_what_they_return(
         monkeypatch):
     records = (sensed(1), sensed(4, Health.ENERGY_DEAD, d=0.5),
                sensed(6, mc=ModuleClass.ACTIVE_WHEEL, d=2.0),
                sensed(7, Health.HARDWARE_DEAD, mc=ModuleClass.ACTIVE_WHEEL))
-    view = SensedModules.of(records)
+    view = SensedModules.of(reversed(records))    # any order in, id order out
     built = []
 
     def counting(*fields):
         built.append(fields[0])
         return SensedModule(*fields)
 
-    monkeypatch.setattr(control, "SensedModule", counting)
+    monkeypatch.setattr(sensing, "SensedModule", counting)
 
     def builds(ids, answer, want):
         # `answer` was computed before this call, building the ids in `built`
@@ -126,9 +104,10 @@ def test_sensed_modules_get_and_select_build_only_what_they_return(
            [records[2]])
     builds([], view.select(ModuleClass.BACKBONE), [])
     builds([1, 4, 6, 7], view.select(), list(records))
-    # len does not build records; reading the view as a sequence builds all
-    builds([], len(view), 4)
-    builds([1, 4, 6, 7], view[0], records[0])
+    builds([], len(view), 4)                      # len builds no record
+    empty = SensedModules.of(())
+    builds([], (len(empty), bool(empty), empty.get(0), empty.select()),
+           (0, False, None, []))
     with pytest.raises(ValueError, match="repeated"):
         SensedModules.of([sensed(3), sensed(3)])
     with pytest.raises(ValueError, match="negative"):

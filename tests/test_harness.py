@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from orgsim import cli, control, harness
+from orgsim import cli, harness, sensing
 from orgsim.config import load_scenario, load_scenario_file
-from orgsim.control import (ActionProposal, Dock, Drive, InteractionChannel,
-                            InternalChannel, LocalChannel, Observation,
-                            SelfChannel, SensedModule)
+from orgsim.control import (ActionProposal, Actuate, Dock, Drive,
+                            InteractionChannel, InternalChannel, LocalChannel,
+                            Observation, SelfChannel, ToggleCoprocessor)
 from orgsim.docking import DockPhase, Face
 from orgsim.errors import ConfigError, InvariantBreach, ReplayError
 from orgsim.geometry import Pose
@@ -19,6 +19,7 @@ from orgsim.harness import (EventLog, RunMetrics, Simulation, replay_file,
 from orgsim.organism import reach_height
 from orgsim.rng import _BLOCK, Rng, fnv1a64
 from orgsim.robot_model import Health
+from orgsim.sensing import SensedModule, SensedModules
 from orgsim.world import SensedSocket, TerrainClass
 
 ROOM_MAP = """\
@@ -206,7 +207,7 @@ def _sensed_from_scratch(sim, i):
                                         other.health, d))
     sockets = []
     for s in arena.sockets:
-        px, py = s.position(arena.cell_size)
+        px, py = arena.cell_center(*s.cell)
         d = pose.distance_to(Pose(px, py))
         if d <= range_m and arena._trace(origin, s.cell):
             sockets.append(SensedSocket(s.id, (px, py), s.active, s.rating, d,
@@ -237,7 +238,7 @@ def test_incremental_sensing_matches_a_fresh_scan(scenario, seed, ticks,
     def observe_and_check(i, delivered):
         obs = observe(i, delivered)
         modules, sockets = _sensed_from_scratch(sim, i)
-        assert obs.local.modules == modules, (sim.tick, i)
+        assert tuple(obs.local.modules.select()) == modules, (sim.tick, i)
         assert obs.local.sockets == sockets, (sim.tick, i)
         checked.append(sim.tick)
         return obs
@@ -246,7 +247,7 @@ def test_incremental_sensing_matches_a_fresh_scan(scenario, seed, ticks,
     sim.run(ticks)
     # every tick is checked until the last observer dies
     assert set(checked) == set(range(1, max(checked) + 1))
-    assert max(checked) == ticks or not sim._observers
+    assert max(checked) == ticks or not sim._sight.observers
     if dwell is not None:
         toggles = sum(" socket " in line for line in sim.log.lines)
         assert toggles > 20
@@ -281,10 +282,9 @@ def test_an_observation_is_a_snapshot_of_its_tick(scenario, seed, ticks,
     ids = range(len(sim.states))
     for t, i, obs, (modules, sockets) in kept:
         view = obs.local.modules
-        # get first, before reading the view as a sequence caches it
         by_id = {m.id: m for m in modules}
         assert [view.get(j) for j in ids] == [by_id.get(j) for j in ids], (t, i)
-        assert view == modules, (t, i)
+        assert tuple(view.select()) == modules, (t, i)
         assert obs.local.sockets == sockets, (t, i)
 
 
@@ -364,14 +364,16 @@ def test_reused_observation_channels_equal_fresh_ones():
         def observe_and_check(i, delivered):
             obs = observe(i, delivered)
             fresh = _observation_from_scratch(sim, i, delivered)
-            # get first, before reading the view as a sequence caches it
             by_id = {m.id: m for m in fresh.local.modules}
             view = obs.local.modules
             assert [view.get(j) for j in ids] == [by_id.get(j) for j in ids]
             for channel in Observation._fields:
                 got, want = getattr(obs, channel), getattr(fresh, channel)
                 for field in type(want)._fields:
-                    assert getattr(got, field) == getattr(want, field), (
+                    value = getattr(got, field)
+                    if isinstance(value, SensedModules):
+                        value = tuple(value.select())
+                    assert value == getattr(want, field), (
                         scenario, sim.tick, i, channel, field)
             local, interaction = last.get(i, (None, None))
             seen["local reused" if obs.local is local
@@ -454,7 +456,7 @@ def test_sensed_modules_get_on_a_live_observation():
                                 sim.states[2].pose, Health.HARDWARE_DEAD,
                                 me.pose.distance_to(sim.states[2].pose))
     assert view.get(3).health is Health.OK
-    assert view == scratch == (dead, view.get(3))
+    assert tuple(view.select()) == scratch == (dead, view.get(3))
 
 
 @pytest.mark.parametrize("scenario, seed, ticks, pinned", [
@@ -473,7 +475,7 @@ def test_observing_builds_few_sensed_module_records(scenario, seed, ticks,
         built += 1
         return SensedModule(*fields)
 
-    monkeypatch.setattr(control, "SensedModule", counting_record)
+    monkeypatch.setattr(sensing, "SensedModule", counting_record)
     cfg = load_scenario_file(CONFIG_DIR / f"{scenario}.cfg")
     sim = Simulation(cfg, seed)
     observe = sim._observe
@@ -682,7 +684,7 @@ def test_sensing_matches_a_fresh_scan_into_a_walled_shadow_and_out():
     def observe_and_check(i, delivered):
         obs = observe(i, delivered)
         modules, sockets = _sensed_from_scratch(sim, i)
-        assert obs.local.modules == modules, (sim.tick, i)
+        assert tuple(obs.local.modules.select()) == modules, (sim.tick, i)
         assert obs.local.sockets == sockets == (), (sim.tick, i)
         if len(modules) < 2:                # every pair is in range
             occluded.add(sim.tick)
@@ -715,6 +717,53 @@ def test_an_observer_off_the_arena_senses_no_terrain():
     with pytest.raises(InvariantBreach, match="out_of_bounds"):
         sim.run(1)
     assert terrain == {0: None, 1: TerrainClass.PLAIN, 3: TerrainClass.PLAIN}
+
+
+def test_a_custom_controller_switches_its_coprocessor_and_bends_a_joint():
+    # no stock controller proposes either action, so a scripted one does:
+    # the coprocessor on at tick 1, a bend past the joint's limit at tick 2
+    sim = Simulation(load_scenario(OCCLUDED_SCENARIO, map_text=OCCLUDED_MAP))
+    script = {1: ToggleCoprocessor(True), 2: Actuate(0, 1000.0)}
+
+    def scripted(obs):
+        action = script.get(obs.internal.tick)
+        return None if action is None else [ActionProposal(100, action)]
+
+    sim.controllers[0] = {"scripted": scripted}
+    st, spec = sim.states[0], sim.specs[0]
+    before = st.battery_pj
+    metrics = sim.run(3)
+    assert st.coprocessor_on is True
+    # the guard clamps the target; the joint turns toward it at its speed
+    assert 0.0 < st.joint_angles[0] <= spec.bend_range
+    assert st.battery_pj < before
+    assert metrics.residual_j == 0.0
+
+
+def test_credit_log_writes_one_line_per_transfer():
+    cfg = dataclasses.replace(
+        load_scenario_file(CONFIG_DIR / "desk_challenge.cfg"), credit_log=True)
+    sim = Simulation(cfg, 11)
+    share = harness.share_energy
+    transfers = []
+
+    def recording(*args):
+        out = share(*args)
+        transfers.extend((sim.tick, tr.donor, tr.receiver, tr.joules)
+                         for tr in out)
+        return out
+
+    harness.share_energy = recording
+    try:
+        metrics = sim.run(500)
+    finally:
+        harness.share_energy = share
+    logged = [line.split() for line in sim.log.lines
+              if line.split()[2:3] == ["share"]]
+    assert transfers
+    assert [(int(t), int(d), int(r[3:]), float(j[7:]))
+            for t, d, _, r, j in logged] == transfers
+    assert metrics.shared_j > 0.0
 
 
 def test_docking_keeps_the_cached_reach_of_untouched_organisms(monkeypatch):

@@ -127,8 +127,10 @@ def test_cell_math(room):
 
 
 def test_socket_position_is_the_anchor_cell_center(room):
-    assert room.sockets[0].position(room.cell_size) == (
-        pytest.approx(0.375), pytest.approx(0.375))
+    sensed = sense_sockets(Pose(0.6, 0.375, 0.0), 2.0, room)
+    assert [s.position for s in sensed] == [room.cell_center(1, 1),
+                                            room.cell_center(4, 1)]
+    assert sensed[0].position == (pytest.approx(0.375), pytest.approx(0.375))
 
 
 # -- line of sight --------------------------------------------------------
@@ -200,7 +202,7 @@ def _assert_los_matches_trace(arena, cells):
 
 def _assert_trace_is_symmetric(arena, cells):
     # a sightline is answered by walking from whichever end is asked first,
-    # and _refresh_sight writes that one answer for both directions
+    # and a Sight refresh writes that one answer for both directions
     for k, p in enumerate(cells):
         for q in cells[k + 1:]:
             assert arena._trace(p, q) == arena._trace(q, p), (p, q)

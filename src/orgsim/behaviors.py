@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .control import (ActionProposal, Dock, Drive, Idle, Observation, Recharge,
-                      Tow, Undock)
+from .control import (IDLE, Dock, Drive, Observation, Tow, Undock, _drive,
+                      _proposal, _recharge)
 from .docking import FACES, Face, attempt_align
 from .errors import ConfigError
 from .geometry import Pose, ang_diff_deg, heading_vec, norm_deg, rotate_vec
@@ -41,6 +41,10 @@ SLOT_PITCH = 0.1          # metres between stack positions, one module edge
 ARRIVE_TOL = 0.004        # snug inside the tightest docking tolerance
 HEADING_TOL = 1.0
 AT_SLOT_RADIUS = 0.05     # close enough to call a slot "mine"
+
+# proposals are built in C by orgsim.control's builders; a hold proposal
+# never changes, so every hold is this one
+HOLD_PROPOSAL = _proposal((HOLD_PRIORITY, IDLE, ""))
 
 # per-call code reads these members bound once: an Enum class attribute
 # lookup goes through a slow-path __getattr__
@@ -67,7 +71,7 @@ def servo_drive(pose: Pose, drive_kind: DriveKind, max_speed: float,
         if target_heading is not None:
             err = ang_diff_deg(target_heading, pose.heading)
             if abs(err) > HEADING_TOL:
-                return Drive(0.0, 0.0, err / dt)
+                return _drive((0.0, 0.0, err / dt))
         return None
 
     if drive_kind is not _TRACKED:
@@ -75,7 +79,7 @@ def servo_drive(pose: Pose, drive_kind: DriveKind, max_speed: float,
         want = target_heading if target_heading is not None else pose.heading
         err = ang_diff_deg(want, pose.heading)
         v = min(max_speed, dist / dt) / dist
-        return Drive(bx * v, by * v, err / dt)
+        return _drive((bx * v, by * v, err / dt))
 
     bearing = math.degrees(math.atan2(dy, dx))
     err_fwd = ang_diff_deg(bearing, pose.heading)
@@ -85,9 +89,9 @@ def servo_drive(pose: Pose, drive_kind: DriveKind, max_speed: float,
         want, sign = norm_deg(bearing + 180.0), -1.0
     err = ang_diff_deg(want, pose.heading)
     if abs(err) > HEADING_TOL:
-        return Drive(0.0, 0.0, err / dt)    # swing first, then roll
+        return _drive((0.0, 0.0, err / dt))    # swing first, then roll
     speed = min(max_speed, dist / dt)
-    return Drive(sign * speed, 0.0, err / dt)
+    return _drive((sign * speed, 0.0, err / dt))
 
 
 def _rect_contains(rect: tuple[float, float, float, float],
@@ -211,7 +215,7 @@ class SeekEnergyController(_Controller):
             face = next(f for f in FACES
                         if f.value in obs.interaction.docked_faces)
             pri = EMERGENCY_PRIORITY if urgent else LEAVE_SOCKET_PRIORITY
-            out.append(ActionProposal(pri, Undock(face)))
+            out.append(_proposal((pri, Undock(face), "")))
             return out
 
         parked = True
@@ -222,11 +226,11 @@ class SeekEnergyController(_Controller):
                               target_heading=slot.heading)
             if cmd is not None:
                 parked = False
-                out.append(ActionProposal(seek_pri, cmd))
+                out.append(_proposal((seek_pri, cmd, "")))
 
         if parked and slot.rank == 0 and slot.socket.active:
             pri = EMERGENCY_PRIORITY if urgent else RECHARGE_PRIORITY
-            out.append(ActionProposal(pri, Recharge(slot.socket.id)))
+            out.append(_proposal((pri, _recharge((slot.socket.id,)), "")))
         return out or None
 
 
@@ -250,7 +254,7 @@ class AggregateController(_Controller):
             # the seek servo is still driving; holding any earlier would
             # freeze the module before it is latch-accurate
             return None
-        out = [ActionProposal(HOLD_PRIORITY, Idle())]
+        out = [HOLD_PROPOSAL]
 
         if slot.predecessor is not None:
             south = FACES.index(Face.SOUTH)
@@ -260,9 +264,9 @@ class AggregateController(_Controller):
                 if pred is not None and pred.health is _OK:
                     tol = pair_tolerance(obs.me.module_class, pred.module_class)
                     if attempt_align(pose, Face.SOUTH, pred.pose, Face.NORTH, tol):
-                        out.append(ActionProposal(
+                        out.append(_proposal((
                             DOCK_PRIORITY,
-                            Dock(Face.SOUTH, pred.id, Face.NORTH)))
+                            Dock(Face.SOUTH, pred.id, Face.NORTH), "")))
         return out
 
 
@@ -296,7 +300,7 @@ class ExploreController(_Controller):
         cmd = self._servo(obs, self.waypoint[0], self.waypoint[1])
         if cmd is None:
             return None
-        return [ActionProposal(EXPLORE_PRIORITY, cmd)]
+        return [_proposal((EXPLORE_PRIORITY, cmd, ""))]
 
 
 class DisposalController(_Controller):
@@ -340,7 +344,7 @@ class DisposalController(_Controller):
                          h - margin)
                 cmd = self._servo(obs, tx, ty)
                 if cmd is not None:
-                    return [ActionProposal(DISPOSAL_PRIORITY, cmd)]
+                    return [_proposal((DISPOSAL_PRIORITY, cmd, ""))]
             return None
 
         if corpse_peer is not None:
@@ -360,13 +364,13 @@ class DisposalController(_Controller):
         py = corpse.pose.y + SLOT_PITCH * ny
         cmd = self._servo(obs, px, py, target_heading=corpse.pose.heading)
         if cmd is not None:
-            return [ActionProposal(DISPOSAL_PRIORITY, cmd)]
+            return [_proposal((DISPOSAL_PRIORITY, cmd, ""))]
         if obs.interaction.port_phases[FACES.index(grab)] == "free":
             tol = pair_tolerance(obs.me.module_class, corpse.module_class)
             if attempt_align(pose, grab, corpse.pose, side, tol):
-                return [ActionProposal(DISPOSAL_PRIORITY,
-                                       Tow(grab, corpse.id, side))]
-        return [ActionProposal(DISPOSAL_PRIORITY, Idle())]
+                return [_proposal((DISPOSAL_PRIORITY,
+                                   Tow(grab, corpse.id, side), ""))]
+        return [_proposal((DISPOSAL_PRIORITY, IDLE, ""))]
 
     def _docked_corpse(self, obs: Observation):
         for i, peer in enumerate(obs.interaction.port_peers):
@@ -382,18 +386,18 @@ class DisposalController(_Controller):
         yard = obs.local.graveyard
         pose = obs.me.pose
         if _rect_contains(yard, corpse.pose.x, corpse.pose.y):
-            return [ActionProposal(DISPOSAL_PRIORITY, Undock(face))]
+            return [_proposal((DISPOSAL_PRIORITY, Undock(face), ""))]
         if obs.interaction.organism_size < 3:
-            return [ActionProposal(DISPOSAL_PRIORITY, Idle())]  # partner inbound
+            return [_proposal((DISPOSAL_PRIORITY, IDLE, ""))]  # partner inbound
         gx = (yard[0] + yard[2]) / 2.0
         gy = (yard[1] + yard[3]) / 2.0
         dx, dy = gx - corpse.pose.x, gy - corpse.pose.y
         dist = math.hypot(dx, dy)
         if dist < 1e-9:
-            return [ActionProposal(DISPOSAL_PRIORITY, Idle())]
+            return [_proposal((DISPOSAL_PRIORITY, IDLE, ""))]
         v = min(self._hardware(obs).max_speed, dist / obs.internal.dt) / dist
         bx, by = rotate_vec(dx * v, dy * v, -pose.heading)
-        return [ActionProposal(DISPOSAL_PRIORITY, Drive(bx, by, 0.0))]
+        return [_proposal((DISPOSAL_PRIORITY, _drive((bx, by, 0.0)), ""))]
 
     def _target_corpse(self, obs: Observation):
         yard = obs.local.graveyard

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .docking import DockPhase, Face
@@ -45,6 +44,9 @@ class SelfChannel(NamedTuple):
     joint_angles: tuple[float, ...]
     coprocessor_on: bool
     carried: bool
+
+
+_self_channel = partial(tuple.__new__, SelfChannel)
 
 
 class LocalChannel(NamedTuple):
@@ -84,6 +86,9 @@ class InternalChannel(NamedTuple):
     outbox: "Mailbox | None" = None
 
 
+_internal_channel = partial(tuple.__new__, InternalChannel)
+
+
 class Observation(NamedTuple):
     """The four channels one module reads in one decide phase. The channels
     are named tuples: the harness builds one observation per observer per
@@ -95,12 +100,21 @@ class Observation(NamedTuple):
     internal: InternalChannel
 
 
+_observation = partial(tuple.__new__, Observation)
+
+
 # -- actions --------------------------------------------------------------
 #
 # Actions, proposals, verdicts and the guard's context are named tuples:
 # every module builds several of them per tick, and a tuple is several times
 # cheaper to construct than a frozen dataclass. Their reprs reach the log,
 # because a Rejected detail may embed an action's repr.
+#
+# Each record built on every tick has a private builder beside its class,
+# `partial(tuple.__new__, X)`, called with one tuple of every field,
+# defaults included. It builds the record in C; `X(...)` would run the
+# Python-level __new__ that NamedTuple generates. A builder checks no
+# arity, so a missing field gives a short record.
 
 
 class Drive(NamedTuple):
@@ -108,6 +122,9 @@ class Drive(NamedTuple):
     linear: float = 0.0
     lateral: float = 0.0
     angular: float = 0.0
+
+
+_drive = partial(tuple.__new__, Drive)
 
 
 class Actuate(NamedTuple):
@@ -135,12 +152,18 @@ class Recharge(NamedTuple):
     socket_id: int
 
 
+_recharge = partial(tuple.__new__, Recharge)
+
+
 class ToggleCoprocessor(NamedTuple):
     on: bool
 
 
 class Idle(NamedTuple):
     pass
+
+
+IDLE = Idle()   # an Idle has no fields: every idle action can be this one
 
 
 Action = Drive | Actuate | Dock | Undock | Recharge | ToggleCoprocessor | Idle
@@ -152,11 +175,8 @@ class ActionProposal(NamedTuple):
     source: str = ""   # controller name, stamped by the framework
 
 
-IDLE_PROPOSAL = ActionProposal(PRIORITY_MAX, Idle(), source="framework")
-_priority = attrgetter("priority")
-# builds a proposal from its three fields in C; ActionProposal(...) runs
-# the generated Python __new__
 _proposal = partial(tuple.__new__, ActionProposal)
+IDLE_PROPOSAL = _proposal((PRIORITY_MAX, IDLE, "framework"))
 
 
 def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
@@ -217,9 +237,18 @@ def select_action(proposals) -> ActionProposal:
 
     Ties go to the earlier proposal in list order; step_controllers lists
     proposals in registration order, so the controller registered first
-    wins. With no proposals at all the module idles.
+    wins. With no proposals at all the module idles. One pass keeps the
+    first proposal of strictly lower priority, as `min` does, without the
+    keyword-argument call `min(..., key=, default=)` costs.
     """
-    return min(proposals, key=_priority, default=IDLE_PROPOSAL)
+    it = iter(proposals)
+    for best in it:
+        low = best.priority
+        for prop in it:
+            if prop.priority < low:
+                best, low = prop, prop.priority
+        return best
+    return IDLE_PROPOSAL
 
 
 # -- the guard ------------------------------------------------------------
@@ -228,6 +257,9 @@ def select_action(proposals) -> ActionProposal:
 class Rejected(NamedTuple):
     reason: str    # collision | overload | protocol
     detail: str
+
+
+_rejected = partial(tuple.__new__, Rejected)
 
 
 class GuardContext(NamedTuple):
@@ -255,7 +287,7 @@ def guard_action(action: Action, ctx: GuardContext) -> Action | Rejected:
     if isinstance(action, Idle):
         return action
     if st.health is not _OK:
-        return Rejected("protocol", f"module {st.id} is {st.health.value}")
+        return _rejected(("protocol", f"module {st.id} is {st.health.value}"))
 
     if isinstance(action, Drive):
         return _guard_drive(action, ctx)
@@ -266,37 +298,39 @@ def guard_action(action: Action, ctx: GuardContext) -> Action | Rejected:
     if isinstance(action, Undock):
         port = st.port(action.face)
         if port.phase is not DockPhase.DOCKED:
-            return Rejected("protocol",
-                            f"face {action.face.value} is {port.phase.value}, "
-                            f"only a docked face can release")
+            return _rejected(("protocol",
+                              f"face {action.face.value} is "
+                              f"{port.phase.value}, "
+                              f"only a docked face can release"))
         return action
     if isinstance(action, Recharge):
         if ctx.socket_by_id is None or ctx.socket_by_id(action.socket_id) is None:
-            return Rejected("protocol", f"unknown socket {action.socket_id}")
+            return _rejected(("protocol",
+                              f"unknown socket {action.socket_id}"))
         return action
     if isinstance(action, ToggleCoprocessor):
         return action
-    return Rejected("protocol", f"unrecognized action {action!r}")
+    return _rejected(("protocol", f"unrecognized action {action!r}"))
 
 
 def _guard_drive(action: Drive, ctx: GuardContext) -> Action | Rejected:
     st, spec = ctx.state, ctx.spec
     if st.carried:
-        return Rejected("protocol", "carried modules do not drive")
+        return _rejected(("protocol", "carried modules do not drive"))
     solo = ctx.organism is None
     if solo and st.is_docked:
         # a port is mid-lock or mid-release; the body is pinned until the
         # coupling either registers as an organism edge or lets go
-        return Rejected("protocol", "docking in progress pins this module")
+        return _rejected(("protocol", "docking in progress pins this module"))
     if not solo:
         for mid in ctx.organism.nodes:
             if any(p.phase is DockPhase.LOCKING
                    for p in ctx.states[mid].ports):
-                return Rejected("protocol",
-                                f"module {mid} is mid-lock; the organism "
-                                f"holds still until the latch lands")
+                return _rejected(("protocol",
+                                  f"module {mid} is mid-lock; the organism "
+                                  f"holds still until the latch lands"))
     if solo and spec.drive_kind is DriveKind.TRACKED and action.lateral != 0.0:
-        return Rejected("protocol", "tracked drive cannot move sideways")
+        return _rejected(("protocol", "tracked drive cannot move sideways"))
     # scale the way execution will, then look where we would end up
     vx, vy = action.linear, action.lateral
     speed = math.hypot(vx, vy)
@@ -305,7 +339,7 @@ def _guard_drive(action: Drive, ctx: GuardContext) -> Action | Rejected:
     else:
         grounded = [m for m in ctx.organism.nodes if not ctx.states[m].carried]
         if not grounded:
-            return Rejected("protocol", "organism has no ground contact")
+            return _rejected(("protocol", "organism has no ground contact"))
         cap = min(ctx.specs[m].max_speed for m in grounded)
     if speed > cap:
         vx, vy = vx * cap / speed, vy * cap / speed
@@ -318,8 +352,8 @@ def _guard_drive(action: Drive, ctx: GuardContext) -> Action | Rejected:
             p = member.pose
             if not ctx.path_clear(p.x, p.y, p.x + wx * ctx.dt,
                                   p.y + wy * ctx.dt, passable_terrain(member)):
-                return Rejected("collision",
-                                f"path of module {mid} is blocked")
+                return _rejected(("collision",
+                                  f"path of module {mid} is blocked"))
     return action
 
 
@@ -328,16 +362,16 @@ def _guard_actuate(action: Actuate, ctx: GuardContext) -> Action | Rejected:
     try:
         limit = dof_range(spec, action.dof_index)
     except ValueError:
-        return Rejected("protocol",
-                        f"{spec.module_class.value} has no dof {action.dof_index}")
+        return _rejected(("protocol", f"{spec.module_class.value} has no dof "
+                                      f"{action.dof_index}"))
     clamped = max(-limit, min(limit, action.target_deg))
     if ctx.organism is not None:
         chain = worst_case_chain(ctx.organism, st.id)
         load = lift_torque_nm(LiftQuery(st.id, action.dof_index, chain), ctx.specs)
         if load > spec.max_torque:
-            return Rejected("overload",
-                            f"lifting {len(chain)} modules needs "
-                            f"{load:.2f} N*m, joint rated {spec.max_torque}")
+            return _rejected(("overload",
+                              f"lifting {len(chain)} modules needs "
+                              f"{load:.2f} N*m, joint rated {spec.max_torque}"))
     if clamped != action.target_deg:
         return Actuate(action.dof_index, clamped)
     return action
@@ -346,23 +380,23 @@ def _guard_actuate(action: Actuate, ctx: GuardContext) -> Action | Rejected:
 def _guard_dock(action: Dock, ctx: GuardContext) -> Action | Rejected:
     st = ctx.state
     if action.target_id == st.id:
-        return Rejected("protocol", "cannot dock to self")
+        return _rejected(("protocol", "cannot dock to self"))
     other = ctx.states.get(action.target_id)
     if other is None:
-        return Rejected("protocol", f"unknown module {action.target_id}")
+        return _rejected(("protocol", f"unknown module {action.target_id}"))
     if other.health is not _OK and not isinstance(action, Tow):
-        return Rejected("protocol",
-                        f"module {action.target_id} is {other.health.value}; "
-                        f"towing requires a tow dock")
+        return _rejected(("protocol",
+                          f"module {action.target_id} is {other.health.value}; "
+                          f"towing requires a tow dock"))
     mine = st.port(action.face)
     theirs = other.port(action.target_face)
     if mine.phase is not DockPhase.FREE:
-        return Rejected("protocol",
-                        f"own face {action.face.value} is {mine.phase.value}")
+        return _rejected(("protocol",
+                          f"own face {action.face.value} is {mine.phase.value}"))
     if theirs.phase is not DockPhase.FREE:
-        return Rejected("protocol",
-                        f"target face {action.target_face.value} is "
-                        f"{theirs.phase.value}")
+        return _rejected(("protocol",
+                          f"target face {action.target_face.value} is "
+                          f"{theirs.phase.value}"))
     return action
 
 

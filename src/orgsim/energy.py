@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .robot_model import PJ, Health, ModuleState, to_j, to_pj
@@ -134,6 +135,11 @@ class RechargeResult(NamedTuple):
     stored_j: float
 
 
+# builds a result in C, like the builders beside the records of
+# orgsim.control
+_recharge_result = partial(tuple.__new__, RechargeResult)
+
+
 def recharge(state: ModuleState, *, socket_active: bool, socket_rating_w: float,
              socket_height: float, reach_m: float, distance_m: float,
              dt: float, tariff: Tariff, ledger: EnergyLedger,
@@ -148,13 +154,13 @@ def recharge(state: ModuleState, *, socket_active: bool, socket_rating_w: float,
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not socket_active:
-        return RechargeResult(False, "inactive", 0.0, 0.0)
+        return _recharge_result((False, "inactive", 0.0, 0.0))
     if state.health is not Health.OK:
-        return RechargeResult(False, "dead", 0.0, 0.0)
+        return _recharge_result((False, "dead", 0.0, 0.0))
     if distance_m > contact_range_m:
-        return RechargeResult(False, "position", 0.0, 0.0)
+        return _recharge_result((False, "position", 0.0, 0.0))
     if reach_m < socket_height:
-        return RechargeResult(False, "reach", 0.0, 0.0)
+        return _recharge_result((False, "reach", 0.0, 0.0))
 
     headroom_pj = state.capacity_pj - state.battery_pj
     drawn_pj = round(socket_rating_w * dt * PJ)
@@ -165,7 +171,7 @@ def recharge(state: ModuleState, *, socket_active: bool, socket_rating_w: float,
     state.battery_pj += stored_pj
     ledger.drawn_pj += drawn_pj
     ledger.charged_pj += stored_pj
-    return RechargeResult(True, None, to_j(drawn_pj), to_j(stored_pj))
+    return _recharge_result((True, None, to_j(drawn_pj), to_j(stored_pj)))
 
 
 class ShareTransfer(NamedTuple):

@@ -21,9 +21,9 @@ from pathlib import Path
 from .behaviors import build_controllers
 from .config import ScenarioConfig, load_scenario
 from .control import (ActionProposal, Actuate, Dock, Drive, GuardContext, Idle,
-                      InteractionChannel, InternalChannel, Mailbox,
-                      MessageBus, Observation, Recharge, Rejected,
-                      SelfChannel, ToggleCoprocessor, Tow, Undock,
+                      InteractionChannel, Mailbox, MessageBus, Observation,
+                      Recharge, Rejected, ToggleCoprocessor, Tow, Undock,
+                      _internal_channel, _observation, _self_channel,
                       guard_action, select_action, step_controllers)
 from .docking import (FACES, PEERED_PHASES, DockPhase, TickInput,
                       advance_dock, attempt_align, face_center, undock)
@@ -202,6 +202,9 @@ class Simulation:
         self.splits = 0
         self.rejections: dict[str, int] = {}
         self._last_reject: dict[int, tuple] = {}
+        # per id, the GuardContext its last guarded action was judged in
+        self._guard_contexts: list[GuardContext | None] = (
+            [None] * len(self.states))
         self._last_recharge: dict[int, tuple] = {}
         self._delivered_count = 0
         self._ran = False
@@ -336,14 +339,14 @@ class Simulation:
                 len(org.nodes) if org is not None else 1,
                 self._reach_of(i, org),
                 tuple(messages) if messages else ())
-        return Observation(
-            SelfChannel(i, st.module_class, st.pose, st.battery_fraction,
-                        st.health, tuple(st.joint_angles), st.coprocessor_on,
-                        st.carried),
+        return _observation((
+            _self_channel((i, st.module_class, st.pose, st.battery_fraction,
+                           st.health, tuple(st.joint_angles),
+                           st.coprocessor_on, st.carried)),
             sight.local_channel(i), interaction,
-            InternalChannel(self.tick, self.cfg.dt, self._delivered_count,
-                            self._mailboxes[i]),
-        )
+            _internal_channel((self.tick, self.cfg.dt, self._delivered_count,
+                               self._mailboxes[i])),
+        ))
 
     def _phase_decide(self, delivered: dict) -> dict[int, ActionProposal]:
         selected = {}
@@ -366,20 +369,25 @@ class Simulation:
 
     def _phase_execute(self, selected: dict[int, ActionProposal]) -> None:
         moved_orgs: set[int] = set()
+        contexts = self._guard_contexts
         # _phase_decide fills `selected` in id order
         for i, prop in selected.items():
-            st = self.states[i]
             org = self.registry.organism_of(i)
             if (isinstance(prop.action, Drive) and org is not None
                     and org.id in moved_orgs):
                 # a lower id already steered this organism; guarding the
                 # stale proposal against the moved body would only mislead
                 continue
-            # positional, in field order: a keyword call to a named tuple
-            # costs about twice as much
-            ctx = GuardContext(st, self.specs[i], self.states, self.specs,
-                               org, self.arena.path_clear, self.cfg.dt,
-                               self.arena.socket_by_id)
+            ctx = contexts[i]
+            if ctx is None or ctx.organism is not org:
+                # every other field is the same object all run long; the
+                # registry replaces an organism on every change, so an
+                # unchanged object is an unchanged organism. Positional, in
+                # field order: a keyword call to a named tuple costs more
+                ctx = contexts[i] = GuardContext(
+                    self.states[i], self.specs[i], self.states, self.specs,
+                    org, self.arena.path_clear, self.cfg.dt,
+                    self.arena.socket_by_id)
             verdict = guard_action(prop.action, ctx)
             if isinstance(verdict, Rejected):
                 self._note_rejection(i, verdict, prop.source)

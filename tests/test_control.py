@@ -1,17 +1,19 @@
 """Controller framework: proposal collection, selection, guard, radio."""
 
+from operator import attrgetter
+
 import pytest
 from hypothesis import given, strategies as st
 
-from orgsim import sensing
-from orgsim.control import (IDLE_PROPOSAL, MAX_PROPOSALS_PER_CONTROLLER,
+from orgsim import control, energy, sensing
+from orgsim.control import (IDLE, IDLE_PROPOSAL, MAX_PROPOSALS_PER_CONTROLLER,
                             ActionProposal, Actuate, Dock, Drive,
                             GuardContext, Idle, InteractionChannel,
                             InternalChannel, LocalChannel, Mailbox, Message,
                             MessageBus, Observation, Recharge, Rejected,
                             SelfChannel, ToggleCoprocessor, Tow, Undock,
                             guard_action, select_action, step_controllers)
-from orgsim.behaviors import StackSlot
+from orgsim.behaviors import HOLD_PRIORITY, HOLD_PROPOSAL, StackSlot
 from orgsim.docking import DockPhase, Face, TickInput
 from orgsim.energy import RechargeResult, ShareTransfer, Tariff
 from orgsim.errors import FrameworkError
@@ -263,6 +265,48 @@ def test_records_keep_their_repr_and_stay_immutable(record, text):
         record.extra = None
 
 
+_OBS = make_obs(mid=3, battery=0.5)
+BUILDER_CASES = [
+    (control._self_channel, SelfChannel, _OBS.me._asdict()),
+    (control._internal_channel, InternalChannel,
+     dict(tick=4, dt=10.0, bus_load=2, outbox=Mailbox(MessageBus(1.0), 3))),
+    (control._internal_channel, InternalChannel,
+     dict(tick=4, dt=10.0, bus_load=0, outbox=None)),
+    (control._observation, Observation, _OBS._asdict()),
+    (control._drive, Drive, dict(linear=0.1, lateral=-0.0, angular=3.5)),
+    (control._recharge, Recharge, dict(socket_id=2)),
+    (control._proposal, ActionProposal,
+     dict(priority=40, action=Recharge(2), source="")),
+    (control._proposal, ActionProposal,
+     dict(priority=255, action=IDLE, source="framework")),
+    (control._rejected, Rejected,
+     dict(reason="collision", detail="path of module 1 is blocked")),
+    (energy._recharge_result, RechargeResult,
+     dict(granted=True, reason=None, drawn_j=200.0, stored_j=180.0)),
+    (energy._recharge_result, RechargeResult,
+     dict(granted=False, reason="reach", drawn_j=0.0, stored_j=0.0)),
+]
+
+
+@pytest.mark.parametrize("builder, cls, fields", BUILDER_CASES,
+                         ids=[f"{cls.__name__}-{k}" for k, (_, cls, _)
+                              in enumerate(BUILDER_CASES)])
+def test_each_builder_makes_the_record_its_class_makes(builder, cls, fields):
+    # a builder is tuple.__new__ with the class bound: it checks no arity,
+    # so a hot site that drops a field would build a short record silently
+    built, made = builder(tuple(fields.values())), cls(**fields)
+    assert type(built) is cls
+    assert len(built) == len(cls._fields)
+    assert built == made
+    assert repr(built) == repr(made)
+
+
+def test_shared_idle_records_equal_fresh_ones():
+    assert type(IDLE) is Idle and IDLE == Idle()
+    assert IDLE_PROPOSAL == ActionProposal(255, Idle(), "framework")
+    assert repr(HOLD_PROPOSAL) == repr(ActionProposal(HOLD_PRIORITY, Idle()))
+
+
 def test_a_tow_is_a_dock_with_the_same_fields():
     tow = Tow(Face.WEST, 7, Face.EAST)
     assert isinstance(tow, Dock)
@@ -302,6 +346,22 @@ def test_selection_breaks_ties_by_registration_order(registered):
     else:
         p, k, j = ranked[0]
         assert got == ActionProposal(p, Recharge(j), registered[k][0])
+
+
+_by_priority = attrgetter("priority")
+
+
+@given(st.lists(st.integers(0, 5), max_size=8),
+       st.sampled_from(["list", "tuple", "iterator", "generator"]))
+def test_selection_is_min_by_priority_to_the_same_object(priorities, form):
+    # few distinct priorities, so most lists hold ties; the first proposal
+    # of the lowest priority must come back itself, not an equal copy
+    props = [ActionProposal(p, Recharge(0), f"c{k}")
+             for k, p in enumerate(priorities)]
+    wrap = {"list": list, "tuple": tuple, "iterator": iter,
+            "generator": lambda ps: (p for p in ps)}[form]
+    expect = min(props, key=_by_priority, default=IDLE_PROPOSAL)
+    assert select_action(wrap(props)) is expect
 
 
 # -- guard ----------------------------------------------------------------

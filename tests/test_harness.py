@@ -829,6 +829,34 @@ def test_a_port_paired_earlier_in_the_phase_refuses_a_second_dock():
         DockPhase.APPROACHING] * 2
 
 
+def test_a_merge_renews_the_guard_context_of_a_module_guarded_solo():
+    # module 0 is guarded alone while it docks its north face to module 1,
+    # then drives north (east, at heading 0) as one organism with 1, whose
+    # front is a hand's width from the wall: only a context that holds the
+    # new organism sees 1's path blocked
+    text = ("[spawns]\nmode = fixed\n0 = 1.5 0.625 0\n1 = 1.6 0.625 0\n"
+            "[roster]\nscout = 2\n")
+    sim = Simulation(load_scenario(text, map_text=ROOM_MAP))
+
+    def dock_then_drive(obs):
+        if obs.interaction.organism_id is not None:
+            return ActionProposal(60, Drive(0.02))
+        if obs.interaction.port_phases[0] == "free":   # north
+            return ActionProposal(40, Dock(Face.NORTH, 1, Face.SOUTH))
+        return None
+
+    sim.controllers[0] = {"script": dock_then_drive}
+    m = sim.run(12)
+    assert m.merges == 1
+    org = sim.registry.organism_of(0)
+    assert org is not None and sim._guard_contexts[0].organism is org
+    blocked = "detail=path%20of%20module%201%20is%20blocked"
+    rejects = [line.split(" ", 1)[1] for line in sim.log.lines
+               if " reject " in line]
+    assert rejects == [f"0 reject reason=collision source=script {blocked}"]
+    assert [sim.states[k].pose.x for k in (0, 1)] == [1.5, 1.6]
+
+
 def test_simulation_runs_once():
     sim = Simulation(room_cfg())
     sim.run(2)

@@ -210,6 +210,15 @@ def test_shuffle_is_permutation_and_deterministic():
     assert a != items  # astronomically unlikely to be identity
 
 
+@given(st.integers(0, M64), st.lists(st.integers(), min_size=1, max_size=40))
+def test_choice_indexes_by_one_randrange(seed, seq):
+    r, twin = Rng(seed, "pick"), Rng(seed, "pick")
+    for _ in range(3):
+        assert r.choice(seq) == seq[twin.randrange(len(seq))]
+        assert r._s == twin._s
+    assert r.random() == twin.random()
+
+
 def test_bad_bounds_raise():
     r = Rng(0)
     with pytest.raises(ValueError):

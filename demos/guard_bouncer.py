@@ -30,8 +30,9 @@ def main():
 
     arena = parse_arena(ROOM)   # the wall is 0.75 m ahead of the module
 
-    ctx = GuardContext(state=me, spec=spec, states={0: me, 1: corpse},
-                       specs={0: spec, 1: spec}, organism=None,
+    # what the guard reads that holds for the whole run; each call names
+    # the module and its organism (None: module 0 is alone)
+    ctx = GuardContext(states={0: me, 1: corpse}, specs={0: spec, 1: spec},
                        path_clear=arena.path_clear, dt=10.0,
                        socket_by_id=arena.socket_by_id)
 
@@ -47,7 +48,7 @@ def main():
     ]
 
     for label, action in cases:
-        verdict = guard_action(action, ctx)
+        verdict = guard_action(action, me.id, None, ctx)
         if isinstance(verdict, Rejected):
             print(f"  {label:36s} -> REJECTED [{verdict.reason}] "
                   f"{verdict.detail}")

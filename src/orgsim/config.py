@@ -274,6 +274,17 @@ def load_scenario_file(path: str | Path) -> ScenarioConfig:
     return load_scenario(text, base_dir=path.parent, name_hint=path.stem)
 
 
+def mode_findings(cfg: ScenarioConfig) -> list[str]:
+    """Findings for a schedule or spawn mode the simulator does not know.
+    A `Simulation` refuses such a config even when it skipped validation."""
+    findings = []
+    if cfg.schedule_mode not in ("always_on", "rotating"):
+        findings.append(f"unknown schedule mode {cfg.schedule_mode!r}")
+    if cfg.spawn_mode not in ("fixed", "seeded"):
+        findings.append(f"unknown spawn mode {cfg.spawn_mode!r}")
+    return findings
+
+
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Semantic checks beyond what parsing already enforced.
 
@@ -295,8 +306,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         if count < 0:
             findings.append(f"negative roster count for {mc.value}")
 
-    if cfg.schedule_mode not in ("always_on", "rotating"):
-        findings.append(f"unknown schedule mode {cfg.schedule_mode!r}")
+    findings += mode_findings(cfg)
     if cfg.schedule_mode == "rotating":
         if cfg.active_count <= 0:
             findings.append("rotating schedule needs active_count > 0")
@@ -335,8 +345,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             if cname not in REGISTRY:
                 findings.append(f"unknown controller {cname!r}")
 
-    if cfg.spawn_mode not in ("fixed", "seeded"):
-        findings.append(f"unknown spawn mode {cfg.spawn_mode!r}")
     if cfg.spawn_mode == "fixed":
         missing = [i for i in range(n) if i not in cfg.fixed_spawns]
         if missing:

@@ -105,9 +105,9 @@ _observation = partial(tuple.__new__, Observation)
 
 # -- actions --------------------------------------------------------------
 #
-# Actions, proposals, verdicts and the guard's context are named tuples:
-# every module builds several of them per tick, and a tuple is several times
-# cheaper to construct than a frozen dataclass. Their reprs reach the log,
+# Actions, proposals and verdicts are named tuples: every module builds
+# several of them per tick, and a tuple is several times cheaper to
+# construct than a frozen dataclass. Their reprs reach the log,
 # because a Rejected detail may embed an action's repr.
 #
 # Each record built on every tick has a private builder beside its class,
@@ -118,7 +118,9 @@ _observation = partial(tuple.__new__, Observation)
 
 
 class Drive(NamedTuple):
-    """Body-frame velocity request; becomes a whole-organism move if docked."""
+    """Body-frame velocity request: linear along the heading and lateral to
+    its left in m/s, angular in deg/s. Becomes a whole-organism move if
+    docked."""
     linear: float = 0.0
     lateral: float = 0.0
     angular: float = 0.0
@@ -263,38 +265,38 @@ _rejected = partial(tuple.__new__, Rejected)
 
 
 class GuardContext(NamedTuple):
-    """Everything the guard needs to judge one module's action."""
+    """What the guard reads that is fixed for the whole run; the module's
+    id and organism come with each call."""
 
-    state: ModuleState
-    spec: ModuleSpec
     states: dict[int, ModuleState]
     specs: dict[int, ModuleSpec]
-    organism: Organism | None
     path_clear: object          # callable (x0, y0, x1, y1, passable) -> bool,
                                 # see world.Arena.path_clear
     dt: float
     socket_by_id: object = None  # callable id -> Socket | None
 
 
-def guard_action(action: Action, ctx: GuardContext) -> Action | Rejected:
-    """Admit, adjust or reject one action before execution.
+def guard_action(action: Action, module_id: int, organism: Organism | None,
+                 ctx: GuardContext) -> Action | Rejected:
+    """Admit, adjust or reject module `module_id`'s action before execution.
 
+    `organism` is the module's current organism, None when it is alone.
     Actuation targets are clamped into the joint's range instead of being
     bounced. Everything else either passes through unchanged or comes back
     as a Rejected with a machine-readable reason.
     """
-    st, spec = ctx.state, ctx.spec
     if isinstance(action, Idle):
         return action
+    st = ctx.states[module_id]
     if st.health is not _OK:
         return _rejected(("protocol", f"module {st.id} is {st.health.value}"))
 
     if isinstance(action, Drive):
-        return _guard_drive(action, ctx)
+        return _guard_drive(action, st, organism, ctx)
     if isinstance(action, Actuate):
-        return _guard_actuate(action, ctx)
+        return _guard_actuate(action, st, organism, ctx)
     if isinstance(action, Dock):    # Tow included
-        return _guard_dock(action, ctx)
+        return _guard_dock(action, st, ctx)
     if isinstance(action, Undock):
         port = st.port(action.face)
         if port.phase is not DockPhase.DOCKED:
@@ -313,17 +315,18 @@ def guard_action(action: Action, ctx: GuardContext) -> Action | Rejected:
     return _rejected(("protocol", f"unrecognized action {action!r}"))
 
 
-def _guard_drive(action: Drive, ctx: GuardContext) -> Action | Rejected:
-    st, spec = ctx.state, ctx.spec
+def _guard_drive(action: Drive, st: ModuleState, organism: Organism | None,
+                 ctx: GuardContext) -> Action | Rejected:
+    spec = ctx.specs[st.id]
     if st.carried:
         return _rejected(("protocol", "carried modules do not drive"))
-    solo = ctx.organism is None
+    solo = organism is None
     if solo and st.is_docked:
         # a port is mid-lock or mid-release; the body is pinned until the
         # coupling either registers as an organism edge or lets go
         return _rejected(("protocol", "docking in progress pins this module"))
     if not solo:
-        for mid in ctx.organism.nodes:
+        for mid in organism.nodes:
             if any(p.phase is DockPhase.LOCKING
                    for p in ctx.states[mid].ports):
                 return _rejected(("protocol",
@@ -337,7 +340,7 @@ def _guard_drive(action: Drive, ctx: GuardContext) -> Action | Rejected:
     if solo:
         cap = spec.max_speed
     else:
-        grounded = [m for m in ctx.organism.nodes if not ctx.states[m].carried]
+        grounded = [m for m in organism.nodes if not ctx.states[m].carried]
         if not grounded:
             return _rejected(("protocol", "organism has no ground contact"))
         cap = min(ctx.specs[m].max_speed for m in grounded)
@@ -346,7 +349,7 @@ def _guard_drive(action: Drive, ctx: GuardContext) -> Action | Rejected:
     wx, wy = rotate_vec(vx, vy, st.pose.heading)
     moved = math.hypot(wx, wy) * ctx.dt
     if moved > 0:
-        members = [st.id] if solo else ctx.organism.sorted_nodes()
+        members = [st.id] if solo else organism.sorted_nodes()
         for mid in members:
             member = ctx.states[mid]
             p = member.pose
@@ -357,16 +360,18 @@ def _guard_drive(action: Drive, ctx: GuardContext) -> Action | Rejected:
     return action
 
 
-def _guard_actuate(action: Actuate, ctx: GuardContext) -> Action | Rejected:
-    st, spec = ctx.state, ctx.spec
+def _guard_actuate(action: Actuate, st: ModuleState,
+                   organism: Organism | None,
+                   ctx: GuardContext) -> Action | Rejected:
+    spec = ctx.specs[st.id]
     try:
         limit = dof_range(spec, action.dof_index)
     except ValueError:
         return _rejected(("protocol", f"{spec.module_class.value} has no dof "
                                       f"{action.dof_index}"))
     clamped = max(-limit, min(limit, action.target_deg))
-    if ctx.organism is not None:
-        chain = worst_case_chain(ctx.organism, st.id)
+    if organism is not None:
+        chain = worst_case_chain(organism, st.id)
         load = lift_torque_nm(LiftQuery(st.id, action.dof_index, chain), ctx.specs)
         if load > spec.max_torque:
             return _rejected(("overload",
@@ -377,8 +382,8 @@ def _guard_actuate(action: Actuate, ctx: GuardContext) -> Action | Rejected:
     return action
 
 
-def _guard_dock(action: Dock, ctx: GuardContext) -> Action | Rejected:
-    st = ctx.state
+def _guard_dock(action: Dock, st: ModuleState,
+                ctx: GuardContext) -> Action | Rejected:
     if action.target_id == st.id:
         return _rejected(("protocol", "cannot dock to self"))
     other = ctx.states.get(action.target_id)

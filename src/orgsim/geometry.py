@@ -60,9 +60,6 @@ class Pose:
     def translated(self, dx: float, dy: float) -> "Pose":
         return Pose(self.x + dx, self.y + dy, self.heading)
 
-    def with_heading(self, heading: float) -> "Pose":
-        return Pose(self.x, self.y, heading)
-
     def distance_to(self, other: "Pose") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 

@@ -19,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .behaviors import build_controllers
-from .config import ScenarioConfig, load_scenario
+from .config import ScenarioConfig, load_scenario, mode_findings
 from .control import (ActionProposal, Actuate, Dock, Drive, GuardContext, Idle,
                       InteractionChannel, Mailbox, MessageBus, Observation,
                       Recharge, Rejected, ToggleCoprocessor, Tow, Undock,
@@ -34,9 +34,8 @@ from .geometry import Pose, rotate_vec
 from .organism import (OrganismRegistry, Translate, Turn, edge_key,
                        organism_move, reach_height)
 from .rng import HitStream, Rng, fnv1a64
-from .robot_model import (DriveCommand, Health, ModuleState, actuate_joint,
-                          locomotion_step, make_module_spec, new_module_state,
-                          pair_tolerance)
+from .robot_model import (Health, ModuleState, actuate_joint, locomotion_step,
+                          make_module_spec, new_module_state, pair_tolerance)
 from .sensing import Sight
 from .world import SocketSchedule, SocketScheduler, in_graveyard, sense_sockets
 
@@ -156,6 +155,9 @@ class Simulation:
     """One seeded scenario run. Construct, then call run() exactly once."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int | None = None):
+        unknown = mode_findings(cfg)
+        if unknown:
+            raise ConfigError("; ".join(unknown))
         self.cfg = cfg
         self.seed = cfg.seed if seed is None else seed
         self.arena = cfg.build_arena()
@@ -202,9 +204,6 @@ class Simulation:
         self.splits = 0
         self.rejections: dict[str, int] = {}
         self._last_reject: dict[int, tuple] = {}
-        # per id, the GuardContext its last guarded action was judged in
-        self._guard_contexts: list[GuardContext | None] = (
-            [None] * len(self.states))
         self._last_recharge: dict[int, tuple] = {}
         self._delivered_count = 0
         self._ran = False
@@ -282,6 +281,11 @@ class Simulation:
         total = self.cfg.total_ticks if ticks is None else ticks
         self._write_header(total)
         self._live = [st for st in self.states.values() if st.health is _OK]
+        # what the guard reads that holds for the whole run, taken from the
+        # arena as the run starts
+        self._guard_ctx = GuardContext(self.states, self.specs,
+                                       self.arena.path_clear, self.cfg.dt,
+                                       self.arena.socket_by_id)
         observers = tuple([st.id for st in self._live
                            if self.controllers[st.id]])
         if observers:
@@ -369,7 +373,6 @@ class Simulation:
 
     def _phase_execute(self, selected: dict[int, ActionProposal]) -> None:
         moved_orgs: set[int] = set()
-        contexts = self._guard_contexts
         # _phase_decide fills `selected` in id order
         for i, prop in selected.items():
             org = self.registry.organism_of(i)
@@ -378,21 +381,11 @@ class Simulation:
                 # a lower id already steered this organism; guarding the
                 # stale proposal against the moved body would only mislead
                 continue
-            ctx = contexts[i]
-            if ctx is None or ctx.organism is not org:
-                # every other field is the same object all run long; the
-                # registry replaces an organism on every change, so an
-                # unchanged object is an unchanged organism. Positional, in
-                # field order: a keyword call to a named tuple costs more
-                ctx = contexts[i] = GuardContext(
-                    self.states[i], self.specs[i], self.states, self.specs,
-                    org, self.arena.path_clear, self.cfg.dt,
-                    self.arena.socket_by_id)
-            verdict = guard_action(prop.action, ctx)
+            verdict = guard_action(prop.action, i, org, self._guard_ctx)
             if isinstance(verdict, Rejected):
                 self._note_rejection(i, verdict, prop.source)
                 continue
-            self._apply_action(i, verdict, moved_orgs)
+            self._apply_action(i, org, verdict, moved_orgs)
 
     def _note_rejection(self, i: int, rej: Rejected, source: str) -> None:
         self.rejections[rej.reason] = self.rejections.get(rej.reason, 0) + 1
@@ -402,16 +395,16 @@ class Simulation:
             self.log.event(self.tick, i, "reject", reason=rej.reason,
                            source=source, detail=_enc(rej.detail))
 
-    def _apply_action(self, i: int, action, moved_orgs: set[int]) -> None:
+    def _apply_action(self, i: int, org, action, moved_orgs: set[int]) -> None:
+        """Execute module i's admitted action; `org` is its organism or None,
+        as the execute phase looked it up."""
         st = self.states[i]
         spec = self.specs[i]
         cfg = self.cfg
 
         if isinstance(action, Drive):
-            org = self.registry.organism_of(i)
             if org is None:
-                cmd = DriveCommand(action.linear, action.lateral, action.angular)
-                mr = locomotion_step(st, spec, cmd, self.arena.path_clear,
+                mr = locomotion_step(st, spec, action, self.arena.path_clear,
                                      cfg.dt, cfg.tariff)
                 st.pose = mr.pose
                 drain(st, mr.energy_j, self.ledger)
@@ -437,7 +430,7 @@ class Simulation:
             return
 
         if isinstance(action, Recharge):
-            self._do_recharge(i, action.socket_id)
+            self._do_recharge(i, org, action.socket_id)
             return
 
         if isinstance(action, ToggleCoprocessor):
@@ -493,14 +486,14 @@ class Simulation:
             org.reach = reach_height(org, self.specs)
         return org.reach
 
-    def _do_recharge(self, i: int, socket_id: int) -> None:
+    def _do_recharge(self, i: int, org, socket_id: int) -> None:
         st = self.states[i]
         socket = self.arena.socket_by_id(socket_id)
         px, py = self.arena.cell_center(*socket.cell)
         res = recharge(
             st, socket_active=socket.active, socket_rating_w=socket.rating,
             socket_height=socket.height,
-            reach_m=self._reach_of(i, self.registry.organism_of(i)),
+            reach_m=self._reach_of(i, org),
             distance_m=math.hypot(st.pose.x - px, st.pose.y - py),
             dt=self.cfg.dt,
             tariff=self.cfg.tariff, ledger=self.ledger,

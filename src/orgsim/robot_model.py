@@ -11,13 +11,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .docking import (DockPort, PEERED_PHASES, ACCURATE_TOLERANCE, ROUGH_TOLERANCE,
                       FACES, AlignmentTolerance, Face, make_ports)
 from .errors import CommandError, ConfigError
 from .geometry import Pose, norm_deg, rotate_vec
 from .world import TerrainClass
+
+if TYPE_CHECKING:
+    from .control import Drive
 
 PJ = 10 ** 12  # picojoules per joule
 
@@ -138,10 +141,6 @@ _TRAVERSABLE = {
 _ABOVE_GROUND = tuple(t for t in TerrainClass if t is not TerrainClass.OBSTACLE)
 
 
-def can_traverse(module_class: ModuleClass, terrain: TerrainClass) -> bool:
-    return terrain in _TRAVERSABLE[module_class]
-
-
 @dataclass(slots=True)
 class ModuleState:
     """Mutable per-module simulation state. Slotted: the run reads every
@@ -198,16 +197,6 @@ def new_module_state(module_id: int, spec: ModuleSpec, pose: Pose,
 # -- locomotion -----------------------------------------------------------
 
 
-class DriveCommand(NamedTuple):
-    """Requested body-frame velocities: linear along the heading, lateral to
-    its left, angular in deg/s. Magnitudes beyond the class speed cap are
-    scaled down without changing direction."""
-
-    linear: float = 0.0
-    lateral: float = 0.0
-    angular: float = 0.0
-
-
 class MoveResult(NamedTuple):
     pose: Pose
     energy_j: float
@@ -220,9 +209,11 @@ def passable_terrain(state: ModuleState) -> tuple[TerrainClass, ...]:
     return _ABOVE_GROUND if state.carried else _TRAVERSABLE[state.module_class]
 
 
-def locomotion_step(state: ModuleState, spec: ModuleSpec, cmd: DriveCommand,
+def locomotion_step(state: ModuleState, spec: ModuleSpec, cmd: Drive,
                     path_clear, dt: float, tariff) -> MoveResult:
-    """Integrate one drive command over dt. Pure: the caller applies the pose.
+    """Integrate one `control.Drive` over dt. Pure: the caller applies the
+    pose. Speeds beyond the class cap are scaled down without changing
+    direction.
 
     The reported energy is what a module doing nothing but this for dt would
     burn: idle draw, coprocessor included when it is on, plus the distance

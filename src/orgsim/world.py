@@ -443,9 +443,6 @@ class SocketScheduler:
             changes.append((replacement, True))
         return changes
 
-    def active_ids(self) -> list[int]:
-        return [s.id for s in self.sockets if s.active]
-
 
 # -- sensing --------------------------------------------------------------
 

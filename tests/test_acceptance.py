@@ -319,15 +319,16 @@ class AuditedSimulation(Simulation):
         super().__init__(cfg)
         self.audit_failures = []
 
-    def _apply_action(self, i, action, moved_orgs):
+    def _apply_action(self, i, org, action, moved_orgs):
         if isinstance(action, Actuate):
-            org = self.registry.organism_of(i)
-            if org is not None:
-                chain = worst_case_chain(org, i)
+            # the audit looks the organism up itself, not trusting `org`
+            audited = self.registry.organism_of(i)
+            if audited is not None:
+                chain = worst_case_chain(audited, i)
                 if not lift_feasible(
                         LiftQuery(i, action.dof_index, chain), self.specs):
                     self.audit_failures.append((self.tick, i, "over_torque"))
-        super()._apply_action(i, action, moved_orgs)
+        super()._apply_action(i, org, action, moved_orgs)
 
     def _phase_metrics(self):
         super()._phase_metrics()   # built-in scan raises on its own findings

@@ -27,7 +27,7 @@ from orgsim.errors import ConfigError
 from orgsim.energy import Tariff
 from orgsim.geometry import Pose, ang_diff_deg
 from orgsim.rng import Rng
-from orgsim.robot_model import (DriveCommand, DriveKind, Health, ModuleClass,
+from orgsim.robot_model import (DriveKind, Health, ModuleClass,
                                 locomotion_step, make_module_spec,
                                 new_module_state, pair_tolerance)
 from orgsim.sensing import SensedModule, SensedModules
@@ -124,9 +124,7 @@ def drive_until_parked(start: Pose, kind: DriveKind, tx, ty, target_heading,
         if cmd is None:
             return pose
         state = new_module_state(0, spec, pose)
-        res = locomotion_step(state, spec,
-                              DriveCommand(cmd.linear, cmd.lateral, cmd.angular),
-                              open_floor, 10.0, TARIFF)
+        res = locomotion_step(state, spec, cmd, open_floor, 10.0, TARIFF)
         assert not res.blocked
         pose = res.pose
     pytest.fail(f"servo never parked, ended at {pose}")

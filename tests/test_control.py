@@ -19,9 +19,9 @@ from orgsim.energy import RechargeResult, ShareTransfer, Tariff
 from orgsim.errors import FrameworkError
 from orgsim.geometry import Pose
 from orgsim.organism import OrganismRegistry, Translate, organism_move
-from orgsim.robot_model import (DriveCommand, Health, JointResult,
-                                ModuleClass, MoveResult, locomotion_step,
-                                make_module_spec, new_module_state)
+from orgsim.robot_model import (Health, JointResult, ModuleClass, MoveResult,
+                                locomotion_step, make_module_spec,
+                                new_module_state)
 from orgsim.sensing import SensedModule, SensedModules
 from orgsim.world import SensedSocket, Socket, TerrainClass
 from tests.path_reference import sampled
@@ -53,14 +53,13 @@ def make_obs(mid=0, sockets=(), docked=(), battery=1.0):
                        InternalChannel(tick=0, dt=10.0, bus_load=0))
 
 
-def ctx_for(state, spec, states=None, specs=None, organism=None,
-            path_clear=open_floor, socket_by_id=None):
+def ctx_for(state, spec, states=None, specs=None, path_clear=open_floor,
+            socket_by_id=None):
+    """A run-wide guard context; by default `state` is the whole fleet."""
     return GuardContext(
-        state=state, spec=spec,
         states=states if states is not None else {state.id: state},
         specs=specs if specs is not None else {state.id: spec},
-        organism=organism, path_clear=path_clear, dt=10.0,
-        socket_by_id=socket_by_id)
+        path_clear=path_clear, dt=10.0, socket_by_id=socket_by_id)
 
 
 def scout_state(mid=0, pose=Pose(0, 0, 0)):
@@ -232,15 +231,14 @@ RECORD_REPRS = [
     (Rejected("protocol", f"unrecognized action {Drive(0.1)!r}"),
      "Rejected(reason='protocol', detail='unrecognized action "
      "Drive(linear=0.1, lateral=0.0, angular=0.0)')"),
-    (GuardContext(None, None, {}, {}, None, None, 10.0),
-     "GuardContext(state=None, spec=None, states={}, specs={}, "
-     "organism=None, path_clear=None, dt=10.0, socket_by_id=None)"),
+    (GuardContext({}, {}, None, 10.0),
+     "GuardContext(states={}, specs={}, path_clear=None, dt=10.0, "
+     "socket_by_id=None)"),
     (RechargeResult(False, "reach", 0.0, 0.0),
      "RechargeResult(granted=False, reason='reach', drawn_j=0.0, "
      "stored_j=0.0)"),
     (ShareTransfer(1, 2, 0.5),
      "ShareTransfer(donor=1, receiver=2, joules=0.5)"),
-    (DriveCommand(0.1), "DriveCommand(linear=0.1, lateral=0.0, angular=0.0)"),
     (MoveResult(Pose(1.0, 2.0, 90.0), 5.0, False),
      "MoveResult(pose=Pose(x=1.0, y=2.0, heading=90.0), energy_j=5.0, "
      "blocked=False)"),
@@ -370,24 +368,26 @@ def test_selection_is_min_by_priority_to_the_same_object(priorities, form):
 def test_idle_passes_even_for_dead_modules():
     st_ = scout_state()
     st_.health = Health.ENERGY_DEAD
-    assert isinstance(guard_action(Idle(), ctx_for(st_, SCOUT)), Idle)
-    got = guard_action(Drive(0.1), ctx_for(st_, SCOUT))
+    ctx = ctx_for(st_, SCOUT)
+    assert isinstance(guard_action(Idle(), 0, None, ctx), Idle)
+    got = guard_action(Drive(0.1), 0, None, ctx)
     assert isinstance(got, Rejected) and got.reason == "protocol"
 
 
 def test_guard_drive_solo():
     st_ = scout_state()
-    assert guard_action(Drive(0.1), ctx_for(st_, SCOUT)) == Drive(0.1)
-    got = guard_action(Drive(0.0, 0.1), ctx_for(st_, SCOUT))
+    ctx = ctx_for(st_, SCOUT)
+    assert guard_action(Drive(0.1), 0, None, ctx) == Drive(0.1)
+    got = guard_action(Drive(0.0, 0.1), 0, None, ctx)
     assert got == Rejected("protocol", "tracked drive cannot move sideways")
     st_.carried = True
-    assert guard_action(Drive(0.1), ctx_for(st_, SCOUT)).reason == "protocol"
+    assert guard_action(Drive(0.1), 0, None, ctx).reason == "protocol"
 
 
 def test_guard_drive_pinned_while_port_engaged():
     st_ = scout_state()
     st_.ports[0].phase = DockPhase.LOCKING
-    got = guard_action(Drive(0.1), ctx_for(st_, SCOUT))
+    got = guard_action(Drive(0.1), 0, None, ctx_for(st_, SCOUT))
     assert isinstance(got, Rejected) and "pins" in got.detail
 
 
@@ -397,7 +397,8 @@ def test_guard_drive_collision_uses_scaled_speed():
         return TerrainClass.PLAIN if x < 0.8 else None
 
     solo = scout_state()
-    got = guard_action(Drive(1.0), ctx_for(solo, SCOUT, path_clear=cliff))
+    got = guard_action(Drive(1.0), 0, None,
+                       ctx_for(solo, SCOUT, path_clear=cliff))
     assert got == Rejected("collision", "path of module 0 is blocked")
 
     # grouped with a screw module the whole body is capped to 0.06 m/s,
@@ -407,8 +408,8 @@ def test_guard_drive_collision_uses_scaled_speed():
     org = reg.organisms[0]
     states = {0: scout_state(0), 1: new_module_state(1, BACKBONE, Pose(0.1, 0, 0))}
     specs = {0: SCOUT, 1: BACKBONE}
-    got = guard_action(Drive(1.0), ctx_for(states[0], SCOUT, states, specs,
-                                           organism=org, path_clear=cliff))
+    got = guard_action(Drive(1.0), 0, org, ctx_for(states[0], SCOUT, states,
+                                                   specs, path_clear=cliff))
     assert got == Drive(1.0)
 
 
@@ -419,8 +420,8 @@ def test_guard_drive_organism_holds_during_a_member_lock():
     states = {0: scout_state(0), 1: scout_state(1)}
     states[1].ports[1].phase = DockPhase.LOCKING
     specs = {0: SCOUT, 1: SCOUT}
-    got = guard_action(Drive(0.1), ctx_for(states[0], SCOUT, states, specs,
-                                           organism=org))
+    got = guard_action(Drive(0.1), 0, org,
+                       ctx_for(states[0], SCOUT, states, specs))
     assert isinstance(got, Rejected) and "mid-lock" in got.detail
 
 
@@ -433,8 +434,8 @@ def test_guard_drive_rejects_carried_proposer_in_an_organism():
     states = {0: scout_state(0), 1: scout_state(1)}
     states[0].carried = True
     states[1].carried = True
-    got = guard_action(Drive(0.1), ctx_for(states[0], SCOUT, states,
-                                           {0: SCOUT, 1: SCOUT}, organism=org))
+    got = guard_action(Drive(0.1), 0, org, ctx_for(states[0], SCOUT, states,
+                                                   {0: SCOUT, 1: SCOUT}))
     assert got == Rejected("protocol", "carried modules do not drive")
 
 
@@ -456,9 +457,8 @@ def test_guard_drive_judges_a_carried_member_like_execution_does():
     specs = {0: SCOUT, 1: BACKBONE}
 
     def verdicts(speed):
-        guarded = guard_action(Drive(speed), ctx_for(
-            states[0], SCOUT, states, specs, organism=org,
-            path_clear=rough_then_wall))
+        guarded = guard_action(Drive(speed), 0, org, ctx_for(
+            states[0], SCOUT, states, specs, path_clear=rough_then_wall))
         moved = organism_move(org, states, specs, Translate(speed, 0.0), 10.0,
                               rough_then_wall, Tariff())
         return guarded, moved.blocked
@@ -485,19 +485,18 @@ def test_guard_drive_scales_speed_like_locomotion_step():
     st_ = new_module_state(67, BACKBONE,
                            Pose(1.6357643331513299, 0.9252420337519408, 270.0))
     drive = Drive(-0.0550242033751941, -0.023923566684867014, 0.0)
-    guarded = guard_action(drive, ctx_for(st_, BACKBONE,
-                                          path_clear=rough_cell))
-    moved = locomotion_step(st_, BACKBONE, DriveCommand(
-        drive.linear, drive.lateral, drive.angular), rough_cell, 10.0, Tariff())
+    guarded = guard_action(drive, 67, None,
+                           ctx_for(st_, BACKBONE, path_clear=rough_cell))
+    moved = locomotion_step(st_, BACKBONE, drive, rough_cell, 10.0, Tariff())
     assert isinstance(guarded, Rejected) == moved.blocked
 
 
 def test_guard_actuate_clamps_and_checks_torque():
-    st_ = scout_state()
-    assert guard_action(Actuate(0, 45.0), ctx_for(st_, SCOUT)) == Actuate(0, 45.0)
-    assert guard_action(Actuate(0, 120.0), ctx_for(st_, SCOUT)) == Actuate(0, 90.0)
-    assert guard_action(Actuate(1, -500.0), ctx_for(st_, SCOUT)) == Actuate(1, -180.0)
-    got = guard_action(Actuate(3, 10.0), ctx_for(st_, SCOUT))
+    ctx = ctx_for(scout_state(), SCOUT)
+    assert guard_action(Actuate(0, 45.0), 0, None, ctx) == Actuate(0, 45.0)
+    assert guard_action(Actuate(0, 120.0), 0, None, ctx) == Actuate(0, 90.0)
+    assert guard_action(Actuate(1, -500.0), 0, None, ctx) == Actuate(1, -180.0)
+    got = guard_action(Actuate(3, 10.0), 0, None, ctx)
     assert isinstance(got, Rejected) and got.reason == "protocol"
 
     # a scout joint cannot swing a three-module tail
@@ -507,13 +506,13 @@ def test_guard_actuate_clamps_and_checks_torque():
     org = reg.organisms[0]
     states = {i: scout_state(i, Pose(0.1 * i, 0, 0)) for i in range(4)}
     specs = {i: SCOUT for i in range(4)}
-    got = guard_action(Actuate(0, 30.0), ctx_for(states[0], SCOUT, states,
-                                                 specs, organism=org))
+    got = guard_action(Actuate(0, 30.0), 0, org,
+                       ctx_for(states[0], SCOUT, states, specs))
     assert isinstance(got, Rejected) and got.reason == "overload"
     specs[0] = BACKBONE
     states[0] = new_module_state(0, BACKBONE, Pose(0, 0, 0))
-    got = guard_action(Actuate(0, 30.0), ctx_for(states[0], BACKBONE, states,
-                                                 specs, organism=org))
+    got = guard_action(Actuate(0, 30.0), 0, org,
+                       ctx_for(states[0], BACKBONE, states, specs))
     assert got == Actuate(0, 30.0)
 
 
@@ -523,42 +522,46 @@ def test_guard_dock_cases():
     specs = {0: SCOUT, 1: SCOUT}
     ctx = ctx_for(a, SCOUT, states, specs)
     ok = Dock(Face.NORTH, 1, Face.SOUTH)
-    assert guard_action(ok, ctx) == ok
-    assert guard_action(Dock(Face.NORTH, 0, Face.SOUTH), ctx).detail == "cannot dock to self"
-    assert "unknown module" in guard_action(Dock(Face.NORTH, 9, Face.SOUTH), ctx).detail
+    assert guard_action(ok, 0, None, ctx) == ok
+    assert guard_action(Dock(Face.NORTH, 0, Face.SOUTH), 0, None,
+                        ctx).detail == "cannot dock to self"
+    assert "unknown module" in guard_action(Dock(Face.NORTH, 9, Face.SOUTH),
+                                            0, None, ctx).detail
 
     b.health = Health.HARDWARE_DEAD
-    refused = guard_action(ok, ctx)
+    refused = guard_action(ok, 0, None, ctx)
     assert isinstance(refused, Rejected) and "towing" in refused.detail
     tow = Tow(Face.NORTH, 1, Face.SOUTH)
-    assert guard_action(tow, ctx) == tow
+    assert guard_action(tow, 0, None, ctx) == tow
 
     b.health = Health.OK
     a.ports[0].phase = DockPhase.APPROACHING
-    assert "own face" in guard_action(ok, ctx).detail
+    assert "own face" in guard_action(ok, 0, None, ctx).detail
     a.ports[0].phase = DockPhase.FREE
     b.ports[2].phase = DockPhase.DOCKED
-    assert "target face" in guard_action(ok, ctx).detail
+    assert "target face" in guard_action(ok, 0, None, ctx).detail
 
 
 def test_guard_undock_and_recharge_and_toggle():
     st_ = scout_state()
-    assert "only a docked face" in guard_action(Undock(Face.NORTH),
-                                               ctx_for(st_, SCOUT)).detail
+    ctx = ctx_for(st_, SCOUT)
+    assert "only a docked face" in guard_action(Undock(Face.NORTH), 0, None,
+                                               ctx).detail
     st_.ports[0].phase = DockPhase.DOCKED
-    assert guard_action(Undock(Face.NORTH), ctx_for(st_, SCOUT)) == Undock(Face.NORTH)
+    assert guard_action(Undock(Face.NORTH), 0, None, ctx) == Undock(Face.NORTH)
 
     sock = Socket(id=0, cell=(1, 1), height=0.3, rating=20.0)
     by_id = lambda sid: sock if sid == 0 else None
     fresh = scout_state(2)
-    assert guard_action(Recharge(0), ctx_for(fresh, SCOUT, socket_by_id=by_id)) == Recharge(0)
-    assert "unknown socket" in guard_action(
-        Recharge(5), ctx_for(fresh, SCOUT, socket_by_id=by_id)).detail
-    assert "unknown socket" in guard_action(
-        Recharge(0), ctx_for(fresh, SCOUT)).detail  # no lookup wired at all
-    assert guard_action(ToggleCoprocessor(True),
-                        ctx_for(fresh, SCOUT)) == ToggleCoprocessor(True)
-    assert "unrecognized" in guard_action("warp", ctx_for(fresh, SCOUT)).detail
+    wired = ctx_for(fresh, SCOUT, socket_by_id=by_id)
+    unwired = ctx_for(fresh, SCOUT)   # no lookup wired at all
+    assert guard_action(Recharge(0), 2, None, wired) == Recharge(0)
+    assert "unknown socket" in guard_action(Recharge(5), 2, None, wired).detail
+    assert "unknown socket" in guard_action(Recharge(0), 2, None,
+                                            unwired).detail
+    assert guard_action(ToggleCoprocessor(True), 2, None,
+                        unwired) == ToggleCoprocessor(True)
+    assert "unrecognized" in guard_action("warp", 2, None, unwired).detail
 
 
 # -- radio ----------------------------------------------------------------

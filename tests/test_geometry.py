@@ -69,4 +69,4 @@ def test_pose_translate_and_distance():
     q = p.translated(3.0, 4.0)
     assert (q.x, q.y, q.heading) == (4.0, 6.0, 45.0)
     assert p.distance_to(q) == pytest.approx(5.0)
-    assert p.with_heading(400.0).heading == pytest.approx(40.0)
+    assert Pose(p.x, p.y, 400.0).heading == pytest.approx(40.0)

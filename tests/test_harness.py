@@ -829,14 +829,33 @@ def test_a_port_paired_earlier_in_the_phase_refuses_a_second_dock():
         DockPhase.APPROACHING] * 2
 
 
-def test_a_merge_renews_the_guard_context_of_a_module_guarded_solo():
+def guard_checking_the_organism(monkeypatch, sim):
+    """Wrap the harness's guard so that every call asserts its organism
+    argument is the one the registry holds for that module now. Returns
+    the organisms handed to the guard, in call order."""
+    guard = harness.guard_action
+    handed = []
+
+    def checked(action, module_id, organism, ctx):
+        assert organism is sim.registry.organism_of(module_id), (
+            sim.tick, module_id)
+        handed.append(organism)
+        return guard(action, module_id, organism, ctx)
+
+    monkeypatch.setattr(harness, "guard_action", checked)
+    return handed
+
+
+def test_a_merge_hands_the_guard_the_new_organism_of_a_module_guarded_solo(
+        monkeypatch):
     # module 0 is guarded alone while it docks its north face to module 1,
     # then drives north (east, at heading 0) as one organism with 1, whose
-    # front is a hand's width from the wall: only a context that holds the
-    # new organism sees 1's path blocked
+    # front is a hand's width from the wall: only a guard handed the new
+    # organism sees 1's path blocked
     text = ("[spawns]\nmode = fixed\n0 = 1.5 0.625 0\n1 = 1.6 0.625 0\n"
             "[roster]\nscout = 2\n")
     sim = Simulation(load_scenario(text, map_text=ROOM_MAP))
+    handed = guard_checking_the_organism(monkeypatch, sim)
 
     def dock_then_drive(obs):
         if obs.interaction.organism_id is not None:
@@ -849,12 +868,26 @@ def test_a_merge_renews_the_guard_context_of_a_module_guarded_solo():
     m = sim.run(12)
     assert m.merges == 1
     org = sim.registry.organism_of(0)
-    assert org is not None and sim._guard_contexts[0].organism is org
+    assert org is not None and handed[0] is None and handed[-1] is org
     blocked = "detail=path%20of%20module%201%20is%20blocked"
     rejects = [line.split(" ", 1)[1] for line in sim.log.lines
                if " reject " in line]
     assert rejects == [f"0 reject reason=collision source=script {blocked}"]
     assert [sim.states[k].pose.x for k in (0, 1)] == [1.5, 1.6]
+
+
+@pytest.mark.parametrize("scenario, seed, ticks, pinned", [
+    ("disposal_open", 3, 432, ["95413e9143b7c30e", 21]),   # 2 merges, 2 splits
+    ("full_scale", 42, 20, ["24e78c658510e1b3", 460]),     # 65 merges
+])
+def test_the_guard_is_handed_each_module_s_current_organism(
+        monkeypatch, scenario, seed, ticks, pinned):
+    sim = Simulation(load_scenario_file(CONFIG_DIR / f"{scenario}.cfg"), seed)
+    handed = guard_checking_the_organism(monkeypatch, sim)
+    metrics = sim.run(ticks)
+    assert [metrics.digest, metrics.events] == pinned
+    assert sim.merges > 0
+    assert any(org is not None for org in handed)
 
 
 def test_simulation_runs_once():
@@ -868,6 +901,18 @@ def test_seeded_spawn_needs_enough_cells():
     text = ROOM_SCENARIO.replace("scout = 2", "scout = 99")
     with pytest.raises(ConfigError, match="cannot spawn"):
         Simulation(load_scenario(text, map_text=ROOM_MAP))
+
+
+# a config that skipped validate_scenario still gets its modes checked
+@pytest.mark.parametrize("old, new, finding", [
+    ("mode = rotating", "mode = rotate", "unknown schedule mode 'rotate'"),
+    ("[roster]", "[spawns]\nmode = Fixed\n[roster]",
+     "unknown spawn mode 'Fixed'"),
+], ids=["schedule", "spawn"])
+def test_a_run_refuses_an_unknown_mode(old, new, finding):
+    cfg = load_scenario(ROOM_SCENARIO.replace(old, new), map_text=ROOM_MAP)
+    with pytest.raises(ConfigError, match=f"^{finding}$"):
+        run_scenario(cfg, ticks=1)
 
 
 # -- energy accounting through the pipeline -------------------------------

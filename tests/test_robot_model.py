@@ -3,14 +3,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from orgsim.control import Drive
 from orgsim.docking import DockPhase
 from orgsim.energy import Tariff
 from orgsim.errors import CommandError, ConfigError
 from orgsim.geometry import Pose
-from orgsim.robot_model import (PJ, DriveCommand, DriveKind, Health,
-                                ModuleClass, actuate_joint, alignment_tolerance,
-                                can_traverse, dof_range, locomotion_step,
-                                make_module_spec, new_module_state, to_j, to_pj)
+from orgsim.robot_model import (PJ, DriveKind, Health, ModuleClass,
+                                actuate_joint, alignment_tolerance, dof_range,
+                                locomotion_step, make_module_spec,
+                                new_module_state, passable_terrain, to_j,
+                                to_pj)
 from orgsim.world import TerrainClass
 from tests.path_reference import sampled
 
@@ -104,10 +106,15 @@ def test_alignment_tolerance_per_class():
 def test_traversability_table():
     rough_set = {TerrainClass.PLAIN, TerrainClass.ROUGH, TerrainClass.SLOPE,
                  TerrainClass.SMALL_HOLE}
+    scout, backbone, wheel = (
+        passable_terrain(new_module_state(0, make_module_spec(mc),
+                                          Pose(0, 0, 0)))
+        for mc in (ModuleClass.SCOUT, ModuleClass.BACKBONE,
+                   ModuleClass.ACTIVE_WHEEL))
     for t in TerrainClass:
-        assert can_traverse(ModuleClass.SCOUT, t) == (t in rough_set)
-        assert can_traverse(ModuleClass.BACKBONE, t) == (t is TerrainClass.PLAIN)
-        assert can_traverse(ModuleClass.ACTIVE_WHEEL, t) == (t is TerrainClass.PLAIN)
+        assert (t in scout) == (t in rough_set)
+        assert (t in backbone) == (t is TerrainClass.PLAIN)
+        assert (t in wheel) == (t is TerrainClass.PLAIN)
 
 
 # -- state construction ---------------------------------------------------
@@ -138,7 +145,7 @@ def test_pj_round_trip():
 def test_straight_drive_distance_and_energy():
     spec = make_module_spec(ModuleClass.SCOUT)
     st_ = new_module_state(0, spec, Pose(1.0, 1.0, 0.0))
-    mr = locomotion_step(st_, spec, DriveCommand(linear=0.1),
+    mr = locomotion_step(st_, spec, Drive(linear=0.1),
                          open_floor, 10.0, TARIFF)
     assert mr.pose.x == pytest.approx(2.0)
     assert mr.pose.y == pytest.approx(1.0)
@@ -150,7 +157,7 @@ def test_straight_drive_distance_and_energy():
 def test_speed_is_capped_not_rejected():
     spec = make_module_spec(ModuleClass.BACKBONE)
     st_ = new_module_state(0, spec, Pose(0, 0, 90.0))
-    mr = locomotion_step(st_, spec, DriveCommand(linear=5.0),
+    mr = locomotion_step(st_, spec, Drive(linear=5.0),
                          open_floor, 10.0, TARIFF)
     assert math.hypot(mr.pose.x, mr.pose.y) == pytest.approx(0.06 * 10.0)
 
@@ -159,11 +166,11 @@ def test_lateral_drive_obeys_drive_kind():
     scout = make_module_spec(ModuleClass.SCOUT)
     st_ = new_module_state(0, scout, Pose(0, 0, 0))
     with pytest.raises(CommandError):
-        locomotion_step(st_, scout, DriveCommand(lateral=0.05),
+        locomotion_step(st_, scout, Drive(lateral=0.05),
                         open_floor, 10.0, TARIFF)
     wheel = make_module_spec(ModuleClass.ACTIVE_WHEEL)
     sw = new_module_state(1, wheel, Pose(0, 0, 0))
-    mr = locomotion_step(sw, wheel, DriveCommand(lateral=0.1),
+    mr = locomotion_step(sw, wheel, Drive(lateral=0.1),
                          open_floor, 10.0, TARIFF)
     # lateral is to the left of heading 0, so +y
     assert mr.pose.y == pytest.approx(1.0)
@@ -173,7 +180,7 @@ def test_lateral_drive_obeys_drive_kind():
 def test_turn_in_place_costs_idle_only():
     spec = make_module_spec(ModuleClass.SCOUT)
     st_ = new_module_state(0, spec, Pose(0, 0, 10.0))
-    mr = locomotion_step(st_, spec, DriveCommand(angular=3.0),
+    mr = locomotion_step(st_, spec, Drive(angular=3.0),
                          open_floor, 10.0, TARIFF)
     assert mr.pose.heading == pytest.approx(40.0)
     assert mr.energy_j == pytest.approx(0.5 * 10.0)
@@ -186,7 +193,7 @@ def test_blocked_path_freezes_pose_and_heading():
         return TerrainClass.OBSTACLE if x > 0.5 else TerrainClass.PLAIN
     spec = make_module_spec(ModuleClass.SCOUT)
     st_ = new_module_state(0, spec, Pose(0.4, 0.0, 0.0))
-    mr = locomotion_step(st_, spec, DriveCommand(linear=0.1, angular=5.0),
+    mr = locomotion_step(st_, spec, Drive(linear=0.1, angular=5.0),
                          wall_east, 10.0, TARIFF)
     assert mr.blocked
     assert mr.pose == st_.pose              # heading does not slew either
@@ -199,11 +206,11 @@ def test_terrain_rules_apply_to_path():
         return TerrainClass.ROUGH if x > 0.5 else TerrainClass.PLAIN
     scout = make_module_spec(ModuleClass.SCOUT)
     s = new_module_state(0, scout, Pose(0.4, 0, 0))
-    assert not locomotion_step(s, scout, DriveCommand(linear=0.1),
+    assert not locomotion_step(s, scout, Drive(linear=0.1),
                                rough_east, 10.0, TARIFF).blocked
     bb = make_module_spec(ModuleClass.BACKBONE)
     b = new_module_state(1, bb, Pose(0.4, 0, 0))
-    assert locomotion_step(b, bb, DriveCommand(linear=0.06),
+    assert locomotion_step(b, bb, Drive(linear=0.06),
                            rough_east, 10.0, TARIFF).blocked
 
 
@@ -212,12 +219,12 @@ def test_dead_or_docked_modules_refuse_commands():
     st_ = new_module_state(0, spec, Pose(0, 0, 0))
     st_.health = Health.ENERGY_DEAD
     with pytest.raises(CommandError):
-        locomotion_step(st_, spec, DriveCommand(linear=0.1),
+        locomotion_step(st_, spec, Drive(linear=0.1),
                         open_floor, 10.0, TARIFF)
     st_.health = Health.OK
     st_.ports[0].phase = DockPhase.DOCKED
     with pytest.raises(CommandError):
-        locomotion_step(st_, spec, DriveCommand(linear=0.1),
+        locomotion_step(st_, spec, Drive(linear=0.1),
                         open_floor, 10.0, TARIFF)
 
 
@@ -226,7 +233,7 @@ def test_dead_or_docked_modules_refuse_commands():
 def test_move_never_exceeds_speed_budget(linear, lateral, heading, angular):
     wheel = make_module_spec(ModuleClass.ACTIVE_WHEEL)
     s = new_module_state(0, wheel, Pose(5.0, 5.0, heading))
-    mr = locomotion_step(s, wheel, DriveCommand(linear, lateral, angular),
+    mr = locomotion_step(s, wheel, Drive(linear, lateral, angular),
                          open_floor, 10.0, TARIFF)
     assert s.pose.distance_to(mr.pose) <= wheel.max_speed * 10.0 + 1e-9
 

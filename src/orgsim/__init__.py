@@ -20,8 +20,8 @@ from .errors import (CommandError, ConfigError, FrameworkError,
 from .geometry import Pose
 from .harness import (RunMetrics, Simulation, replay_file, replay_log,
                       run_scenario, sweep)
-from .organism import (Organism, OrganismRegistry, Translate, Turn,
-                       organism_move, reach_height)
+from .organism import (Organism, OrganismRegistry, organism_move,
+                       reach_height)
 from .robot_model import (DriveKind, Health, ModuleClass, ModuleSpec,
                           ModuleState, actuate_joint, locomotion_step,
                           make_module_spec, new_module_state)
@@ -37,10 +37,10 @@ __all__ = [
     "Organism", "OrganismRegistry", "Pose", "ProtocolError", "Recharge",
     "Rejected", "ReplayError", "RunMetrics", "ScenarioConfig",
     "SimulationError", "Simulation", "Socket", "SocketScheduler", "Tariff",
-    "TerrainClass", "ToggleCoprocessor", "Tow", "Translate", "Turn",
-    "Undock", "actuate_joint", "advance_dock", "attempt_align",
-    "classify_deaths", "guard_action", "load_scenario",
-    "load_scenario_file", "locomotion_step", "make_module_spec",
+    "TerrainClass", "ToggleCoprocessor", "Tow", "Undock", "actuate_joint",
+    "advance_dock", "attempt_align", "classify_deaths", "guard_action",
+    "load_scenario", "load_scenario_file", "locomotion_step",
+    "make_module_spec",
     "new_module_state", "organism_move", "parse_arena", "reach_height",
     "recharge", "replay_file", "replay_log", "run_scenario", "select_action",
     "share_energy", "sweep", "undock", "validate_scenario",

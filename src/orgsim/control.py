@@ -16,9 +16,10 @@ from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 from .docking import DockPhase, Face
-from .errors import FrameworkError
+from .errors import CommandError, FrameworkError
 from .geometry import Pose, rotate_vec
-from .organism import LiftQuery, Organism, lift_torque_nm, worst_case_chain
+from .organism import (LiftQuery, Organism, lift_torque_nm,
+                       plan_organism_move, worst_case_chain)
 from .robot_model import (DriveKind, Health, ModuleClass, ModuleSpec,
                           ModuleState, dof_range, passable_terrain)
 from .world import SensedSocket, TerrainClass
@@ -212,7 +213,14 @@ def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
                 f"controller {name!r} returned {result!r}, "
                 f"expected ActionProposal")
         else:
-            batch = list(result)
+            # a generator controller runs its body here, so what listing
+            # raises is the controller's failure as well
+            try:
+                batch = list(result)
+            except Exception as exc:
+                raise FrameworkError(
+                    f"controller {name!r} raised {exc!r} while its "
+                    f"{type(result).__name__} result was listed") from exc
         if len(batch) > MAX_PROPOSALS_PER_CONTROLLER:
             raise FrameworkError(
                 f"controller {name!r} proposed {len(batch)} actions, "
@@ -273,7 +281,7 @@ class GuardContext(NamedTuple):
     path_clear: object          # callable (x0, y0, x1, y1, passable) -> bool,
                                 # see world.Arena.path_clear
     dt: float
-    socket_by_id: object = None  # callable id -> Socket | None
+    socket_by_id: object        # callable id -> Socket | None
 
 
 def guard_action(action: Action, module_id: int, organism: Organism | None,
@@ -292,7 +300,11 @@ def guard_action(action: Action, module_id: int, organism: Organism | None,
         return _rejected(("protocol", f"module {st.id} is {st.health.value}"))
 
     if isinstance(action, Drive):
-        return _guard_drive(action, st, organism, ctx)
+        if st.carried:
+            return _rejected(("protocol", "carried modules do not drive"))
+        if organism is None:
+            return _guard_drive(action, st, ctx)
+        return _guard_organism_drive(action, st, organism, ctx)
     if isinstance(action, Actuate):
         return _guard_actuate(action, st, organism, ctx)
     if isinstance(action, Dock):    # Tow included
@@ -306,7 +318,7 @@ def guard_action(action: Action, module_id: int, organism: Organism | None,
                               f"only a docked face can release"))
         return action
     if isinstance(action, Recharge):
-        if ctx.socket_by_id is None or ctx.socket_by_id(action.socket_id) is None:
+        if ctx.socket_by_id(action.socket_id) is None:
             return _rejected(("protocol",
                               f"unknown socket {action.socket_id}"))
         return action
@@ -315,48 +327,47 @@ def guard_action(action: Action, module_id: int, organism: Organism | None,
     return _rejected(("protocol", f"unrecognized action {action!r}"))
 
 
-def _guard_drive(action: Drive, st: ModuleState, organism: Organism | None,
+def _guard_drive(action: Drive, st: ModuleState,
                  ctx: GuardContext) -> Action | Rejected:
-    spec = ctx.specs[st.id]
-    if st.carried:
-        return _rejected(("protocol", "carried modules do not drive"))
-    solo = organism is None
-    if solo and st.is_docked:
+    if st.is_docked:
         # a port is mid-lock or mid-release; the body is pinned until the
         # coupling either registers as an organism edge or lets go
         return _rejected(("protocol", "docking in progress pins this module"))
-    if not solo:
-        for mid in organism.nodes:
-            if any(p.phase is DockPhase.LOCKING
-                   for p in ctx.states[mid].ports):
-                return _rejected(("protocol",
-                                  f"module {mid} is mid-lock; the organism "
-                                  f"holds still until the latch lands"))
-    if solo and spec.drive_kind is DriveKind.TRACKED and action.lateral != 0.0:
+    spec = ctx.specs[st.id]
+    if spec.drive_kind is DriveKind.TRACKED and action.lateral != 0.0:
         return _rejected(("protocol", "tracked drive cannot move sideways"))
     # scale the way execution will, then look where we would end up
     vx, vy = action.linear, action.lateral
     speed = math.hypot(vx, vy)
-    if solo:
-        cap = spec.max_speed
-    else:
-        grounded = [m for m in organism.nodes if not ctx.states[m].carried]
-        if not grounded:
-            return _rejected(("protocol", "organism has no ground contact"))
-        cap = min(ctx.specs[m].max_speed for m in grounded)
+    cap = spec.max_speed
     if speed > cap:
         vx, vy = vx * cap / speed, vy * cap / speed
     wx, wy = rotate_vec(vx, vy, st.pose.heading)
     moved = math.hypot(wx, wy) * ctx.dt
     if moved > 0:
-        members = [st.id] if solo else organism.sorted_nodes()
-        for mid in members:
-            member = ctx.states[mid]
-            p = member.pose
-            if not ctx.path_clear(p.x, p.y, p.x + wx * ctx.dt,
-                                  p.y + wy * ctx.dt, passable_terrain(member)):
-                return _rejected(("collision",
-                                  f"path of module {mid} is blocked"))
+        p = st.pose
+        if not ctx.path_clear(p.x, p.y, p.x + wx * ctx.dt,
+                              p.y + wy * ctx.dt, passable_terrain(st)):
+            return _rejected(("collision",
+                              f"path of module {st.id} is blocked"))
+    return action
+
+
+def _guard_organism_drive(action: Drive, st: ModuleState, organism: Organism,
+                          ctx: GuardContext) -> Action | Rejected:
+    for mid in organism.nodes:
+        if any(p.phase is DockPhase.LOCKING for p in ctx.states[mid].ports):
+            return _rejected(("protocol",
+                              f"module {mid} is mid-lock; the organism "
+                              f"holds still until the latch lands"))
+    # the organism motion rule itself judges the drive, turns included
+    try:
+        _, blocked = plan_organism_move(organism, ctx.states, ctx.specs,
+                                        action, st.id, ctx.dt, ctx.path_clear)
+    except CommandError as exc:
+        return _rejected(("protocol", str(exc)))
+    if blocked is not None:
+        return _rejected(("collision", f"path of module {blocked} is blocked"))
     return action
 
 

@@ -29,10 +29,9 @@ from .docking import (FACES, PEERED_PHASES, DockPhase, TickInput,
                       advance_dock, attempt_align, face_center, undock)
 from .energy import (EnergyLedger, classify_deaths, drain, drain_idle, recharge,
                      share_energy)
-from .errors import CommandError, ConfigError, InvariantBreach, ReplayError
-from .geometry import Pose, rotate_vec
-from .organism import (OrganismRegistry, Translate, Turn, edge_key,
-                       organism_move, reach_height)
+from .errors import ConfigError, InvariantBreach, ReplayError
+from .geometry import Pose
+from .organism import OrganismRegistry, edge_key, organism_move, reach_height
 from .rng import HitStream, Rng, fnv1a64
 from .robot_model import (Health, ModuleState, actuate_joint, locomotion_step,
                           make_module_spec, new_module_state, pair_tolerance)
@@ -411,7 +410,14 @@ class Simulation:
                 self._idle_paid.add(i)
             else:
                 moved_orgs.add(org.id)
-                self._drive_organism(i, org, action)
+                # the guard has just judged this drive by the same rule on
+                # the same state, so the move is not blocked
+                res = organism_move(org, self.states, self.specs, action, i,
+                                    cfg.dt, self.arena.path_clear, cfg.tariff)
+                for mid, pose in res.poses.items():
+                    self.states[mid].pose = pose
+                for mid, joules in res.energy_j.items():
+                    drain(self.states[mid], joules, self.ledger)
             return
 
         if isinstance(action, Actuate):
@@ -437,40 +443,16 @@ class Simulation:
             st.coprocessor_on = action.on
             return
 
-    def _drive_organism(self, i: int, org, action: Drive) -> None:
-        st = self.states[i]
-        speed = math.hypot(action.linear, action.lateral)
-        if speed < 1e-12:
-            if action.angular == 0.0:
-                return
-            cmd = Turn(action.angular)
-        else:
-            cmd = Translate(*rotate_vec(action.linear, action.lateral,
-                                        st.pose.heading))
-        try:
-            res = organism_move(org, self.states, self.specs, cmd,
-                                self.cfg.dt, self.arena.path_clear,
-                                self.cfg.tariff)
-        except CommandError as exc:
-            self._note_rejection(i, Rejected("protocol", str(exc)), "execute")
-            return
-        if res.blocked:
-            return
-        for mid, pose in res.poses.items():
-            self.states[mid].pose = pose
-        for mid, joules in res.energy_j.items():
-            drain(self.states[mid], joules, self.ledger)
-
     def _start_pairing(self, i: int, action: Dock) -> None:
         st = self.states[i]
         other = self.states[action.target_id]
         mine = st.port(action.face)
         theirs = other.port(action.target_face)
         key = edge_key(mine, theirs)
-        # the phase test misses only a pairing made earlier in this execute
-        # phase: its ports stay FREE until the docking phase advances it
-        if (mine.phase is not _FREE or theirs.phase is not _FREE
-                or any(end in k for k in self.pairs for end in key)):
+        # the guard found both ports free; a pairing made earlier in this
+        # execute phase leaves its ports free until the docking phase
+        # advances it, so only the pairings themselves show it
+        if any(end in k for k in self.pairs for end in key):
             self._note_rejection(i, Rejected(
                 "protocol", "port already engaged by another pairing"),
                 "execute")

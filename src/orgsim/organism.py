@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .docking import DockPhase, DockPort
 from .errors import CommandError, ProtocolError
-from .geometry import Pose, rotate_about, norm_deg
+from .geometry import Pose, rotate_about, rotate_vec
 from .robot_model import (DriveKind, Health, ModuleClass, ModuleSpec, ModuleState,
                           passable_terrain)
+
+if TYPE_CHECKING:
+    from .control import Drive
 
 G = 9.81  # m/s^2
 
@@ -213,8 +217,9 @@ def lift_feasible(query: LiftQuery, specs: dict[int, ModuleSpec]) -> bool:
 
 
 def _simple_paths(adj: dict[int, list[int]], start: int, limit: int = 24):
-    """All simple paths from start, longest first exploration not required;
-    yields every path (including the trivial one)."""
+    """Yield every simple path that starts at `start`, the trivial one
+    included, depth first with neighbours in ascending id; a path stops
+    growing at `limit` modules."""
     path = [start]
     on_path = {start}
 
@@ -288,19 +293,6 @@ def worst_case_chain(org: Organism, module_id: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Translate:
-    """World-frame translation request in m/s."""
-    vx: float
-    vy: float
-
-
-@dataclass(frozen=True)
-class Turn:
-    """Rotation about the organism's center of mass, deg/s."""
-    rate: float
-
-
-@dataclass(frozen=True)
 class OrganismMoveResult:
     poses: dict[int, Pose]
     energy_j: dict[int, float]
@@ -320,42 +312,58 @@ def scout_carry_configuration(org: Organism, states: dict[int, ModuleState]) -> 
     return ground_scouts >= 2
 
 
-def organism_move(org: Organism, states: dict[int, ModuleState],
-                  specs: dict[int, ModuleSpec], cmd, dt: float,
-                  path_clear, tariff) -> OrganismMoveResult:
-    """Move the whole organism rigidly.
+def plan_organism_move(org: Organism, states: dict[int, ModuleState],
+                       specs: dict[int, ModuleSpec], drive: Drive, driver: int,
+                       dt: float, path_clear
+                       ) -> tuple[dict[int, Pose] | None, int | None]:
+    """The organism motion rule: where member `driver`'s `control.Drive`,
+    read in the driver's body frame, takes the whole rigid body in dt. Pure
+    and unbilled: the guard judges organism drives with it and
+    `organism_move` executes them.
 
-    Speed is capped by the slowest ground-contact member. Translation with a
-    sideways component against a tracked ground member is refused unless the
-    organism is in the scout-carry configuration. If any member's swept path
-    is impassable, judged by `path_clear(x0, y0, x1, y1, passable)` as
-    `world.Arena.path_clear` does, nothing moves at all; rigid bodies do not
-    partially move.
-    Motion energy is the locomotion tariff over each member's displacement
-    and mass, with carried members' share billed to the ground crew.
+    Under 1e-12 m/s of linear and lateral speed the drive turns the body
+    about its center of mass, or asks for no motion when `angular` is 0;
+    otherwise it translates and `angular` is ignored. The slowest ground
+    member caps the speed, of a turn at the member farthest out. Moving
+    sideways against a tracked ground member needs the scout-carry
+    configuration. One blocked swept path, judged by
+    `path_clear(x0, y0, x1, y1, passable)` as `world.Arena.path_clear`
+    does, stops the whole body. Returns `(poses, None)`, `(None, mid)` for
+    the first blocked member in id order, or `(None, None)` for no motion.
+    A dead member on the ground, no ground contact or a refused sideways
+    move raise CommandError.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    linear, lateral, angular = drive
+    turn = math.hypot(linear, lateral) < 1e-12
+    if turn and angular == 0.0:
+        return None, None
     members = org.sorted_nodes()
-    ground = []
-    for mid in members:
-        st = states[mid]
-        if st.health is not Health.OK and not st.carried:
+    ground = [mid for mid in members if not states[mid].carried]
+    for mid in ground:
+        if states[mid].health is not Health.OK:
             raise CommandError(
-                f"module {mid} is {st.health.value} and not carried; "
-                f"the organism cannot move")
-        if not st.carried:
-            ground.append(mid)
+                f"module {mid} is {states[mid].health.value} and not "
+                f"carried; the organism cannot move")
     if not ground:
         raise CommandError("organism has no ground-contact members")
     cap = min(specs[mid].max_speed for mid in ground)
 
     old = {mid: states[mid].pose for mid in members}
-    if isinstance(cmd, Translate):
-        vx, vy = cmd.vx, cmd.vy
+    if turn:
+        theta = angular * dt
+        cx, cy = center_of_mass(members, states, specs)
+        r_max = max(old[mid].distance_to(Pose(cx, cy)) for mid in members)
+        if r_max > 0:
+            arc_cap = math.degrees(cap * dt / r_max)
+            theta = max(-arc_cap, min(arc_cap, theta))
+        # a Pose normalizes its own heading
+        new = {mid: Pose(*rotate_about(old[mid].x, old[mid].y, cx, cy, theta),
+                         old[mid].heading + theta) for mid in members}
+    else:
+        vx, vy = rotate_vec(linear, lateral, old[driver].heading)
         speed = math.hypot(vx, vy)
-        if speed == 0.0:
-            return OrganismMoveResult(dict(old), {m: 0.0 for m in members}, False)
         if speed > cap:
             vx *= cap / speed
             vy *= cap / speed
@@ -370,35 +378,32 @@ def organism_move(org: Organism, states: dict[int, ModuleState],
                         f"outside a scout-carry configuration")
         dx, dy = vx * dt, vy * dt
         new = {mid: old[mid].translated(dx, dy) for mid in members}
-    elif isinstance(cmd, Turn):
-        theta = cmd.rate * dt
-        if theta == 0.0:
-            return OrganismMoveResult(dict(old), {m: 0.0 for m in members}, False)
-        cx, cy = center_of_mass(members, states, specs)
-        r_max = max(old[mid].distance_to(Pose(cx, cy)) for mid in members)
-        if r_max > 0:
-            arc_cap = math.degrees(cap * dt / r_max)
-            theta = max(-arc_cap, min(arc_cap, theta))
-        new = {}
-        for mid in members:
-            px, py = rotate_about(old[mid].x, old[mid].y, cx, cy, theta)
-            new[mid] = Pose(px, py, norm_deg(old[mid].heading + theta))
-    else:
-        raise CommandError(f"unknown organism command {cmd!r}")
 
     for mid in members:
         if not path_clear(old[mid].x, old[mid].y, new[mid].x, new[mid].y,
                           passable_terrain(states[mid])):
-            return OrganismMoveResult(dict(old), {m: 0.0 for m in members}, True)
+            return None, mid
+    return new, None
 
-    raw = {mid: tariff.locomotion_j_per_m_kg * old[mid].distance_to(new[mid])
-           * specs[mid].mass for mid in members}
-    carried_total = sum(raw[mid] for mid in members if states[mid].carried)
-    per_ground_extra = carried_total / len(ground)
-    energy = {}
-    for mid in members:
-        if states[mid].carried:
-            energy[mid] = 0.0
-        else:
-            energy[mid] = raw[mid] + per_ground_extra
+
+def organism_move(org: Organism, states: dict[int, ModuleState],
+                  specs: dict[int, ModuleSpec], drive: Drive, driver: int,
+                  dt: float, path_clear, tariff) -> OrganismMoveResult:
+    """Move the whole organism by `plan_organism_move` and bill it: the
+    locomotion tariff over each member's displacement and mass, carried
+    members' share split over the ground crew. No motion costs nothing."""
+    new, blocked = plan_organism_move(org, states, specs, drive, driver, dt,
+                                      path_clear)
+    members = org.sorted_nodes()
+    if new is None:
+        return OrganismMoveResult({m: states[m].pose for m in members},
+                                  {m: 0.0 for m in members},
+                                  blocked is not None)
+    raw = {mid: tariff.locomotion_j_per_m_kg
+           * states[mid].pose.distance_to(new[mid]) * specs[mid].mass
+           for mid in members}
+    carried = [mid for mid in members if states[mid].carried]
+    extra = sum(raw[mid] for mid in carried) / (len(members) - len(carried))
+    energy = {mid: 0.0 if mid in carried else raw[mid] + extra
+              for mid in members}
     return OrganismMoveResult(new, energy, False)

@@ -1,5 +1,6 @@
 """Controller framework: proposal collection, selection, guard, radio."""
 
+import math
 from operator import attrgetter
 
 import pytest
@@ -16,9 +17,9 @@ from orgsim.control import (IDLE, IDLE_PROPOSAL, MAX_PROPOSALS_PER_CONTROLLER,
 from orgsim.behaviors import HOLD_PRIORITY, HOLD_PROPOSAL, StackSlot
 from orgsim.docking import DockPhase, Face, TickInput
 from orgsim.energy import RechargeResult, ShareTransfer, Tariff
-from orgsim.errors import FrameworkError
+from orgsim.errors import CommandError, FrameworkError
 from orgsim.geometry import Pose
-from orgsim.organism import OrganismRegistry, Translate, organism_move
+from orgsim.organism import OrganismRegistry, organism_move
 from orgsim.robot_model import (Health, JointResult, ModuleClass, MoveResult,
                                 locomotion_step, make_module_spec,
                                 new_module_state)
@@ -53,8 +54,12 @@ def make_obs(mid=0, sockets=(), docked=(), battery=1.0):
                        InternalChannel(tick=0, dt=10.0, bus_load=0))
 
 
+def no_sockets(socket_id):
+    return None
+
+
 def ctx_for(state, spec, states=None, specs=None, path_clear=open_floor,
-            socket_by_id=None):
+            socket_by_id=no_sockets):
     """A run-wide guard context; by default `state` is the whole fleet."""
     return GuardContext(
         states=states if states is not None else {state.id: state},
@@ -159,6 +164,19 @@ def test_step_controllers_flags_misbehavior():
         step_controllers({"crashy": boom}, obs)
 
 
+def test_step_controllers_flags_a_result_that_fails_while_listed():
+    # a generator controller's body runs only as its result is listed
+    def lazy_boom(o):
+        yield ActionProposal(50, Idle())
+        raise RuntimeError("exploded late")
+
+    with pytest.raises(FrameworkError,
+                       match="'lazy' raised RuntimeError.*generator result"):
+        step_controllers({"lazy": lazy_boom}, make_obs())
+    with pytest.raises(FrameworkError, match="'five' raised TypeError.*int"):
+        step_controllers({"five": lambda o: 5}, make_obs())
+
+
 @pytest.mark.parametrize("priority", ["high", None, 50.0, True, False],
                          ids=repr)
 def test_step_controllers_refuses_a_priority_that_is_not_an_int(priority):
@@ -231,7 +249,7 @@ RECORD_REPRS = [
     (Rejected("protocol", f"unrecognized action {Drive(0.1)!r}"),
      "Rejected(reason='protocol', detail='unrecognized action "
      "Drive(linear=0.1, lateral=0.0, angular=0.0)')"),
-    (GuardContext({}, {}, None, 10.0),
+    (GuardContext({}, {}, None, 10.0, None),
      "GuardContext(states={}, specs={}, path_clear=None, dt=10.0, "
      "socket_by_id=None)"),
     (RechargeResult(False, "reach", 0.0, 0.0),
@@ -459,13 +477,114 @@ def test_guard_drive_judges_a_carried_member_like_execution_does():
     def verdicts(speed):
         guarded = guard_action(Drive(speed), 0, org, ctx_for(
             states[0], SCOUT, states, specs, path_clear=rough_then_wall))
-        moved = organism_move(org, states, specs, Translate(speed, 0.0), 10.0,
+        moved = organism_move(org, states, specs, Drive(speed), 0, 10.0,
                               rough_then_wall, Tariff())
         return guarded, moved.blocked
 
     assert verdicts(0.05) == (Drive(0.05), False)
     assert verdicts(0.1) == (Rejected("collision", "path of module 1 is blocked"),
                              True)
+
+
+def pair_near_the_north_wall(height=0.28):
+    """Two docked scouts side by side along +x at y = `height`, above a
+    wall that fills y < 0.25."""
+    @sampled
+    def north_wall(x, y):
+        return TerrainClass.OBSTACLE if y < 0.25 else TerrainClass.PLAIN
+
+    reg = OrganismRegistry()
+    reg.register_edge(*docked_pair(0, 1))
+    states = {0: scout_state(0, Pose(1.0, height, 0)),
+              1: scout_state(1, Pose(1.1, height, 0))}
+    return reg.organisms[0], ctx_for(states[0], SCOUT, states,
+                                     {0: SCOUT, 1: SCOUT},
+                                     path_clear=north_wall)
+
+
+def test_guard_drive_organism_checks_the_arc_of_a_turn():
+    # turning 90 degrees about the middle swings module 0 down by 0.05 m,
+    # into the wall 0.03 m below it; 0.1 m higher up the same turn is clear
+    org, ctx = pair_near_the_north_wall()
+    assert guard_action(Drive(angular=9.0), 1, org, ctx) == Rejected(
+        "collision", "path of module 0 is blocked")
+    res = organism_move(org, ctx.states, ctx.specs, Drive(angular=9.0), 1,
+                        ctx.dt, ctx.path_clear, Tariff())
+    assert res.blocked
+    org, ctx = pair_near_the_north_wall(height=0.38)
+    assert guard_action(Drive(angular=9.0), 1, org, ctx) == Drive(angular=9.0)
+
+
+def test_guard_drive_organism_refuses_what_the_motion_rule_refuses():
+    org, ctx = pair_near_the_north_wall()
+    ctx.states[1].health = Health.HARDWARE_DEAD
+    assert guard_action(Drive(0.05), 0, org, ctx) == Rejected(
+        "protocol",
+        "module 1 is hardware_dead and not carried; the organism cannot move")
+    # a drive that asks for no motion is admitted before any member counts
+    assert guard_action(Drive(), 0, org, ctx) == Drive()
+
+
+_CELL = 0.25
+
+
+@given(st.data())
+def test_guard_admits_an_organism_drive_iff_organism_move_moves_it(data):
+    # a chain of 2 to 4 members in a row along a shared heading, some of
+    # them carried, a drive near the ground crew's speed cap, and wall or
+    # rough cells scattered over a 2 m square
+    size = data.draw(st.integers(2, 4))
+    classes = data.draw(st.lists(st.sampled_from(list(ModuleClass)),
+                                 min_size=size, max_size=size))
+    specs = {i: make_module_spec(c) for i, c in enumerate(classes)}
+    heading = data.draw(st.sampled_from([0.0, 90.0, 200.0]))
+    driver = data.draw(st.integers(0, size - 1))
+    riders = data.draw(st.sets(st.integers(0, size - 1), max_size=size - 1))
+    walls = data.draw(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                              max_size=12))
+    rough = data.draw(st.sets(st.tuples(st.integers(0, 7),
+                                        st.integers(0, 7)), max_size=6))
+    reg = OrganismRegistry()
+    for a in range(size - 1):
+        reg.register_edge(*docked_pair(a, a + 1))
+    org = reg.organisms[0]
+    dx = 0.1 * math.cos(math.radians(heading))
+    dy = 0.1 * math.sin(math.radians(heading))
+    states = {i: new_module_state(i, specs[i],
+                                  Pose(0.9 + i * dx, 0.9 + i * dy, heading))
+              for i in range(size)}
+    for i in riders - {driver}:
+        states[i].carried = True
+    cap = min(specs[i].max_speed for i in range(size)
+              if not states[i].carried)
+    speed = cap * data.draw(st.floats(0.8, 1.2))
+    if data.draw(st.booleans()):
+        drive = Drive(angular=data.draw(st.sampled_from([-1, 1])) * speed
+                      * 100.0)
+    else:
+        toward = math.radians(data.draw(st.sampled_from([0.0, 90.0, 33.0])))
+        drive = Drive(speed * math.cos(toward), speed * math.sin(toward))
+
+    @sampled
+    def terrain(x, y):
+        cell = (math.floor(x / _CELL), math.floor(y / _CELL))
+        if not (0 <= cell[0] < 8 and 0 <= cell[1] < 8) or cell in walls:
+            return TerrainClass.OBSTACLE
+        return TerrainClass.ROUGH if cell in rough else TerrainClass.PLAIN
+
+    ctx = ctx_for(states[driver], specs[driver], states, specs,
+                  path_clear=terrain)
+    admitted = guard_action(drive, driver, org, ctx) == drive
+    try:
+        res = organism_move(org, states, specs, drive, driver, ctx.dt,
+                            terrain, Tariff())
+    except CommandError:
+        moved = False
+    else:
+        moved = not res.blocked
+        assert moved == any(res.poses[i] != states[i].pose
+                            for i in range(size))
+    assert admitted == moved
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -554,7 +673,7 @@ def test_guard_undock_and_recharge_and_toggle():
     by_id = lambda sid: sock if sid == 0 else None
     fresh = scout_state(2)
     wired = ctx_for(fresh, SCOUT, socket_by_id=by_id)
-    unwired = ctx_for(fresh, SCOUT)   # no lookup wired at all
+    unwired = ctx_for(fresh, SCOUT)   # a lookup that knows no socket
     assert guard_action(Recharge(0), 2, None, wired) == Recharge(0)
     assert "unknown socket" in guard_action(Recharge(5), 2, None, wired).detail
     assert "unknown socket" in guard_action(Recharge(0), 2, None,

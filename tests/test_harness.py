@@ -876,6 +876,67 @@ def test_a_merge_hands_the_guard_the_new_organism_of_a_module_guarded_solo(
     assert [sim.states[k].pose.x for k in (0, 1)] == [1.5, 1.6]
 
 
+def _turning_pair(y):
+    """Scouts 0 and 1 side by side at height `y` in ROOM_MAP, whose north
+    wall fills y < 0.25. Module 0 docks its north face to 1 and, once they
+    are one organism (tick 5), asks once to turn 90 degrees
+    counterclockwise about their middle."""
+    text = (f"[spawns]\nmode = fixed\n0 = 1.0 {y} 0\n1 = 1.1 {y} 0\n"
+            "[roster]\nscout = 2\n")
+    sim = Simulation(load_scenario(text, map_text=ROOM_MAP))
+    turned = []
+
+    def dock_then_turn(obs):
+        if obs.interaction.organism_id is not None:
+            if turned:
+                return None
+            turned.append(obs.internal.tick)
+            return ActionProposal(60, Drive(angular=9.0))
+        if obs.interaction.port_phases[0] == "free":   # north
+            return ActionProposal(40, Dock(Face.NORTH, 1, Face.SOUTH))
+        return None
+
+    sim.controllers[0] = {"script": dock_then_turn}
+    return sim
+
+
+def test_an_organism_turn_into_a_wall_is_refused_by_the_guard():
+    # the turn swings module 0 down by 0.05 m, into the wall 0.03 m below
+    sim = _turning_pair(0.28)
+    m = sim.run(6)
+    assert m.merges == 1
+    blocked = "detail=path%20of%20module%200%20is%20blocked"
+    assert [line for line in sim.log.lines if " reject " in line] == [
+        f"5 0 reject reason=collision source=script {blocked}"]
+    assert [sim.states[k].pose for k in (0, 1)] == [Pose(1.0, 0.28, 0.0),
+                                                    Pose(1.1, 0.28, 0.0)]
+
+
+def test_an_open_organism_turn_rotates_the_body_and_bills_its_crew(
+        monkeypatch):
+    sim = _turning_pair(0.5)
+    drained = []
+    drain = harness.drain
+
+    def recording(state, joules, ledger):
+        drained.append((sim.tick, state.id, joules))
+        return drain(state, joules, ledger)
+
+    monkeypatch.setattr(harness, "drain", recording)
+    m = sim.run(6)
+    assert m.merges == 1 and m.residual_j == 0.0
+    # both scouts swing a quarter turn about their midpoint (1.05, 0.5)
+    assert [(round(p.x, 12), round(p.y, 12), p.heading)
+            for p in (sim.states[0].pose, sim.states[1].pose)] == [
+        (1.05, 0.45, 90.0), (1.05, 0.55, 90.0)]
+    # each pays the tariff over its own chord of the arc
+    chord = math.hypot(0.05, 0.05)
+    per_kg = sim.cfg.tariff.locomotion_j_per_m_kg
+    assert [(k, j) for t, k, j in drained if t == 5] == [
+        (k, pytest.approx(per_kg * chord * sim.specs[k].mass))
+        for k in (0, 1)]
+
+
 @pytest.mark.parametrize("scenario, seed, ticks, pinned", [
     ("disposal_open", 3, 432, ["95413e9143b7c30e", 21]),   # 2 merges, 2 splits
     ("full_scale", 42, 20, ["24e78c658510e1b3", 460]),     # 65 merges

@@ -10,15 +10,15 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from orgsim.control import Drive
 from orgsim.docking import DockPhase, DockPort, Face
 from orgsim.energy import Tariff
 from orgsim.errors import CommandError, ProtocolError
 from orgsim.geometry import Pose
 from orgsim.organism import (LiftQuery, Organism, OrganismRegistry,
-                             Translate, Turn, center_of_mass, edge_key,
-                             lift_feasible, lift_torque_nm, organism_move,
-                             reach_height, scout_carry_configuration,
-                             worst_case_chain)
+                             center_of_mass, edge_key, lift_feasible,
+                             lift_torque_nm, organism_move, reach_height,
+                             scout_carry_configuration, worst_case_chain)
 from orgsim.robot_model import (Health, ModuleClass, make_module_spec,
                                 new_module_state)
 from orgsim.world import TerrainClass
@@ -262,7 +262,7 @@ def test_translate_moves_rigidly_and_caps_speed():
     org, states, specs = two_scouts()
     specs = {0: SCOUT, 1: BACKBONE}
     states[1].module_class = ModuleClass.BACKBONE
-    res = organism_move(org, states, specs, Translate(1.0, 0.0), 10.0,
+    res = organism_move(org, states, specs, Drive(1.0, 0.0), 0, 10.0,
                         plain, TARIFF)
     assert not res.blocked
     # slowest ground member is the screw drive at 0.06 m/s
@@ -276,7 +276,8 @@ def test_translate_moves_rigidly_and_caps_speed():
 
 def test_turn_rotates_about_the_center_of_mass():
     org, states, specs = two_scouts()
-    res = organism_move(org, states, specs, Turn(90.0), 1.0, plain, TARIFF)
+    res = organism_move(org, states, specs, Drive(angular=90.0), 0, 1.0,
+                        plain, TARIFF)
     assert res.poses[0].x == pytest.approx(0.05)
     assert res.poses[0].y == pytest.approx(-0.05)
     assert res.poses[1].x == pytest.approx(0.05)
@@ -289,9 +290,55 @@ def test_turn_rotates_about_the_center_of_mass():
 def test_turn_rate_capped_by_rim_speed():
     org, states, specs = two_scouts()
     states[1].pose = Pose(2.0, 0.0, 0.0)  # r_max = 1.0 around the midpoint
-    res = organism_move(org, states, specs, Turn(90.0), 10.0, plain, TARIFF)
+    res = organism_move(org, states, specs, Drive(angular=90.0), 0, 10.0,
+                        plain, TARIFF)
     # cap 0.125 m/s * 10 s over a 1.0 m radius = 1.25 rad of arc
     assert res.poses[1].heading == pytest.approx(math.degrees(1.25))
+
+
+def test_a_drive_is_read_in_the_driver_s_body_frame():
+    # the body faces +y: a forward drive goes up, a lateral one to the left
+    org, states, specs = two_scouts(heading=90.0)
+    res = organism_move(org, states, specs, Drive(0.05), 1, 10.0, plain,
+                        TARIFF)
+    assert res.poses[0].x == pytest.approx(0.0, abs=1e-12)
+    assert res.poses[0].y == pytest.approx(0.5)
+    res = organism_move(org, states, specs, Drive(0.0, 0.05), 0, 10.0, plain,
+                        TARIFF)
+    assert res.poses[1].x == pytest.approx(-0.4)
+    assert res.poses[1].y == pytest.approx(0.0, abs=1e-12)
+
+
+def test_turn_bills_the_ground_crew_for_a_carried_rider():
+    reg = OrganismRegistry()
+    reg.register_edge(*docked_pair(0, 1))
+    reg.register_edge(*docked_pair(1, 2))
+    org = reg.organisms[0]
+    specs = {0: SCOUT, 1: SCOUT, 2: BACKBONE}
+    states = {0: new_module_state(0, SCOUT, Pose(1.0, 1.0, 0)),
+              1: new_module_state(1, SCOUT, Pose(1.1, 1.0, 0)),
+              2: new_module_state(2, BACKBONE, Pose(1.05, 1.1, 0))}
+    states[2].carried = True
+    res = organism_move(org, states, specs, Drive(angular=3.0), 1, 10.0,
+                        plain, TARIFF)
+    assert not res.blocked
+    cx, cy = center_of_mass(org.nodes, states, specs)
+    for mid, old in states.items():
+        new = res.poses[mid]
+        # every member turns 30 degrees about the center of mass
+        assert math.hypot(new.x - cx, new.y - cy) == pytest.approx(
+            math.hypot(old.pose.x - cx, old.pose.y - cy))
+        assert math.degrees(math.atan2(new.y - cy, new.x - cx)
+                            - math.atan2(old.pose.y - cy, old.pose.x - cx)
+                            ) % 360.0 == pytest.approx(30.0)
+        assert new.heading == pytest.approx(30.0)
+    raw = {mid: TARIFF.locomotion_j_per_m_kg * specs[mid].mass
+           * states[mid].pose.distance_to(res.poses[mid]) for mid in states}
+    # the rider pays nothing; the two walkers split its share evenly
+    assert res.energy_j[2] == 0.0
+    for mid in (0, 1):
+        assert res.energy_j[mid] == pytest.approx(raw[mid] + raw[2] / 2)
+    assert sum(res.energy_j.values()) == pytest.approx(sum(raw.values()))
 
 
 def test_sideways_translation_needs_scout_carry():
@@ -299,7 +346,7 @@ def test_sideways_translation_needs_scout_carry():
     specs = {0: SCOUT, 1: BACKBONE}
     states[1].module_class = ModuleClass.BACKBONE
     with pytest.raises(CommandError):
-        organism_move(org, states, specs, Translate(0.0, 0.05), 10.0,
+        organism_move(org, states, specs, Drive(0.0, 0.05), 0, 10.0,
                       plain, TARIFF)
 
 
@@ -314,7 +361,7 @@ def test_scout_carry_configuration_and_sideways_motion():
               2: new_module_state(2, BACKBONE, Pose(0.05, 0.0, 0))}
     states[2].carried = True
     assert scout_carry_configuration(org, states)
-    res = organism_move(org, states, specs, Translate(0.0, 0.05), 10.0,
+    res = organism_move(org, states, specs, Drive(0.0, 0.05), 0, 10.0,
                         plain, TARIFF)
     assert not res.blocked
     assert res.poses[0].y == pytest.approx(0.5)
@@ -332,7 +379,7 @@ def test_blocked_member_freezes_the_whole_body():
     def walled(x, y):
         return TerrainClass.PLAIN if x < 0.55 else None
     org, states, specs = two_scouts()
-    res = organism_move(org, states, specs, Translate(0.125, 0.0), 10.0,
+    res = organism_move(org, states, specs, Drive(0.125, 0.0), 0, 10.0,
                         walled, TARIFF)
     assert res.blocked
     assert res.poses[0] == states[0].pose and res.poses[1] == states[1].pose
@@ -352,13 +399,13 @@ def test_carried_module_ignores_soft_terrain_but_not_walls():
               1: new_module_state(1, SCOUT, Pose(0.1, 0.0, 0)),
               2: new_module_state(2, BACKBONE, Pose(0.05, 0.5, 0))}
     states[2].carried = True
-    res = organism_move(org, states, specs, Translate(0.05, 0.0), 10.0,
+    res = organism_move(org, states, specs, Drive(0.05, 0.0), 0, 10.0,
                         rough_north, TARIFF)
     assert not res.blocked  # rider crosses rough ground it could never walk
     @sampled
     def obstacle_north(x, y):
         return TerrainClass.OBSTACLE if y > 0.25 else TerrainClass.PLAIN
-    res = organism_move(org, states, specs, Translate(0.05, 0.0), 10.0,
+    res = organism_move(org, states, specs, Drive(0.05, 0.0), 0, 10.0,
                         obstacle_north, TARIFF)
     assert res.blocked
 
@@ -370,7 +417,7 @@ def test_ground_member_respects_its_own_traversability():
     org, states, _ = two_scouts()
     specs = {0: SCOUT, 1: BACKBONE}
     states[1].module_class = ModuleClass.BACKBONE
-    res = organism_move(org, states, specs, Translate(0.06, 0.0), 10.0,
+    res = organism_move(org, states, specs, Drive(0.06, 0.0), 0, 10.0,
                         rough_east, TARIFF)
     assert res.blocked  # the screw module cannot enter rough ground
 
@@ -379,10 +426,10 @@ def test_dead_member_must_be_carried():
     org, states, specs = two_scouts()
     states[1].health = Health.HARDWARE_DEAD
     with pytest.raises(CommandError):
-        organism_move(org, states, specs, Translate(0.05, 0.0), 10.0,
+        organism_move(org, states, specs, Drive(0.05, 0.0), 0, 10.0,
                       plain, TARIFF)
     states[1].carried = True
-    res = organism_move(org, states, specs, Translate(0.05, 0.0), 10.0,
+    res = organism_move(org, states, specs, Drive(0.05, 0.0), 0, 10.0,
                         plain, TARIFF)
     assert not res.blocked
 
@@ -392,18 +439,23 @@ def test_no_ground_contact_is_an_error():
     states[0].carried = True
     states[1].carried = True
     with pytest.raises(CommandError):
-        organism_move(org, states, specs, Translate(0.05, 0.0), 10.0,
+        organism_move(org, states, specs, Drive(0.05, 0.0), 0, 10.0,
                       plain, TARIFF)
 
 
 def test_zero_commands_are_free_no_ops():
     org, states, specs = two_scouts()
-    for cmd in (Translate(0.0, 0.0), Turn(0.0)):
-        res = organism_move(org, states, specs, cmd, 10.0, plain, TARIFF)
+    # below 1e-12 m/s with no turn rate the drive asks for no motion
+    for cmd in (Drive(), Drive(1e-13, -1e-13)):
+        res = organism_move(org, states, specs, cmd, 0, 10.0, plain, TARIFF)
         assert not res.blocked
         assert res.poses[0] == states[0].pose
         assert set(res.energy_j.values()) == {0.0}
+    # decided before any member is looked at: a dead member on the ground
+    # stops a move, not a drive that asks for none
+    states[1].health = Health.HARDWARE_DEAD
+    assert not organism_move(org, states, specs, Drive(), 0, 10.0, plain,
+                             TARIFF).blocked
     with pytest.raises(ValueError):
-        organism_move(org, states, specs, Turn(1.0), 0.0, plain, TARIFF)
-    with pytest.raises(CommandError):
-        organism_move(org, states, specs, "sideways", 10.0, plain, TARIFF)
+        organism_move(org, states, specs, Drive(angular=1.0), 0, 0.0, plain,
+                      TARIFF)

@@ -96,8 +96,10 @@ def servo_drive(pose: Pose, drive_kind: DriveKind, max_speed: float,
 
 def _rect_contains(rect: tuple[float, float, float, float],
                    x: float, y: float) -> bool:
+    """Whether (x, y) is in the rectangle, its far edges open: a point on
+    the far edge of the graveyard lies in the next cell, outside it."""
     x0, y0, x1, y1 = rect
-    return x0 <= x <= x1 and y0 <= y <= y1
+    return x0 <= x < x1 and y0 <= y < y1
 
 
 # -- socket stacking arithmetic -------------------------------------------

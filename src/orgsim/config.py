@@ -106,7 +106,10 @@ class ScenarioConfig:
         return self.controllers_by_class.get(mc, self.controllers_all)
 
     def build_arena(self) -> Arena:
-        return parse_arena(self.map_text)
+        try:
+            return parse_arena(self.map_text)
+        except ConfigError as exc:
+            raise ConfigError(f"map does not load: {exc}") from exc
 
 
 def _parse_spawn(raw: str) -> SpawnSpec:
@@ -274,31 +277,23 @@ def load_scenario_file(path: str | Path) -> ScenarioConfig:
     return load_scenario(text, base_dir=path.parent, name_hint=path.stem)
 
 
-def mode_findings(cfg: ScenarioConfig) -> list[str]:
-    """Findings for a schedule or spawn mode the simulator does not know.
-    A `Simulation` refuses such a config even when it skipped validation."""
-    findings = []
-    if cfg.schedule_mode not in ("always_on", "rotating"):
-        findings.append(f"unknown schedule mode {cfg.schedule_mode!r}")
-    if cfg.spawn_mode not in ("fixed", "seeded"):
-        findings.append(f"unknown spawn mode {cfg.spawn_mode!r}")
-    return findings
-
-
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Semantic checks beyond what parsing already enforced.
 
     Returns human-readable findings; an empty list means the scenario is
     runnable. Unknown keys found during parsing are included.
     """
-    findings = list(cfg.findings)
-
     try:
         arena = cfg.build_arena()
     except ConfigError as exc:
-        findings.append(f"map does not load: {exc}")
-        return findings
+        return [*cfg.findings, str(exc)]
+    return scenario_findings(cfg, arena)
 
+
+def scenario_findings(cfg: ScenarioConfig, arena: Arena) -> list[str]:
+    """The findings of `validate_scenario` for a config whose map already
+    built `arena`. A `Simulation` refuses a config with any."""
+    findings = list(cfg.findings)
     n = cfg.module_count
     if n == 0:
         findings.append("roster is empty")
@@ -306,7 +301,10 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         if count < 0:
             findings.append(f"negative roster count for {mc.value}")
 
-    findings += mode_findings(cfg)
+    if cfg.schedule_mode not in ("always_on", "rotating"):
+        findings.append(f"unknown schedule mode {cfg.schedule_mode!r}")
+    if cfg.spawn_mode not in ("fixed", "seeded"):
+        findings.append(f"unknown spawn mode {cfg.spawn_mode!r}")
     if cfg.schedule_mode == "rotating":
         if cfg.active_count <= 0:
             findings.append("rotating schedule needs active_count > 0")

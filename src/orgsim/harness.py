@@ -19,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .behaviors import build_controllers
-from .config import ScenarioConfig, load_scenario, mode_findings
+from .config import ScenarioConfig, load_scenario, scenario_findings
 from .control import (ActionProposal, Actuate, Dock, Drive, GuardContext, Idle,
                       InteractionChannel, Mailbox, MessageBus, Observation,
                       Recharge, Rejected, ToggleCoprocessor, Tow, Undock,
@@ -151,15 +151,17 @@ class _Pairing:
 
 
 class Simulation:
-    """One seeded scenario run. Construct, then call run() exactly once."""
+    """One seeded scenario run. Construct, then call run() exactly once.
+    Construction refuses a scenario with validation findings: it raises
+    ConfigError with `validate_scenario`'s findings joined by "; "."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int | None = None):
-        unknown = mode_findings(cfg)
-        if unknown:
-            raise ConfigError("; ".join(unknown))
+        self.arena = cfg.build_arena()
+        findings = scenario_findings(cfg, self.arena)
+        if findings:
+            raise ConfigError("; ".join(findings))
         self.cfg = cfg
         self.seed = cfg.seed if seed is None else seed
-        self.arena = cfg.build_arena()
         self.log = EventLog()
         self.tick = 0
 
@@ -171,7 +173,7 @@ class Simulation:
         self._rng_placement = master.substream("placement")
 
         self.scheduler: SocketScheduler | None = None
-        if cfg.schedule_mode == "rotating" and self.arena.sockets:
+        if cfg.schedule_mode == "rotating":
             self.scheduler = SocketScheduler(
                 SocketSchedule(cfg.dwell_min, cfg.dwell_max, cfg.active_count),
                 self.arena.sockets, master.substream("schedule"))
@@ -221,9 +223,6 @@ class Simulation:
         spawn_cells = None
         if cfg.spawn_mode == "seeded":
             cells = self.arena.free_cells()
-            if n > len(cells):
-                raise ConfigError(
-                    f"{n} modules cannot spawn on {len(cells)} free cells")
             self._rng_placement.shuffle(cells)
             spawn_cells = cells[:n]
 
@@ -232,9 +231,7 @@ class Simulation:
             spec = make_module_spec(mc, cfg.module_overrides or None)
             self.specs[i] = spec
             if cfg.spawn_mode == "fixed":
-                sp = cfg.fixed_spawns.get(i)
-                if sp is None:
-                    raise ConfigError(f"no fixed spawn for module {i}")
+                sp = cfg.fixed_spawns[i]
                 frac = cfg.start_fraction if sp.battery is None else sp.battery
                 st = new_module_state(i, spec, Pose(sp.x, sp.y, sp.heading),
                                       battery_fraction=frac)

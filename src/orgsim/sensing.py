@@ -157,8 +157,10 @@ class Sight:
         as column j of the table. Line of sight is decided for the whole
         fleet first: when every module's cell is on the grid and the
         rectangle spanning them all holds no wall, it spans every pair's
-        rectangle, so every pair is in sight. Otherwise each pair in range
-        is asked of the arena, once when both its ends moved."""
+        rectangle, so every pair is in sight. Otherwise each moved module
+        asks the arena about each pair in range from its own end; a pair
+        whose ends both moved is asked from both, and gets the same
+        answer, as line of sight is symmetric too."""
         observers = self.observers
         alive = [i for i in observers if states[i].health is _OK]
         if len(alive) < len(observers):
@@ -189,7 +191,6 @@ class Sight:
             hypot = math.hypot
             dist = self.dist
             n = len(poses)
-            answered = bytearray(n)     # moved ids whose pairs are asked
             for j in moved:
                 # xs[k] - xs[j] is exactly -(xs[j] - xs[k]), and hypot reads
                 # magnitudes, so either end computes the same distance
@@ -201,13 +202,8 @@ class Sight:
                 if not all_in_sight:
                     cell = cells[j]
                     for k, d in enumerate(row):
-                        if d is None:
-                            continue
-                        if answered[k]:     # k's pass wrote this pair
-                            row[k] = dist[j * n + k]
-                        elif not line_of_sight(cell, cells[k]):
+                        if d is not None and not line_of_sight(cell, cells[k]):
                             row[k] = None
-                    answered[j] = True
                 dist[j * n:(j + 1) * n] = row
                 dist[j::n] = row
 

@@ -476,7 +476,8 @@ def sense_sockets(pose: Pose, range_m: float, arena: Arena) -> list[SensedSocket
 
 
 def in_graveyard(arena: Arena, x: float, y: float) -> bool:
-    """True when the point lies in the graveyard region, boundary included."""
+    """True when the point's cell is a graveyard cell: the region's near
+    edges are in it, its far edges, which border the next cells, are not."""
     if not arena.in_bounds(x, y):
         raise ValueError(f"point ({x}, {y}) outside arena")
     if arena.graveyard is None:

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orgsim import behaviors
-from orgsim.behaviors import (ARRIVE_TOL, AT_SLOT_RADIUS, DOCK_PRIORITY,
-                              EMERGENCY_PRIORITY, EXPLORE_PRIORITY,
-                              HEADING_TOL, HOLD_PRIORITY, LEAVE_SOCKET_PRIORITY,
-                              RECHARGE_PRIORITY, SEEK_PRIORITY,
+from orgsim.behaviors import (ARRIVE_TOL, AT_SLOT_RADIUS, DISPOSAL_PRIORITY,
+                              DOCK_PRIORITY, EMERGENCY_PRIORITY,
+                              EXPLORE_PRIORITY, HEADING_TOL, HOLD_PRIORITY,
+                              LEAVE_SOCKET_PRIORITY, RECHARGE_PRIORITY,
+                              SEEK_PRIORITY,
                               AggregateController, DisposalController,
                               ExploreController, REGISTRY,
                               SeekEnergyController, StackSlot, assigned_slot,
@@ -356,6 +357,37 @@ def test_aggregate_ignores_a_dead_predecessor():
     obs = obs_for(mid=1, pose=Pose(1.0, 0.35, 90.0),
                   sockets=[socket(0, 1.0, 0.25)], modules=[pred])
     assert [(p.priority, p.action) for p in ctl(obs)] == [(HOLD_PRIORITY, Idle())]
+
+
+# -- disposal controller -------------------------------------------------
+
+
+# the yard of obs_for, (3.0, 2.0) to (3.9, 2.9): its far edges belong to
+# the next cells, as in world.in_graveyard, so a corpse on one is outside
+@pytest.mark.parametrize("x, y, inside", [
+    (3.0, 2.0, True), (3.5, 2.5, True),
+    (3.9, 2.5, False), (3.5, 2.9, False), (3.9, 2.9, False),
+], ids=["near-corner", "middle", "far-x-edge", "far-y-edge", "far-corner"])
+def test_disposal_reads_the_yard_s_far_edges_as_outside(x, y, inside):
+    wheel = ModuleClass.ACTIVE_WHEEL
+    corpse = SensedModule(1, ModuleClass.SCOUT, Pose(x, y, 0.0),
+                          Health.ENERGY_DEAD, 0.2)
+    ctrl = DisposalController(0, Rng(1))
+    # undocked: a corpse outside the yard is the one to fetch
+    free = obs_for(pose=Pose(3.45, 1.6, 0.0), modules=[corpse], mc=wheel)
+    proposals = ctrl(free)
+    if inside:
+        assert proposals is None
+    else:
+        [proposal] = proposals
+        assert proposal.priority == DISPOSAL_PRIORITY
+    # hauling it in a three-body organism: undock once it is inside
+    hauling = free._replace(interaction=free.interaction._replace(
+        docked_faces=("west",), port_phases=("free", "free", "free", "docked"),
+        port_peers=(None, None, None, (1, "east")), organism_size=3))
+    [proposal] = ctrl(hauling)
+    assert proposal.priority == DISPOSAL_PRIORITY
+    assert isinstance(proposal.action, Undock if inside else Drive)
 
 
 # -- explore controller ---------------------------------------------------

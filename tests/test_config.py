@@ -1,17 +1,20 @@
 """Scenario file parsing, derived quantities, and semantic validation."""
 
+import re
 from pathlib import Path
 
 import pytest
 
 from orgsim import cli
-from orgsim.config import (SECONDS_PER_DAY, SpawnSpec, load_scenario,
-                           load_scenario_file, validate_scenario)
+from orgsim.config import (_KNOWN_KEYS, SECONDS_PER_DAY, SpawnSpec,
+                           load_scenario, load_scenario_file,
+                           validate_scenario)
 from orgsim.errors import ConfigError
 from orgsim.harness import Simulation
 from orgsim.robot_model import Health, ModuleClass
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 MAP = """\
 cellsize 0.25
@@ -492,3 +495,76 @@ def test_cli_run_reports_a_roster_too_big_for_the_free_cells(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg), "--ticks", "1"]) == 2
     assert ("finding: 3 modules cannot spawn on 2 free cells"
             in capsys.readouterr().err)
+
+
+# -- one rule for a runnable scenario -------------------------------------
+
+
+# each variant of desk_challenge.cfg once started a run that validation
+# refuses: raising elsewhere mid-run or mid-setup, or running to the end
+@pytest.mark.parametrize("old, new, finding", [
+    ("range_m = 8.0", "range_m = -1",
+     "sensing range_m -1.0 must not be negative"),
+    ("0 = 1.00 1.00 0", "0 = 1.00 1.00 inf",
+     "spawn 0 heading inf is not finite"),
+    ("0 = 1.00 1.00 0", "0 = -1 1.00 0",
+     "spawn 0 at (-1.0, 1.0) outside arena"),
+    ("active_count = 4", "active_count = 0",
+     "rotating schedule needs active_count > 0"),
+    ("[roster]", "[energy]\nhazard_rate = 1.0\n\n[roster]",
+     "hazard_rate 1.0 outside [0, 1)"),
+    ("0 = 1.00 1.00 0", "0 = 0.10 0.10 0", "spawn 0 is inside a wall"),
+    ("days = 3", "day = 3", "unknown key 'day' in [run]"),
+], ids=["negative-range", "inf-heading", "off-arena", "no-active-socket",
+        "certain-hazard", "spawn-in-wall", "typo-key"])
+def test_a_simulation_refuses_what_validation_reports(old, new, finding):
+    text = (CONFIG_DIR / "desk_challenge.cfg").read_text()
+    assert old in text
+    cfg = load_scenario(text.replace(old, new), base_dir=CONFIG_DIR)
+    assert validate_scenario(cfg) == [finding]
+    with pytest.raises(ConfigError) as refused:
+        Simulation(cfg)
+    assert str(refused.value) == finding
+
+
+def test_a_simulation_joins_every_finding_in_validation_order():
+    cfg = load(FULL.replace("hazard_rate = 0.0001", "hazard_rate = 2")
+               .replace("seed = 42", "seed = 42\nday = 3"))
+    findings = validate_scenario(cfg)
+    assert findings == ["unknown key 'day' in [run]",
+                        "hazard_rate 2.0 outside [0, 1)"]
+    with pytest.raises(ConfigError, match=re.escape("; ".join(findings))):
+        Simulation(cfg)
+
+
+def test_a_simulation_refuses_a_map_that_does_not_load_in_validation_s_words():
+    cfg = load("[roster]\nscout = 1\n", map_text="..X..")
+    [finding] = validate_scenario(cfg)
+    assert finding.startswith("map does not load:")
+    with pytest.raises(ConfigError, match=f"^{re.escape(finding)}$"):
+        Simulation(cfg)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_every_bundled_scenario_is_valid_and_builds(path):
+    cfg = load_scenario_file(path)
+    assert validate_scenario(cfg) == []
+    assert len(Simulation(cfg).states) == cfg.module_count
+
+
+def _reference_sections() -> dict[str, str]:
+    """Each `### `[section]`` part of docs/config_reference.md, by name."""
+    text = (ROOT / "docs" / "config_reference.md").read_text()
+    parts = re.split(r"^(#+ .*)$", text, flags=re.M)
+    return {m.group(1): body
+            for head, body in zip(parts[1::2], parts[2::2])
+            if (m := re.fullmatch(r"### `\[(\w+)\]`", head))}
+
+
+def test_the_reference_documents_every_key_under_its_section():
+    sections = _reference_sections()
+    assert set(sections) == set(_KNOWN_KEYS)
+    for section, keys in _KNOWN_KEYS.items():
+        for key in sorted(keys or {"mode"}):     # [spawns]: mode and ids
+            assert f"`{key}`" in sections[section], (section, key)

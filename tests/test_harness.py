@@ -589,10 +589,10 @@ def test_observation_channels_match_their_enum_values():
     assert docked > 100
 
 
-def test_a_walled_refresh_asks_each_pair_in_range_once():
+def test_a_walled_refresh_asks_each_pair_in_range_from_each_moved_end():
     # disposal_walled's fleet rectangle holds the pocket's walls, and every
     # module moves on the first refresh: each of the three pairs is asked
-    # once, from its lower id, and the map has no socket to ask about
+    # from both its ends, and the map has no socket to ask about
     cfg = load_scenario_file(CONFIG_DIR / "disposal_walled.cfg")
     sim = Simulation(cfg, 3)
     arena = sim.arena
@@ -607,9 +607,9 @@ def test_a_walled_refresh_asks_each_pair_in_range_once():
     cells = [arena.cell_of(st.pose.x, st.pose.y) for st in sim.states.values()]
     sim.run(1)
     assert not arena.sockets
-    assert sorted(asked) == sorted([(1, cells[0], cells[1]),
-                                    (1, cells[0], cells[2]),
-                                    (1, cells[1], cells[2])])
+    assert sorted(asked) == sorted([(1, cells[j], cells[k])
+                                    for j in range(3) for k in range(3)
+                                    if j != k])
 
 
 POCKET_MAP = """\
@@ -695,16 +695,17 @@ def test_sensing_matches_a_fresh_scan_into_a_walled_shadow_and_out():
     # module 0 is east of the wall column from tick 3 to tick 10, and out
     # of module 2's sight on each of them but the last, when module 2 sees
     # it from (1, 5); the map has no socket, so only the per-pair path asks
-    # line_of_sight, once for each of the three pairs
-    assert asked == {t: 3 for t in range(3, 11)}
+    # line_of_sight: modules 0 and 2 each ask about both their pairs
+    assert asked == {t: 4 for t in range(3, 11)}
     assert sorted(occluded) == list(range(3, 10))
 
 
 def test_an_observer_off_the_arena_senses_no_terrain():
-    # without validate_scenario a run can start with a pose off the arena;
-    # it observes None terrain, then the invariant scan stops the run
-    text = OCCLUDED_SCENARIO.replace("0 = 0.375 0.375 0", "0 = -0.375 0.375 0")
-    sim = Simulation(load_scenario(text, map_text=OCCLUDED_MAP))
+    # a Simulation refuses a spawn off the arena, so module 0 is moved off
+    # it before the run: it observes None terrain, then the invariant scan
+    # stops the run
+    sim = Simulation(load_scenario(OCCLUDED_SCENARIO, map_text=OCCLUDED_MAP))
+    sim.states[0].pose = Pose(-0.375, 0.375, 0.0)
     observe = sim._observe
     terrain = {}
 
@@ -1205,6 +1206,20 @@ def test_replay_catches_truncation(tmp_path):
     lines = (tmp_path / "events.log").read_text().splitlines()
     with pytest.raises(ReplayError, match="length mismatch"):
         replay_log("\n".join(lines[:-1]) + "\n")
+
+
+def test_replay_refuses_a_log_whose_scenario_has_findings(tmp_path):
+    run_scenario(room_cfg(), ticks=10, out_dir=tmp_path)
+    log = tmp_path / "events.log"
+    config = next(line for line in log.read_text().splitlines()
+                  if line.startswith("# config "))
+    bad = config.replace("range_m%20%3D%204", "range_m%20%3D%20-4")
+    assert bad != config
+    log.write_text(log.read_text().replace(config, bad))
+    with pytest.raises(ConfigError,
+                       match=r"^sensing range_m -4\.0 must not be negative$"):
+        replay_file(log)
+    assert cli.main(["replay", "--log", str(log)]) == 1
 
 
 def test_replay_rejects_foreign_and_headerless_files():

@@ -26,10 +26,11 @@ class Face(enum.Enum):
 
     @property
     def offset_deg(self) -> float:
-        return _FACE_OFFSET[self]
+        return _FACE_OFFSET[self._value_]
 
 
-_FACE_OFFSET = {Face.NORTH: 0.0, Face.EAST: 270.0, Face.SOUTH: 180.0, Face.WEST: 90.0}
+# keyed by value: a member key would run the pure-Python Enum.__hash__
+_FACE_OFFSET = {"N": 0.0, "E": 270.0, "S": 180.0, "W": 90.0}
 
 FACES = (Face.NORTH, Face.EAST, Face.SOUTH, Face.WEST)
 

@@ -318,13 +318,14 @@ class Simulation:
         """Build module i's observation. The self and internal channels are
         built every tick, and the local channel comes from the sight (see
         Sight.local_channel). The interaction channel goes out again while
-        i has no messages, this tick or last, and no port anywhere changed
-        phase: every peer and organism change comes with one."""
+        i has no messages, this tick or last, and i is not in the sight's
+        `ports_changed`: no port of i changed phase and i's organism was
+        neither made nor split."""
         st = self.states[i]
         sight = self._sight
         interaction = sight.interaction[i]
         messages = delivered.get(i)
-        if messages or sight.ports_changed or interaction.messages:
+        if messages or i in sight.ports_changed or interaction.messages:
             ports = st.ports
             org = self.registry.organism_of(i)
             # faces and phases go out by value, read from `_value_`: the
@@ -364,7 +365,7 @@ class Simulation:
             choice = select_action(proposals)
             if not isinstance(choice.action, Idle):
                 selected[i] = choice
-        sight.ports_changed = False
+        sight.ports_changed.clear()
         return selected
 
     def _phase_execute(self, selected: dict[int, ActionProposal]) -> None:
@@ -485,7 +486,8 @@ class Simulation:
                            state=state)
 
     def _phase_docking(self) -> None:
-        sight = self._sight
+        # the ids whose interaction channel this phase may make stale
+        changed = set() if self._sight is None else self._sight.ports_changed
         for key in sorted(self.pairs):
             pairing = self.pairs[key]
             pa, pb = pairing.port_a, pairing.port_b
@@ -513,8 +515,8 @@ class Simulation:
             now = pa.phase
             if now is prev:
                 continue
-            if sight is not None:
-                sight.ports_changed = True
+            changed.add(pa.owner)
+            changed.add(pb.owner)
             self.log.event(self.tick, min(pa.owner, pb.owner), "phase",
                            a=pa.owner, fa=pa.face.value, b=pb.owner,
                            fb=pb.face.value, state=now.value, tow=pairing.tow)
@@ -523,6 +525,7 @@ class Simulation:
                 drain(stb, self.cfg.tariff.lock_j, self.ledger)
             elif now is _DOCKED:
                 ev = self.registry.register_edge(pa, pb)
+                changed.update(ev.nodes)
                 self.merges += 1
                 self.log.event(self.tick, -1, "merge", org=ev.organism_id,
                                size=len(ev.nodes),
@@ -532,6 +535,7 @@ class Simulation:
             elif now is DockPhase.SEPARATING and prev is DockPhase.UNLOCKING:
                 # link is no longer real; the organism loses this edge now,
                 # which is exactly what lets the halves move apart
+                changed.update(self.registry.organism_of(pa.owner).nodes)
                 ev = self.registry.remove_edge(key)
                 self.splits += 1
                 self.log.event(self.tick, -1, "split", org=ev.organism_id,

@@ -216,16 +216,20 @@ def lift_feasible(query: LiftQuery, specs: dict[int, ModuleSpec]) -> bool:
     return lift_torque_nm(query, specs) <= pivot_spec.max_torque
 
 
-def _simple_paths(adj: dict[int, list[int]], start: int, limit: int = 24):
+# the most modules a searched chain may hold
+_CHAIN_LIMIT = 24
+
+
+def _simple_paths(adj: dict[int, list[int]], start: int):
     """Yield every simple path that starts at `start`, the trivial one
     included, depth first with neighbours in ascending id; a path stops
-    growing at `limit` modules."""
+    growing at _CHAIN_LIMIT modules."""
     path = [start]
     on_path = {start}
 
     def walk():
         yield tuple(path)
-        if len(path) >= limit:
+        if len(path) >= _CHAIN_LIMIT:
             return
         for nxt in sorted(adj[path[-1]]):
             if nxt in on_path:
@@ -248,7 +252,16 @@ def reach_height(org: Organism | None, specs: dict[int, ModuleSpec],
     base joint can lift everything above it the stack stands n * edge tall,
     otherwise the modules stay on the ground at one edge length. Without a
     designated stack the organism gets credit for the tallest chain any of
-    its simple paths could erect. A lone module reaches its own height.
+    its simple paths (of at most 24 modules) could erect with joint 0 of
+    the path's first module as the pivot. A lone module reaches its own
+    height.
+
+    The paths from each pivot are walked depth first, each neighbour once
+    however many edges join the two modules, carrying the chain's torque as
+    the running sum `lift_torque_nm` computes, term for term. A branch stops
+    as soon as that sum exceeds the pivot's `max_torque`: masses are
+    positive, and a float sum of non-negative terms never falls, so no
+    longer path through it could be lifted either.
     """
     if org is None:
         if singleton is None:
@@ -263,16 +276,42 @@ def reach_height(org: Organism | None, specs: dict[int, ModuleSpec],
         q = LiftQuery(pivot=base, pivot_dof=0, chain=tuple(stack[1:]))
         return len(stack) * edge if lift_feasible(q, specs) else edge
 
-    adj = org.adjacency()
-    best = 1
-    for start in org.sorted_nodes():
-        for path in _simple_paths(adj, start):
-            if len(path) <= best:
-                continue
-            q = LiftQuery(pivot=path[0], pivot_dof=0, chain=tuple(path[1:]))
-            if lift_feasible(q, specs):
-                best = len(path)
+    neighbours = {n: set(nbs) for n, nbs in org.adjacency().items()}
+    best = max(_tallest_liftable(neighbours, specs, pivot)
+               for pivot in org.sorted_nodes())
     return best * edge
+
+
+def _tallest_liftable(neighbours: dict[int, set[int]],
+                      specs: dict[int, ModuleSpec], pivot: int) -> int:
+    """Modules in the longest simple path from `pivot`, of at most
+    _CHAIN_LIMIT, whose chain the pivot's joint can lift (see
+    reach_height)."""
+    pivot_spec = specs[pivot]
+    edge = pivot_spec.edge_length
+    max_torque = pivot_spec.max_torque
+    on_path = {pivot}
+    best = 1
+
+    def walk(node: int, length: int, torque: float) -> None:
+        nonlocal best
+        if length > best:
+            best = length
+        if length >= _CHAIN_LIMIT:
+            return
+        for nxt in neighbours[node]:
+            if nxt in on_path:
+                continue
+            # link `length` of the chain, in lift_torque_nm's term order
+            t = torque + specs[nxt].mass * G * length * edge
+            if t > max_torque:
+                continue
+            on_path.add(nxt)
+            walk(nxt, length + 1, t)
+            on_path.discard(nxt)
+
+    walk(pivot, 1, 0.0)
+    return best
 
 
 def worst_case_chain(org: Organism, module_id: int) -> tuple[int, ...]:

@@ -129,12 +129,13 @@ def pair_tolerance(class_a: ModuleClass, class_b: ModuleClass) -> AlignmentToler
 
 
 # Tuples, not sets, like docking.PEERED_PHASES: `in` then compares by
-# identity in C instead of calling the pure-Python Enum.__hash__.
+# identity in C instead of calling the pure-Python Enum.__hash__. Keyed by
+# the class's value for the same reason.
 _TRAVERSABLE = {
-    ModuleClass.SCOUT: (TerrainClass.PLAIN, TerrainClass.ROUGH,
-                        TerrainClass.SLOPE, TerrainClass.SMALL_HOLE),
-    ModuleClass.BACKBONE: (TerrainClass.PLAIN,),
-    ModuleClass.ACTIVE_WHEEL: (TerrainClass.PLAIN,),
+    ModuleClass.SCOUT.value: (TerrainClass.PLAIN, TerrainClass.ROUGH,
+                              TerrainClass.SLOPE, TerrainClass.SMALL_HOLE),
+    ModuleClass.BACKBONE.value: (TerrainClass.PLAIN,),
+    ModuleClass.ACTIVE_WHEEL.value: (TerrainClass.PLAIN,),
 }
 
 # a carried module rides clear of the floor; only solid walls stop it
@@ -206,7 +207,8 @@ class MoveResult(NamedTuple):
 def passable_terrain(state: ModuleState) -> tuple[TerrainClass, ...]:
     """Terrain a module's swept path may cross: its class's table, or
     everything but walls while it rides on an organism."""
-    return _ABOVE_GROUND if state.carried else _TRAVERSABLE[state.module_class]
+    return (_ABOVE_GROUND if state.carried
+            else _TRAVERSABLE[state.module_class._value_])
 
 
 def locomotion_step(state: ModuleState, spec: ModuleSpec, cmd: Drive,

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from itertools import repeat
-from operator import sub
 from typing import NamedTuple
 
 from .control import LocalChannel
@@ -103,7 +102,8 @@ class Sight:
     """What every observer senses, kept from one decide phase to the next.
 
     Indexed by module id: each Pose (immutable, so an unchanged Pose object
-    is an unmoved module), its x, its y and its cell as of the last refresh;
+    is an unmoved module), its x, its y, its (x, y) point and its cell as of
+    the last refresh;
     `dist`, the flat n x n table whose entry j * n + k is the distance
     between modules j and k when in range and in line of sight, else None
     (None for j == k); each live observer's sensed sockets; and the local
@@ -111,11 +111,15 @@ class Sight:
     `unwell`, shared by one decide phase's local channels, hold
     (module_class, pose, health) per id and the ids whose health is not OK.
 
-    The local channels go stale on a move, a socket toggle or a death. The
-    harness sets `ports_changed` when its docking phase changes a port's
-    phase, which is when a peer or an organism can change (an undock in
-    the execute phase moves its pair to unlocking, which the same docking
-    phase advances).
+    The local channels go stale on a move, a socket toggle or a death. An
+    interaction channel reads its module's own ports and organism, and
+    `ports_changed` holds the ids whose channel may have gone stale since
+    the last decide phase: the harness's docking phase adds both owners of
+    each pairing whose phase it changes, and every member of each organism
+    a merge creates or a split removes. Peers and organisms change only
+    with a phase (an undock in the execute phase moves its pair to
+    unlocking, which the same docking phase advances). It starts with every
+    id, as no channel has been built yet.
     """
 
     def __init__(self, arena, range_m: float, n: int,
@@ -126,6 +130,7 @@ class Sight:
         self.poses: list[Pose | None] = [None] * n
         self.xs = [0.0] * n
         self.ys = [0.0] * n
+        self.points: list[tuple[float, float]] = [(0.0, 0.0)] * n
         self.cells: list[tuple[int, int] | None] = [None] * n
         self.dist: list[float | None] = [None] * (n * n)
         self.sockets: list[tuple] = [()] * n
@@ -133,7 +138,7 @@ class Sight:
         self.unwell: tuple[int, ...] = ()
         self.deaths = -1            # deaths counted when the table was built
         self.actives: tuple[bool, ...] | None = None  # at the last refresh
-        self.ports_changed = True
+        self.ports_changed: set[int] = set(range(n))
         self.local_stale = True
         self.local: list[LocalChannel | None] = [None] * n
         self.interaction: list = [None] * n
@@ -157,7 +162,13 @@ class Sight:
         rectangle, so every pair is in sight. Otherwise each moved module
         asks the arena about each pair in range from its own end; a pair
         whose ends both moved is asked from both, and gets the same
-        answer, as line of sight is symmetric too."""
+        answer, as line of sight is symmetric too.
+
+        A row is `math.dist` from the moved module's point to every point.
+        It equals `hypot(xk - xj, yk - yj)` bit for bit, as both run
+        CPython's one vector norm over the same differences, and the
+        difference from either end differs only in sign, so either end
+        computes the same distance."""
         observers = self.observers
         alive = [i for i in observers if states[i].health is _OK]
         if len(alive) < len(observers):
@@ -169,6 +180,7 @@ class Sight:
             return observers
         arena, range_m = self.arena, self.range_m
         poses, xs, ys, cells = self.poses, self.xs, self.ys, self.cells
+        points = self.points
         moved = []
         for j, st in states.items():
             pose = st.pose
@@ -176,6 +188,7 @@ class Sight:
                 poses[j] = pose
                 x = xs[j] = pose.x
                 y = ys[j] = pose.y
+                points[j] = (x, y)
                 cells[j] = arena.cell_of(x, y)
                 moved.append(j)
         if moved:
@@ -185,14 +198,11 @@ class Sight:
             x1, y1 = arena.cell_of(max(xs), max(ys))
             all_in_sight = arena.rect_is_open(x0, y0, x1, y1)
             line_of_sight = arena.line_of_sight
-            hypot = math.hypot
+            distance = math.dist
             dist = self.dist
             n = len(poses)
             for j in moved:
-                # xs[k] - xs[j] is exactly -(xs[j] - xs[k]), and hypot reads
-                # magnitudes, so either end computes the same distance
-                row = list(map(hypot, map(sub, xs, repeat(xs[j])),
-                               map(sub, ys, repeat(ys[j]))))
+                row = list(map(distance, points, repeat(points[j])))
                 if max(row) > range_m:
                     row = [d if d <= range_m else None for d in row]
                 row[j] = None

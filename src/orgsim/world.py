@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -94,6 +95,9 @@ class Arena:
         self._paths: dict[tuple, tuple[bool, tuple]] = {}
         self._paths_old: dict[tuple, tuple[bool, tuple]] = {}
         self._validate()
+        # each valid socket's anchor cell centre, in `sockets` order, which
+        # sense_sockets reports as its position
+        self.socket_centres = [self.cell_center(*s.cell) for s in self.sockets]
 
     def _validate(self) -> None:
         for s in self.sockets:
@@ -461,21 +465,26 @@ class SensedSocket(NamedTuple):
     approach_deg: float   # direction from the wall into the room
 
 
+# builds a SensedSocket in C from one tuple of every field, as
+# orgsim.control builds its per-tick records
+_sensed_socket = partial(tuple.__new__, SensedSocket)
+
+
 def sense_sockets(pose: Pose, range_m: float, arena: Arena) -> list[SensedSocket]:
-    """Sockets within Euclidean range and grid line of sight, sorted by id."""
+    """Sockets within Euclidean range and grid line of sight, sorted by id.
+    A socket's position is the centre of its anchor cell."""
     if range_m < 0:
         raise ValueError(f"sensing range must not be negative, got {range_m}")
-    origin = arena.cell_of(pose.x, pose.y)
+    x, y = pose.x, pose.y
+    origin = arena.cell_of(x, y)
     out = []
-    for s in arena.sockets:
-        px, py = arena.cell_center(*s.cell)
-        d = math.hypot(px - pose.x, py - pose.y)
-        if d > range_m:
+    for s, centre in zip(arena.sockets, arena.socket_centres):
+        px, py = centre
+        d = math.hypot(px - x, py - y)
+        if d > range_m or not arena.line_of_sight(origin, s.cell):
             continue
-        if not arena.line_of_sight(origin, s.cell):
-            continue
-        out.append(SensedSocket(s.id, (px, py), s.active, s.rating, d, s.height,
-                                s.approach_deg))
+        out.append(_sensed_socket((s.id, centre, s.active, s.rating, d,
+                                   s.height, s.approach_deg)))
     return out
 
 

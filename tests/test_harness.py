@@ -5,13 +5,14 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from orgsim import cli, harness, sensing
 from orgsim.config import load_scenario, load_scenario_file
 from orgsim.control import (ActionProposal, Actuate, Dock, Drive,
                             InteractionChannel, InternalChannel, LocalChannel,
                             Observation, SelfChannel, ToggleCoprocessor)
-from orgsim.docking import DockPhase, Face
+from orgsim.docking import DockPhase, Face, undock
 from orgsim.errors import ConfigError, InvariantBreach, ReplayError
 from orgsim.geometry import Pose
 from orgsim.harness import (EventLog, RunMetrics, Simulation, replay_file,
@@ -394,6 +395,115 @@ def test_reused_observation_channels_equal_fresh_ones():
                                 for line in sim.log.lines)
     assert all(events.values()), events
     assert all(seen.values()), seen
+
+
+def test_a_docking_change_rebuilds_only_its_modules_interaction_channels():
+    # after a docking phase that changed some port, a module outside the
+    # changed pairings and their organisms, with no messages this tick or
+    # last, hands out last tick's interaction channel again; a module whose
+    # own ports or organism changed gets a new one
+    cfg = load_scenario_file(CONFIG_DIR / "full_scale.cfg")
+    sim = Simulation(cfg, 42)
+    n = len(sim.states)
+    observe, docking = sim._observe, sim._phase_docking
+    last = {}
+    changed, touched = set(), set()
+    counts = {"changed ticks": 0, "kept": 0, "rebuilt": 0}
+
+    def snapshot():
+        return ([tuple(p.phase for p in sim.states[i].ports) for i in range(n)],
+                [sim.registry.organism_of(i) for i in range(n)])
+
+    def docking_and_record():
+        phases, orgs = snapshot()
+        docking()
+        phases_after, orgs_after = snapshot()
+        changed.clear()
+        touched.clear()
+        for i in range(n):
+            if orgs[i] is not orgs_after[i]:
+                changed.add(i)
+            if phases[i] != phases_after[i]:
+                changed.add(i)
+                for org in (orgs[i], orgs_after[i]):
+                    touched.update(org.nodes if org is not None else ())
+        touched.update(changed)
+        counts["changed ticks"] += bool(changed)
+
+    def observe_and_check(i, delivered):
+        obs = observe(i, delivered)
+        before = last.get(i)
+        if i in changed:
+            assert obs.interaction is not before, (sim.tick, i)
+            counts["rebuilt"] += 1
+        elif (changed and before is not None and i not in touched
+                and not before.messages and not obs.interaction.messages):
+            assert obs.interaction is before, (sim.tick, i)
+            counts["kept"] += 1
+        last[i] = obs.interaction
+        return obs
+
+    sim._observe = observe_and_check
+    sim._phase_docking = docking_and_record
+    sim.run(20)
+    assert sim.merges > 0
+    assert all(counts.values()), counts
+
+
+def test_a_split_rebuilds_the_interaction_channel_of_every_former_member():
+    # full_scale forms trees of up to 14 modules but splits none in 20
+    # ticks, so one module undocks a bridge of the largest tree during the
+    # execute phase of tick 15, as an Undock action would; the next tick,
+    # every former member reads its new organism, the pair's owners and
+    # the modules that only lost their organism alike
+    cfg = load_scenario_file(CONFIG_DIR / "full_scale.cfg")
+    sim = Simulation(cfg, 42)
+    execute, observe = sim._phase_execute, sim._observe
+    members = set()
+    checked = []
+
+    def execute_and_undock(selected):
+        execute(selected)
+        if sim.tick == 15:
+            org = max(sim.registry.organisms.values(),
+                      key=lambda o: (len(o.nodes), -o.id))
+            assert len(org.nodes) >= 3 and len(org.edges) == len(org.nodes) - 1
+            members.update(org.nodes)
+            (owner, face), _ = sorted(org.edges)[0]
+            undock(sim.states[owner].port(Face(face)))
+
+    def observe_and_check(i, delivered):
+        obs = observe(i, delivered)
+        if sim.tick == 16 and i in members:
+            fresh = _observation_from_scratch(sim, i, delivered)
+            assert obs.interaction == fresh.interaction, i
+            checked.append(i)
+        return obs
+
+    sim._phase_execute = execute_and_undock
+    sim._observe = observe_and_check
+    sim.run(16)
+    assert sim.splits == 1
+    assert sorted(checked) == sorted(members)
+
+
+# every finite float: signed zeros, subnormals and magnitudes whose
+# differences overflow included
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.tuples(FLOATS, FLOATS), st.tuples(FLOATS, FLOATS))
+@example((0.0, -0.0), (-0.0, 0.0))
+@example((5e-324, -5e-324), (0.0, 2.2250738585072014e-308))
+@example((1.7976931348623157e308, -1.7976931348623157e308),
+         (-1.7976931348623157e308, 1e308))
+@example((1e300, 3.0), (-1e300, 2.999999999999999))
+def test_a_sight_distance_is_hypot_of_the_differences_bit_for_bit(p, q):
+    # Sight.refresh builds its rows with math.dist over (x, y) points; the
+    # rows must equal hypot of the coordinate differences exactly
+    want = math.hypot(p[0] - q[0], p[1] - q[1])
+    assert math.dist(p, q).hex() == want.hex()
+    assert math.dist(q, p).hex() == want.hex()
 
 
 OCCLUDED_MAP = """\

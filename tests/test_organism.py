@@ -15,10 +15,11 @@ from orgsim.docking import DockPhase, DockPort, Face
 from orgsim.energy import Tariff
 from orgsim.errors import CommandError, ProtocolError
 from orgsim.geometry import Pose
-from orgsim.organism import (LiftQuery, Organism, OrganismRegistry,
+from orgsim.organism import (G, LiftQuery, Organism, OrganismRegistry,
                              center_of_mass, edge_key, lift_feasible,
                              lift_torque_nm, organism_move, reach_height,
-                             scout_carry_configuration, worst_case_chain)
+                             _tallest_liftable, scout_carry_configuration,
+                             worst_case_chain)
 from orgsim.robot_model import (Health, ModuleClass, make_module_spec,
                                 new_module_state)
 from orgsim.world import TerrainClass
@@ -231,6 +232,143 @@ def test_reach_search_finds_the_best_erectable_chain():
     assert reach_height(org, scouts) == pytest.approx(0.30)
     one_backbone = {0: BACKBONE, 1: SCOUT, 2: SCOUT, 3: SCOUT}
     assert reach_height(org, one_backbone) == pytest.approx(0.40)
+
+
+# -- pruned reach search vs exhaustive oracle -----------------------------
+
+
+def _all_simple_paths(adj, start, limit=24):
+    """Every simple path from `start`, the trivial one included, depth
+    first; a path stops growing at `limit` modules. The enumeration the
+    reach search used before it pruned."""
+    path = [start]
+    on_path = {start}
+
+    def walk():
+        yield tuple(path)
+        if len(path) >= limit:
+            return
+        for nxt in sorted(adj[path[-1]]):
+            if nxt in on_path:
+                continue
+            path.append(nxt)
+            on_path.add(nxt)
+            yield from walk()
+            on_path.discard(nxt)
+            path.pop()
+
+    yield from walk()
+
+
+def exhaustive_reach(org, specs):
+    """Tallest chain any simple path could erect, every path judged by
+    lift_feasible."""
+    adj = org.adjacency()
+    best = 1
+    for start in org.sorted_nodes():
+        for path in _all_simple_paths(adj, start):
+            if len(path) > best and lift_feasible(
+                    LiftQuery(path[0], 0, path[1:]), specs):
+                best = len(path)
+    return best * specs[org.sorted_nodes()[0]].edge_length
+
+
+def organism_of_edges(pairs):
+    """An organism over the given module pairs. The k-th pair docks face
+    k % 4 of its first module to face (k // 4) % 4 of its second, so a pair
+    listed twice is joined by two distinct edges."""
+    letters = "NESW"
+    edges = set()
+    nodes = set()
+    for k, (a, b) in enumerate(pairs):
+        ea, eb = (a, letters[k % 4]), (b, letters[(k // 4) % 4])
+        edges.add((ea, eb) if ea <= eb else (eb, ea))
+        nodes |= {a, b}
+    return Organism(id=min(nodes), nodes=nodes, edges=edges)
+
+
+@st.composite
+def shaped_organisms(draw):
+    """Trees and loop-closing organisms of 1 to 12 modules of mixed
+    classes, some with mass or edge_length overrides, the first tree edge
+    sometimes doubled."""
+    n = draw(st.integers(1, 12))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    if n > 2:
+        ids = st.integers(0, n - 1)
+        extra = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]),
+                              max_size=3))
+        pairs += extra
+    if n > 1 and draw(st.booleans()):
+        pairs.append(pairs[0])
+    specs = {}
+    for i in range(n):
+        overrides = {}
+        if draw(st.booleans()):
+            overrides["mass"] = draw(st.floats(0.02, 3.0))
+        if draw(st.integers(0, 3)) == 0:
+            overrides["edge_length"] = draw(st.sampled_from([0.05, 0.1, 0.3]))
+        specs[i] = make_module_spec(draw(st.sampled_from(list(ModuleClass))),
+                                    overrides)
+    org = (organism_of_edges(pairs) if pairs
+           else Organism(id=0, nodes={0}, edges=set()))
+    return org, specs
+
+
+@given(shaped_organisms())
+def test_pruned_reach_equals_the_exhaustive_search(case):
+    org, specs = case
+    assert reach_height(org, specs) == exhaustive_reach(org, specs)
+
+
+@pytest.mark.parametrize("links", [1, 2, 3, 4])
+@pytest.mark.parametrize("pivot_class", list(ModuleClass))
+def test_pruned_reach_is_exact_at_the_torque_limit(pivot_class, links):
+    # module 0 at the end of a line lifts `links` links of mass m with the
+    # torque exactly at its limit; one ulp more mass and it cannot
+    pivot = make_module_spec(pivot_class)
+    chain = tuple(range(1, links + 1))
+
+    def specs_of(mass):
+        light = make_module_spec(ModuleClass.SCOUT, {"mass": mass})
+        return {0: pivot, **{i: light for i in range(1, links + 2)}}
+
+    def torque(mass):
+        return lift_torque_nm(LiftQuery(0, 0, chain), specs_of(mass))
+
+    mass = pivot.max_torque / (G * pivot.edge_length * links * (links + 1) / 2)
+    while torque(mass) > pivot.max_torque:
+        mass = math.nextafter(mass, 0.0)
+    while torque(math.nextafter(mass, math.inf)) <= pivot.max_torque:
+        mass = math.nextafter(mass, math.inf)
+    heavier = math.nextafter(mass, math.inf)
+    assert torque(mass) == pivot.max_torque < torque(heavier)
+    org = chain_org(list(range(links + 2)))
+    line = {i: {i - 1, i + 1} & org.nodes for i in org.nodes}
+    assert _tallest_liftable(line, specs_of(mass), 0) == links + 1
+    assert _tallest_liftable(line, specs_of(heavier), 0) == links
+    for specs in (specs_of(mass), specs_of(heavier)):
+        assert reach_height(org, specs) == exhaustive_reach(org, specs)
+
+
+def ladder(rungs):
+    """Two rails of `rungs` modules, 0..rungs-1 and rungs..2*rungs-1, with a
+    rung between each pair of opposite modules."""
+    rails = [(i, i + 1) for i in range(rungs - 1)]
+    rails += [(rungs + i, rungs + i + 1) for i in range(rungs - 1)]
+    return organism_of_edges(rails + [(i, rungs + i) for i in range(rungs)])
+
+
+def test_reach_of_a_two_by_twelve_ladder_of_backbones():
+    org = ladder(12)
+    specs = {i: BACKBONE for i in org.nodes}
+    # three links cost 0.981 * (1 + 2 + 3) = 5.886 <= 7 N*m, four 9.81
+    assert reach_height(org, specs) == exhaustive_reach(org, specs) == 4 * 0.10
+    # at 0.25 kg seven links cost 6.867 N*m and eight 8.829
+    light = make_module_spec(ModuleClass.BACKBONE, {"mass": 0.25})
+    specs = {i: light for i in org.nodes}
+    assert lift_feasible(LiftQuery(0, 0, tuple(range(1, 8))), specs)
+    assert reach_height(org, specs) == 8 * 0.10
 
 
 def test_worst_case_chain_hangs_the_long_side():

@@ -11,8 +11,9 @@ from orgsim.geometry import Pose
 from orgsim.rng import Rng
 from orgsim.robot_model import _ABOVE_GROUND, _TRAVERSABLE
 from orgsim.world import (DEFAULT_CELL_SIZE, Arena, SocketSchedule,
-                          SocketScheduler, TerrainClass, arena_from_lines,
-                          in_graveyard, in_yard, parse_arena, sense_sockets)
+                          SensedSocket, SocketScheduler, TerrainClass,
+                          arena_from_lines, in_graveyard, in_yard,
+                          parse_arena, sense_sockets)
 from tests.path_reference import PATH_SAMPLE_STEP, reference_path_clear
 
 ROOM = """\
@@ -592,6 +593,35 @@ def test_sense_sockets_respects_line_of_sight(room):
     # cell (4, 3) sits right behind the pillar from socket 1's anchor (4, 1)
     pose = Pose(1.125, 0.875, 0.0)
     assert [s.id for s in sense_sockets(pose, 2.0, room)] == [0]
+
+
+CHALLENGE_MAP = (MAP_DIR / "challenge.map").read_text()
+
+
+@given(st.floats(-0.5, 6.5), st.floats(-0.5, 4.0),
+       st.sampled_from([0.0, 0.5, 2.0, 8.0]), st.sets(st.integers(0, 5)))
+def test_sensed_sockets_follow_the_per_socket_formula(x, y, range_m, live):
+    # the sockets' centres are worked out once, as the arena is validated,
+    # and each record is built from one tuple; every field must still be
+    # what the formula gives, on and off the grid
+    arena = parse_arena(CHALLENGE_MAP)
+    for s in arena.sockets:
+        s.active = s.id in live
+    got = sense_sockets(Pose(x, y, 0.0), range_m, arena)
+    cs = arena.cell_size
+    want = []
+    for s in arena.sockets:
+        cx, cy = s.cell
+        px, py = (cx + 0.5) * cs, (cy + 0.5) * cs
+        d = math.hypot(px - x, py - y)
+        if d <= range_m and arena.line_of_sight(
+                (int(x // cs), int(y // cs)), s.cell):
+            want.append(SensedSocket(id=s.id, position=(px, py),
+                                     active=s.id in live, rating=s.rating,
+                                     distance=d, height=s.height,
+                                     approach_deg=s.approach_deg))
+    assert [type(r) for r in got] == [SensedSocket] * len(want)
+    assert [r._asdict() for r in got] == [r._asdict() for r in want]
 
 
 def test_sense_reports_active_flag(room):

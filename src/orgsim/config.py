@@ -235,7 +235,7 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
             except ValueError:
                 raise ConfigError(
                     f"spawn keys are module ids, got {key!r}") from None
-            fixed_spawns[mid] = _parse_spawn(cp.get("spawns", key))
+            fixed_spawns[mid] = get("spawns", key, None, _parse_spawn)
 
     cfg = ScenarioConfig(
         name=name,

@@ -42,6 +42,8 @@ LOG_VERSION = "orgsim-log v1"
 # bound once: on CPython 3.11, EnumType.__getattr__ slows every `Health.OK`
 _OK, _ENERGY_DEAD, _FREE = Health.OK, Health.ENERGY_DEAD, DockPhase.FREE
 _DOCKED = DockPhase.DOCKED
+_APPROACHING, _ALIGNING = DockPhase.APPROACHING, DockPhase.ALIGNING
+_SEPARATING = DockPhase.SEPARATING
 # a face's value to its port's index in ModuleState.ports, for the organism
 # edges, which hold faces by value
 _PORT_OF_FACE = {face.value: k for k, face in enumerate(FACES)}
@@ -209,9 +211,12 @@ class Simulation:
         self._delivered_count = 0
         self._ran = False
 
-        # what the observers sense, built by run() only when some module
-        # has controllers
+        # what the observers sense and, per id, the interaction channel
+        # last handed out (None once the docking phase changed what it
+        # reads), both sized by run() only when some module has controllers:
+        # only their Dock actions open pairings
         self._sight: Sight | None = None
+        self._interaction: list[InteractionChannel | None] = []
 
         self._walkable_count = len(self.arena.walkable_cells())
 
@@ -287,6 +292,7 @@ class Simulation:
         if observers:
             self._sight = Sight(self.arena, self.cfg.sensing_range_m,
                                 len(self.states), observers)
+            self._interaction = [None] * len(self.states)
         started = time.perf_counter()
         for _ in range(total):
             self.tick += 1
@@ -318,20 +324,18 @@ class Simulation:
         """Build module i's observation. The self and internal channels are
         built every tick, and the local channel comes from the sight (see
         Sight.local_channel). The interaction channel goes out again while
-        i has no messages, this tick or last, and i is not in the sight's
-        `ports_changed`: no port of i changed phase and i's organism was
-        neither made nor split."""
+        i has no messages, this tick or last, and the docking phase has not
+        dropped it (see _phase_docking)."""
         st = self.states[i]
-        sight = self._sight
-        interaction = sight.interaction[i]
+        interaction = self._interaction[i]
         messages = delivered.get(i)
-        if messages or i in sight.ports_changed or interaction.messages:
+        if interaction is None or messages or interaction.messages:
             ports = st.ports
             org = self.registry.organism_of(i)
             # faces and phases go out by value, read from `_value_`: the
             # `value` property and a member-keyed dict (Enum.__hash__) both
             # run Python code
-            interaction = sight.interaction[i] = InteractionChannel(
+            interaction = self._interaction[i] = InteractionChannel(
                 tuple([p.face._value_ for p in ports if p.phase is _DOCKED]),
                 tuple([p.phase._value_ for p in ports]),
                 tuple([(p.peer.owner, p.peer.face._value_)
@@ -344,7 +348,7 @@ class Simulation:
             _self_channel((i, st.module_class, st.pose, st.battery_fraction,
                            st.health, tuple(st.joint_angles),
                            st.coprocessor_on, st.carried)),
-            sight.local_channel(i), interaction,
+            self._sight.local_channel(i), interaction,
             _internal_channel((self.tick, self.cfg.dt, self._delivered_count,
                                self._mailboxes[i])),
         ))
@@ -365,7 +369,6 @@ class Simulation:
             choice = select_action(proposals)
             if not isinstance(choice.action, Idle):
                 selected[i] = choice
-        sight.ports_changed.clear()
         return selected
 
     def _phase_execute(self, selected: dict[int, ActionProposal]) -> None:
@@ -486,28 +489,43 @@ class Simulation:
                            state=state)
 
     def _phase_docking(self) -> None:
-        # the ids whose interaction channel this phase may make stale
-        changed = set() if self._sight is None else self._sight.ports_changed
+        """Advance every pending pairing one step, in key order. Each pairing
+        is asked only what its phase reads: the face gap while approaching,
+        aligning or separating, and `attempt_align` while aligning.
+
+        A module's interaction channel reads its own ports and organism, and
+        every peer, organism and reach change comes with a phase change, so
+        this phase drops the cached channel of both owners of each pairing
+        whose phase it changes, and of every member of each organism a
+        merge makes or a split removes. (An undock in the execute phase
+        moves its pair to unlocking, which this phase always advances.)"""
+        interaction = self._interaction
         for key in sorted(self.pairs):
             pairing = self.pairs[key]
             pa, pb = pairing.port_a, pairing.port_b
-            if pa.phase is _DOCKED:
+            prev = pa.phase
+            if prev is _DOCKED:
                 continue
             sta = self.states[pa.owner]
             stb = self.states[pb.owner]
-            edge = self.specs[pa.owner].edge_length
-            tol = pair_tolerance(sta.module_class, stb.module_class)
-            ax, ay = face_center(sta.pose, pa.face, edge)
-            bx, by = face_center(stb.pose, pb.face, edge)
-            gap = math.hypot(ax - bx, ay - by)
-            inp = TickInput(
-                aligned=attempt_align(sta.pose, pa.face, stb.pose, pb.face,
-                                      tol, edge),
-                abort=(pa.phase in (DockPhase.APPROACHING, DockPhase.ALIGNING)
-                       and gap > 0.5),
-                separated=gap >= edge,
-            )
-            prev = pa.phase
+            if prev is _APPROACHING or prev is _ALIGNING or prev is _SEPARATING:
+                edge = self.specs[pa.owner].edge_length
+                ax, ay = face_center(sta.pose, pa.face, edge)
+                bx, by = face_center(stb.pose, pb.face, edge)
+                gap = math.hypot(ax - bx, ay - by)
+                if prev is _SEPARATING:
+                    inp = TickInput(separated=gap >= edge)
+                else:
+                    # attempt_align is read from this module's globals on
+                    # every call, where perfbench/tracer.py wraps it
+                    inp = TickInput(
+                        aligned=prev is _ALIGNING and attempt_align(
+                            sta.pose, pa.face, stb.pose, pb.face,
+                            pair_tolerance(sta.module_class,
+                                           stb.module_class), edge),
+                        abort=gap > 0.5)
+            else:
+                inp = TickInput()
             advance_dock(pa, pb, inp,
                          healthy_a=sta.health is _OK,
                          healthy_b=stb.health is _OK,
@@ -515,8 +533,7 @@ class Simulation:
             now = pa.phase
             if now is prev:
                 continue
-            changed.add(pa.owner)
-            changed.add(pb.owner)
+            interaction[pa.owner] = interaction[pb.owner] = None
             self.log.event(self.tick, min(pa.owner, pb.owner), "phase",
                            a=pa.owner, fa=pa.face.value, b=pb.owner,
                            fb=pb.face.value, state=now.value, tow=pairing.tow)
@@ -525,17 +542,19 @@ class Simulation:
                 drain(stb, self.cfg.tariff.lock_j, self.ledger)
             elif now is _DOCKED:
                 ev = self.registry.register_edge(pa, pb)
-                changed.update(ev.nodes)
+                for mid in ev.nodes:
+                    interaction[mid] = None
                 self.merges += 1
                 self.log.event(self.tick, -1, "merge", org=ev.organism_id,
                                size=len(ev.nodes),
                                absorbed="+".join(map(str, ev.absorbed)) or "-")
                 if pairing.tow:
                     self._refresh_carried(pa.owner, pb.owner)
-            elif now is DockPhase.SEPARATING and prev is DockPhase.UNLOCKING:
+            elif now is _SEPARATING and prev is DockPhase.UNLOCKING:
                 # link is no longer real; the organism loses this edge now,
                 # which is exactly what lets the halves move apart
-                changed.update(self.registry.organism_of(pa.owner).nodes)
+                for mid in self.registry.organism_of(pa.owner).nodes:
+                    interaction[mid] = None
                 ev = self.registry.remove_edge(key)
                 self.splits += 1
                 self.log.event(self.tick, -1, "split", org=ev.organism_id,

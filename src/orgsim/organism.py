@@ -51,11 +51,13 @@ class Organism:
         return sorted(self.nodes)
 
     def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {n: [] for n in self.sorted_nodes()}
-        for (a, _), (b, _) in sorted(self.edges):
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
+        """Each member's neighbours in ascending id, each once however many
+        edges join the two, keyed in ascending id."""
+        adj: dict[int, set[int]] = {n: set() for n in self.sorted_nodes()}
+        for (a, _), (b, _) in self.edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        return {n: sorted(nbs) for n, nbs in adj.items()}
 
 
 @dataclass(frozen=True)
@@ -220,27 +222,51 @@ def lift_feasible(query: LiftQuery, specs: dict[int, ModuleSpec]) -> bool:
 _CHAIN_LIMIT = 24
 
 
-def _simple_paths(adj: dict[int, list[int]], start: int):
-    """Yield every simple path that starts at `start`, the trivial one
-    included, depth first with neighbours in ascending id; a path stops
-    growing at _CHAIN_LIMIT modules."""
-    path = [start]
-    on_path = {start}
+def _longest_chain(adj: dict[int, list[int]], pivot: int, limit: int,
+                   specs: dict[int, ModuleSpec] | None = None,
+                   max_torque: float = math.inf) -> tuple[int, ...]:
+    """The first longest simple chain hanging off `pivot`, pivot excluded,
+    of at most `limit` modules: paths are walked depth first over `adj`
+    (see Organism.adjacency), neighbours in ascending id, each once.
 
-    def walk():
-        yield tuple(path)
-        if len(path) >= _CHAIN_LIMIT:
+    With `specs`, the walk carries the chain's torque about the pivot as
+    the running sum `lift_torque_nm` computes, term for term, and stops a
+    branch as soon as that sum exceeds `max_torque`: masses are positive,
+    and a float sum of non-negative terms never falls, so no longer chain
+    through it could be lifted either. The walk ends once a chain is as
+    long as any could be."""
+    limit = min(limit, len(adj) - 1)
+    edge = specs[pivot].edge_length if specs is not None else 0.0
+    path: list[int] = []
+    on_path = {pivot}
+    best: list[int] = []
+
+    def walk(node: int, torque: float) -> None:
+        nonlocal best
+        if len(path) > len(best):
+            best = path[:]
+        if len(path) == limit:
             return
-        for nxt in sorted(adj[path[-1]]):
+        link = len(path) + 1
+        for nxt in adj[node]:
             if nxt in on_path:
                 continue
+            t = torque
+            if specs is not None:
+                # link `link` of the chain, in lift_torque_nm's term order
+                t += specs[nxt].mass * G * link * edge
+                if t > max_torque:
+                    continue
             path.append(nxt)
             on_path.add(nxt)
-            yield from walk()
+            walk(nxt, t)
             on_path.discard(nxt)
             path.pop()
+            if len(best) == limit:
+                return
 
-    yield from walk()
+    walk(pivot, 0.0)
+    return tuple(best)
 
 
 def reach_height(org: Organism | None, specs: dict[int, ModuleSpec],
@@ -252,16 +278,10 @@ def reach_height(org: Organism | None, specs: dict[int, ModuleSpec],
     base joint can lift everything above it the stack stands n * edge tall,
     otherwise the modules stay on the ground at one edge length. Without a
     designated stack the organism gets credit for the tallest chain any of
-    its simple paths (of at most 24 modules) could erect with joint 0 of
-    the path's first module as the pivot. A lone module reaches its own
-    height.
-
-    The paths from each pivot are walked depth first, each neighbour once
-    however many edges join the two modules, carrying the chain's torque as
-    the running sum `lift_torque_nm` computes, term for term. A branch stops
-    as soon as that sum exceeds the pivot's `max_torque`: masses are
-    positive, and a float sum of non-negative terms never falls, so no
-    longer path through it could be lifted either.
+    its simple paths (of at most 24 modules, pivot included) could erect
+    with joint 0 of the path's first module as the pivot, searched by
+    `_longest_chain` bounded by that pivot's `max_torque`. A lone module
+    reaches its own height.
     """
     if org is None:
         if singleton is None:
@@ -276,56 +296,18 @@ def reach_height(org: Organism | None, specs: dict[int, ModuleSpec],
         q = LiftQuery(pivot=base, pivot_dof=0, chain=tuple(stack[1:]))
         return len(stack) * edge if lift_feasible(q, specs) else edge
 
-    neighbours = {n: set(nbs) for n, nbs in org.adjacency().items()}
-    best = max(_tallest_liftable(neighbours, specs, pivot)
-               for pivot in org.sorted_nodes())
-    return best * edge
-
-
-def _tallest_liftable(neighbours: dict[int, set[int]],
-                      specs: dict[int, ModuleSpec], pivot: int) -> int:
-    """Modules in the longest simple path from `pivot`, of at most
-    _CHAIN_LIMIT, whose chain the pivot's joint can lift (see
-    reach_height)."""
-    pivot_spec = specs[pivot]
-    edge = pivot_spec.edge_length
-    max_torque = pivot_spec.max_torque
-    on_path = {pivot}
-    best = 1
-
-    def walk(node: int, length: int, torque: float) -> None:
-        nonlocal best
-        if length > best:
-            best = length
-        if length >= _CHAIN_LIMIT:
-            return
-        for nxt in neighbours[node]:
-            if nxt in on_path:
-                continue
-            # link `length` of the chain, in lift_torque_nm's term order
-            t = torque + specs[nxt].mass * G * length * edge
-            if t > max_torque:
-                continue
-            on_path.add(nxt)
-            walk(nxt, length + 1, t)
-            on_path.discard(nxt)
-
-    walk(pivot, 1, 0.0)
-    return best
+    adj = org.adjacency()
+    best = max(len(_longest_chain(adj, pivot, _CHAIN_LIMIT - 1, specs,
+                                  specs[pivot].max_torque))
+               for pivot in adj)
+    return (best + 1) * edge
 
 
 def worst_case_chain(org: Organism, module_id: int) -> tuple[int, ...]:
-    """Longest simple path hanging off a module, the load its joint might
+    """Longest simple path hanging off a module, of at most 24 modules
+    besides it and the first such in ascending id: the load its joint might
     have to swing. Used by the action guard's torque check."""
-    adj = org.adjacency()
-    best: tuple[int, ...] = ()
-    for nb in sorted(adj[module_id]):
-        trimmed = {k: [v for v in vs if v != module_id]
-                   for k, vs in adj.items() if k != module_id}
-        for path in _simple_paths(trimmed, nb):
-            if len(path) > len(best):
-                best = path
-    return best
+    return _longest_chain(org.adjacency(), module_id, _CHAIN_LIMIT)
 
 
 # -- rigid body motion ----------------------------------------------------

@@ -1,6 +1,6 @@
 """What an observer senses: the sight table, the view of the modules in
-sight, and the reuse of observation channels between decide phases. The
-harness builds one `Sight` per run, only when some module has controllers.
+sight, and the reuse of local channels between decide phases. The harness
+builds one `Sight` per run, only when some module has controllers.
 """
 
 from __future__ import annotations
@@ -107,19 +107,10 @@ class Sight:
     `dist`, the flat n x n table whose entry j * n + k is the distance
     between modules j and k when in range and in line of sight, else None
     (None for j == k); each live observer's sensed sockets; and the local
-    and interaction channels its last observation handed out. `table` and
-    `unwell`, shared by one decide phase's local channels, hold
-    (module_class, pose, health) per id and the ids whose health is not OK.
-
-    The local channels go stale on a move, a socket toggle or a death. An
-    interaction channel reads its module's own ports and organism, and
-    `ports_changed` holds the ids whose channel may have gone stale since
-    the last decide phase: the harness's docking phase adds both owners of
-    each pairing whose phase it changes, and every member of each organism
-    a merge creates or a split removes. Peers and organisms change only
-    with a phase (an undock in the execute phase moves its pair to
-    unlocking, which the same docking phase advances). It starts with every
-    id, as no channel has been built yet.
+    channel its last observation handed out, which goes stale on a move, a
+    socket toggle or a death. `table` and `unwell`, shared by one decide
+    phase's local channels, hold (module_class, pose, health) per id and
+    the ids whose health is not OK.
     """
 
     def __init__(self, arena, range_m: float, n: int,
@@ -138,10 +129,8 @@ class Sight:
         self.unwell: tuple[int, ...] = ()
         self.deaths = -1            # deaths counted when the table was built
         self.actives: tuple[bool, ...] | None = None  # at the last refresh
-        self.ports_changed: set[int] = set(range(n))
         self.local_stale = True
         self.local: list[LocalChannel | None] = [None] * n
-        self.interaction: list = [None] * n
         cs = arena.cell_size
         self.arena_size = (arena.width * cs, arena.height * cs)
         self.yard = arena.yard
@@ -174,7 +163,7 @@ class Sight:
         if len(alive) < len(observers):
             # death is final: the dead never observe again
             for i in set(observers).difference(alive):
-                self.local[i] = self.interaction[i] = None
+                self.local[i] = None
             observers = self.observers = tuple(alive)
         if not observers:
             return observers

@@ -264,6 +264,16 @@ def test_spawn_unknown_health_raises():
         load("[spawns]\n0 = 0.3 0.3 0 health=dead\n")
 
 
+@pytest.mark.parametrize("line", ["0 = abc 1.0 0", "0 = 0.3 0.3 north",
+                                  "0 = 0.3 0.3 0 battery=x"],
+                         ids=["bad-x", "bad-heading", "bad-battery"])
+def test_a_non_numeric_spawn_field_names_its_key_and_section(line):
+    raw = line.partition(" = ")[2]
+    with pytest.raises(ConfigError) as err:
+        load(f"[spawns]\n{line}\n")
+    assert str(err.value) == f"bad value for 0 in [spawns]: {raw!r}"
+
+
 def test_spawn_key_must_be_module_id():
     with pytest.raises(ConfigError, match="spawn keys are module ids"):
         load("[spawns]\nfirst = 0.3 0.3 0\n")

@@ -450,6 +450,33 @@ def test_a_docking_change_rebuilds_only_its_modules_interaction_channels():
     assert all(counts.values()), counts
 
 
+def test_attempt_align_is_asked_once_per_aligning_advance(monkeypatch):
+    # advance_dock reads `aligned` only while a pair is aligning, so the
+    # docking phase asks attempt_align then and only then
+    cfg = load_scenario_file(CONFIG_DIR / "full_scale.cfg")
+    sim = Simulation(cfg, 42)
+    asked = []
+    advances = {"aligning": 0, "other": 0}
+    align, advance = harness.attempt_align, harness.advance_dock
+
+    def counting_align(*args):
+        asked.append(args)
+        return align(*args)
+
+    def counting_advance(port_a, port_b, inp, **kw):
+        aligning = port_a.phase is DockPhase.ALIGNING
+        advances["aligning" if aligning else "other"] += 1
+        assert len(asked) == aligning, (sim.tick, port_a.phase)
+        asked.clear()
+        return advance(port_a, port_b, inp, **kw)
+
+    monkeypatch.setattr(harness, "attempt_align", counting_align)
+    monkeypatch.setattr(harness, "advance_dock", counting_advance)
+    sim.run(20)
+    assert not asked
+    assert advances == {"aligning": 65, "other": 195}
+
+
 def test_a_split_rebuilds_the_interaction_channel_of_every_former_member():
     # full_scale forms trees of up to 14 modules but splits none in 20
     # ticks, so one module undocks a bridge of the largest tree during the

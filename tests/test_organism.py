@@ -16,9 +16,9 @@ from orgsim.energy import Tariff
 from orgsim.errors import CommandError, ProtocolError
 from orgsim.geometry import Pose
 from orgsim.organism import (G, LiftQuery, Organism, OrganismRegistry,
-                             center_of_mass, edge_key, lift_feasible,
-                             lift_torque_nm, organism_move, reach_height,
-                             _tallest_liftable, scout_carry_configuration,
+                             _longest_chain, center_of_mass, edge_key,
+                             lift_feasible, lift_torque_nm, organism_move,
+                             reach_height, scout_carry_configuration,
                              worst_case_chain)
 from orgsim.robot_model import (Health, ModuleClass, make_module_spec,
                                 new_module_state)
@@ -260,6 +260,27 @@ def _all_simple_paths(adj, start, limit=24):
     yield from walk()
 
 
+def exhaustive_worst_case_chain(org, module_id):
+    """The first longest path of at most 24 modules hanging off
+    `module_id`, neighbours in ascending id: each neighbour's paths
+    enumerated in turn with `module_id` taken out of the graph, over
+    neighbour lists in edge-key order, an edge listed twice once per edge.
+    The enumeration the guard's chain came from before one walk served
+    both it and reach."""
+    adj = {n: [] for n in org.nodes}
+    for (a, _), (b, _) in sorted(org.edges):
+        adj[a].append(b)
+        adj[b].append(a)
+    trimmed = {k: [v for v in vs if v != module_id]
+               for k, vs in adj.items() if k != module_id}
+    best = ()
+    for nb in sorted(adj[module_id]):
+        for path in _all_simple_paths(trimmed, nb):
+            if len(path) > len(best):
+                best = path
+    return best
+
+
 def exhaustive_reach(org, specs):
     """Tallest chain any simple path could erect, every path judged by
     lift_feasible."""
@@ -321,6 +342,14 @@ def test_pruned_reach_equals_the_exhaustive_search(case):
     assert reach_height(org, specs) == exhaustive_reach(org, specs)
 
 
+@given(shaped_organisms())
+def test_worst_case_chain_equals_the_exhaustive_search(case):
+    org, _ = case
+    for mid in org.sorted_nodes():
+        assert worst_case_chain(org, mid) == exhaustive_worst_case_chain(
+            org, mid), mid
+
+
 @pytest.mark.parametrize("links", [1, 2, 3, 4])
 @pytest.mark.parametrize("pivot_class", list(ModuleClass))
 def test_pruned_reach_is_exact_at_the_torque_limit(pivot_class, links):
@@ -344,9 +373,14 @@ def test_pruned_reach_is_exact_at_the_torque_limit(pivot_class, links):
     heavier = math.nextafter(mass, math.inf)
     assert torque(mass) == pivot.max_torque < torque(heavier)
     org = chain_org(list(range(links + 2)))
-    line = {i: {i - 1, i + 1} & org.nodes for i in org.nodes}
-    assert _tallest_liftable(line, specs_of(mass), 0) == links + 1
-    assert _tallest_liftable(line, specs_of(heavier), 0) == links
+
+    def tallest_liftable(specs):
+        # modules in the tallest chain pivot 0 lifts, the pivot included
+        return 1 + len(_longest_chain(org.adjacency(), 0, 23, specs,
+                                      pivot.max_torque))
+
+    assert tallest_liftable(specs_of(mass)) == links + 1
+    assert tallest_liftable(specs_of(heavier)) == links
     for specs in (specs_of(mass), specs_of(heavier)):
         assert reach_height(org, specs) == exhaustive_reach(org, specs)
 
@@ -376,6 +410,32 @@ def test_worst_case_chain_hangs_the_long_side():
     assert worst_case_chain(org, 1) == (2, 3)
     assert worst_case_chain(org, 0) == (1, 2, 3)
     assert worst_case_chain(org, 3) == (2, 1, 0)
+
+
+def test_worst_case_chain_of_a_ladder_takes_ascending_ids_first():
+    # the edge keys list some rung neighbours before rail neighbours of a
+    # lower id; the walk must still try the lower id first
+    org = ladder(10)
+    for mid in org.sorted_nodes():
+        assert worst_case_chain(org, mid) == exhaustive_worst_case_chain(
+            org, mid), mid
+    assert worst_case_chain(org, 0) == (1, 2, 3, 4, 5, 6, 7, 8, 9, 19, 18,
+                                        17, 16, 15, 14, 13, 12, 11, 10)
+
+
+def test_a_thirty_module_line_hits_the_chain_limit():
+    org = chain_org(list(range(30)))
+    assert worst_case_chain(org, 0) == tuple(range(1, 25))
+    assert worst_case_chain(org, 29) == tuple(range(28, 4, -1))
+    assert worst_case_chain(org, 10) == tuple(range(11, 30))
+    for mid in org.sorted_nodes():
+        assert worst_case_chain(org, mid) == exhaustive_worst_case_chain(
+            org, mid), mid
+    # reach counts the pivot among its 24 modules: 23 links of 0.01 kg
+    # cost 0.00981 * 276 = 2.71 N*m, well within a Backbone's 7
+    light = make_module_spec(ModuleClass.BACKBONE, {"mass": 0.01})
+    specs = {i: light for i in org.nodes}
+    assert reach_height(org, specs) == exhaustive_reach(org, specs) == 24 * 0.10
 
 
 # -- rigid motion ---------------------------------------------------------

@@ -332,6 +332,8 @@ def scenario_findings(cfg: ScenarioConfig, arena: Arena) -> list[str]:
     for key, val in cfg.module_overrides.items():
         if not val > 0:
             findings.append(f"module override {key} {val} must be positive")
+        elif val == math.inf:
+            findings.append(f"module override {key} {val} must be finite")
     if not cfg.sensing_range_m >= 0:
         findings.append(
             f"sensing range_m {cfg.sensing_range_m} must not be negative")

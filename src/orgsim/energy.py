@@ -34,8 +34,11 @@ class Tariff:
     def __post_init__(self):
         for name in ("idle_w", "coprocessor_w", "locomotion_j_per_m_kg",
                      "actuation_j_per_nm_rad", "lock_j", "share_rate_w"):
-            if not getattr(self, name) >= 0:     # NaN included
+            value = getattr(self, name)
+            if not value >= 0:     # NaN included
                 raise ValueError(f"{name} must be >= 0")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite")
         if not 0 < self.recharge_efficiency <= 1:
             raise ValueError("recharge_efficiency must be in (0, 1]")
 

@@ -296,11 +296,9 @@ class Simulation:
         started = time.perf_counter()
         for _ in range(total):
             self.tick += 1
-            self.arena.age_path_memo()
             self._phase_schedule()
             delivered = self._phase_sense()
             selected = self._phase_decide(delivered)
-            self._idle_paid: set[int] = set()
             self._phase_execute(selected)
             self._phase_docking()
             self._phase_energy()
@@ -372,6 +370,7 @@ class Simulation:
         return selected
 
     def _phase_execute(self, selected: dict[int, ActionProposal]) -> None:
+        self._idle_paid: set[int] = set()   # see drain_idle
         moved_orgs: set[int] = set()
         # _phase_decide fills `selected` in id order
         for i, prop in selected.items():

@@ -26,6 +26,7 @@ final state equal those of the same number of `random()` calls.
 
 from __future__ import annotations
 
+import functools
 import math
 
 _M64 = (1 << 64) - 1
@@ -45,7 +46,6 @@ _LANE = 64
 # draws per HitStream refill: one Rng.hits call per block
 _BLOCK = 4096
 _LANE_BITS = 128       # holds a 64-bit state times the 64-bit multiplier
-_JUMP: list[int] | None = None   # see _jump_table
 
 
 def fnv1a64(data: bytes | str, h: int = _FNV_OFFSET) -> int:
@@ -58,31 +58,29 @@ def fnv1a64(data: bytes | str, h: int = _FNV_OFFSET) -> int:
     return h
 
 
+@functools.cache
 def _jump_table() -> list[int]:
     """The state _LANE xorshift steps ahead, as 16 nibble tables in one
     list: entry 16*q + v is the jump of v << 4*q, and by linearity the jump
     of a state is the XOR of the entries of its 16 nibbles. Built once, on
     the first call."""
-    global _JUMP
-    if _JUMP is None:
-        columns = []
-        for bit in range(64):
-            s = 1 << bit
-            for _ in range(_LANE):
-                s ^= s >> 12
-                s ^= (s << 25) & _M64
-                s ^= s >> 27
-            columns.append(s)
-        table = []
-        for q in range(16):
-            for v in range(16):
-                jumped = 0
-                for b in range(4):
-                    if v >> b & 1:
-                        jumped ^= columns[4 * q + b]
-                table.append(jumped)
-        _JUMP = table
-    return _JUMP
+    columns = []
+    for bit in range(64):
+        s = 1 << bit
+        for _ in range(_LANE):
+            s ^= s >> 12
+            s ^= (s << 25) & _M64
+            s ^= s >> 27
+        columns.append(s)
+    table = []
+    for q in range(16):
+        for v in range(16):
+            jumped = 0
+            for b in range(4):
+                if v >> b & 1:
+                    jumped ^= columns[4 * q + b]
+            table.append(jumped)
+    return table
 
 
 def _jump(t: list[int], s: int) -> int:

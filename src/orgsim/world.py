@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -23,6 +23,9 @@ from .rng import Rng
 
 DEFAULT_CELL_SIZE = 0.25
 _PATH_SAMPLE_STEP = 0.05  # m; half a module edge, prevents wall tunnelling
+# the most path_clear answers an arena keeps; no pinned workload asks more
+# than about a thousand distinct queries, so none of them evicts one
+PATH_MEMO_SIZE = 4096
 
 
 class TerrainClass(enum.Enum):
@@ -76,6 +79,8 @@ class Arena:
                 raise ConfigError("arena grid rows differ in length")
         if not cell_size > 0:       # NaN included
             raise ConfigError(f"cell_size must be positive, got {cell_size}")
+        if cell_size == math.inf:
+            raise ConfigError(f"cell_size must be finite, got {cell_size}")
         self.cells = cells
         self.width = width
         self.height = len(cells)
@@ -90,10 +95,8 @@ class Arena:
         # summed-area table of obstacle cells, built on the first in-grid
         # rectangle query (see rect_is_open and _wall_table)
         self._walls: list[int] | None = None
-        # path_clear answers of this generation and the one before, keyed by
-        # (x0, y0, x1, y1, id(passable)); see age_path_memo
-        self._paths: dict[tuple, tuple[bool, tuple]] = {}
-        self._paths_old: dict[tuple, tuple[bool, tuple]] = {}
+        # this arena's path answers, least recently asked evicted first
+        self.path_clear = lru_cache(maxsize=PATH_MEMO_SIZE)(self.path_clear)
         self._validate()
         # each valid socket's anchor cell centre, in `sockets` order, which
         # sense_sockets reports as its position
@@ -124,6 +127,8 @@ class Arena:
                                   f"or not a number")
             if not s.rating > 0:
                 raise ConfigError(f"socket {s.id} rating {s.rating} must be positive")
+            if s.rating == math.inf:
+                raise ConfigError(f"socket {s.id} rating {s.rating} must be finite")
         if self.graveyard is not None:
             x0, y0, x1, y1 = self.graveyard
             if not (self.cell_in_bounds(x0, y0) and self.cell_in_bounds(x1, y1)):
@@ -168,34 +173,13 @@ class Arena:
         on a cell whose terrain is not in `passable`, blocks the move.
 
         The grid never changes after validation, so an answer holds for
-        good; answers are remembered for this generation and the last one
-        (see `age_path_memo`). The key takes `passable` by id, which costs
-        no `Enum.__hash__`; each entry holds its tuple, so the id cannot be
-        reused by another tuple while the entry lives. -0.0 and 0.0 share a
-        key, and the sampling answers them alike; a NaN raises before
-        anything is stored.
+        good: each arena keeps the answers to its PATH_MEMO_SIZE latest
+        distinct queries in a `functools.lru_cache`, keyed by value. Equal
+        `passable` tuples share an answer, -0.0 and 0.0 share a key and are
+        sampled alike, and a NaN raises before anything is stored. Each
+        sample's cell is worked out inline, the way `terrain_at` would, and a
+        run of consecutive samples in one cell reads its terrain once.
         """
-        key = (x0, y0, x1, y1, id(passable))
-        hit = self._paths.get(key)
-        if hit is None:
-            hit = self._paths_old.get(key)
-            if hit is None:
-                hit = (self._sample_path(x0, y0, x1, y1, passable), passable)
-            self._paths[key] = hit
-        return hit[0]
-
-    def age_path_memo(self) -> None:
-        """Start a new generation of remembered path answers: the current
-        one becomes the last, and the one before it is dropped. A run calls
-        this once per tick, so the memo holds at most two ticks' queries."""
-        self._paths_old = self._paths
-        self._paths = {}
-
-    def _sample_path(self, x0: float, y0: float, x1: float, y1: float,
-                     passable: tuple[TerrainClass, ...]) -> bool:
-        """The sampling behind path_clear. Each sample's cell is worked out
-        inline, the way `terrain_at` would, and a run of consecutive samples
-        in one cell reads its terrain once."""
         dx, dy = x1 - x0, y1 - y0
         steps = max(1, math.ceil(math.hypot(dx, dy) / _PATH_SAMPLE_STEP))
         size = self.cell_size

@@ -385,6 +385,11 @@ def test_validate_refuses_a_negative_or_nan_contact_range(value):
      "module override edge_length nan must be positive"),
     ("[modules]\nbattery_capacity = nan\n",
      "module override battery_capacity nan must be positive"),
+    ("[modules]\nmass = inf\n", "module override mass inf must be finite"),
+    ("[modules]\nedge_length = inf\n",
+     "module override edge_length inf must be finite"),
+    ("[modules]\nbattery_capacity = inf\n",
+     "module override battery_capacity inf must be finite"),
 ])
 def test_validate_refuses_nan(text, finding):
     assert finding in check(text)
@@ -393,6 +398,7 @@ def test_validate_refuses_nan(text, finding):
 @pytest.mark.parametrize("socket,detail", [
     ("socket 0 1 1 nan 20", "height nan is negative or not a number"),
     ("socket 0 1 1 0.3 nan", "rating nan must be positive"),
+    ("socket 0 1 1 0.3 inf", "rating inf must be finite"),
 ])
 def test_validate_refuses_a_nan_socket(socket, detail):
     room = "#####\n#...#\n#####\n"
@@ -401,10 +407,15 @@ def test_validate_refuses_a_nan_socket(socket, detail):
         f"map does not load: socket 0 {detail}"]
 
 
-def test_validate_refuses_a_nan_cellsize():
+@pytest.mark.parametrize("size,words", [
+    ("nan", "must be positive, got nan"),
+    ("inf", "must be finite, got inf"),
+], ids=["nan", "inf"])
+def test_validate_refuses_a_nan_cellsize(size, words):
+    # seeded spawns: nothing but the arena itself reads the cell size
     findings = check("[roster]\nscout = 1\n",
-                     map_text="cellsize nan\n#####\n#...#\n#####\n")
-    assert findings == ["map does not load: cell_size must be positive, got nan"]
+                     map_text=f"cellsize {size}\n#####\n#...#\n#####\n")
+    assert findings == [f"map does not load: cell_size {words}"]
 
 
 def test_cli_validate_refuses_a_nan_sensing_range(tmp_path, capsys):
@@ -545,13 +556,27 @@ def test_cli_run_reports_a_roster_too_big_for_the_free_cells(tmp_path, capsys):
     ("[roster]", "[energy]\nlock_j = nan\n\n[roster]", "lock_j must be >= 0"),
     ("[roster]", "[energy]\nrecharge_efficiency = 0\n\n[roster]",
      "recharge_efficiency must be in (0, 1]"),
+    ("[roster]", "[energy]\nidle_w = inf\n\n[roster]", "idle_w must be finite"),
+    ("[roster]", "[energy]\nshare_rate_w = inf\n\n[roster]",
+     "share_rate_w must be finite"),
+    ("[roster]", "[energy]\nlock_j = inf\n\n[roster]", "lock_j must be finite"),
+    ("start_fraction = 0.8", "start_fraction = 0.8\nmass = inf",
+     "module override mass inf must be finite"),
+    # the two edits below land in the map, not in the scenario file
+    ("socket 0 4 1 0.2 20", "socket 0 4 1 0.2 inf",
+     "map does not load: socket 0 rating inf must be finite"),
+    ("cellsize 0.25", "cellsize inf",
+     "map does not load: cell_size must be finite, got inf"),
 ], ids=["negative-range", "inf-heading", "off-arena", "no-active-socket",
         "certain-hazard", "spawn-in-wall", "typo-key", "negative-tariff",
-        "nan-tariff", "zero-efficiency"])
+        "nan-tariff", "zero-efficiency", "inf-idle", "inf-share-rate",
+        "inf-lock", "inf-mass", "inf-socket-rating", "inf-cellsize"])
 def test_a_simulation_refuses_what_validation_reports(old, new, finding):
     text = (CONFIG_DIR / "desk_challenge.cfg").read_text()
-    assert old in text
-    cfg = load_scenario(text.replace(old, new), base_dir=CONFIG_DIR)
+    map_text = (CONFIG_DIR / "maps" / "challenge.map").read_text()
+    assert (old in text) != (old in map_text)
+    cfg = load_scenario(text.replace(old, new), base_dir=CONFIG_DIR,
+                        map_text=map_text.replace(old, new))
     assert validate_scenario(cfg) == [finding]
     with pytest.raises(ConfigError) as refused:
         Simulation(cfg)

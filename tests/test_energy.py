@@ -39,13 +39,20 @@ def test_tariff_validation():
     assert Tariff(recharge_efficiency=1.0).recharge_efficiency == 1.0
 
 
-@pytest.mark.parametrize("name", ["idle_w", "coprocessor_w",
-                                  "locomotion_j_per_m_kg",
-                                  "actuation_j_per_nm_rad", "lock_j",
-                                  "share_rate_w", "recharge_efficiency"])
-def test_tariff_refuses_nan(name):
-    with pytest.raises(ValueError, match=name):
-        Tariff(**{name: math.nan})
+_PRICES = ["idle_w", "coprocessor_w", "locomotion_j_per_m_kg",
+           "actuation_j_per_nm_rad", "lock_j", "share_rate_w"]
+
+
+@pytest.mark.parametrize("name,value,words", [
+    *[pytest.param(name, math.nan, name, id=name)
+      for name in [*_PRICES, "recharge_efficiency"]],
+    # an infinite price would fail later, converting joules to picojoules
+    *[pytest.param(name, math.inf, f"^{name} must be finite$",
+                   id=f"{name}-inf") for name in _PRICES],
+])
+def test_tariff_refuses_nan(name, value, words):
+    with pytest.raises(ValueError, match=words):
+        Tariff(**{name: value})
 
 
 def test_idle_draw():

@@ -653,41 +653,26 @@ def test_open_floor_sightlines_are_neither_traced_nor_cached():
     assert walks == 0
 
 
-def test_a_run_keeps_path_answers_for_this_tick_and_the_last():
-    # the arena's path memo holds exactly the queries of the current tick
-    # and of the one before, whatever the run asks
+def test_a_run_samples_each_distinct_path_query_once():
+    # the arena's path memo samples a query the first time any module asks
+    # it, and a run this size evicts nothing
     cfg = load_scenario_file(CONFIG_DIR / "desk_challenge.cfg")
     sim = Simulation(cfg, 11)
     arena = sim.arena
-    path_clear, sample_path = arena.path_clear, arena._sample_path
-    asked: dict[int, set] = {}
-    sampled = 0
+    path_clear = arena.path_clear
+    asked = []
 
-    def recording(x0, y0, x1, y1, passable):
-        asked.setdefault(sim.tick, set()).add((x0, y0, x1, y1, id(passable)))
-        return path_clear(x0, y0, x1, y1, passable)
-
-    def counting(*args):
-        nonlocal sampled
-        sampled += 1
-        return sample_path(*args)
+    def recording(*query):
+        asked.append(query)
+        return path_clear(*query)
 
     arena.path_clear = recording
-    arena._sample_path = counting
-    phase_metrics = sim._phase_metrics
-
-    def metrics_and_check():
-        phase_metrics()
-        assert set(arena._paths) == asked.get(sim.tick, set()), sim.tick
-        assert set(arena._paths_old) == asked.get(sim.tick - 1, set()), sim.tick
-
-    sim._phase_metrics = metrics_and_check
     metrics = sim.run(500)
     assert [metrics.digest, metrics.events] == ["e2fd2665ab52effd", 34]
-    # a query is sampled only when neither this tick nor the last asked it
-    assert sampled == sum(len(keys - asked.get(t - 1, set()))
-                          for t, keys in asked.items())
-    assert len(asked) > 400 and sampled < 50
+    info = path_clear.cache_info()
+    assert info.misses == info.currsize == len(set(asked))
+    assert info.hits == len(asked) - info.misses
+    assert len(asked) > 400 and info.misses < 50
 
 
 def test_a_run_without_observers_builds_no_wall_table():

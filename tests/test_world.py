@@ -10,10 +10,10 @@ from orgsim.errors import ConfigError
 from orgsim.geometry import Pose
 from orgsim.rng import Rng
 from orgsim.robot_model import _ABOVE_GROUND, _TRAVERSABLE
-from orgsim.world import (DEFAULT_CELL_SIZE, Arena, SocketSchedule,
-                          SensedSocket, SocketScheduler, TerrainClass,
-                          arena_from_lines, in_graveyard, in_yard,
-                          parse_arena, sense_sockets)
+from orgsim.world import (DEFAULT_CELL_SIZE, PATH_MEMO_SIZE, Arena,
+                          SocketSchedule, SensedSocket, SocketScheduler,
+                          TerrainClass, arena_from_lines, in_graveyard,
+                          in_yard, parse_arena, sense_sockets)
 from tests.path_reference import PATH_SAMPLE_STEP, reference_path_clear
 
 ROOM = """\
@@ -441,10 +441,15 @@ def test_path_memo_answers_like_the_reference_sampler(data):
     segs += [(0.0, 0.0, 0.1, 0.1), (0.1, 0.0, 0.0, 0.0), (0.0, 0.1, 0.0, 0.1)]
     for seg in segs:
         if data.draw(st.booleans()):
-            arena.age_path_memo()
+            arena.path_clear.cache_clear()
         _assert_memo_matches_sampler(arena, seg)
+        size = arena.path_clear.cache_info().currsize
         _assert_memo_matches_sampler(arena, _signed_zeros(seg))
         _assert_memo_matches_sampler(arena, seg)
+        # signed zeros and equal passable tuples share their entries, and
+        # each distinct query was sampled once
+        info = arena.path_clear.cache_info()
+        assert info.currsize == size == info.misses
 
 
 def test_path_memo_stores_no_answer_for_nan():
@@ -457,27 +462,23 @@ def test_path_memo_stores_no_answer_for_nan():
                 reference_path_clear(*seg, plain, a.terrain_at)
             with pytest.raises(ValueError):
                 a.path_clear(*seg, plain)
-    assert not a._paths and not a._paths_old
+    assert a.path_clear.cache_info().currsize == 0
 
 
-def test_path_memo_keeps_this_generation_and_the_last():
-    a = arena_from_lines(["....", "...."])
-    plain, rough = (TerrainClass.PLAIN,), tuple(list(PASSABLE_SETS[-1]))
-    asked = []
-    for gen in range(5):
-        a.age_path_memo()
-        # overlapping with the last generation, so some answers carry over
-        asked.append({(0.1, 0.1, 0.2 + 0.05 * k, 0.3, id(passable))
-                      for k in range(gen, gen + 3)
-                      for passable in (plain, rough)})
-        for key in sorted(asked[-1]):
-            a.path_clear(*key[:4], plain if key[4] == id(plain) else rough)
-        assert set(a._paths) == asked[-1]
-        assert set(a._paths_old) == (asked[-2] if gen else set())
-        # each entry holds its passable tuple, so its id stays unique
-        assert all(held is not None and id(held) == key[4]
-                   for memo in (a._paths, a._paths_old)
-                   for key, (_, held) in memo.items())
+def test_path_memo_keeps_at_most_maxsize_answers():
+    a = arena_from_lines(["..#.",
+                          "r..."])
+    plain = (TerrainClass.PLAIN,)
+    assert a.path_clear.cache_parameters()["maxsize"] == PATH_MEMO_SIZE
+    n = PATH_MEMO_SIZE + 100
+    segs = [(0.1, 0.1, 0.9 * k / n, 0.45 * (k % 7) / 7) for k in range(n)]
+    # the first hundred queries are evicted, then asked again
+    for seg in segs + segs[:100]:
+        assert a.path_clear(*seg, plain) == reference_path_clear(
+            *seg, plain, a.terrain_at), seg
+    info = a.path_clear.cache_info()
+    assert info.currsize == PATH_MEMO_SIZE
+    assert (info.misses, info.hits) == (n + 100, 0)
 
 
 def test_walkable_cells_row_major():

@@ -130,14 +130,17 @@ def assigned_slot(module_id: int, sockets: list[SensedSocket],
 class _Controller:
     """Base of the baseline controllers. A controller serves one module
     and holds its ModuleSpec, the hardware envelope it drives and docks by:
-    speed, drive kind and edge length."""
+    speed, drive kind and edge length. A class that draws random numbers
+    sets `draws_noise`; only such a class is handed a noise stream, the
+    others get None."""
 
+    draws_noise = False
     _slot_sockets: tuple[SensedSocket, ...] | None = None
     _slot: StackSlot | None = None
     # the last servo call: (pose, tx, ty, target_heading, dt, its Drive)
     _servo_memo: tuple | None = None
 
-    def __init__(self, module_id: int, spec: ModuleSpec, rng: Rng,
+    def __init__(self, module_id: int, spec: ModuleSpec, rng: Rng | None,
                  params: dict | None = None):
         self.module_id = module_id
         self.spec = spec
@@ -184,7 +187,7 @@ class SeekEnergyController(_Controller):
     its assignment unplugs one face per tick until free to walk again.
     """
 
-    def __init__(self, module_id: int, spec: ModuleSpec, rng: Rng,
+    def __init__(self, module_id: int, spec: ModuleSpec, rng: Rng | None,
                  params: dict | None = None):
         super().__init__(module_id, spec, rng)
         p = params or {}
@@ -263,6 +266,8 @@ class AggregateController(_Controller):
 
 class ExploreController(_Controller):
     """Random waypoint wandering; the only stochastic baseline behavior."""
+
+    draws_noise = True
 
     def __init__(self, module_id: int, spec: ModuleSpec, rng: Rng,
                  params: dict | None = None):
@@ -423,7 +428,9 @@ REGISTRY = {
 def build_controllers(names, module_id: int, spec: ModuleSpec, rng: Rng,
                       params: dict | None = None) -> dict:
     """Instantiate named controllers for one module, in the given order,
-    each holding the module's own ModuleSpec."""
+    each holding the module's own ModuleSpec. A controller class that
+    draws gets the substream `<name>/<module_id>` of `rng`; the others get
+    None, so no stream is derived for them."""
     out = {}
     for name in names:
         factory = REGISTRY.get(name)
@@ -431,5 +438,6 @@ def build_controllers(names, module_id: int, spec: ModuleSpec, rng: Rng,
             raise ConfigError(f"unknown controller {name!r}; "
                               f"known: {', '.join(sorted(REGISTRY))}")
         out[name] = factory(module_id, spec,
-                            rng.substream(f"{name}/{module_id}"), params)
+                            rng.substream(f"{name}/{module_id}")
+                            if factory.draws_noise else None, params)
     return out

@@ -26,6 +26,10 @@ _CLASS_KEYS = {
     "active_wheel": ModuleClass.ACTIVE_WHEEL,
 }
 
+# the order in which a roster's classes take their dense ids
+ROSTER_ORDER = (ModuleClass.SCOUT, ModuleClass.BACKBONE,
+                ModuleClass.ACTIVE_WHEEL)
+
 _KNOWN_KEYS = {
     "run": {"name", "days", "dt", "seed"},
     "arena": {"map"},
@@ -93,13 +97,15 @@ class ScenarioConfig:
         return sum(self.roster.values())
 
     def class_of(self, module_id: int) -> ModuleClass:
-        """Ids are dense and 0-based: scouts first, backbones, then wheels."""
+        """Ids are dense and 0-based: scouts first, backbones, then wheels
+        (ROSTER_ORDER). A negative id, like one past the roster, raises
+        ValueError."""
         n = module_id
-        for mc in (ModuleClass.SCOUT, ModuleClass.BACKBONE,
-                   ModuleClass.ACTIVE_WHEEL):
-            if n < self.roster.get(mc, 0):
-                return mc
-            n -= self.roster.get(mc, 0)
+        if n >= 0:
+            for mc in ROSTER_ORDER:
+                if n < self.roster.get(mc, 0):
+                    return mc
+                n -= self.roster.get(mc, 0)
         raise ValueError(f"module id {module_id} beyond roster")
 
     def controllers_for(self, mc: ModuleClass) -> list[str]:

@@ -33,6 +33,7 @@ class Face(enum.Enum):
 _FACE_OFFSET = {"N": 0.0, "E": 270.0, "S": 180.0, "W": 90.0}
 
 FACES = (Face.NORTH, Face.EAST, Face.SOUTH, Face.WEST)
+_NORTH, _EAST, _SOUTH, _WEST = FACES
 
 
 class DockPhase(enum.Enum):
@@ -64,7 +65,9 @@ class DockPort:
 
 
 def make_ports(owner: int) -> list[DockPort]:
-    return [DockPort(owner=owner, face=f) for f in FACES]
+    """A module's four free, unpeered ports in FACES order."""
+    return [DockPort(owner, _NORTH), DockPort(owner, _EAST),
+            DockPort(owner, _SOUTH), DockPort(owner, _WEST)]
 
 
 @dataclass(frozen=True)

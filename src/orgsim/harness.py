@@ -19,7 +19,8 @@ from operator import attrgetter
 from pathlib import Path
 
 from .behaviors import build_controllers
-from .config import ScenarioConfig, load_scenario, scenario_findings
+from .config import (ROSTER_ORDER, ScenarioConfig, load_scenario,
+                     scenario_findings)
 from .control import (ActionProposal, Actuate, Dock, Drive, GuardContext, Idle,
                       InteractionChannel, Mailbox, MessageBus, Observation,
                       Recharge, Rejected, ToggleCoprocessor, Tow, Undock,
@@ -193,7 +194,6 @@ class Simulation:
         self._spawn_modules()
 
         self.bus = MessageBus(cfg.radio_range_m)
-        self._mailboxes = {i: Mailbox(self.bus, i) for i in self.states}
         self.registry = OrganismRegistry()
         self.pairs: dict[tuple, _Pairing] = {}
         self.visited: set[tuple[int, int]] = set()
@@ -217,44 +217,49 @@ class Simulation:
         # only their Dock actions open pairings
         self._sight: Sight | None = None
         self._interaction: list[InteractionChannel | None] = []
-
-        self._walkable_count = len(self.arena.walkable_cells())
+        # each observer's radio mailbox, made by run()
+        self._mailboxes: dict[int, Mailbox] = {}
 
     # -- setup ------------------------------------------------------------
 
     def _spawn_modules(self) -> None:
+        """Ids run dense through the roster in ROSTER_ORDER. A class's
+        ModuleSpec and controller names are worked out once and shared by
+        its modules; each module gets its own state, ports and controllers."""
         cfg = self.cfg
-        n = cfg.module_count
-        spawn_cells = None
-        if cfg.spawn_mode == "seeded":
+        fixed = cfg.spawn_mode == "fixed"
+        if not fixed:
             cells = self.arena.free_cells()
             self._rng_placement.shuffle(cells)
-            spawn_cells = cells[:n]
-
-        for i in range(n):
-            mc = cfg.class_of(i)
-            spec = make_module_spec(mc, cfg.module_overrides or None)
-            self.specs[i] = spec
-            if cfg.spawn_mode == "fixed":
-                sp = cfg.fixed_spawns[i]
-                frac = cfg.start_fraction if sp.battery is None else sp.battery
-                st = new_module_state(i, spec, Pose(sp.x, sp.y, sp.heading),
-                                      battery_fraction=frac)
-                if sp.health is not None:
-                    st.health = sp.health
-                    if sp.health is Health.ENERGY_DEAD:
-                        st.battery_pj = 0
-            else:
-                cx, cy = spawn_cells[i]
-                px, py = self.arena.cell_center(cx, cy)
-                heading = self._rng_placement.uniform(0.0, 360.0)
-                st = new_module_state(i, spec, Pose(px, py, heading),
-                                      battery_fraction=cfg.start_fraction)
-            self.states[i] = st
-            self.ledger.note_initial(st.battery_pj)
+        overrides = cfg.module_overrides or None
+        first = 0
+        for mc in ROSTER_ORDER:
+            count = cfg.roster.get(mc, 0)
+            if not count:
+                continue
+            spec = make_module_spec(mc, overrides)
             names = cfg.controllers_for(mc)
-            self.controllers[i] = build_controllers(
-                names, i, spec, self._rng_noise, cfg.controller_params)
+            for i in range(first, first + count):
+                if fixed:
+                    sp = cfg.fixed_spawns[i]
+                    frac = cfg.start_fraction if sp.battery is None else sp.battery
+                    st = new_module_state(i, spec, Pose(sp.x, sp.y, sp.heading),
+                                          frac)
+                    if sp.health is not None:
+                        st.health = sp.health
+                        if sp.health is _ENERGY_DEAD:
+                            st.battery_pj = 0
+                else:
+                    px, py = self.arena.cell_center(*cells[i])
+                    heading = self._rng_placement.uniform(0.0, 360.0)
+                    st = new_module_state(i, spec, Pose(px, py, heading),
+                                          cfg.start_fraction)
+                self.specs[i] = spec
+                self.states[i] = st
+                self.ledger.note_initial(st.battery_pj)
+                self.controllers[i] = build_controllers(
+                    names, i, spec, self._rng_noise, cfg.controller_params)
+            first += count
 
     def _write_header(self, total_ticks: int) -> None:
         self.log.raw(f"# {LOG_VERSION}")
@@ -293,6 +298,7 @@ class Simulation:
             self._sight = Sight(self.arena, self.cfg.sensing_range_m,
                                 len(self.states), observers)
             self._interaction = [None] * len(self.states)
+            self._mailboxes = {i: Mailbox(self.bus, i) for i in observers}
         started = time.perf_counter()
         for _ in range(total):
             self.tick += 1
@@ -627,7 +633,7 @@ class Simulation:
                 msgs=self.bus.posted)
 
     def _coverage(self) -> float:
-        total = self._walkable_count
+        total = self.arena.walkable_count
         return len(self.visited) / total if total else 0.0
 
     def _invariant_scan(self) -> None:

@@ -141,6 +141,10 @@ _TRAVERSABLE = {
 # a carried module rides clear of the floor; only solid walls stop it
 _ABOVE_GROUND = tuple(t for t in TerrainClass if t is not TerrainClass.OBSTACLE)
 
+# bound once: an Enum class attribute lookup goes through a slow-path
+# __getattr__ on CPython 3.11
+_OK = Health.OK
+
 
 @dataclass(slots=True)
 class ModuleState:
@@ -184,15 +188,11 @@ def new_module_state(module_id: int, spec: ModuleSpec, pose: Pose,
     if not 0.0 <= battery_fraction <= 1.0:
         raise ConfigError(f"battery fraction {battery_fraction} outside [0, 1]")
     cap_pj = to_pj(spec.battery_capacity)
-    return ModuleState(
-        id=module_id,
-        module_class=spec.module_class,
-        pose=pose,
-        battery_pj=round(cap_pj * battery_fraction),
-        capacity_pj=cap_pj,
-        joint_angles=[0.0] * spec.dof_count,
-        ports=make_ports(module_id),
-    )
+    # positional, in field order: id, module_class, pose, battery_pj,
+    # capacity_pj, health, joint_angles, ports
+    return ModuleState(module_id, spec.module_class, pose,
+                       round(cap_pj * battery_fraction), cap_pj, _OK,
+                       [0.0] * spec.dof_count, make_ports(module_id))
 
 
 # -- locomotion -----------------------------------------------------------

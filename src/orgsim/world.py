@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ConfigError
 from .geometry import Pose
@@ -98,6 +98,9 @@ class Arena:
         # this arena's path answers, least recently asked evicted first
         self.path_clear = lru_cache(maxsize=PATH_MEMO_SIZE)(self.path_clear)
         self._validate()
+        # counted without building the cell list, so that no per-cell list
+        # is made or stays resident
+        self.walkable_count = sum(1 for _ in self._walkable())
         # each valid socket's anchor cell centre, in `sockets` order, which
         # sense_sockets reports as its position
         self.socket_centres = [self.cell_center(*s.cell) for s in self.sockets]
@@ -199,9 +202,15 @@ class Arena:
                 last_cx, last_cy = cx, cy
         return True
 
+    def _walkable(self) -> Iterator[tuple[int, int]]:
+        """The cells that are not walls, in row order: the one rule that
+        walkable_cells, free_cells and walkable_count share."""
+        wall = TerrainClass.OBSTACLE
+        return ((cx, cy) for cy, row in enumerate(self.cells)
+                for cx, terrain in enumerate(row) if terrain is not wall)
+
     def walkable_cells(self) -> list[tuple[int, int]]:
-        return [(cx, cy) for cy in range(self.height) for cx in range(self.width)
-                if self.cells[cy][cx] is not TerrainClass.OBSTACLE]
+        return list(self._walkable())
 
     def free_cells(self) -> list[tuple[int, int]]:
         """The walkable cells outside the graveyard, in row order: where a
@@ -209,7 +218,7 @@ class Arena:
         if self.graveyard is None:
             return self.walkable_cells()
         x0, y0, x1, y1 = self.graveyard
-        return [(cx, cy) for cx, cy in self.walkable_cells()
+        return [(cx, cy) for cx, cy in self._walkable()
                 if not (x0 <= cx <= x1 and y0 <= cy <= y1)]
 
     # -- line of sight ----------------------------------------------------

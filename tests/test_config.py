@@ -301,8 +301,9 @@ def test_class_of_is_dense_by_declaration_order():
     got = [cfg.class_of(i) for i in range(4)]
     assert got == [ModuleClass.SCOUT, ModuleClass.SCOUT,
                    ModuleClass.BACKBONE, ModuleClass.ACTIVE_WHEEL]
-    with pytest.raises(ValueError, match="beyond roster"):
-        cfg.class_of(4)
+    for bad in (4, -1, -100):     # a negative id is no more a module
+        with pytest.raises(ValueError, match="beyond roster"):
+            cfg.class_of(bad)
 
 
 def test_controllers_for_falls_back_to_all():

@@ -12,14 +12,14 @@ from orgsim.config import load_scenario, load_scenario_file
 from orgsim.control import (ActionProposal, Actuate, Dock, Drive,
                             InteractionChannel, InternalChannel, LocalChannel,
                             Observation, SelfChannel, ToggleCoprocessor)
-from orgsim.docking import DockPhase, Face, undock
+from orgsim.docking import FACES, DockPhase, Face, undock
 from orgsim.errors import ConfigError, InvariantBreach, ReplayError
 from orgsim.geometry import Pose
 from orgsim.harness import (EventLog, RunMetrics, Simulation, replay_file,
                             replay_log, run_scenario, sweep)
 from orgsim.organism import reach_height
 from orgsim.rng import _BLOCK, Rng, fnv1a64
-from orgsim.robot_model import Health
+from orgsim.robot_model import Health, make_module_spec, to_pj
 from orgsim.sensing import SensedModule, SensedModules
 from orgsim.world import SensedSocket, TerrainClass
 
@@ -984,6 +984,89 @@ def test_every_stock_controller_holds_its_module_s_spec():
     assert len(held) == 8 * 3 + 2 * 4       # the wheels also run disposal
     assert all(spec is sim.specs[i] for i, spec in held)
     assert {spec.edge_length for _, spec in held} == {0.15}
+
+
+def _spawn_by_the_recipe(cfg, arena, seed):
+    """Each module's pose, battery fraction and health, worked out here
+    from the documented recipe: a seeded run shuffles the free cells by
+    Fisher-Yates over the placement stream, then draws one heading per
+    module in id order."""
+    placement = Rng(seed).substream("placement")
+    cells = arena.free_cells()
+    if cfg.spawn_mode == "seeded":
+        for k in range(len(cells) - 1, 0, -1):
+            j = placement.randrange(k + 1)
+            cells[k], cells[j] = cells[j], cells[k]
+    out = []
+    for i in range(cfg.module_count):
+        if cfg.spawn_mode == "fixed":
+            sp = cfg.fixed_spawns[i]
+            out.append((Pose(sp.x, sp.y, sp.heading),
+                        cfg.start_fraction if sp.battery is None else sp.battery,
+                        sp.health or Health.OK))
+        else:
+            px, py = arena.cell_center(*cells[i])
+            out.append((Pose(px, py, placement.uniform(0.0, 360.0)),
+                        cfg.start_fraction, Health.OK))
+    return out
+
+
+@pytest.mark.parametrize("scenario", sorted(
+    p.stem for p in CONFIG_DIR.glob("*.cfg")))
+def test_construction_builds_every_module_by_the_recipe(scenario):
+    cfg = load_scenario_file(CONFIG_DIR / f"{scenario}.cfg")
+    sim = Simulation(cfg)
+    spawns = _spawn_by_the_recipe(cfg, sim.arena, cfg.seed)
+    assert list(sim.states) == list(range(cfg.module_count))
+    shared = {}
+    for i, st_ in sim.states.items():
+        mc = cfg.class_of(i)
+        spec = sim.specs[i]
+        assert st_.module_class is spec.module_class is mc
+        assert spec == make_module_spec(mc, cfg.module_overrides or None)
+        assert shared.setdefault(mc, spec) is spec      # one per class
+        pose, fraction, health = spawns[i]
+        assert st_.pose == pose
+        cap = to_pj(spec.battery_capacity)
+        assert st_.capacity_pj == cap
+        assert st_.battery_pj == (0 if health is Health.ENERGY_DEAD
+                                  else round(cap * fraction))
+        assert st_.health is health
+        assert st_.joint_angles == [0.0] * spec.dof_count
+        assert [(p.owner, p.face, p.phase, p.peer) for p in st_.ports] == [
+            (i, face, DockPhase.FREE, None) for face in FACES]
+        ctls = sim.controllers[i]
+        assert list(ctls) == cfg.controllers_for(mc)
+        for name, ctl in ctls.items():
+            assert ctl.spec is spec
+            if name == "explore":
+                want = Rng(cfg.seed).substream("noise").substream(
+                    f"explore/{i}")
+                assert (ctl.rng.label, ctl.rng._s) == (want.label, want._s)
+            else:
+                assert not hasattr(ctl, "rng")
+    # the run hands a mailbox to each live module with controllers only
+    sim.run(0)
+    assert set(sim._mailboxes) == {i for i, c in sim.controllers.items()
+                                   if c and sim.states[i].health is Health.OK}
+    assert all(box.sender == i for i, box in sim._mailboxes.items())
+
+
+def test_simulations_with_other_overrides_carry_their_own_specs():
+    text = (CONFIG_DIR / "desk_challenge.cfg").read_text()
+
+    def with_mass(mass):
+        return load_scenario(
+            text.replace("start_fraction = 0.8",
+                         f"start_fraction = 0.8\nmass = {mass}"),
+            base_dir=CONFIG_DIR)
+
+    light = Simulation(with_mass(0.5))
+    heavy = Simulation(with_mass(2.0))
+    assert {spec.mass for spec in light.specs.values()} == {0.5}
+    assert {spec.mass for spec in heavy.specs.values()} == {2.0}
+    assert not ({id(spec) for spec in light.specs.values()}
+                & {id(spec) for spec in heavy.specs.values()})
 
 
 def test_a_wider_edge_locks_every_pairing_that_aligns():

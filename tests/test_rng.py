@@ -210,6 +210,24 @@ def test_shuffle_is_permutation_and_deterministic():
     assert a != items  # astronomically unlikely to be identity
 
 
+def _fisher_yates(rng: Rng, items: list) -> None:
+    # the recipe shuffle follows, built from randrange
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+# lengths up to 700 cover a seeded spawn on the hazard map (~540 free cells)
+@given(st.integers(0, M64), st.integers(0, 700))
+def test_shuffle_is_fisher_yates_over_randrange(seed, n):
+    got, want = list(range(n)), list(range(n))
+    r, twin = Rng(seed, "placement"), Rng(seed, "placement")
+    r.shuffle(got)
+    _fisher_yates(twin, want)
+    assert got == want
+    assert r._s == twin._s
+
+
 @given(st.integers(0, M64), st.lists(st.integers(), min_size=1, max_size=40))
 def test_choice_indexes_by_one_randrange(seed, seq):
     r, twin = Rng(seed, "pick"), Rng(seed, "pick")

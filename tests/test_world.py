@@ -100,9 +100,11 @@ def test_free_cells_leave_out_walls_and_the_graveyard(room):
     assert free == [c for c in room.walkable_cells()
                     if c not in {(1, 4), (2, 4)}]
     assert len(free) == 7 * 4 - 1 - 2           # floor less pillar and yard
+    assert room.walkable_count == len(free) + 2  # the yard is walkable
     no_grave = parse_arena("..\n#.")
     assert no_grave.free_cells() == no_grave.walkable_cells() == [
         (0, 0), (1, 0), (1, 1)]
+    assert no_grave.walkable_count == 3
 
 
 def test_graveyard_must_fill_its_rectangle():

@@ -6,7 +6,7 @@ corpse stops counting as an obstacle to its own funeral.
 
 from orgsim.config import load_scenario_file
 from orgsim.harness import Simulation
-from orgsim.world import in_graveyard
+from orgsim.world import in_yard
 
 
 def main():
@@ -24,7 +24,7 @@ def main():
 
     body = sim.states[0]
     print(f"\ncorpse finished at ({body.pose.x:.2f}, {body.pose.y:.2f}); "
-          f"in graveyard: {in_graveyard(sim.arena, body.pose.x, body.pose.y)}")
+          f"in graveyard: {in_yard(sim.arena.yard, body.pose.x, body.pose.y)}")
     print(f"disposed {metrics.disposed}, tasks still open {metrics.tasks_open}")
 
 

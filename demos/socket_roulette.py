@@ -12,12 +12,12 @@ from orgsim.world import SocketSchedule, SocketScheduler
 
 def main():
     cfg = load_scenario_file("configs/desk_challenge.cfg")
-    arena = cfg.build_arena()
+    arena = cfg.arena
     sched = SocketScheduler(
         SocketSchedule(cfg.dwell_min, cfg.dwell_max, cfg.active_count),
-        arena.sockets, Rng(cfg.seed).substream("schedule"))
+        [s.id for s in arena.sockets], Rng(cfg.seed).substream("schedule"))
 
-    live = sorted(s.id for s in arena.sockets if s.active)
+    live = [sid for sid, on in sched.active.items() if on]
     print(f"{len(arena.sockets)} sockets, {cfg.active_count} live at once, "
           f"dwell {cfg.dwell_min}..{cfg.dwell_max} ticks")
     print(f"tick {0:6d}: live {live}")
@@ -31,7 +31,7 @@ def main():
         for sid, active in changes:
             print(f"tick {tick:6d} ({hours:4.1f} h): socket {sid} "
                   f"{'on' if active else 'off'}")
-        live = sorted(s.id for s in arena.sockets if s.active)
+        live = [sid for sid, on in sched.active.items() if on]
         print(f"{'':>21s}live {live}")
         assert len(live) == cfg.active_count
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 from .behaviors import EMERGENCY_FRACTION, REGISTRY
@@ -96,22 +97,14 @@ class ScenarioConfig:
     def module_count(self) -> int:
         return sum(self.roster.values())
 
-    def class_of(self, module_id: int) -> ModuleClass:
-        """Ids are dense and 0-based: scouts first, backbones, then wheels
-        (ROSTER_ORDER). A negative id, like one past the roster, raises
-        ValueError."""
-        n = module_id
-        if n >= 0:
-            for mc in ROSTER_ORDER:
-                if n < self.roster.get(mc, 0):
-                    return mc
-                n -= self.roster.get(mc, 0)
-        raise ValueError(f"module id {module_id} beyond roster")
-
     def controllers_for(self, mc: ModuleClass) -> list[str]:
         return self.controllers_by_class.get(mc, self.controllers_all)
 
-    def build_arena(self) -> Arena:
+    @cached_property
+    def arena(self) -> Arena:
+        """The map, parsed on first use and shared by every run of this
+        config: validation and each run, sweep seeds included. A map that
+        does not parse raises ConfigError on each use."""
         try:
             return parse_arena(self.map_text)
         except ConfigError as exc:
@@ -292,18 +285,13 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Semantic checks beyond what parsing already enforced.
 
     Returns human-readable findings; an empty list means the scenario is
-    runnable. Unknown keys found during parsing are included.
+    runnable. Unknown keys found during parsing are included. A
+    `Simulation` refuses a config with any.
     """
     try:
-        arena = cfg.build_arena()
+        arena = cfg.arena
     except ConfigError as exc:
         return [*cfg.findings, str(exc)]
-    return scenario_findings(cfg, arena)
-
-
-def scenario_findings(cfg: ScenarioConfig, arena: Arena) -> list[str]:
-    """The findings of `validate_scenario` for a config whose map already
-    built `arena`. A `Simulation` refuses a config with any."""
     findings = list(cfg.findings)
     n = cfg.module_count
     if n == 0:

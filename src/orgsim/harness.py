@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .behaviors import build_controllers
 from .config import (ROSTER_ORDER, ScenarioConfig, load_scenario,
-                     scenario_findings)
+                     validate_scenario)
 from .control import (ActionProposal, Actuate, Dock, Drive, GuardContext, Idle,
                       InteractionChannel, Mailbox, MessageBus, Observation,
                       Recharge, Rejected, ToggleCoprocessor, Tow, Undock,
@@ -156,11 +156,15 @@ class _Pairing:
 class Simulation:
     """One seeded scenario run. Construct, then call run() exactly once.
     Construction refuses a scenario with validation findings: it raises
-    ConfigError with `validate_scenario`'s findings joined by "; "."""
+    ConfigError with `validate_scenario`'s findings joined by "; ".
+
+    The run reads the config's one parsed arena, shared with every other
+    run of the config, and keeps its own socket flags in `socket_active`
+    (socket id -> on, in id order)."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int | None = None):
-        self.arena = cfg.build_arena()
-        findings = scenario_findings(cfg, self.arena)
+        self.arena = cfg.arena
+        findings = validate_scenario(cfg)
         if findings:
             raise ConfigError("; ".join(findings))
         self.cfg = cfg
@@ -175,14 +179,15 @@ class Simulation:
         self._rng_noise = master.substream("noise")
         self._rng_placement = master.substream("placement")
 
+        socket_ids = [s.id for s in self.arena.sockets]
         self.scheduler: SocketScheduler | None = None
         if cfg.schedule_mode == "rotating":
             self.scheduler = SocketScheduler(
                 SocketSchedule(cfg.dwell_min, cfg.dwell_max, cfg.active_count),
-                self.arena.sockets, master.substream("schedule"))
+                socket_ids, master.substream("schedule"))
+            self.socket_active = self.scheduler.active
         else:
-            for s in self.arena.sockets:
-                s.active = True
+            self.socket_active = dict.fromkeys(socket_ids, True)
 
         self.specs = {}
         self.states: dict[int, ModuleState] = {}
@@ -272,9 +277,9 @@ class Simulation:
             self.log.event(0, i, "spawn", cls=st.module_class.value,
                            x=st.pose.x, y=st.pose.y, heading=st.pose.heading,
                            battery=st.battery, health=st.health.value)
-        for s in self.arena.sockets:
-            if s.active:
-                self.log.event(0, -1, "socket", id=s.id, active=True)
+        for sid, on in self.socket_active.items():
+            if on:
+                self.log.event(0, -1, "socket", id=sid, active=True)
 
     # -- the tick pipeline ------------------------------------------------
 
@@ -295,8 +300,9 @@ class Simulation:
         observers = tuple([st.id for st in self._live
                            if self.controllers[st.id]])
         if observers:
-            self._sight = Sight(self.arena, self.cfg.sensing_range_m,
-                                len(self.states), observers)
+            self._sight = Sight(self.arena, self.socket_active,
+                                self.cfg.sensing_range_m, len(self.states),
+                                observers)
             self._interaction = [None] * len(self.states)
             self._mailboxes = {i: Mailbox(self.bus, i) for i in observers}
         started = time.perf_counter()
@@ -479,7 +485,8 @@ class Simulation:
         socket = self.arena.socket_by_id(socket_id)
         px, py = self.arena.cell_center(*socket.cell)
         res = recharge(
-            st, socket_active=socket.active, socket_rating_w=socket.rating,
+            st, socket_active=self.socket_active[socket_id],
+            socket_rating_w=socket.rating,
             socket_height=socket.height,
             reach_m=self._reach_of(i, org),
             distance_m=math.hypot(st.pose.x - px, st.pose.y - py),

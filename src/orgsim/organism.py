@@ -236,36 +236,40 @@ def _longest_chain(adj: dict[int, list[int]], pivot: int, limit: int,
     through it could be lifted either. The walk ends once a chain is as
     long as any could be."""
     limit = min(limit, len(adj) - 1)
+    if limit == 0:
+        return ()
     edge = specs[pivot].edge_length if specs is not None else 0.0
     path: list[int] = []
     on_path = {pivot}
     best: list[int] = []
-
-    def walk(node: int, torque: float) -> None:
-        nonlocal best
-        if len(path) > len(best):
-            best = path[:]
-        if len(path) == limit:
-            return
-        link = len(path) + 1
-        for nxt in adj[node]:
+    # the recursion of the walk, unrolled: one (neighbours left, torque so
+    # far) frame per module on the path, pivot first, so that no closure
+    # ties the walk into a reference cycle
+    frames = [(iter(adj[pivot]), 0.0)]
+    while frames:
+        neighbours, torque = frames[-1]
+        link = len(frames)      # `nxt` would be link `link` of the chain
+        for nxt in neighbours:
             if nxt in on_path:
                 continue
             t = torque
             if specs is not None:
-                # link `link` of the chain, in lift_torque_nm's term order
+                # in lift_torque_nm's term order
                 t += specs[nxt].mass * G * link * edge
                 if t > max_torque:
                     continue
             path.append(nxt)
             on_path.add(nxt)
-            walk(nxt, t)
-            on_path.discard(nxt)
-            path.pop()
-            if len(best) == limit:
-                return
-
-    walk(pivot, 0.0)
+            if len(path) > len(best):
+                best = path[:]
+                if len(best) == limit:
+                    return tuple(best)
+            frames.append((iter(adj[nxt]), t))
+            break
+        else:
+            frames.pop()
+            if path:
+                on_path.discard(path.pop())
     return tuple(best)
 
 

@@ -106,16 +106,18 @@ class Sight:
     the last refresh;
     `dist`, the flat n x n table whose entry j * n + k is the distance
     between modules j and k when in range and in line of sight, else None
-    (None for j == k); each live observer's sensed sockets; and the local
-    channel its last observation handed out, which goes stale on a move, a
-    socket toggle or a death. `table` and `unwell`, shared by one decide
+    (None for j == k); each live observer's sensed sockets, read with the
+    run's socket flags `active` (socket id -> on); and the local channel its
+    last observation handed out, which goes stale on a move, a socket toggle
+    or a death. `table` and `unwell`, shared by one decide
     phase's local channels, hold (module_class, pose, health) per id and
     the ids whose health is not OK.
     """
 
-    def __init__(self, arena, range_m: float, n: int,
+    def __init__(self, arena, active: dict[int, bool], range_m: float, n: int,
                  observers: tuple[int, ...]):
         self.arena = arena
+        self.active = active
         self.range_m = range_m
         self.observers = observers          # live ids with controllers
         self.poses: list[Pose | None] = [None] * n
@@ -203,12 +205,14 @@ class Sight:
                 dist[j * n:(j + 1) * n] = row
                 dist[j::n] = row
 
-        actives = tuple([s.active for s in arena.sockets])
+        active = self.active
+        actives = tuple(active.values())
         toggled = actives != self.actives
         self.actives = actives
         for i in (observers if toggled
                   else set(moved).intersection(observers)):
-            self.sockets[i] = tuple(sense_sockets(poses[i], range_m, arena))
+            self.sockets[i] = tuple(sense_sockets(poses[i], range_m, arena,
+                                                  active))
         if moved or deaths != self.deaths:
             states = states.values()
             self.table = tuple([(st.module_class, st.pose, st.health)

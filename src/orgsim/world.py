@@ -54,7 +54,6 @@ class Socket:
     cell: tuple[int, int]
     height: float  # metres above the floor
     rating: float  # watts while active
-    active: bool = False
     approach_deg: float = 0.0  # wall into the room; set by Arena validation
 
 
@@ -66,6 +65,11 @@ class Arena:
     modules. Every socket anchor must sit on a walkable cell that touches an
     obstacle cell, because sockets are mounted on walls; validation stores
     on each socket the direction pointing from its wall into the room.
+
+    Nothing changes an arena once it is validated: its lazy wall-count table
+    and its `path_clear` memo are pure functions of the grid. A loaded
+    scenario parses its map once, and every run of it shares that arena;
+    which sockets are on belongs to each run (see SocketScheduler).
     """
 
     def __init__(self, cells: list[list[TerrainClass]], sockets: list[Socket],
@@ -204,19 +208,16 @@ class Arena:
 
     def _walkable(self) -> Iterator[tuple[int, int]]:
         """The cells that are not walls, in row order: the one rule that
-        walkable_cells, free_cells and walkable_count share."""
+        free_cells and walkable_count share."""
         wall = TerrainClass.OBSTACLE
         return ((cx, cy) for cy, row in enumerate(self.cells)
                 for cx, terrain in enumerate(row) if terrain is not wall)
-
-    def walkable_cells(self) -> list[tuple[int, int]]:
-        return list(self._walkable())
 
     def free_cells(self) -> list[tuple[int, int]]:
         """The walkable cells outside the graveyard, in row order: where a
         seeded run places its modules."""
         if self.graveyard is None:
-            return self.walkable_cells()
+            return list(self._walkable())
         x0, y0, x1, y1 = self.graveyard
         return [(cx, cy) for cx, cy in self._walkable()
                 if not (x0 <= cx <= x1 and y0 <= cy <= y1)]
@@ -370,12 +371,6 @@ def parse_arena(text: str) -> Arena:
     return Arena(cells, sockets, graveyard, cell_size)
 
 
-def arena_from_lines(rows: list[str],
-                     cell_size: float = DEFAULT_CELL_SIZE) -> Arena:
-    """Test and demo helper: build an arena from grid strings directly."""
-    return parse_arena(f"cellsize {cell_size}\n" + "\n".join(rows))
-
-
 # -- socket schedule ------------------------------------------------------
 
 
@@ -397,33 +392,30 @@ class SocketSchedule:
 
 
 class SocketScheduler:
-    """Drives socket active flags tick by tick, deterministically per seed.
+    """Drives one run's socket on/off flags tick by tick, deterministically
+    per seed: `active` maps each socket id to its flag, in id order.
 
     When an active socket's dwell expires it switches off and a pseudo-random
     inactive socket switches on with a fresh dwell, keeping the active count
     constant. With every socket active the expiring one simply renews.
     """
 
-    def __init__(self, schedule: SocketSchedule, sockets: list[Socket], rng: Rng):
-        if schedule.active_count > len(sockets):
+    def __init__(self, schedule: SocketSchedule, socket_ids, rng: Rng):
+        self.active: dict[int, bool] = dict.fromkeys(sorted(socket_ids), False)
+        if schedule.active_count > len(self.active):
             raise ConfigError(
                 f"active_count {schedule.active_count} exceeds "
-                f"{len(sockets)} sockets")
+                f"{len(self.active)} sockets")
         self.schedule = schedule
-        self.sockets = sorted(sockets, key=lambda s: s.id)
-        self._by_id = {s.id: s for s in self.sockets}
         self.rng = rng
         self._expiry: dict[int, int] = {}
-        for s in self.sockets:
-            s.active = False
-        pool = [s.id for s in self.sockets]
+        pool = list(self.active)
         for _ in range(schedule.active_count):
             sid = pool.pop(self.rng.randrange(len(pool)))
             self._activate(sid, 0)
 
     def _activate(self, sid: int, tick: int) -> None:
-        s = self._by_id[sid]
-        s.active = True
+        self.active[sid] = True
         dwell = self.rng.randint(self.schedule.dwell_min, self.schedule.dwell_max)
         self._expiry[sid] = tick + dwell
 
@@ -433,11 +425,11 @@ class SocketScheduler:
         expired = sorted(sid for sid, t in self._expiry.items() if t <= tick)
         for sid in expired:
             del self._expiry[sid]
-            inactive = [s.id for s in self.sockets if not s.active]
+            inactive = [i for i, on in self.active.items() if not on]
             if not inactive:
                 self._activate(sid, tick)  # renew in place, no change visible
                 continue
-            self._by_id[sid].active = False
+            self.active[sid] = False
             changes.append((sid, False))
             replacement = inactive[self.rng.randrange(len(inactive))]
             self._activate(replacement, tick)
@@ -463,9 +455,11 @@ class SensedSocket(NamedTuple):
 _sensed_socket = partial(tuple.__new__, SensedSocket)
 
 
-def sense_sockets(pose: Pose, range_m: float, arena: Arena) -> list[SensedSocket]:
-    """Sockets within Euclidean range and grid line of sight, sorted by id.
-    A socket's position is the centre of its anchor cell."""
+def sense_sockets(pose: Pose, range_m: float, arena: Arena,
+                  active: dict[int, bool]) -> list[SensedSocket]:
+    """Sockets within Euclidean range and grid line of sight, sorted by id,
+    each with its flag in `active` (socket id -> on). A socket's position
+    is the centre of its anchor cell."""
     if range_m < 0:
         raise ValueError(f"sensing range must not be negative, got {range_m}")
     x, y = pose.x, pose.y
@@ -476,7 +470,7 @@ def sense_sockets(pose: Pose, range_m: float, arena: Arena) -> list[SensedSocket
         d = math.hypot(px - x, py - y)
         if d > range_m or not arena.line_of_sight(origin, s.cell):
             continue
-        out.append(_sensed_socket((s.id, centre, s.active, s.rating, d,
+        out.append(_sensed_socket((s.id, centre, active[s.id], s.rating, d,
                                    s.height, s.approach_deg)))
     return out
 
@@ -488,10 +482,3 @@ def in_yard(yard: tuple[float, float, float, float], x: float, y: float) -> bool
     disposal controller hauls by it."""
     x0, y0, x1, y1 = yard
     return x0 <= x < x1 and y0 <= y < y1
-
-
-def in_graveyard(arena: Arena, x: float, y: float) -> bool:
-    """in_yard for the arena's graveyard; the point must be on the arena."""
-    if not arena.in_bounds(x, y):
-        raise ValueError(f"point ({x}, {y}) outside arena")
-    return arena.yard is not None and in_yard(arena.yard, x, y)

@@ -25,7 +25,7 @@ from orgsim.organism import (LiftQuery, lift_feasible, lift_torque_nm,
                              reach_height, worst_case_chain)
 from orgsim.robot_model import (DriveKind, ModuleClass, dof_range,
                                 make_module_spec, new_module_state)
-from orgsim.world import TerrainClass, in_graveyard
+from orgsim.world import TerrainClass, in_yard
 
 pytestmark = pytest.mark.slow
 
@@ -362,7 +362,9 @@ def test_criterion_7_guard_soundness_fuzz():
 
 
 def reachable_from(arena, start):
-    walk = set(arena.walkable_cells())
+    # every cell but the walls: the free cells and the yard
+    walk = set(arena.free_cells()) | yard_cells(arena)
+    assert len(walk) == arena.walkable_count
     seen, frontier = {start}, [start]
     while frontier:
         x, y = frontier.pop()
@@ -387,7 +389,7 @@ def test_criterion_8_disposal_task():
     m = sim.run()
     assert m.disposed == 1 and m.tasks_open == 0
     body = sim.states[0]
-    assert in_graveyard(sim.arena, body.pose.x, body.pose.y)
+    assert in_yard(sim.arena.yard, body.pose.x, body.pose.y)
 
     walled_cfg = load_scenario_file(f"{CONFIG_DIR}/disposal_walled.cfg")
     sim = Simulation(walled_cfg)

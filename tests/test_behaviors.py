@@ -367,7 +367,7 @@ def test_aggregate_ignores_a_dead_predecessor():
 
 
 # the yard of obs_for, (3.0, 2.0) to (3.9, 2.9): its far edges belong to
-# the next cells, as in world.in_graveyard, so a corpse on one is outside
+# the next cells, as in world.in_yard, so a corpse on one is outside
 @pytest.mark.parametrize("x, y, inside", [
     (3.0, 2.0, True), (3.5, 2.5, True),
     (3.9, 2.5, False), (3.5, 2.9, False), (3.9, 2.9, False),

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from orgsim import cli
-from orgsim.config import (_KNOWN_KEYS, SECONDS_PER_DAY, SpawnSpec,
-                           load_scenario, load_scenario_file,
+from orgsim.config import (_KNOWN_KEYS, ROSTER_ORDER, SECONDS_PER_DAY,
+                           SpawnSpec, load_scenario, load_scenario_file,
                            validate_scenario)
 from orgsim.errors import ConfigError
 from orgsim.harness import Simulation
@@ -195,7 +195,7 @@ def test_map_read_from_path(tmp_path):
     cfg = load_scenario("[arena]\nmap = room.map\n", base_dir=tmp_path)
     assert cfg.map_ref == "room.map"
     assert cfg.map_text == MAP
-    assert cfg.build_arena().width == 6
+    assert cfg.arena.width == 6
 
 
 def test_map_text_kwarg_wins_for_replay():
@@ -296,14 +296,16 @@ def test_tick_counts():
 
 
 def test_class_of_is_dense_by_declaration_order():
-    cfg = load("[roster]\nscout = 2\nbackbone = 1\nactive_wheel = 1\n")
+    # declared wheels first: ids still run scouts, backbones, then wheels
+    cfg = load("[roster]\nactive_wheel = 1\nbackbone = 1\nscout = 2\n")
     assert cfg.module_count == 4
-    got = [cfg.class_of(i) for i in range(4)]
-    assert got == [ModuleClass.SCOUT, ModuleClass.SCOUT,
-                   ModuleClass.BACKBONE, ModuleClass.ACTIVE_WHEEL]
-    for bad in (4, -1, -100):     # a negative id is no more a module
-        with pytest.raises(ValueError, match="beyond roster"):
-            cfg.class_of(bad)
+    want = [ModuleClass.SCOUT, ModuleClass.SCOUT,
+            ModuleClass.BACKBONE, ModuleClass.ACTIVE_WHEEL]
+    assert [mc for mc in ROSTER_ORDER
+            for _ in range(cfg.roster[mc])] == want
+    sim = Simulation(cfg)
+    assert [(i, st.module_class) for i, st in sim.states.items()] == list(
+        enumerate(want))
 
 
 def test_controllers_for_falls_back_to_all():

@@ -2,13 +2,15 @@
 
 import dataclasses
 import math
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from orgsim import cli, harness, sensing
-from orgsim.config import load_scenario, load_scenario_file
+from orgsim.config import (ROSTER_ORDER, load_scenario, load_scenario_file,
+                           validate_scenario)
 from orgsim.control import (ActionProposal, Actuate, Dock, Drive,
                             InteractionChannel, InternalChannel, LocalChannel,
                             Observation, SelfChannel, ToggleCoprocessor)
@@ -21,7 +23,7 @@ from orgsim.organism import reach_height
 from orgsim.rng import _BLOCK, Rng, fnv1a64
 from orgsim.robot_model import Health, make_module_spec, to_pj
 from orgsim.sensing import SensedModule, SensedModules
-from orgsim.world import SensedSocket, TerrainClass
+from orgsim.world import SensedSocket, TerrainClass, parse_arena
 
 ROOM_MAP = """\
 cellsize 0.25
@@ -211,7 +213,8 @@ def _sensed_from_scratch(sim, i):
         px, py = arena.cell_center(*s.cell)
         d = pose.distance_to(Pose(px, py))
         if d <= range_m and arena._trace(origin, s.cell):
-            sockets.append(SensedSocket(s.id, (px, py), s.active, s.rating, d,
+            sockets.append(SensedSocket(s.id, (px, py),
+                                        sim.socket_active[s.id], s.rating, d,
                                         s.height, s.approach_deg))
     return tuple(modules), tuple(sockets)
 
@@ -1019,8 +1022,10 @@ def test_construction_builds_every_module_by_the_recipe(scenario):
     spawns = _spawn_by_the_recipe(cfg, sim.arena, cfg.seed)
     assert list(sim.states) == list(range(cfg.module_count))
     shared = {}
+    # ids run dense through the roster in ROSTER_ORDER
+    classes = [mc for mc in ROSTER_ORDER for _ in range(cfg.roster[mc])]
     for i, st_ in sim.states.items():
-        mc = cfg.class_of(i)
+        mc = classes[i]
         spec = sim.specs[i]
         assert st_.module_class is spec.module_class is mc
         assert spec == make_module_spec(mc, cfg.module_overrides or None)
@@ -1512,6 +1517,86 @@ def test_sweep_runs_each_seed(tmp_path):
     for seed in (3, 4):
         assert (tmp_path / f"seed_{seed}" / "metrics.txt").exists()
         assert (tmp_path / f"seed_{seed}" / "events.log").exists()
+
+
+def test_a_config_parses_its_map_once_for_validation_runs_and_sweeps(
+        monkeypatch):
+    parses = []
+
+    def counting(text):
+        parses.append(text)
+        return parse_arena(text)
+
+    monkeypatch.setattr("orgsim.config.parse_arena", counting)
+    cfg = load_scenario_file(CONFIG_DIR / "desk_challenge.cfg")
+    assert validate_scenario(cfg) == []
+    sim = Simulation(cfg)
+    results = sweep(cfg, [11, 12, 13], ticks=20)
+    assert len(parses) == 1
+    assert sim.arena is cfg.arena
+    assert [m.seed for m in results] == [11, 12, 13]
+
+
+def _run_in_turns(sims, ticks):
+    """Run the simulations one tick each in turn, each in its own thread:
+    a run waits for its turn before its schedule phase and hands the turn
+    on after its metrics phase."""
+    turn = [0]
+    ready = threading.Condition()
+    results = [None] * len(sims)
+
+    def hand_on(k):
+        with ready:
+            turn[0] = (k + 1) % len(sims)
+            ready.notify_all()
+
+    for k, sim in enumerate(sims):
+        schedule, metrics = sim._phase_schedule, sim._phase_metrics
+
+        def wait_then_schedule(k=k, schedule=schedule):
+            with ready:
+                assert ready.wait_for(lambda: turn[0] == k, timeout=60)
+            schedule()
+
+        def metrics_then_hand_on(k=k, metrics=metrics):
+            metrics()
+            hand_on(k)
+
+        sim._phase_schedule = wait_then_schedule
+        sim._phase_metrics = metrics_then_hand_on
+
+    def body(k):
+        try:
+            results[k] = sims[k].run(ticks)
+        finally:
+            hand_on(k)      # a finished or failed run holds up no other
+
+    threads = [threading.Thread(target=body, args=(k,))
+               for k in range(len(sims))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    return results
+
+
+def test_runs_that_share_an_arena_give_their_solo_digests():
+    # short dwells toggle sockets every few ticks, and the two seeds toggle
+    # different ones: each run's socket flags must be its own
+    def desk():
+        cfg = load_scenario_file(CONFIG_DIR / "desk_challenge.cfg")
+        return dataclasses.replace(cfg, dwell_min=2, dwell_max=5)
+
+    solo = [Simulation(desk(), seed).run(200).digest for seed in (11, 12)]
+    assert solo[0] != solo[1]
+    cfg = desk()
+    sims = [Simulation(cfg, seed) for seed in (11, 12)]
+    assert sims[0].arena is sims[1].arena is cfg.arena
+    assert sims[0].socket_active is not sims[1].socket_active
+    both = _run_in_turns(sims, 200)
+    assert [m.digest for m in both] == solo
+    assert [sim.tick for sim in sims] == [200, 200]
 
 
 # -- command line ---------------------------------------------------------

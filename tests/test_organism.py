@@ -5,6 +5,7 @@ union-find written here in the test, so the two sides share no code: the
 implementation walks components with BFS, the oracle with path compression.
 """
 
+import gc
 import math
 
 import pytest
@@ -436,6 +437,27 @@ def test_a_thirty_module_line_hits_the_chain_limit():
     light = make_module_spec(ModuleClass.BACKBONE, {"mass": 0.01})
     specs = {i: light for i in org.nodes}
     assert reach_height(org, specs) == exhaustive_reach(org, specs) == 24 * 0.10
+
+
+def test_the_chain_search_leaves_no_reference_cycle():
+    # what a search allocates is freed by reference counting alone: none of
+    # it is left for the cycle collector
+    org = ladder(4)
+    specs = {i: BACKBONE for i in org.nodes}
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        del gc.garbage[:]
+        assert reach_height(org, specs) == 4 * 0.10
+        assert worst_case_chain(org, 0) == (1, 2, 3, 7, 6, 5, 4)
+        gc.collect()
+        leaked = [o for o in gc.garbage
+                  if "_longest_chain" in getattr(o, "__qualname__", "")]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[:]
+    assert leaked == []
 
 
 # -- rigid motion ---------------------------------------------------------

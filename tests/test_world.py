@@ -12,9 +12,15 @@ from orgsim.rng import Rng
 from orgsim.robot_model import _ABOVE_GROUND, _TRAVERSABLE
 from orgsim.world import (DEFAULT_CELL_SIZE, PATH_MEMO_SIZE, Arena,
                           SocketSchedule, SensedSocket, SocketScheduler,
-                          TerrainClass, arena_from_lines, in_graveyard,
-                          in_yard, parse_arena, sense_sockets)
+                          TerrainClass, in_yard, parse_arena, sense_sockets)
 from tests.path_reference import PATH_SAMPLE_STEP, reference_path_clear
+
+
+def arena_from_lines(rows: list[str],
+                     cell_size: float = DEFAULT_CELL_SIZE) -> Arena:
+    """An arena built from grid strings directly."""
+    return parse_arena(f"cellsize {cell_size}\n" + "\n".join(rows))
+
 
 ROOM = """\
 cellsize 0.25
@@ -33,6 +39,10 @@ socket 1 4 1 0.3 10
 @pytest.fixture
 def room():
     return parse_arena(ROOM)
+
+
+# the room's socket flags as a run without a schedule keeps them: all off
+ROOM_OFF = {0: False, 1: False}
 
 
 # -- parsing --------------------------------------------------------------
@@ -97,13 +107,14 @@ def test_socket_validation():
 
 def test_free_cells_leave_out_walls_and_the_graveyard(room):
     free = room.free_cells()
-    assert free == [c for c in room.walkable_cells()
-                    if c not in {(1, 4), (2, 4)}]
+    assert free == [(cx, cy) for cy in range(room.height)
+                    for cx in range(room.width)
+                    if room.terrain_at_cell(cx, cy) is not TerrainClass.OBSTACLE
+                    and (cx, cy) not in {(1, 4), (2, 4)}]
     assert len(free) == 7 * 4 - 1 - 2           # floor less pillar and yard
     assert room.walkable_count == len(free) + 2  # the yard is walkable
     no_grave = parse_arena("..\n#.")
-    assert no_grave.free_cells() == no_grave.walkable_cells() == [
-        (0, 0), (1, 0), (1, 1)]
+    assert no_grave.free_cells() == [(0, 0), (1, 0), (1, 1)]
     assert no_grave.walkable_count == 3
 
 
@@ -130,7 +141,7 @@ def test_cell_math(room):
 
 
 def test_socket_position_is_the_anchor_cell_center(room):
-    sensed = sense_sockets(Pose(0.6, 0.375, 0.0), 2.0, room)
+    sensed = sense_sockets(Pose(0.6, 0.375, 0.0), 2.0, room, ROOM_OFF)
     assert [s.position for s in sensed] == [room.cell_center(1, 1),
                                             room.cell_center(4, 1)]
     assert sensed[0].position == (pytest.approx(0.375), pytest.approx(0.375))
@@ -485,7 +496,8 @@ def test_path_memo_keeps_at_most_maxsize_answers():
 
 def test_walkable_cells_row_major():
     a = arena_from_lines(["#.", ".."])
-    assert a.walkable_cells() == [(1, 0), (0, 1), (1, 1)]
+    assert a.free_cells() == [(1, 0), (0, 1), (1, 1)]
+    assert a.walkable_count == 3
 
 
 # -- socket approach direction --------------------------------------------
@@ -512,21 +524,19 @@ def test_socket_approach_top_and_bottom_walls():
 
 
 def sockets6():
-    a = parse_arena(
-        "########\n#......#\n########\n"
-        + "\n".join(f"socket {i} {i + 1} 1 0.3 20" for i in range(6)))
-    return a.sockets
+    """The ids of six sockets, listed out of order."""
+    return [3, 0, 5, 1, 4, 2]
 
 
 def test_scheduler_keeps_exact_active_count():
     sched = SocketSchedule(dwell_min=5, dwell_max=17, active_count=2)
-    socks = sockets6()
-    sch = SocketScheduler(sched, socks, Rng(7).substream("schedule"))
-    assert sum(s.active for s in socks) == 2
-    shadow = {s.id: s.active for s in socks}
+    sch = SocketScheduler(sched, sockets6(), Rng(7).substream("schedule"))
+    assert list(sch.active) == list(range(6))      # id order
+    assert sum(sch.active.values()) == 2
+    shadow = dict(sch.active)
     for tick in range(1, 3000):
         changes = sch.step(tick)
-        assert sum(s.active for s in socks) == 2
+        assert sum(sch.active.values()) == 2
         offs = [sid for sid, active in changes if not active]
         assert offs == sorted(offs)
         # replaying the change stream must reproduce the live flags; a
@@ -534,16 +544,15 @@ def test_scheduler_keeps_exact_active_count():
         # is immediately drawn as another expiry's replacement
         for sid, active in changes:
             shadow[sid] = active
-        assert shadow == {s.id: s.active for s in socks}
+        assert shadow == sch.active
 
 
 def test_scheduler_is_deterministic_per_seed():
     def trace(seed):
-        socks = sockets6()
         sch = SocketScheduler(
             SocketSchedule(dwell_min=3, dwell_max=9, active_count=3),
-            socks, Rng(seed).substream("schedule"))
-        out = [tuple(s.id for s in socks if s.active)]
+            sockets6(), Rng(seed).substream("schedule"))
+        out = [tuple(sid for sid, on in sch.active.items() if on)]
         for tick in range(1, 500):
             out.append(tuple(sch.step(tick)))
         return out
@@ -553,13 +562,12 @@ def test_scheduler_is_deterministic_per_seed():
 
 
 def test_scheduler_renews_in_place_when_everything_is_active():
-    socks = sockets6()
     sch = SocketScheduler(
         SocketSchedule(dwell_min=2, dwell_max=4, active_count=6),
-        socks, Rng(1).substream("schedule"))
+        sockets6(), Rng(1).substream("schedule"))
     for tick in range(1, 200):
         assert sch.step(tick) == []
-        assert all(s.active for s in socks)
+        assert all(sch.active.values())
 
 
 def test_schedule_validation():
@@ -580,22 +588,22 @@ def test_schedule_validation():
 
 def test_sense_sockets_range_and_order(room):
     pose = Pose(0.6, 0.375, 0.0)
-    near = sense_sockets(pose, 0.3, room)
+    near = sense_sockets(pose, 0.3, room, ROOM_OFF)
     assert [s.id for s in near] == [0]
     assert near[0].distance == pytest.approx(0.225)
     assert near[0].position == (pytest.approx(0.375), pytest.approx(0.375))
     assert near[0].approach_deg == pytest.approx(0.0)
     assert near[0].active is False
-    both = sense_sockets(pose, 2.0, room)
+    both = sense_sockets(pose, 2.0, room, ROOM_OFF)
     assert [s.id for s in both] == [0, 1]
     with pytest.raises(ValueError):
-        sense_sockets(pose, -1.0, room)
+        sense_sockets(pose, -1.0, room, ROOM_OFF)
 
 
 def test_sense_sockets_respects_line_of_sight(room):
     # cell (4, 3) sits right behind the pillar from socket 1's anchor (4, 1)
     pose = Pose(1.125, 0.875, 0.0)
-    assert [s.id for s in sense_sockets(pose, 2.0, room)] == [0]
+    assert [s.id for s in sense_sockets(pose, 2.0, room, ROOM_OFF)] == [0]
 
 
 CHALLENGE_MAP = (MAP_DIR / "challenge.map").read_text()
@@ -608,9 +616,8 @@ def test_sensed_sockets_follow_the_per_socket_formula(x, y, range_m, live):
     # and each record is built from one tuple; every field must still be
     # what the formula gives, on and off the grid
     arena = parse_arena(CHALLENGE_MAP)
-    for s in arena.sockets:
-        s.active = s.id in live
-    got = sense_sockets(Pose(x, y, 0.0), range_m, arena)
+    active = {s.id: s.id in live for s in arena.sockets}
+    got = sense_sockets(Pose(x, y, 0.0), range_m, arena, active)
     cs = arena.cell_size
     want = []
     for s in arena.sockets:
@@ -628,8 +635,7 @@ def test_sensed_sockets_follow_the_per_socket_formula(x, y, range_m, live):
 
 
 def test_sense_reports_active_flag(room):
-    room.sockets[1].active = True
-    got = sense_sockets(Pose(0.6, 0.375, 0.0), 2.0, room)
+    got = sense_sockets(Pose(0.6, 0.375, 0.0), 2.0, room, {0: False, 1: True})
     assert [(s.id, s.active) for s in got] == [(0, False), (1, True)]
 
 
@@ -637,14 +643,13 @@ def test_sense_reports_active_flag(room):
 
 
 def test_in_graveyard(room):
-    assert in_graveyard(room, 0.3, 1.1)        # cell (1, 4)
-    assert in_graveyard(room, 0.74, 1.24)      # far corner of cell (2, 4)
-    assert not in_graveyard(room, 0.8, 1.1)    # cell (3, 4) just outside
-    assert not in_graveyard(room, 0.3, 0.3)
-    with pytest.raises(ValueError):
-        in_graveyard(room, 50.0, 50.0)
-    no_grave = arena_from_lines(["...", "..."])
-    assert not in_graveyard(no_grave, 0.1, 0.1)
+    yard = room.yard
+    assert in_yard(yard, 0.3, 1.1)        # cell (1, 4)
+    assert in_yard(yard, 0.74, 1.24)      # far corner of cell (2, 4)
+    assert not in_yard(yard, 0.8, 1.1)    # cell (3, 4) just outside
+    assert not in_yard(yard, 0.3, 0.3)
+    assert not in_yard(yard, 50.0, 50.0)  # off the arena
+    assert arena_from_lines(["...", "..."]).yard is None
 
 
 def test_the_yard_is_the_graveyard_in_metres_with_its_far_edges_open():
@@ -655,5 +660,4 @@ def test_the_yard_is_the_graveyard_in_metres_with_its_far_edges_open():
     assert not in_yard(arena.yard, 0.3, 0.2)            # far y edge
     # though 0.5 // 0.1 == 4.0 names a graveyard cell
     assert arena.cell_of(0.5, 0.15) == (4, 1)
-    assert not in_graveyard(arena, 0.5, 0.15)
     assert parse_arena("..\n..\n").yard is None

@@ -196,8 +196,8 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
         if not map_path.is_absolute():
             map_path = (base_dir or Path.cwd()) / map_path
         try:
-            map_text = map_path.read_text()
-        except OSError as exc:
+            map_text = map_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read map {map_path}: {exc}") from exc
     else:
         map_ref = map_ref or "<inline>"
@@ -275,8 +275,8 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
 def load_scenario_file(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
     return load_scenario(text, base_dir=path.parent, name_hint=path.stem)
 

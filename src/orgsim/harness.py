@@ -31,15 +31,18 @@ from .docking import (FACES, PEERED_PHASES, DockPhase, TickInput,
 from .energy import (EnergyLedger, classify_deaths, drain, drain_idle, recharge,
                      share_energy)
 from .errors import ConfigError, InvariantBreach, ReplayError
+from .eventlog import EventLog
 from .geometry import Pose
 from .organism import OrganismRegistry, edge_key, organism_move, reach_height
-from .rng import HitStream, Rng, fnv1a64
+from .rng import HitStream, Rng
 from .robot_model import (Health, ModuleState, actuate_joint, locomotion_step,
                           make_module_spec, new_module_state, pair_tolerance)
 from .sensing import Sight
 from .world import SocketSchedule, SocketScheduler, in_yard, sense_sockets
 
 LOG_VERSION = "orgsim-log v1"
+# where run_scenario streams a log until the run ends and it becomes events.log
+PARTIAL_LOG = "events.log.part"
 # bound once: on CPython 3.11, EnumType.__getattr__ slows every `Health.OK`
 _OK, _ENERGY_DEAD, _FREE = Health.OK, Health.ENERGY_DEAD, DockPhase.FREE
 _DOCKED = DockPhase.DOCKED
@@ -50,46 +53,12 @@ _SEPARATING = DockPhase.SEPARATING
 _PORT_OF_FACE = {face.value: k for k, face in enumerate(FACES)}
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _enc(text: str) -> str:
     return urllib.parse.quote(text, safe="")
 
 
 def _dec(text: str) -> str:
     return urllib.parse.unquote(text)
-
-
-class EventLog:
-    """Append-only run record with a rolling FNV-1a digest over every line."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-        self._fnv = fnv1a64(b"")
-        self.event_count = 0
-
-    def raw(self, line: str) -> None:
-        self.lines.append(line)
-        self._fnv = fnv1a64(line + "\n", self._fnv)
-
-    def event(self, tick: int, module_id: int, kind: str, **fields) -> None:
-        parts = [str(tick), str(module_id), kind]
-        parts.extend(f"{k}={_fmt(v)}" for k, v in fields.items())
-        self.raw(" ".join(parts))
-        self.event_count += 1
-
-    @property
-    def digest(self) -> str:
-        return f"{self._fnv:016x}"
-
-    def save(self, path: Path) -> None:
-        path.write_text("\n".join(self.lines) + "\n")
 
 
 @dataclass
@@ -160,16 +129,20 @@ class Simulation:
 
     The run reads the config's one parsed arena, shared with every other
     run of the config, and keeps its own socket flags in `socket_active`
-    (socket id -> on, in id order)."""
+    (socket id -> on, in id order).
 
-    def __init__(self, cfg: ScenarioConfig, seed: int | None = None):
+    The run's lines go to `log`, by default a new EventLog that keeps them
+    in `log.lines`."""
+
+    def __init__(self, cfg: ScenarioConfig, seed: int | None = None,
+                 log: EventLog | None = None):
         self.arena = cfg.arena
         findings = validate_scenario(cfg)
         if findings:
             raise ConfigError("; ".join(findings))
         self.cfg = cfg
         self.seed = cfg.seed if seed is None else seed
-        self.log = EventLog()
+        self.log = EventLog() if log is None else log
         self.tick = 0
 
         master = Rng(self.seed)
@@ -748,20 +721,31 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                  out_dir: str | Path | None = None) -> RunMetrics:
     """Run one seed of a scenario; optionally write events.log + metrics.txt.
 
+    With `out_dir` and `[output] log` on, the log streams to PARTIAL_LOG in
+    `out_dir` as the run writes it. The directory and file are made with
+    the first line, once `run()` has accepted the tick count, and the file
+    becomes events.log when the run ends. Otherwise the lines go nowhere.
     A run stopped by an invariant breach still writes its events.log, which
     ends with the breach line, but no metrics.txt; the breach is re-raised.
+    Any other failure removes the partial file.
     """
-    sim = Simulation(cfg, seed)
     out = None if out_dir is None else Path(out_dir)
+    log = (EventLog(out / PARTIAL_LOG) if out is not None and cfg.log_enabled
+           else EventLog(keep=False))
+    sim = Simulation(cfg, seed, log=log)
     try:
-        metrics = sim.run(ticks)
-    except InvariantBreach:
+        try:
+            metrics = sim.run(ticks)
+        except InvariantBreach:
+            if out is not None:
+                _save_log(sim, out)
+            raise
         if out is not None:
             _save_log(sim, out)
-        raise
-    if out is not None:
-        _save_log(sim, out)
-        (out / "metrics.txt").write_text(metrics.to_text())
+            (out / "metrics.txt").write_text(metrics.to_text(),
+                                             encoding="utf-8")
+    finally:
+        log.discard()
     return metrics
 
 
@@ -808,7 +792,7 @@ def replay_log(text: str) -> RunMetrics:
 
 
 def replay_file(path: str | Path) -> RunMetrics:
-    return replay_log(Path(path).read_text())
+    return replay_log(Path(path).read_text(encoding="utf-8"))
 
 
 def sweep(cfg: ScenarioConfig, seeds, ticks: int | None = None,

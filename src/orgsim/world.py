@@ -99,8 +99,12 @@ class Arena:
         # summed-area table of obstacle cells, built on the first in-grid
         # rectangle query (see rect_is_open and _wall_table)
         self._walls: list[int] | None = None
-        # this arena's path answers, least recently asked evicted first
-        self.path_clear = lru_cache(maxsize=PATH_MEMO_SIZE)(self.path_clear)
+        # this arena's path answers, least recently asked evicted first; the
+        # memo wraps a function of the grid, not a bound method, so it holds
+        # no reference back to the arena, and a dropped arena is freed
+        # without waiting for the cyclic collector
+        self.path_clear = lru_cache(maxsize=PATH_MEMO_SIZE)(
+            partial(self._path_clear, cells, cell_size))
         self._validate()
         # counted without building the cell list, so that no per-cell list
         # is made or stays resident
@@ -169,10 +173,13 @@ class Arena:
     def socket_by_id(self, socket_id: int) -> Socket | None:
         return self._socket_ids.get(socket_id)
 
-    def path_clear(self, x0: float, y0: float, x1: float, y1: float,
-                   passable: tuple[TerrainClass, ...]) -> bool:
-        """True when a straight move from (x0, y0) to (x1, y1) crosses only
-        `passable` terrain inside the arena.
+    @staticmethod
+    def _path_clear(cells: list[list[TerrainClass]], size: float, x0: float,
+                    y0: float, x1: float, y1: float,
+                    passable: tuple[TerrainClass, ...]) -> bool:
+        """`path_clear` on the grid `cells` of `size`-metre cells: True when
+        a straight move from (x0, y0) to (x1, y1) crosses only `passable`
+        terrain inside the arena.
 
         The path is sampled at t = i / steps for i = 1..steps, with steps =
         max(1, ceil(length / 0.05 m)), so no sample gap is wider than 0.05 m
@@ -189,9 +196,7 @@ class Arena:
         """
         dx, dy = x1 - x0, y1 - y0
         steps = max(1, math.ceil(math.hypot(dx, dy) / _PATH_SAMPLE_STEP))
-        size = self.cell_size
-        x_end, y_end = self.width * size, self.height * size
-        cells = self.cells
+        x_end, y_end = len(cells[0]) * size, len(cells) * size
         last_cx = last_cy = -1
         for i in range(1, steps + 1):
             t = i / steps

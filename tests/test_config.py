@@ -217,6 +217,9 @@ def test_missing_map_raises():
 def test_unreadable_map_path_raises(tmp_path):
     with pytest.raises(ConfigError, match="cannot read map"):
         load_scenario("[arena]\nmap = gone.map\n", base_dir=tmp_path)
+    (tmp_path / "latin1.map").write_bytes(b"; w\xfcste\n" + MAP.encode())
+    with pytest.raises(ConfigError, match="cannot read map .*utf-8"):
+        load_scenario("[arena]\nmap = latin1.map\n", base_dir=tmp_path)
 
 
 def test_load_scenario_file_uses_stem_as_name(tmp_path):
@@ -230,6 +233,9 @@ def test_load_scenario_file_uses_stem_as_name(tmp_path):
 def test_load_scenario_file_missing_raises(tmp_path):
     with pytest.raises(ConfigError, match="cannot read scenario"):
         load_scenario_file(tmp_path / "nope.cfg")
+    (tmp_path / "latin1.cfg").write_bytes(b"[run]\nname = w\xfcste\n")
+    with pytest.raises(ConfigError, match="cannot read scenario .*utf-8"):
+        load_scenario_file(tmp_path / "latin1.cfg")
 
 
 # -- spawn lines ----------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import shutil
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -15,7 +19,8 @@ from orgsim.control import (ActionProposal, Actuate, Dock, Drive,
                             InteractionChannel, InternalChannel, LocalChannel,
                             Observation, SelfChannel, ToggleCoprocessor)
 from orgsim.docking import FACES, DockPhase, Face, undock
-from orgsim.errors import ConfigError, InvariantBreach, ReplayError
+from orgsim.errors import (ConfigError, FrameworkError, InvariantBreach,
+                           ReplayError)
 from orgsim.geometry import Pose
 from orgsim.harness import (EventLog, RunMetrics, Simulation, replay_file,
                             replay_log, run_scenario, sweep)
@@ -110,6 +115,38 @@ def test_float_fields_use_repr_not_str():
     log = EventLog()
     log.event(1, 0, "x", v=0.1 + 0.2)
     assert log.lines[0] == "1 0 x v=0.30000000000000004"
+
+
+def test_a_log_streaming_to_a_file_keeps_no_lines(tmp_path):
+    part = tmp_path / "out" / "events.log.part"
+    log = EventLog(part)
+    assert not part.parent.exists()        # nothing is made before a line
+    log.raw("# scenario wüste")
+    log.event(1, 0, "x", v=0.5)
+    assert log.lines == []
+    saved = tmp_path / "out" / "events.log"
+    log.save(saved)
+    data = "# scenario wüste\n1 0 x v=0.5\n".encode("utf-8")
+    assert saved.read_bytes() == data
+    assert log.digest == f"{fnv1a64(data):016x}"
+    assert not part.exists()
+    log.discard()                          # the saved file stays
+    assert saved.read_bytes() == data
+
+
+def test_a_discarded_log_leaves_no_file_and_a_dropped_log_no_lines(tmp_path):
+    log = EventLog(tmp_path / "events.log.part")
+    log.raw("alpha")
+    log.discard()
+    assert list(tmp_path.iterdir()) == []
+    dropped, kept = EventLog(keep=False), EventLog()
+    for each in (dropped, kept):
+        each.raw("alpha")
+        each.event(2, 1, "death", cause="energy")
+    assert dropped.lines == [] and len(kept.lines) == 2
+    assert (dropped.digest, dropped.event_count) == (kept.digest, 1)
+    with pytest.raises(ValueError, match="keeps no lines"):
+        dropped.save(tmp_path / "events.log")
 
 
 # -- determinism ----------------------------------------------------------
@@ -1422,6 +1459,55 @@ def test_a_breached_run_still_saves_its_log(name, tmp_path, monkeypatch):
     assert not (out / "metrics.txt").exists()
 
 
+# -- output files ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("scenario",
+                         sorted(p.stem for p in CONFIG_DIR.glob("*.cfg")))
+def test_the_streamed_log_is_the_kept_log_byte_for_byte(scenario, tmp_path):
+    cfg = load_scenario_file(CONFIG_DIR / f"{scenario}.cfg")
+    sim = Simulation(cfg)
+    kept = sim.run(5)
+    out = tmp_path / "out"
+    streamed = run_scenario(cfg, ticks=5, out_dir=out)
+    data = (out / "events.log").read_bytes()
+    assert data == ("\n".join(sim.log.lines) + "\n").encode("utf-8")
+    assert streamed.digest == kept.digest == f"{fnv1a64(data):016x}"
+    assert sorted(p.name for p in out.iterdir()) == ["events.log",
+                                                     "metrics.txt"]
+
+
+def test_a_run_that_fails_mid_run_leaves_no_new_log(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "events.log").write_text("an earlier run's log\n")
+    build = harness.build_controllers
+    streaming = []
+
+    def with_a_crash(*args):
+        def crash(obs):
+            streaming.append((out / harness.PARTIAL_LOG).exists())
+            if len(streaming) == 12:
+                raise RuntimeError("boom")
+        return {**build(*args), "crash": crash}
+
+    monkeypatch.setattr(harness, "build_controllers", with_a_crash)
+    with pytest.raises(FrameworkError, match="boom"):
+        run_scenario(room_cfg(), ticks=20, out_dir=out)
+    assert len(streaming) == 12 and all(streaming)
+    assert [p.name for p in out.iterdir()] == ["events.log"]
+    assert (out / "events.log").read_text() == "an earlier run's log\n"
+
+
+def test_output_log_off_writes_only_the_metrics(tmp_path):
+    cfg = load_scenario(ROOM_SCENARIO + "\n[output]\nlog = false\n",
+                        map_text=ROOM_MAP)
+    out = tmp_path / "out"
+    metrics = run_scenario(cfg, ticks=20, out_dir=out)
+    assert [p.name for p in out.iterdir()] == ["metrics.txt"]
+    assert (out / "metrics.txt").read_text() == metrics.to_text()
+
+
 # -- metrics text ---------------------------------------------------------
 
 
@@ -1709,6 +1795,39 @@ def test_a_negative_tick_count_is_refused():
         sim.run(-3)
     assert sim.log.lines == []
     assert sim.run(0).ticks == 0                  # zero ticks is a real run
+
+
+def test_a_non_ascii_scenario_runs_and_replays_under_the_c_locale(tmp_path):
+    # with the locale's ASCII as the default encoding, every file the
+    # package reads or writes must still be UTF-8
+    text = (CONFIG_DIR / "desk_challenge.cfg").read_text(encoding="utf-8")
+    (tmp_path / "wueste.cfg").write_text(
+        text.replace("name = desk_challenge", "name = wüste"),
+        encoding="utf-8")
+    shutil.copytree(CONFIG_DIR / "maps", tmp_path / "maps")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": str(CONFIG_DIR.parent / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def orgsim(*argv):
+        done = subprocess.run([sys.executable, "-m", "orgsim.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode("utf-8")
+        return done.stdout.decode("utf-8")
+
+    out = tmp_path / "out"
+    stdout = orgsim("run", "--config", str(tmp_path / "wueste.cfg"),
+                    "--ticks", "30", "--out", str(out))
+    assert stdout.startswith("name wüste\n")
+    assert (out / "metrics.txt").read_text(encoding="utf-8") == stdout
+    digest = next(line.split()[1] for line in stdout.splitlines()
+                  if line.startswith("digest "))
+    data = (out / "events.log").read_bytes()
+    assert f"{fnv1a64(data):016x}" == digest
+    assert "\n# scenario wüste\n".encode("utf-8") in data
+    assert orgsim("replay", "--log", str(out / "events.log")) == \
+        f"replay ok: 30 ticks, digest {digest}\n"
 
 
 @pytest.mark.parametrize("argv", [

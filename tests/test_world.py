@@ -1,6 +1,8 @@
 """Arena parsing, cell geometry, line of sight, socket schedule, sensing."""
 
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import pytest
@@ -463,6 +465,27 @@ def test_path_memo_answers_like_the_reference_sampler(data):
         # each distinct query was sampled once
         info = arena.path_clear.cache_info()
         assert info.currsize == size == info.misses
+
+
+def test_a_dropped_arena_is_freed_without_the_cyclic_collector():
+    text = (MAP_DIR / "challenge.map").read_text()
+    points = [(0.1, 0.1), (0.6, 0.6), (1.3, 0.4), (2.2, 1.9), (9.0, 0.5)]
+    segs = [(*a, *b) for a in points for b in points]
+    gc.disable()
+    try:
+        arena = parse_arena(text)
+        answers = [arena.path_clear(*seg, passable)
+                   for seg in segs for passable in PASSABLE_SETS]
+        info = arena.path_clear.cache_info()
+        want = [reference_path_clear(*seg, passable, arena.terrain_at)
+                for seg in segs for passable in PASSABLE_SETS]
+        freed = weakref.ref(arena)
+        del arena
+        assert freed() is None
+    finally:
+        gc.enable()
+    assert answers == want
+    assert info.misses == info.currsize == len(answers)
 
 
 def test_path_memo_stores_no_answer_for_nan():

@@ -11,9 +11,11 @@ the simulation and cross-check every line of the original.
 
 from __future__ import annotations
 
+import io
 import math
 import time
 import urllib.parse
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -31,7 +33,7 @@ from .docking import (FACES, PEERED_PHASES, DockPhase, TickInput,
 from .energy import (EnergyLedger, classify_deaths, drain, drain_idle, recharge,
                      share_energy)
 from .errors import ConfigError, InvariantBreach, ReplayError
-from .eventlog import EventLog
+from .eventlog import EventLog, PartialFile, checker, drop
 from .geometry import Pose
 from .organism import OrganismRegistry, edge_key, organism_move, reach_height
 from .rng import HitStream, Rng
@@ -55,10 +57,6 @@ _PORT_OF_FACE = {face.value: k for k, face in enumerate(FACES)}
 
 def _enc(text: str) -> str:
     return urllib.parse.quote(text, safe="")
-
-
-def _dec(text: str) -> str:
-    return urllib.parse.unquote(text)
 
 
 @dataclass
@@ -722,77 +720,57 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
     """Run one seed of a scenario; optionally write events.log + metrics.txt.
 
     With `out_dir` and `[output] log` on, the log streams to PARTIAL_LOG in
-    `out_dir` as the run writes it. The directory and file are made with
-    the first line, once `run()` has accepted the tick count, and the file
-    becomes events.log when the run ends. Otherwise the lines go nowhere.
-    A run stopped by an invariant breach still writes its events.log, which
-    ends with the breach line, but no metrics.txt; the breach is re-raised.
-    Any other failure removes the partial file.
+    `out_dir`, which the first line makes once `run()` has accepted the tick
+    count. The file becomes events.log when the run ends, or when an
+    invariant breach stops it (no metrics.txt then; the breach is
+    re-raised). Any other failure removes it. Otherwise lines are dropped.
     """
     out = None if out_dir is None else Path(out_dir)
-    log = (EventLog(out / PARTIAL_LOG) if out is not None and cfg.log_enabled
-           else EventLog(keep=False))
-    sim = Simulation(cfg, seed, log=log)
-    try:
-        try:
-            metrics = sim.run(ticks)
-        except InvariantBreach:
-            if out is not None:
-                _save_log(sim, out)
-            raise
-        if out is not None:
-            _save_log(sim, out)
-            (out / "metrics.txt").write_text(metrics.to_text(),
-                                             encoding="utf-8")
-    finally:
-        log.discard()
+    part = (PartialFile(out / PARTIAL_LOG, out / "events.log")
+            if out is not None and cfg.log_enabled else None)
+    sim = Simulation(cfg, seed, log=EventLog(part.write if part else drop))
+    with part or nullcontext():
+        metrics = sim.run(ticks)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "metrics.txt").write_text(metrics.to_text(), encoding="utf-8")
     return metrics
 
 
-def _save_log(sim: Simulation, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    if sim.cfg.log_enabled:
-        sim.log.save(out / "events.log")
-
-
 def replay_log(text: str) -> RunMetrics:
-    """Re-run a log's embedded scenario and insist on the identical log.
+    """replay_file for a log held as text, split only at "\\n"."""
+    return _replay(io.BytesIO(text.encode()))
 
-    Raises ReplayError on the first divergent, missing or extra line, which
-    is what catches a tampered or truncated record.
-    """
-    lines = text.splitlines()
-    if not lines or lines[0] != f"# {LOG_VERSION}":
+
+def replay_file(path: str | Path) -> RunMetrics:
+    """Re-run a log's embedded scenario and insist on the file's bytes. The
+    rerun's writer checks each line as it goes, so the first divergent line
+    stops the rerun, and neither the file's lines nor the rerun's are held."""
+    with open(path, "rb") as f:
+        return _replay(f)
+
+
+def _replay(f) -> RunMetrics:
+    if f.readline() != f"# {LOG_VERSION}\n".encode():
         raise ReplayError("not a recognizable run log")
-    header: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line.startswith("# "):
+    header = {}
+    for line in f:
+        if not line.startswith(b"# "):
             break
-        key, _, value = line[2:].partition(" ")
+        key, _, value = line[2:].rstrip(b"\n").decode().partition(" ")
         header[key] = value
     for want in ("config", "map", "seed", "ticks"):
         if want not in header:
             raise ReplayError(f"log header lacks {want!r}")
-
-    cfg = load_scenario(_dec(header["config"]), map_text=_dec(header["map"]),
+    cfg = load_scenario(urllib.parse.unquote(header["config"]),
+                        map_text=urllib.parse.unquote(header["map"]),
                         name_hint=header.get("scenario", "replay"))
-    sim = Simulation(cfg, seed=int(header["seed"]))
+    f.seek(0)
+    check = checker(f)
+    sim = Simulation(cfg, seed=int(header["seed"]), log=EventLog(check))
     metrics = sim.run(int(header["ticks"]))
-
-    fresh = sim.log.lines
-    for n, (a, b) in enumerate(zip(lines, fresh), start=1):
-        if a != b:
-            raise ReplayError(
-                f"log diverges at line {n}: file has {a!r}, rerun produced {b!r}")
-    if len(lines) != len(fresh):
-        raise ReplayError(
-            f"log length mismatch: file has {len(lines)} lines, "
-            f"rerun produced {len(fresh)}")
+    check(b"")                # the file must end where the rerun does
     return metrics
-
-
-def replay_file(path: str | Path) -> RunMetrics:
-    return replay_log(Path(path).read_text(encoding="utf-8"))
 
 
 def sweep(cfg: ScenarioConfig, seeds, ticks: int | None = None,

@@ -128,18 +128,16 @@ def pair_tolerance(class_a: ModuleClass, class_b: ModuleClass) -> AlignmentToler
     return ta if ta.max_offset >= tb.max_offset else tb
 
 
-# Tuples, not sets, like docking.PEERED_PHASES: `in` then compares by
-# identity in C instead of calling the pure-Python Enum.__hash__. Keyed by
-# the class's value for the same reason.
-_TRAVERSABLE = {
-    ModuleClass.SCOUT.value: (TerrainClass.PLAIN, TerrainClass.ROUGH,
-                              TerrainClass.SLOPE, TerrainClass.SMALL_HOLE),
-    ModuleClass.BACKBONE.value: (TerrainClass.PLAIN,),
-    ModuleClass.ACTIVE_WHEEL.value: (TerrainClass.PLAIN,),
-}
-
 # a carried module rides clear of the floor; only solid walls stop it
 _ABOVE_GROUND = tuple(t for t in TerrainClass if t is not TerrainClass.OBSTACLE)
+
+# what a class's tracks cross: all but walls if it is rough-capable, else
+# plain ground. Tuples keyed by value, as in docking.PEERED_PHASES, so that
+# `in` and the lookup stay in C, clear of Enum.__hash__
+_TRAVERSABLE = {
+    mc.value: _ABOVE_GROUND if caps["rough_terrain_capable"]
+    else (TerrainClass.PLAIN,)
+    for mc, caps in _CAPABILITIES.items()}
 
 # bound once: an Enum class attribute lookup goes through a slow-path
 # __getattr__ on CPython 3.11

@@ -21,6 +21,7 @@ from orgsim.control import (ActionProposal, Actuate, Dock, Drive,
 from orgsim.docking import FACES, DockPhase, Face, undock
 from orgsim.errors import (ConfigError, FrameworkError, InvariantBreach,
                            ReplayError)
+from orgsim.eventlog import PartialFile, drop
 from orgsim.geometry import Pose
 from orgsim.harness import (EventLog, RunMetrics, Simulation, replay_file,
                             replay_log, run_scenario, sweep)
@@ -118,35 +119,47 @@ def test_float_fields_use_repr_not_str():
 
 
 def test_a_log_streaming_to_a_file_keeps_no_lines(tmp_path):
-    part = tmp_path / "out" / "events.log.part"
-    log = EventLog(part)
-    assert not part.parent.exists()        # nothing is made before a line
-    log.raw("# scenario wüste")
-    log.event(1, 0, "x", v=0.5)
-    assert log.lines == []
-    saved = tmp_path / "out" / "events.log"
-    log.save(saved)
-    data = "# scenario wüste\n1 0 x v=0.5\n".encode("utf-8")
+    part, saved = tmp_path / "out" / "events.log.part", tmp_path / "out" / "events.log"
+    handed = []
+    with PartialFile(part, saved) as file:
+        def write(data):
+            handed.append(data)
+            file.write(data)
+        log = EventLog(write)
+        assert not part.parent.exists()    # nothing is made before a line
+        log.raw("# scenario wüste")
+        log.event(1, 0, "x", v=0.5)
+        assert log.lines == [] and part.exists()
+    # the digest covers exactly the bytes handed to the writer
+    assert handed == ["# scenario wüste\n".encode("utf-8"), b"1 0 x v=0.5\n"]
+    data = b"".join(handed)
     assert saved.read_bytes() == data
     assert log.digest == f"{fnv1a64(data):016x}"
     assert not part.exists()
-    log.discard()                          # the saved file stays
-    assert saved.read_bytes() == data
 
 
 def test_a_discarded_log_leaves_no_file_and_a_dropped_log_no_lines(tmp_path):
-    log = EventLog(tmp_path / "events.log.part")
-    log.raw("alpha")
-    log.discard()
+    part, saved = tmp_path / "events.log.part", tmp_path / "events.log"
+    with pytest.raises(RuntimeError, match="boom"):
+        with PartialFile(part, saved) as file:
+            EventLog(file.write).raw("alpha")
+            raise RuntimeError("boom")
     assert list(tmp_path.iterdir()) == []
-    dropped, kept = EventLog(keep=False), EventLog()
+    with PartialFile(part, saved):         # no line, no file
+        pass
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(InvariantBreach):   # a breach keeps what was written
+        with PartialFile(part, saved) as file:
+            EventLog(file.write).raw("alpha")
+            raise InvariantBreach(1, "demo")
+    assert [p.name for p in tmp_path.iterdir()] == ["events.log"]
+    assert saved.read_bytes() == b"alpha\n"
+    dropped, kept = EventLog(drop), EventLog()
     for each in (dropped, kept):
         each.raw("alpha")
         each.event(2, 1, "death", cause="energy")
     assert dropped.lines == [] and len(kept.lines) == 2
     assert (dropped.digest, dropped.event_count) == (kept.digest, 1)
-    with pytest.raises(ValueError, match="keeps no lines"):
-        dropped.save(tmp_path / "events.log")
 
 
 # -- determinism ----------------------------------------------------------
@@ -1570,6 +1583,58 @@ def test_replay_catches_truncation(tmp_path):
     lines = (tmp_path / "events.log").read_text().splitlines()
     with pytest.raises(ReplayError, match="length mismatch"):
         replay_log("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ReplayError, match="length mismatch"):
+        replay_log("\n".join(lines + ["9999 -1 extra"]) + "\n")
+
+
+@pytest.mark.parametrize("name", ["a\x0cb", "a\u2028b"])
+def test_a_scenario_named_with_a_line_break_character_replays(name, tmp_path):
+    cfg = load_scenario(
+        ROOM_SCENARIO.replace("[run]\n", f"[run]\nname = {name}\n"),
+        map_text=ROOM_MAP)
+    assert cfg.name == name
+    first = run_scenario(cfg, ticks=30, out_dir=tmp_path)
+    data = (tmp_path / "events.log").read_bytes()
+    assert f"\n# scenario {name}\n".encode("utf-8") in data
+    assert replay_file(tmp_path / "events.log").digest == first.digest
+
+
+def test_replay_refuses_a_log_whose_final_newline_is_cut(tmp_path):
+    run_scenario(room_cfg(), ticks=30, out_dir=tmp_path)
+    log = tmp_path / "events.log"
+    data = log.read_bytes()
+    log.write_bytes(data[:-1])
+    n = data.count(b"\n")
+    with pytest.raises(ReplayError, match=f"diverges at line {n}: "):
+        replay_file(log)
+
+
+def test_replay_refuses_a_log_with_crlf_line_ends(tmp_path):
+    run_scenario(room_cfg(), ticks=30, out_dir=tmp_path)
+    log = tmp_path / "events.log"
+    log.write_bytes(log.read_bytes().replace(b"\n", b"\r\n"))
+    with pytest.raises(ReplayError):
+        replay_file(log)
+
+
+def test_an_edited_spawn_line_stops_the_replay_before_the_first_tick(
+        tmp_path, monkeypatch):
+    run_scenario(room_cfg(), ticks=60, out_dir=tmp_path)
+    log = tmp_path / "events.log"
+    text = log.read_text()
+    spawn = next(line for line in text.splitlines() if " spawn " in line)
+    log.write_text(text.replace(spawn, spawn + "0", 1))
+    ticks = []
+    schedule = Simulation._phase_schedule
+
+    def counted(self):
+        ticks.append(self.tick)
+        return schedule(self)
+
+    monkeypatch.setattr(Simulation, "_phase_schedule", counted)
+    with pytest.raises(ReplayError, match="diverges at line"):
+        replay_file(log)
+    assert ticks == []
 
 
 def test_replay_refuses_a_log_whose_scenario_has_findings(tmp_path):

@@ -127,16 +127,42 @@ def assigned_slot(module_id: int, sockets: list[SensedSocket],
     return StackSlot(sock, rank, (px, py), sock.approach_deg, pred)
 
 
+class _SlotMemo:
+    """assigned_slot of one module, worked out again only for another
+    sockets tuple: the harness hands out the same tuple object until the
+    module moves or a socket toggles, and a tuple cannot change.
+    build_controllers makes one per module and shares it among the
+    module's controllers that read a slot, so each tuple is worked out
+    once per module, not once per controller."""
+
+    __slots__ = ("module_id", "pitch", "sockets", "slot")
+
+    def __init__(self, module_id: int, pitch: float):
+        self.module_id = module_id
+        self.pitch = pitch
+        self.sockets: tuple[SensedSocket, ...] | None = None
+        self.slot: StackSlot | None = None
+
+    def __call__(self, sockets: tuple[SensedSocket, ...]) -> StackSlot | None:
+        if sockets is not self.sockets:
+            self.slot = assigned_slot(self.module_id, list(sockets),
+                                      self.pitch)
+            self.sockets = sockets
+        return self.slot
+
+
 class _Controller:
     """Base of the baseline controllers. A controller serves one module
     and holds its ModuleSpec, the hardware envelope it drives and docks by:
     speed, drive kind and edge length. A class that draws random numbers
     sets `draws_noise`; only such a class is handed a noise stream, the
-    others get None."""
+    others get None. A class that reads its stack slot sets `reads_slot`;
+    build_controllers hands each such controller its module's `_SlotMemo`,
+    and one built alone makes its own on first use."""
 
     draws_noise = False
-    _slot_sockets: tuple[SensedSocket, ...] | None = None
-    _slot: StackSlot | None = None
+    reads_slot = False
+    _slot_memo: _SlotMemo | None = None
     # the last servo call: (pose, tx, ty, target_heading, dt, its Drive)
     _servo_memo: tuple | None = None
 
@@ -146,15 +172,13 @@ class _Controller:
         self.spec = spec
 
     def _assigned_slot(self, obs: Observation) -> StackSlot | None:
-        """assigned_slot of this module, worked out again only for another
-        sockets tuple: the harness hands out the same tuple object until the
-        module moves or a socket toggles, and a tuple cannot change."""
-        sockets = obs.local.sockets
-        if sockets is not self._slot_sockets:
-            self._slot = assigned_slot(self.module_id, list(sockets),
-                                       self.spec.edge_length)
-            self._slot_sockets = sockets
-        return self._slot
+        """assigned_slot of this module for the sockets it senses, through
+        the module's slot memo."""
+        memo = self._slot_memo
+        if memo is None:
+            memo = self._slot_memo = _SlotMemo(self.module_id,
+                                               self.spec.edge_length)
+        return memo(obs.local.sockets)
 
     def _servo(self, obs: Observation, tx: float, ty: float,
                target_heading: float | None = None) -> Drive | None:
@@ -186,6 +210,8 @@ class SeekEnergyController(_Controller):
     self-protection band. A module docked at a slot that no longer matches
     its assignment unplugs one face per tick until free to walk again.
     """
+
+    reads_slot = True
 
     def __init__(self, module_id: int, spec: ModuleSpec, rng: Rng | None,
                  params: dict | None = None):
@@ -232,6 +258,8 @@ class SeekEnergyController(_Controller):
 
 class AggregateController(_Controller):
     """Form and hold the stack: dock onto the predecessor, then stand still."""
+
+    reads_slot = True
 
     def __call__(self, obs: Observation):
         slot = self._assigned_slot(obs)
@@ -430,14 +458,20 @@ def build_controllers(names, module_id: int, spec: ModuleSpec, rng: Rng,
     """Instantiate named controllers for one module, in the given order,
     each holding the module's own ModuleSpec. A controller class that
     draws gets the substream `<name>/<module_id>` of `rng`; the others get
-    None, so no stream is derived for them."""
+    None, so no stream is derived for them. The controllers that read a
+    slot share one `_SlotMemo`, made here for this module alone."""
     out = {}
+    memo = None
     for name in names:
         factory = REGISTRY.get(name)
         if factory is None:
             raise ConfigError(f"unknown controller {name!r}; "
                               f"known: {', '.join(sorted(REGISTRY))}")
-        out[name] = factory(module_id, spec,
-                            rng.substream(f"{name}/{module_id}")
-                            if factory.draws_noise else None, params)
+        ctl = out[name] = factory(module_id, spec,
+                                  rng.substream(f"{name}/{module_id}")
+                                  if factory.draws_noise else None, params)
+        if factory.reads_slot:
+            if memo is None:
+                memo = _SlotMemo(module_id, spec.edge_length)
+            ctl._slot_memo = memo
     return out

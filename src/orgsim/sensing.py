@@ -6,8 +6,9 @@ builds one `Sight` per run, only when some module has controllers.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from array import array
 from itertools import repeat
+from numbers import Real
 from typing import NamedTuple
 
 from .control import LocalChannel
@@ -15,6 +16,7 @@ from .geometry import Pose
 from .robot_model import Health, ModuleClass
 
 _OK = Health.OK
+_NAN = math.nan
 
 
 class SensedModule(NamedTuple):
@@ -31,48 +33,59 @@ class SensedModule(NamedTuple):
 
 class SensedModules:
     """The modules one observer sees, as a read-only view in ascending id
-    order: `get` reads one module, `select` lists the modules in sight,
-    every one of them when called without filters, and `len` counts them.
+    order: `get` reads one module, None when it is out of sight; `select`
+    lists the modules in sight, every one of them when called without
+    filters; and `len` counts them.
 
     The view reads immutable tables indexed by module id: `table`, one
     `(module_class, pose, health)` entry per module, and `unwell`, the
     ascending ids whose health is not OK, both shared by every view of one
-    decide phase; and `row`, this observer's distance to each id in sight,
-    else None, a sequence that nothing else holds or changes. Records are
-    built only when read: `get` and `select` build the ones they return.
+    decide phase; and `row`, this observer's distance to each id as an
+    `array('d')` that nothing else holds or changes, NaN for an id out of
+    sight. NaN is only this internal mark: no record carries it. Records
+    are built only when read: `get` and `select` build the ones they
+    return.
     """
 
     __slots__ = ("_table", "_unwell", "_row")
 
     def __init__(self,
                  table: tuple[tuple[ModuleClass, Pose, Health] | None, ...],
-                 unwell: tuple[int, ...], row: Sequence[float | None]):
+                 unwell: tuple[int, ...], row: array):
         self._table = table
         self._unwell = unwell
         self._row = row
 
     @classmethod
     def of(cls, records) -> "SensedModules":
-        """A view of exactly these records, for an observation built by hand."""
+        """A view of exactly these records, for an observation built by
+        hand. Each id must be new and not negative, and each distance a
+        real number that is neither NaN nor negative."""
         records = sorted(records, key=lambda m: m.id)
         n = records[-1].id + 1 if records else 0
         table: list = [None] * n
-        row: list = [None] * n
+        row = array("d", (_NAN,)) * n
         for m in records:
-            if m.id < 0 or row[m.id] is not None:
+            if m.id < 0 or row[m.id] == row[m.id]:
                 raise ValueError(f"sensed module id {m.id} is negative "
                                  f"or repeated")
+            d = m.distance
+            # NaN fails `d >= 0` too
+            if not isinstance(d, Real) or not d >= 0:
+                raise ValueError(f"sensed module id {m.id} has distance "
+                                 f"{d!r}: not a real number, NaN or "
+                                 f"negative")
             table[m.id] = (m.module_class, m.pose, m.health)
-            row[m.id] = m.distance
+            row[m.id] = d
         unwell = tuple(m.id for m in records if m.health is not _OK)
-        return cls(tuple(table), unwell, tuple(row))
+        return cls(tuple(table), unwell, row)
 
     def get(self, module_id: int) -> SensedModule | None:
         """Module `module_id` as sensed, or None when it is out of sight."""
         row = self._row
         if 0 <= module_id < len(row):
             d = row[module_id]
-            if d is not None:
+            if d == d:
                 return SensedModule(module_id, *self._table[module_id], d)
         return None
 
@@ -86,7 +99,7 @@ class SensedModules:
         out = []
         for j in self._unwell if healthy is False else range(len(row)):
             d = row[j]
-            if d is None:
+            if d != d:
                 continue
             mc, pose, health = table[j]
             if ((module_class is None or mc is module_class)
@@ -95,7 +108,8 @@ class SensedModules:
         return out
 
     def __len__(self) -> int:
-        return len(self._row) - self._row.count(None)
+        row = self._row
+        return len(row) - sum(map(math.isnan, row))
 
 
 class Sight:
@@ -104,12 +118,16 @@ class Sight:
     Indexed by module id: each Pose (immutable, so an unchanged Pose object
     is an unmoved module), its x, its y, its (x, y) point and its cell as of
     the last refresh;
-    `dist`, the flat n x n table whose entry j * n + k is the distance
-    between modules j and k when in range and in line of sight, else None
-    (None for j == k); each live observer's sensed sockets, read with the
-    run's socket flags `active` (socket id -> on); and the local channel its
-    last observation handed out, which goes stale on a move, a socket toggle
-    or a death. `table` and `unwell`, shared by one decide
+    `dist`, the flat n x n table of doubles, an `array('d')`, whose entry
+    j * n + k is the distance between modules j and k when in range and in
+    line of sight, else NaN (NaN for j == k): NaN is the table's internal
+    mark, and SensedModules keeps the public contract, None from `get` and
+    absent from `select` and `len`; each live observer's sensed sockets,
+    read with the run's socket flags `active` (socket id -> on); and the
+    local channel its last observation handed out, with its own copy of the
+    observer's row. A move, a socket toggle or a death makes every channel
+    stale, and refresh drops them all before it rewrites any row, so one
+    generation of rows is held. `table` and `unwell`, shared by one decide
     phase's local channels, hold (module_class, pose, health) per id and
     the ids whose health is not OK.
     """
@@ -125,13 +143,12 @@ class Sight:
         self.ys = [0.0] * n
         self.points: list[tuple[float, float]] = [(0.0, 0.0)] * n
         self.cells: list[tuple[int, int] | None] = [None] * n
-        self.dist: list[float | None] = [None] * (n * n)
+        self.dist = array("d", (_NAN,)) * (n * n)
         self.sockets: list[tuple] = [()] * n
         self.table: tuple[tuple, ...] = ()
         self.unwell: tuple[int, ...] = ()
         self.deaths = -1            # deaths counted when the table was built
         self.actives: tuple[bool, ...] | None = None  # at the last refresh
-        self.local_stale = True
         self.local: list[LocalChannel | None] = [None] * n
         cs = arena.cell_size
         self.arena_size = (arena.width * cs, arena.height * cs)
@@ -139,9 +156,9 @@ class Sight:
 
     def refresh(self, states: dict, deaths: int,
                 sense_sockets) -> tuple[int, ...]:
-        """Drop the dead observers, bring the tables and the observers'
-        sockets up to date with the current poses, decide whether the local
-        channels are stale, and return the live observers in id order.
+        """Drop the dead observers and, when stale, every local channel;
+        bring the tables and the observers' sockets up to date with the
+        current poses, and return the live observers in id order.
         `deaths` counts every death so far; `sense_sockets` reads one
         observer's sockets.
 
@@ -164,10 +181,9 @@ class Sight:
         alive = [i for i in observers if states[i].health is _OK]
         if len(alive) < len(observers):
             # death is final: the dead never observe again
-            for i in set(observers).difference(alive):
-                self.local[i] = None
             observers = self.observers = tuple(alive)
         if not observers:
+            self.local = []
             return observers
         arena, range_m = self.arena, self.range_m
         poses, xs, ys, cells = self.poses, self.xs, self.ys, self.cells
@@ -182,6 +198,16 @@ class Sight:
                 points[j] = (x, y)
                 cells[j] = arena.cell_of(x, y)
                 moved.append(j)
+        n = len(poses)
+        active = self.active
+        actives = tuple(active.values())
+        toggled = actives != self.actives
+        self.actives = actives
+        if moved or toggled or deaths != self.deaths:
+            # every channel handed out is stale: drop them all before any
+            # row is rewritten, so the rows of one decide phase are held,
+            # never those of two
+            self.local = [None] * n
         if moved:
             # cell_of floors x / cell_size, which keeps order, so the corner
             # cells of the fleet come from its extreme coordinates
@@ -191,24 +217,20 @@ class Sight:
             line_of_sight = arena.line_of_sight
             distance = math.dist
             dist = self.dist
-            n = len(poses)
             for j in moved:
                 row = list(map(distance, points, repeat(points[j])))
                 if max(row) > range_m:
-                    row = [d if d <= range_m else None for d in row]
-                row[j] = None
+                    row = [d if d <= range_m else _NAN for d in row]
+                row[j] = _NAN
                 if not all_in_sight:
                     cell = cells[j]
                     for k, d in enumerate(row):
-                        if d is not None and not line_of_sight(cell, cells[k]):
-                            row[k] = None
+                        if d == d and not line_of_sight(cell, cells[k]):
+                            row[k] = _NAN
+                row = array("d", row)
                 dist[j * n:(j + 1) * n] = row
                 dist[j::n] = row
 
-        active = self.active
-        actives = tuple(active.values())
-        toggled = actives != self.actives
-        self.actives = actives
         for i in (observers if toggled
                   else set(moved).intersection(observers)):
             self.sockets[i] = tuple(sense_sockets(poses[i], range_m, arena,
@@ -220,17 +242,16 @@ class Sight:
             self.unwell = tuple([st.id for st in states
                                  if st.health is not _OK])
             self.deaths = deaths
-            self.local_stale = True
-        else:
-            self.local_stale = toggled
         return observers
 
     def local_channel(self, i: int) -> LocalChannel:
-        """Observer i's local channel for this decide phase: built from i's
-        row of the sight table and this phase's module table when stale,
-        else the last one, as nothing it reads has changed."""
-        if not self.local_stale:
-            return self.local[i]
+        """Observer i's local channel for this decide phase: the last one
+        handed out while refresh has not dropped it, as nothing it reads
+        has changed, else built from i's row of the sight table and this
+        phase's module table."""
+        local = self.local[i]
+        if local is not None:
+            return local
         # the row's refresh put the cell of this very pose in `cells`
         cx, cy = self.cells[i]
         arena = self.arena
@@ -238,7 +259,8 @@ class Sight:
                    if arena.cell_in_bounds(cx, cy) else None)
         n = len(self.poses)
         # positional arguments, in field order: a keyword call costs about
-        # twice as much. The slice is the view's own copy of row i
+        # twice as much. The slice is the view's own copy of row i, an
+        # array of n doubles
         local = self.local[i] = LocalChannel(
             terrain, self.sockets[i],
             SensedModules(self.table, self.unwell,

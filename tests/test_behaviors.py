@@ -5,7 +5,10 @@ The servo tests close the loop through the real locomotion integrator, so
 the controller merely keeps emitting plausible commands.
 """
 
+import dataclasses
 import math
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +23,7 @@ from orgsim.behaviors import (ARRIVE_TOL, AT_SLOT_RADIUS, DISPOSAL_PRIORITY,
                               ExploreController, REGISTRY,
                               SeekEnergyController, StackSlot, assigned_slot,
                               build_controllers, servo_drive)
+from orgsim.config import load_scenario_file
 from orgsim.control import (ActionProposal, Dock, Drive, Idle,
                             InteractionChannel, InternalChannel, LocalChannel,
                             Observation, Recharge, SelfChannel, Undock)
@@ -27,6 +31,7 @@ from orgsim.docking import ACCURATE_TOLERANCE, ROUGH_TOLERANCE, Face
 from orgsim.errors import ConfigError
 from orgsim.energy import Tariff
 from orgsim.geometry import Pose, ang_diff_deg
+from orgsim.harness import Simulation
 from orgsim.rng import Rng
 from orgsim.robot_model import (DriveKind, Health, ModuleClass,
                                 locomotion_step, make_module_spec,
@@ -36,6 +41,7 @@ from orgsim.world import SensedSocket, TerrainClass
 from tests.path_reference import sampled
 
 TARIFF = Tariff()
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 EDGE = 0.10     # metres, the default edge_length of every module class
 SCOUT_SPEC = make_module_spec(ModuleClass.SCOUT)
 WHEEL_SPEC = make_module_spec(ModuleClass.ACTIVE_WHEEL)
@@ -296,6 +302,56 @@ def test_the_slot_is_worked_out_again_only_for_another_sockets_tuple(
         assert seen == [assigned_slot(1, list(s), EDGE) for s in
                         (lit, lit, lit, one_dark, one_dark)]
         assert seen[0].socket.id == 1 and seen[3].socket.id == 0
+
+
+def test_a_module_works_out_its_slot_once_per_sockets_tuple(monkeypatch):
+    # seek_energy and aggregate share their module's slot memo: over a run,
+    # assigned_slot runs once each time a module senses a new sockets
+    # tuple, not once per controller
+    calls = Counter()
+
+    def counting_slot(mid, sockets, pitch):
+        calls[mid] += 1
+        return assigned_slot(mid, sockets, pitch)
+
+    monkeypatch.setattr(behaviors, "assigned_slot", counting_slot)
+    cfg = load_scenario_file(CONFIG_DIR / "desk_challenge.cfg")
+    # short dwells toggle sockets every few ticks, so the tuples change often
+    cfg = dataclasses.replace(cfg, dwell_min=2, dwell_max=5)
+    sim = Simulation(cfg, 11)
+    assert all({"seek_energy", "aggregate"} <= set(ctls)
+               for ctls in sim.controllers.values())
+    observe = sim._observe
+    last = {}                       # module id -> its last sockets tuple
+    tuples = Counter()
+
+    def observe_and_count(i, delivered):
+        obs = observe(i, delivered)
+        if last.get(i) is not obs.local.sockets:
+            last[i] = obs.local.sockets
+            tuples[i] += 1
+        return obs
+
+    sim._observe = observe_and_count
+    sim.run(300)
+    assert sum(tuples.values()) > 100
+    assert calls == tuples
+
+
+def test_two_simulations_share_no_slot_memo():
+    cfg = load_scenario_file(CONFIG_DIR / "desk_challenge.cfg")
+    sims = Simulation(cfg), Simulation(cfg)
+    memos = []
+    for sim in sims:
+        for i, ctls in sim.controllers.items():
+            mine = [c._slot_memo for c in ctls.values() if c.reads_slot]
+            # one memo per module, shared by its controllers that read a slot
+            assert len(mine) == 2 and mine[0] is mine[1]
+            assert mine[0].module_id == i
+            memos.append(mine[0])
+    assert len({id(m) for m in memos}) == len(memos) == 20
+    first, second = (sim.run(200) for sim in sims)
+    assert first.digest == second.digest
 
 
 # -- aggregate controller -------------------------------------------------

@@ -118,6 +118,12 @@ def test_sensed_modules_get_and_select_build_only_what_they_return(
         SensedModules.of([sensed(3), sensed(3)])
     with pytest.raises(ValueError, match="negative"):
         SensedModules.of([sensed(-2)])
+    # a view marks an id out of sight with NaN, so a record whose distance
+    # is NaN would silently vanish from get, select and len
+    for bad in (math.nan, -0.5, -math.inf, "1.0", None, 1j):
+        with pytest.raises(ValueError,
+                           match=r"sensed module id 5 has distance"):
+            SensedModules.of([sensed(2), sensed(5, d=bad)])
 
 
 # -- proposal collection --------------------------------------------------

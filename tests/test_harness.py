@@ -1,12 +1,14 @@
 """Run harness: event log, determinism, replay verification, CLI, sweeps."""
 
 import dataclasses
+import gc
 import math
 import os
 import shutil
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -340,6 +342,78 @@ def test_an_observation_is_a_snapshot_of_its_tick(scenario, seed, ticks,
         assert [view.get(j) for j in ids] == [by_id.get(j) for j in ids], (t, i)
         assert tuple(view.select()) == modules, (t, i)
         assert obs.local.sockets == sockets, (t, i)
+
+
+def test_a_refresh_after_a_move_drops_the_last_phase_s_channels(
+        monkeypatch):
+    # a refresh that finds a moved module drops every local channel, and
+    # with it every view's copy of a row, before any row is rewritten: the
+    # sight then reaches nothing of the last decide phase, so the rows of
+    # two phases are never held at once. Refcounts alone must free them,
+    # so the collector is off. An observation a controller keeps still
+    # reads its own tick's distances
+    class TrackedChannel:
+        # LocalChannel's fields: a named tuple takes no weak reference
+        __slots__ = LocalChannel._fields + ("__weakref__",)
+
+        def __init__(self, *fields):
+            for name, value in zip(LocalChannel._fields, fields):
+                setattr(self, name, value)
+
+    class TrackedView(SensedModules):
+        __slots__ = ("__weakref__",)
+
+    monkeypatch.setattr(sensing, "LocalChannel", TrackedChannel)
+    monkeypatch.setattr(sensing, "SensedModules", TrackedView)
+    sim = Simulation(load_scenario_file(CONFIG_DIR / "full_scale.cfg"), 42)
+    keeper = min(i for i, ctls in sim.controllers.items() if ctls)
+    kept = []
+
+    def keep(obs):
+        if obs.internal.tick == 3:
+            kept.append((obs, _sensed_from_scratch(sim, keeper)[0]))
+
+    sim.controllers[keeper]["keep"] = keep
+    this_phase = []                 # weak references, never strong ones
+    checked = []
+    refresh = sensing.Sight.refresh
+
+    def refresh_and_check(sight, states, deaths, sense_sockets):
+        nonlocal this_phase
+        moved = any(st.pose is not sight.poses[j] for j, st in states.items())
+        last_phase, this_phase = this_phase, []
+        alive = refresh(sight, states, deaths, sense_sockets)
+        if moved and last_phase:
+            keeps = [o for obs, _ in kept for o in (obs.local, obs.local.modules)]
+            held = [ref() for ref in last_phase]
+            assert all(o is None or any(o is k for k in keeps)
+                       for o in held), sim.tick
+            checked.append(sim.tick)
+        return alive
+
+    monkeypatch.setattr(sensing.Sight, "refresh", refresh_and_check)
+    observe = sim._observe
+
+    def observe_and_track(i, delivered):
+        obs = observe(i, delivered)
+        this_phase.append(weakref.ref(obs.local))
+        this_phase.append(weakref.ref(obs.local.modules))
+        return obs
+
+    sim._observe = observe_and_track
+    gc.disable()
+    try:
+        metrics = sim.run(20)
+    finally:
+        gc.enable()
+    assert [metrics.digest, metrics.events] == ["24e78c658510e1b3", 460]
+    assert checked == [2, 3, 4, 5, 6, 7, 8, 9], checked
+    [(obs, modules)] = kept
+    view, by_id = obs.local.modules, {m.id: m for m in modules}
+    ids = range(len(sim.states))
+    assert len(view) == len(modules) > 10
+    assert [view.get(j) for j in ids] == [by_id.get(j) for j in ids]
+    assert tuple(view.select()) == modules
 
 
 def _observation_from_scratch(sim, i, delivered):

@@ -16,13 +16,18 @@ from .harness import replay_file, run_scenario, sweep
 
 
 def _parse_seed_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        a, b = int(lo), int(hi)
-        if b < a:
-            raise ValueError(f"empty seed range {text!r}")
-        return list(range(a, b + 1))
-    return [int(part) for part in text.split(",")]
+    lo, dots, hi = text.partition("..")
+    try:
+        seeds = [int(part) for part in ((lo, hi) if dots else text.split(","))]
+    except ValueError:
+        raise ValueError(f"--seeds wants A..B or a comma list of integers, "
+                         f"got {text!r}") from None
+    if not dots:
+        return seeds
+    a, b = seeds
+    if b < a:
+        raise ValueError(f"empty seed range {text!r}")
+    return list(range(a, b + 1))
 
 
 def _load_valid(path: Path, out=None):

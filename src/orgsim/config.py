@@ -31,21 +31,6 @@ _CLASS_KEYS = {
 ROSTER_ORDER = (ModuleClass.SCOUT, ModuleClass.BACKBONE,
                 ModuleClass.ACTIVE_WHEEL)
 
-_KNOWN_KEYS = {
-    "run": {"name", "days", "dt", "seed"},
-    "arena": {"map"},
-    "energy": {*(f.name for f in fields(Tariff)),
-               "contact_range_m", "hazard_rate", "credit_log"},
-    "schedule": {"mode", "active_count", "dwell_min", "dwell_max"},
-    "roster": set(_CLASS_KEYS),
-    "modules": {*OVERRIDABLE, "start_fraction"},
-    "controllers": {"all", "emergency_fraction", *_CLASS_KEYS},
-    "sensing": {"range_m", "radio_range_m"},
-    "spawns": None,   # numeric module ids, checked separately
-    "output": {"log"},
-}
-
-
 @dataclass(frozen=True)
 class SpawnSpec:
     x: float
@@ -138,6 +123,34 @@ def _controller_list(raw: str) -> list[str]:
     return [p.strip() for p in raw.split(",") if p.strip()]
 
 
+# Every scenario key, once: section -> key -> (default, converter). Any
+# other section or key is a finding. A None default is an unset key: the
+# name falls back to the name hint, the map to the text handed in, and an
+# override or per-class list is left out. The other keys of [spawns] are
+# module ids, one _parse_spawn line each. A bool is read as configparser
+# reads one: yes/no, on/off, true/false or 1/0.
+SCENARIO_KEYS = {
+    "run": {"name": (None, str), "days": (1.0, float), "dt": (10.0, float),
+            "seed": (0, int)},
+    "arena": {"map": (None, str)},
+    "energy": {**{f.name: (f.default, float) for f in fields(Tariff)},
+               "contact_range_m": (DEFAULT_CONTACT_RANGE_M, float),
+               "hazard_rate": (0.0, float),
+               "credit_log": (False, bool)},
+    "schedule": {"mode": ("always_on", str), "active_count": (0, int),
+                 "dwell_min": (360, int), "dwell_max": (1440, int)},
+    "roster": {key: (0, int) for key in _CLASS_KEYS},
+    "modules": {**{key: (None, float) for key in OVERRIDABLE},
+                "start_fraction": (1.0, float)},
+    "controllers": {"all": ("", str),
+                    **{key: (None, str) for key in _CLASS_KEYS},
+                    "emergency_fraction": (EMERGENCY_FRACTION, float)},
+    "sensing": {"range_m": (5.0, float), "radio_range_m": (10.0, float)},
+    "spawns": {"mode": ("seeded", str)},
+    "output": {"log": (True, bool)},
+}
+
+
 def load_scenario(text: str, *, base_dir: Path | None = None,
                   map_text: str | None = None,
                   name_hint: str = "scenario") -> ScenarioConfig:
@@ -152,21 +165,15 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
 
     findings: list[str] = []
     for section in cp.sections():
-        known = _KNOWN_KEYS.get(section)
-        if section not in _KNOWN_KEYS:
-            findings.append(f"unknown section [{section}]")
-            continue
+        known = SCENARIO_KEYS.get(section)
         if known is None:
-            continue
-        for key in cp[section]:
-            if key not in known:
-                findings.append(f"unknown key {key!r} in [{section}]")
+            findings.append(f"unknown section [{section}]")
+        elif section != "spawns":        # its other keys are module ids
+            findings.extend(f"unknown key {key!r} in [{section}]"
+                            for key in cp[section] if key not in known)
 
-    def get(section, key, default, conv=str):
-        try:
-            raw = cp.get(section, key, fallback=None)
-        except configparser.Error as exc:
-            raise ConfigError(str(exc)) from exc
+    def get(section, key, default, conv):
+        raw = cp.get(section, key, fallback=None)
         if raw is None:
             return default
         try:
@@ -177,10 +184,11 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
             raise ConfigError(
                 f"bad value for {key} in [{section}]: {raw!r}") from exc
 
-    name = get("run", "name", name_hint)
-    days = get("run", "days", 1.0, float)
-    dt = get("run", "dt", 10.0, float)
-    seed = get("run", "seed", 0, int)
+    value = {(section, key): get(section, key, default, conv)
+             for section, keys in SCENARIO_KEYS.items()
+             for key, (default, conv) in keys.items()}
+
+    days, dt = value["run", "days"], value["run", "dt"]
     # written so that NaN fails each comparison, here and in validation;
     # an infinite dt or days has no tick count
     if not 0 < dt < math.inf:
@@ -188,7 +196,7 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
     if not 0 < days < math.inf:
         raise ConfigError(f"days must be positive and finite, got {days}")
 
-    map_ref = get("arena", "map", None)
+    map_ref = value["arena", "map"]
     if map_text is None:
         if map_ref is None:
             raise ConfigError("[arena] map is required")
@@ -199,30 +207,13 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
             map_text = map_path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read map {map_path}: {exc}") from exc
-    else:
-        map_ref = map_ref or "<inline>"
 
-    prices = {f.name: get("energy", f.name, f.default, float)
-              for f in fields(Tariff)}
     try:
-        tariff = Tariff(**prices)
+        tariff = Tariff(**{f.name: value["energy", f.name]
+                           for f in fields(Tariff)})
     except ValueError as exc:
         findings.append(str(exc))
         tariff = Tariff()     # never billed: a Simulation refuses findings
-
-    roster = {mc: get("roster", key, 0, int) for key, mc in _CLASS_KEYS.items()}
-    overrides = {}
-    for key in OVERRIDABLE:
-        val = get("modules", key, None, float)
-        if val is not None:
-            overrides[key] = val
-
-    controllers_all = _controller_list(get("controllers", "all", ""))
-    by_class = {}
-    for key, mc in _CLASS_KEYS.items():
-        raw = get("controllers", key, None)
-        if raw is not None:
-            by_class[mc] = _controller_list(raw)
 
     fixed_spawns = {}
     if cp.has_section("spawns"):
@@ -236,40 +227,42 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
                     f"spawn keys are module ids, got {key!r}") from None
             fixed_spawns[mid] = get("spawns", key, None, _parse_spawn)
 
-    cfg = ScenarioConfig(
-        name=name,
+    name = value["run", "name"]
+    return ScenarioConfig(
+        name=name_hint if name is None else name,
         days=days,
         dt=dt,
-        seed=seed,
+        seed=value["run", "seed"],
         map_ref=map_ref or "<inline>",
         map_text=map_text,
         tariff=tariff,
-        contact_range_m=get("energy", "contact_range_m",
-                            DEFAULT_CONTACT_RANGE_M, float),
-        hazard_rate=get("energy", "hazard_rate", 0.0, float),
-        credit_log=get("energy", "credit_log", False, bool),
-        schedule_mode=get("schedule", "mode", "always_on"),
-        active_count=get("schedule", "active_count", 0, int),
-        dwell_min=get("schedule", "dwell_min", 360, int),
-        dwell_max=get("schedule", "dwell_max", 1440, int),
-        roster=roster,
-        module_overrides=overrides,
-        start_fraction=get("modules", "start_fraction", 1.0, float),
-        controllers_all=controllers_all,
-        controllers_by_class=by_class,
+        contact_range_m=value["energy", "contact_range_m"],
+        hazard_rate=value["energy", "hazard_rate"],
+        credit_log=value["energy", "credit_log"],
+        schedule_mode=value["schedule", "mode"],
+        active_count=value["schedule", "active_count"],
+        dwell_min=value["schedule", "dwell_min"],
+        dwell_max=value["schedule", "dwell_max"],
+        roster={mc: value["roster", key] for key, mc in _CLASS_KEYS.items()},
+        module_overrides={key: value["modules", key] for key in OVERRIDABLE
+                          if value["modules", key] is not None},
+        start_fraction=value["modules", "start_fraction"],
+        controllers_all=_controller_list(value["controllers", "all"]),
+        controllers_by_class={
+            mc: _controller_list(value["controllers", key])
+            for key, mc in _CLASS_KEYS.items()
+            if value["controllers", key] is not None},
         controller_params={
-            "emergency_fraction": get("controllers", "emergency_fraction",
-                                      EMERGENCY_FRACTION, float),
+            "emergency_fraction": value["controllers", "emergency_fraction"],
         },
-        sensing_range_m=get("sensing", "range_m", 5.0, float),
-        radio_range_m=get("sensing", "radio_range_m", 10.0, float),
-        spawn_mode=get("spawns", "mode", "seeded"),
+        sensing_range_m=value["sensing", "range_m"],
+        radio_range_m=value["sensing", "radio_range_m"],
+        spawn_mode=value["spawns", "mode"],
         fixed_spawns=fixed_spawns,
-        log_enabled=get("output", "log", True, bool),
+        log_enabled=value["output", "log"],
         raw_text=text,
         findings=findings,
     )
-    return cfg
 
 
 def load_scenario_file(path: str | Path) -> ScenarioConfig:
@@ -344,6 +337,10 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             if cname not in REGISTRY:
                 findings.append(f"unknown controller {cname!r}")
 
+    if cfg.spawn_mode != "fixed" and cfg.fixed_spawns:
+        findings.append(
+            f"[spawns] mode {cfg.spawn_mode!r} ignores the spawn lines for "
+            f"ids {sorted(cfg.fixed_spawns)}; only mode = fixed reads them")
     if cfg.spawn_mode == "fixed":
         missing = [i for i in range(n) if i not in cfg.fixed_spawns]
         if missing:

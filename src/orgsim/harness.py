@@ -757,20 +757,33 @@ def _replay(f) -> RunMetrics:
     for line in f:
         if not line.startswith(b"# "):
             break
-        key, _, value = line[2:].rstrip(b"\n").decode().partition(" ")
-        header[key] = value
+        key, _, value = line[2:].rstrip(b"\n").partition(b" ")
+        key = key.decode(errors="replace")
+        try:
+            header[key] = value.decode()
+        except UnicodeDecodeError:
+            raise ReplayError(f"log header {key!r} is not UTF-8") from None
     for want in ("config", "map", "seed", "ticks"):
         if want not in header:
             raise ReplayError(f"log header lacks {want!r}")
+    seed, ticks = (_header_int(header, key) for key in ("seed", "ticks"))
     cfg = load_scenario(urllib.parse.unquote(header["config"]),
                         map_text=urllib.parse.unquote(header["map"]),
                         name_hint=header.get("scenario", "replay"))
     f.seek(0)
     check = checker(f)
-    sim = Simulation(cfg, seed=int(header["seed"]), log=EventLog(check))
-    metrics = sim.run(int(header["ticks"]))
+    sim = Simulation(cfg, seed=seed, log=EventLog(check))
+    metrics = sim.run(ticks)
     check(b"")                # the file must end where the rerun does
     return metrics
+
+
+def _header_int(header: dict[str, str], key: str) -> int:
+    try:
+        return int(header[key])
+    except ValueError:
+        raise ReplayError(f"log header {key!r} is not an integer: "
+                          f"{header[key]!r}") from None
 
 
 def sweep(cfg: ScenarioConfig, seeds, ticks: int | None = None,

@@ -1,17 +1,22 @@
 """Scenario file parsing, derived quantities, and semantic validation."""
 
+import configparser
 import re
+import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orgsim import cli
-from orgsim.config import (_KNOWN_KEYS, ROSTER_ORDER, SECONDS_PER_DAY,
+from orgsim.config import (ROSTER_ORDER, SCENARIO_KEYS, SECONDS_PER_DAY,
                            SpawnSpec, load_scenario, load_scenario_file,
                            validate_scenario)
 from orgsim.errors import ConfigError
 from orgsim.harness import Simulation
-from orgsim.robot_model import Health, ModuleClass
+from orgsim.robot_model import OVERRIDABLE, Health, ModuleClass, ModuleSpec
+from tests.loader_reference import _KNOWN_KEYS, reference_load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -486,6 +491,35 @@ def test_validate_spawn_mode_and_coverage():
     assert "spawns given for ids beyond the roster: [5]" in findings
 
 
+SEEDED_SPAWN_LINES = ("[spawns] mode 'seeded' ignores the spawn lines for "
+                      "ids [0, 2]; only mode = fixed reads them")
+
+
+@pytest.mark.parametrize("mode", ["", "mode = seeded\n"],
+                         ids=["default", "seeded"])
+def test_validate_refuses_spawn_lines_that_seeded_mode_ignores(mode):
+    text = ("[roster]\nscout = 3\n[spawns]\n" + mode
+            + "0 = 0.3 0.3 0\n2 = 0.6 0.3 0 health=hardware_dead\n")
+    assert check(text) == [SEEDED_SPAWN_LINES]
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(SEEDED_SPAWN_LINES)}$"):
+        Simulation(load(text))
+    assert check("[roster]\nscout = 3\n[spawns]\n" + mode) == []
+
+
+def test_cli_validate_refuses_disposal_open_with_seeded_spawns(tmp_path,
+                                                                capsys):
+    # its dead scout would otherwise spawn alive on a random cell
+    shutil.copytree(CONFIG_DIR / "maps", tmp_path / "maps")
+    cfg = tmp_path / "disposal_open.cfg"
+    text = (CONFIG_DIR / "disposal_open.cfg").read_text()
+    cfg.write_text(text.replace("mode = fixed", "mode = seeded"))
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == (
+        "finding: [spawns] mode 'seeded' ignores the spawn lines for ids "
+        "[0, 1, 2]; only mode = fixed reads them\n")
+
+
 def test_validate_spawn_placement():
     base = "[roster]\nscout = 1\n[spawns]\nmode = fixed\n"
     assert any("outside arena" in f for f in check(base + "0 = 9 9 0\n"))
@@ -627,9 +661,147 @@ def _reference_sections() -> dict[str, str]:
             if (m := re.fullmatch(r"### `\[(\w+)\]`", head))}
 
 
+BOOLEAN_STATES = configparser.ConfigParser.BOOLEAN_STATES
+
+# the default column's words for a default that is not a value
+_UNSET_DEFAULTS = {"file stem": None, "none": None, "unset": None,
+                   "empty": ""}
+
+
+def _documented_defaults(body: str):
+    """(key, default cell) for each key of each `| key | default |` row."""
+    for row in re.findall(r"^\|(.*)\|$", body, flags=re.M):
+        key_cell, default_cell = (c.strip() for c in row.split("|")[:2])
+        for key in re.findall(r"`(\w+)`", key_cell):
+            yield key, default_cell
+
+
 def test_the_reference_documents_every_key_under_its_section():
     sections = _reference_sections()
-    assert set(sections) == set(_KNOWN_KEYS)
-    for section, keys in _KNOWN_KEYS.items():
-        for key in sorted(keys or {"mode"}):     # [spawns]: mode and ids
+    assert set(sections) == set(SCENARIO_KEYS)
+    for section, keys in SCENARIO_KEYS.items():
+        for key in keys:
             assert f"`{key}`" in sections[section], (section, key)
+    assert "module id" in sections["spawns"]
+    # each default the reference prints is the one a run takes; [modules]
+    # prints the ModuleSpec value that an unset override leaves in place
+    spec = {f.name: f.default for f in fields(ModuleSpec)}
+    checked = set()
+    for section, body in sections.items():
+        for key, cell in _documented_defaults(body):
+            default, conv = SCENARIO_KEYS[section][key]
+            if section == "modules" and key in OVERRIDABLE:
+                default = spec[key]
+            if conv is bool:
+                documented = BOOLEAN_STATES[cell.strip("`")]
+            elif cell.startswith("`"):
+                documented = conv(cell.strip("`"))
+            else:
+                documented = _UNSET_DEFAULTS[cell]
+            assert documented == default, (section, key, cell)
+            checked.add((section, key))
+    # [roster], [spawns] and [output] are described in prose
+    assert checked == {(section, key)
+                       for section, keys in SCENARIO_KEYS.items()
+                       if section not in ("roster", "spawns", "output")
+                       for key in keys}
+
+
+# -- the one table against the per-key loader it replaced -----------------
+
+
+def _field_reprs(cfg):
+    # repr, so that a NaN value equals itself
+    return {f.name: repr(getattr(cfg, f.name)) for f in fields(cfg)}
+
+
+def _outcome(loader, text, **kw):
+    try:
+        return _field_reprs(loader(text, **kw))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+def test_the_table_declares_the_keys_the_reference_reads():
+    assert ({section: set(keys) for section, keys in SCENARIO_KEYS.items()}
+            == {**_KNOWN_KEYS, "spawns": {"mode"}})
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_every_bundled_scenario_loads_as_the_reference_loads_it(path):
+    text = path.read_text(encoding="utf-8")
+    kw = dict(base_dir=path.parent, name_hint=path.stem)
+    new = _field_reprs(load_scenario(text, **kw))
+    assert new == _field_reprs(reference_load_scenario(text, **kw))
+
+
+# a value each converter refuses; a str key takes any text
+_BAD_VALUE = {float: "x1", int: "1.5", bool: "maybe"}
+_BAD_KEYS = [(section, key, _BAD_VALUE[conv])
+             for section, keys in SCENARIO_KEYS.items()
+             for key, (_, conv) in keys.items() if conv in _BAD_VALUE]
+
+
+@pytest.mark.parametrize("section, key, bad", [
+    *_BAD_KEYS,
+    ("run", "days", "0"), ("run", "dt", "nan"), ("run", "dt", "-inf"),
+    ("spawns", "0", "0.3 0.3"), ("spawns", "0", "0.3 abc 0"),
+    ("spawns", "0", "0.3 0.3 0 health=dead"), ("spawns", "first", "0 0 0"),
+], ids=lambda v: str(v))
+def test_one_bad_value_raises_the_reference_s_words(section, key, bad):
+    text = f"[roster]\nscout = 1\n[{section}]\n{key} = {bad}\n"
+    ref = _outcome(reference_load_scenario, text, map_text=MAP)
+    assert ref.startswith("ConfigError: ")
+    assert _outcome(load_scenario, text, map_text=MAP) == ref
+
+
+def test_a_map_that_does_not_read_raises_the_reference_s_words(tmp_path):
+    for text in ("[run]\nseed = 1\n", "[arena]\nmap = missing.map\n"):
+        ref = _outcome(reference_load_scenario, text, base_dir=tmp_path)
+        assert ref.startswith("ConfigError: ")
+        assert _outcome(load_scenario, text, base_dir=tmp_path) == ref
+
+
+# values each converter reads; a [run] days or dt must also be positive
+# and finite, so that a text holds at most the one bad value drawn for it
+_VALUES = {
+    float: st.sampled_from(["0", "2.5", " 3 ", "-1", "1e3", "nan", "inf"]),
+    int: st.sampled_from(["0", "3", "-2", "+7", "12"]),
+    bool: st.sampled_from(["yes", "no", "On", "0", "TRUE", "false"]),
+    str: st.sampled_from(["", "fixed", "seeded", "rotating", "always_on",
+                          "explore, seek_energy", "disposal", "wander",
+                          "x.map", "émile"]),
+}
+_RUN_TIME = st.sampled_from(["1", "0.5", "10", "3e-1"])
+_SPAWN_LINES = st.sampled_from(["0.3 0.3 0", "0.6 0.3 90 battery=0.25",
+                                "1 1 0 health=hardware_dead", "9 9 nan"])
+
+
+@st.composite
+def _scenario_texts(draw):
+    bad_key = draw(st.none() | st.sampled_from(_BAD_KEYS))
+    sections = draw(st.permutations([*SCENARIO_KEYS, "extra"]))
+    out = []
+    for section in sections[:draw(st.integers(0, len(sections)))]:
+        lines = [f"[{section}]"]
+        for key, (_, conv) in SCENARIO_KEYS.get(section, {}).items():
+            if bad_key is not None and bad_key[:2] == (section, key):
+                lines.append(f"{key} = {bad_key[2]}")
+            elif draw(st.booleans()):
+                values = _RUN_TIME if key in ("days", "dt") else _VALUES[conv]
+                lines.append(f"{key} = {draw(values)}")
+        if section == "spawns":
+            for mid in draw(st.lists(st.integers(0, 4), unique=True,
+                                     max_size=3)):
+                lines.append(f"{mid} = {draw(_SPAWN_LINES)}")
+        elif draw(st.integers(0, 5)) == 0:    # a finding, not an error
+            lines.append("bogus = 1")
+        out.append("\n".join(lines))
+    return "\n\n".join(out) + "\n"
+
+
+@given(_scenario_texts())
+def test_the_table_loads_any_scenario_as_the_reference_does(text):
+    assert (_outcome(load_scenario, text, map_text=MAP)
+            == _outcome(reference_load_scenario, text, map_text=MAP))

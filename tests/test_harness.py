@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -1732,6 +1733,28 @@ def test_replay_rejects_foreign_and_headerless_files():
         replay_log("# orgsim-log v1\n# config x\n# map x\n# ticks 5\n")
 
 
+@pytest.mark.parametrize("field, value, words", [
+    (b"seed", b"abc", "log header 'seed' is not an integer: 'abc'"),
+    (b"ticks", b"1.5", "log header 'ticks' is not an integer: '1.5'"),
+    (b"seed", b"", "log header 'seed' is not an integer: ''"),
+    (b"scenario", b"room\xff", "log header 'scenario' is not UTF-8"),
+    (b"config", b"\xfe%5Brun%5D", "log header 'config' is not UTF-8"),
+], ids=["seed", "ticks", "empty-seed", "scenario-utf8", "config-utf8"])
+def test_replay_names_the_malformed_header_field(field, value, words,
+                                                 tmp_path, capsys):
+    run_scenario(room_cfg(), ticks=10, out_dir=tmp_path)
+    log = tmp_path / "events.log"
+    lines = log.read_bytes().split(b"\n")
+    at = next(i for i, line in enumerate(lines)
+              if line.startswith(b"# " + field + b" "))
+    lines[at] = b"# " + field + b" " + value
+    log.write_bytes(b"\n".join(lines))
+    with pytest.raises(ReplayError, match=f"^{re.escape(words)}$"):
+        replay_file(log)
+    assert cli.main(["replay", "--log", str(log)]) == 1
+    assert capsys.readouterr().err == f"error: {words}\n"
+
+
 # -- sweeps ---------------------------------------------------------------
 
 
@@ -1894,6 +1917,16 @@ def test_cli_sweep(cli_dir, capsys):
                    "--seeds", "5..2", "--ticks", "20"])
     assert rc == 1
     assert "empty seed range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["1,,2", "", "1..x", "..3", "a"])
+def test_cli_sweep_names_a_bad_seeds_value(seeds, cli_dir, capsys):
+    rc = cli.main(["sweep", "--config", str(cli_dir / "run.cfg"),
+                   "--seeds", seeds, "--ticks", "1"])
+    assert rc == 1
+    assert capsys.readouterr() == ("", (
+        f"error: --seeds wants A..B or a comma list of integers, "
+        f"got {seeds!r}\n"))
 
 
 def test_cli_missing_config_is_an_error(tmp_path, capsys):

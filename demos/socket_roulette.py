@@ -7,15 +7,15 @@ has to keep migrating.
 
 from orgsim.config import load_scenario_file
 from orgsim.rng import Rng
-from orgsim.world import SocketSchedule, SocketScheduler
+from orgsim.world import SocketScheduler
 
 
 def main():
     cfg = load_scenario_file("configs/desk_challenge.cfg")
     arena = cfg.arena
     sched = SocketScheduler(
-        SocketSchedule(cfg.dwell_min, cfg.dwell_max, cfg.active_count),
-        [s.id for s in arena.sockets], Rng(cfg.seed).substream("schedule"))
+        [s.id for s in arena.sockets], Rng(cfg.seed).substream("schedule"),
+        cfg.dwell_min, cfg.dwell_max, cfg.active_count)
 
     live = [sid for sid, on in sched.active.items() if on]
     print(f"{len(arena.sockets)} sockets, {cfg.active_count} live at once, "

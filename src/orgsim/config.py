@@ -17,7 +17,7 @@ from .behaviors import EMERGENCY_FRACTION, REGISTRY
 from .energy import DEFAULT_CONTACT_RANGE_M, Tariff
 from .errors import ConfigError
 from .robot_model import OVERRIDABLE, Health, ModuleClass
-from .world import Arena, TerrainClass, parse_arena
+from .world import Arena, TerrainClass, parse_arena, schedule_findings
 
 SECONDS_PER_DAY = 86400.0
 
@@ -156,8 +156,10 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
                   name_hint: str = "scenario") -> ScenarioConfig:
     """Parse scenario INI text. Map text may be supplied directly (replay)
     or read from the path in [arena]; one of the two must work."""
+    # configparser's defaults section gets a name no header can spell, a
+    # line break, so [DEFAULT] is an ordinary section and so a finding
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",),
-                                   interpolation=None)
+                                   interpolation=None, default_section="\n")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -298,16 +300,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     if cfg.spawn_mode not in ("fixed", "seeded"):
         findings.append(f"unknown spawn mode {cfg.spawn_mode!r}")
     if cfg.schedule_mode == "rotating":
-        if cfg.active_count <= 0:
-            findings.append("rotating schedule needs active_count > 0")
-        if cfg.active_count > len(arena.sockets):
-            findings.append(
-                f"active_count {cfg.active_count} exceeds the "
-                f"{len(arena.sockets)} sockets on the map")
-        if not 0 < cfg.dwell_min <= cfg.dwell_max:
-            findings.append(
-                f"dwell bounds must satisfy 0 < min <= max, got "
-                f"[{cfg.dwell_min}, {cfg.dwell_max}]")
+        findings += schedule_findings(len(arena.sockets), cfg.dwell_min,
+                                      cfg.dwell_max, cfg.active_count)
 
     if not 0.0 <= cfg.hazard_rate < 1.0:
         findings.append(f"hazard_rate {cfg.hazard_rate} outside [0, 1)")

@@ -133,7 +133,7 @@ def drain_idle(states: Iterable[ModuleState], paid: set[int], tariff: Tariff,
 
 class RechargeResult(NamedTuple):
     granted: bool
-    reason: str | None      # inactive | dead | reach | position when refused
+    reason: str | None      # inactive | dead | position | reach | occupied
     drawn_j: float
     stored_j: float
 
@@ -146,13 +146,15 @@ _recharge_result = partial(tuple.__new__, RechargeResult)
 def recharge(state: ModuleState, *, socket_active: bool, socket_rating_w: float,
              socket_height: float, reach_m: float, distance_m: float,
              dt: float, tariff: Tariff, ledger: EnergyLedger,
-             contact_range_m: float = DEFAULT_CONTACT_RANGE_M) -> RechargeResult:
+             contact_range_m: float = DEFAULT_CONTACT_RANGE_M,
+             occupied: bool = False) -> RechargeResult:
     """One tick of wall charging through the module touching the socket.
 
     The socket delivers at its rating until the battery has no headroom
-    left; a full battery draws nothing. Refusals say why: the socket is off,
-    the module is dead, the socket sits above the organism's reach, or the
-    module is not at the socket.
+    left; a full battery draws nothing. Refusals say why, first match in
+    this order: the socket is off, the module is dead, the module is not at
+    the socket, the socket sits above the organism's reach, or the socket
+    is `occupied`, already feeding another module this tick.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -164,6 +166,8 @@ def recharge(state: ModuleState, *, socket_active: bool, socket_rating_w: float,
         return _recharge_result((False, "position", 0.0, 0.0))
     if reach_m < socket_height:
         return _recharge_result((False, "reach", 0.0, 0.0))
+    if occupied:
+        return _recharge_result((False, "occupied", 0.0, 0.0))
 
     headroom_pj = state.capacity_pj - state.battery_pj
     drawn_pj = round(socket_rating_w * dt * PJ)

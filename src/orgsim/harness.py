@@ -38,9 +38,10 @@ from .geometry import Pose
 from .organism import OrganismRegistry, edge_key, organism_move, reach_height
 from .rng import HitStream, Rng
 from .robot_model import (Health, ModuleState, actuate_joint, locomotion_step,
-                          make_module_spec, new_module_state, pair_tolerance)
+                          make_module_spec, new_module_state, pair_tolerance,
+                          to_pj)
 from .sensing import Sight
-from .world import SocketSchedule, SocketScheduler, in_yard, sense_sockets
+from .world import SocketScheduler, in_yard, sense_sockets
 
 LOG_VERSION = "orgsim-log v1"
 # where run_scenario streams a log until the run ends and it becomes events.log
@@ -154,8 +155,8 @@ class Simulation:
         self.scheduler: SocketScheduler | None = None
         if cfg.schedule_mode == "rotating":
             self.scheduler = SocketScheduler(
-                SocketSchedule(cfg.dwell_min, cfg.dwell_max, cfg.active_count),
-                socket_ids, master.substream("schedule"))
+                socket_ids, master.substream("schedule"), cfg.dwell_min,
+                cfg.dwell_max, cfg.active_count)
             self.socket_active = self.scheduler.active
         else:
             self.socket_active = dict.fromkeys(socket_ids, True)
@@ -354,6 +355,8 @@ class Simulation:
 
     def _phase_execute(self, selected: dict[int, ActionProposal]) -> None:
         self._idle_paid: set[int] = set()   # see drain_idle
+        # socket id -> pJ drawn this tick; a socket in it feeds no one else
+        self._socket_drawn: dict[int, int] = {}
         moved_orgs: set[int] = set()
         # _phase_decide fills `selected` in id order
         for i, prop in selected.items():
@@ -454,7 +457,8 @@ class Simulation:
     def _do_recharge(self, i: int, org, socket_id: int) -> None:
         st = self.states[i]
         socket = self.arena.socket_by_id(socket_id)
-        px, py = self.arena.cell_center(*socket.cell)
+        px, py = socket.centre
+        drawn, before = self._socket_drawn, self.ledger.drawn_pj
         res = recharge(
             st, socket_active=self.socket_active[socket_id],
             socket_rating_w=socket.rating,
@@ -463,7 +467,11 @@ class Simulation:
             distance_m=math.hypot(st.pose.x - px, st.pose.y - py),
             dt=self.cfg.dt,
             tariff=self.cfg.tariff, ledger=self.ledger,
-            contact_range_m=self.cfg.contact_range_m)
+            contact_range_m=self.cfg.contact_range_m,
+            occupied=socket_id in drawn)
+        if res.granted:
+            drawn[socket_id] = (drawn.get(socket_id, 0)
+                                + self.ledger.drawn_pj - before)
         state = "granted" if res.granted else res.reason
         key = (socket_id, state)
         if self._last_recharge.get(i) != key:
@@ -616,7 +624,8 @@ class Simulation:
 
     def _invariant_scan(self) -> None:
         """One pass over the modules for coverage, disposal and the module
-        invariants, in that order for each module, then the organisms.
+        invariants, in that order for each module, then what each socket
+        gave this tick, then the organisms.
 
         A pose is recorded only after its bounds check; a module still on
         the pose recorded last is neither counted nor bounds-checked again.
@@ -661,6 +670,11 @@ class Simulation:
                         self._breach(i, "phase_sync", f"face {p.face.value}")
                 elif p.peer is not None:
                     self._breach(i, "stale_peer", f"face {p.face.value}")
+        for sid, pj in self._socket_drawn.items():
+            cap_pj = to_pj(arena.socket_by_id(sid).rating * self.cfg.dt)
+            if pj > cap_pj:
+                self._breach(-1, "socket_overdraw",
+                             f"socket {sid} gave {pj} of {cap_pj} pJ")
         for org_id, org in self.registry.organisms.items():
             if org_id != min(org.nodes):
                 self._breach(-1, "organism_id", f"org {org_id}")

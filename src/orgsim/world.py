@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Iterator, NamedTuple
 
@@ -46,15 +46,18 @@ _CHAR_TERRAIN = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Socket:
-    """Wall power socket. Anchored to the free cell in front of its wall."""
+    """Wall power socket, anchored to the free cell in front of its wall. A
+    map line gives the first four fields; the arena that loads it keeps a
+    new record with the last two worked out (see Arena)."""
 
     id: int
     cell: tuple[int, int]
     height: float  # metres above the floor
     rating: float  # watts while active
-    approach_deg: float = 0.0  # wall into the room; set by Arena validation
+    approach_deg: float = 0.0  # direction from the wall into the room
+    centre: tuple[float, float] | None = None  # the anchor cell's, in metres
 
 
 class Arena:
@@ -63,8 +66,9 @@ class Arena:
     The graveyard is the bounding rectangle of the 'G' cells and must be
     completely filled by them; a run uses it as the drop zone for dead
     modules. Every socket anchor must sit on a walkable cell that touches an
-    obstacle cell, because sockets are mounted on walls; validation stores
-    on each socket the direction pointing from its wall into the room.
+    obstacle cell, because sockets are mounted on walls. `sockets` holds,
+    in id order, a new record of each socket handed in, with its approach
+    direction and anchor centre; the records handed in are left as they are.
 
     Nothing changes an arena once it is validated: its lazy wall-count table
     and its `path_clear` memo are pure functions of the grid. A loaded
@@ -89,8 +93,6 @@ class Arena:
         self.width = width
         self.height = len(cells)
         self.cell_size = cell_size
-        self.sockets = sorted(sockets, key=lambda s: s.id)
-        self._socket_ids: dict[int, Socket] = {}   # filled by _validate
         self.graveyard = graveyard
         # the graveyard in metres, the one rectangle in_yard reads
         self.yard = None if graveyard is None else (
@@ -105,45 +107,46 @@ class Arena:
         # without waiting for the cyclic collector
         self.path_clear = lru_cache(maxsize=PATH_MEMO_SIZE)(
             partial(self._path_clear, cells, cell_size))
-        self._validate()
+        self._socket_ids: dict[int, Socket] = {}
+        for s in sorted(sockets, key=lambda s: s.id):
+            if s.id in self._socket_ids:
+                raise ConfigError(f"duplicate socket id {s.id}")
+            self._socket_ids[s.id] = self._mounted(s)
+        self.sockets = list(self._socket_ids.values())
+        if graveyard is not None:
+            x0, y0, x1, y1 = graveyard
+            if not (self.cell_in_bounds(x0, y0) and self.cell_in_bounds(x1, y1)):
+                raise ConfigError("graveyard rectangle outside arena")
         # counted without building the cell list, so that no per-cell list
         # is made or stays resident
         self.walkable_count = sum(1 for _ in self._walkable())
-        # each valid socket's anchor cell centre, in `sockets` order, which
-        # sense_sockets reports as its position
-        self.socket_centres = [self.cell_center(*s.cell) for s in self.sockets]
 
-    def _validate(self) -> None:
-        for s in self.sockets:
-            if s.id in self._socket_ids:
-                raise ConfigError(f"duplicate socket id {s.id}")
-            self._socket_ids[s.id] = s
-            cx, cy = s.cell
-            if not self.cell_in_bounds(cx, cy):
-                raise ConfigError(f"socket {s.id} anchor {s.cell} outside arena")
-            if self.terrain_at_cell(cx, cy) is TerrainClass.OBSTACLE:
-                raise ConfigError(f"socket {s.id} anchor {s.cell} is inside a wall")
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                if (self.cell_in_bounds(cx + dx, cy + dy)
-                        and self.terrain_at_cell(cx + dx, cy + dy) is TerrainClass.OBSTACLE):
-                    # with the anchor wedged against several walls the first
-                    # match in +x, -x, +y, -y order decides, so the answer
-                    # never depends on iteration luck
-                    s.approach_deg = math.degrees(math.atan2(-dy, -dx)) % 360.0
-                    break
-            else:
-                raise ConfigError(f"socket {s.id} anchor {s.cell} does not touch a wall")
-            if not s.height >= 0:
-                raise ConfigError(f"socket {s.id} height {s.height} is negative "
-                                  f"or not a number")
-            if not s.rating > 0:
-                raise ConfigError(f"socket {s.id} rating {s.rating} must be positive")
-            if s.rating == math.inf:
-                raise ConfigError(f"socket {s.id} rating {s.rating} must be finite")
-        if self.graveyard is not None:
-            x0, y0, x1, y1 = self.graveyard
-            if not (self.cell_in_bounds(x0, y0) and self.cell_in_bounds(x1, y1)):
-                raise ConfigError("graveyard rectangle outside arena")
+    def _mounted(self, s: Socket) -> Socket:
+        """A new record of socket `s`, checked against this grid, with its
+        approach direction and anchor cell centre."""
+        cx, cy = s.cell
+        if not self.cell_in_bounds(cx, cy):
+            raise ConfigError(f"socket {s.id} anchor {s.cell} outside arena")
+        if self.terrain_at_cell(cx, cy) is TerrainClass.OBSTACLE:
+            raise ConfigError(f"socket {s.id} anchor {s.cell} is inside a wall")
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            if (self.cell_in_bounds(cx + dx, cy + dy)
+                    and self.terrain_at_cell(cx + dx, cy + dy) is TerrainClass.OBSTACLE):
+                # with the anchor wedged against several walls the first
+                # match in +x, -x, +y, -y order decides, so the answer
+                # never depends on iteration luck
+                approach = math.degrees(math.atan2(-dy, -dx)) % 360.0
+                break
+        else:
+            raise ConfigError(f"socket {s.id} anchor {s.cell} does not touch a wall")
+        if not s.height >= 0:
+            raise ConfigError(f"socket {s.id} height {s.height} is negative "
+                              f"or not a number")
+        if not s.rating > 0:
+            raise ConfigError(f"socket {s.id} rating {s.rating} must be positive")
+        if s.rating == math.inf:
+            raise ConfigError(f"socket {s.id} rating {s.rating} must be finite")
+        return replace(s, approach_deg=approach, centre=self.cell_center(cx, cy))
 
     # -- cell level access ------------------------------------------------
 
@@ -379,49 +382,52 @@ def parse_arena(text: str) -> Arena:
 # -- socket schedule ------------------------------------------------------
 
 
-@dataclass
-class SocketSchedule:
-    """Parameters for seeded socket replacement: keep exactly active_count on."""
-
-    dwell_min: int
-    dwell_max: int
-    active_count: int
-
-    def __post_init__(self):
-        if self.dwell_min <= 0 or self.dwell_max < self.dwell_min:
-            raise ConfigError(
-                f"dwell bounds must satisfy 0 < min <= max, got "
-                f"[{self.dwell_min}, {self.dwell_max}]")
-        if self.active_count < 0:
-            raise ConfigError("active_count must not be negative")
+def schedule_findings(socket_count: int, dwell_min: int, dwell_max: int,
+                      active_count: int) -> list[str]:
+    """What breaks the rotating schedule's bounds over `socket_count`
+    sockets: 0 < active_count <= socket_count and 0 < dwell_min <=
+    dwell_max. Empty when the schedule can run."""
+    findings = []
+    if active_count <= 0:
+        findings.append("rotating schedule needs active_count > 0")
+    if active_count > socket_count:
+        findings.append(f"active_count {active_count} exceeds the "
+                        f"{socket_count} sockets on the map")
+    if not 0 < dwell_min <= dwell_max:
+        findings.append(f"dwell bounds must satisfy 0 < min <= max, got "
+                        f"[{dwell_min}, {dwell_max}]")
+    return findings
 
 
 class SocketScheduler:
     """Drives one run's socket on/off flags tick by tick, deterministically
     per seed: `active` maps each socket id to its flag, in id order.
 
-    When an active socket's dwell expires it switches off and a pseudo-random
-    inactive socket switches on with a fresh dwell, keeping the active count
-    constant. With every socket active the expiring one simply renews.
+    Exactly `active_count` sockets are on. When an active socket's dwell,
+    drawn from [dwell_min, dwell_max] ticks, expires it switches off and a
+    pseudo-random inactive socket switches on with a fresh dwell. With
+    every socket active the expiring one simply renews. Bounds that
+    `schedule_findings` reports raise ConfigError.
     """
 
-    def __init__(self, schedule: SocketSchedule, socket_ids, rng: Rng):
+    def __init__(self, socket_ids, rng: Rng, dwell_min: int, dwell_max: int,
+                 active_count: int):
         self.active: dict[int, bool] = dict.fromkeys(sorted(socket_ids), False)
-        if schedule.active_count > len(self.active):
-            raise ConfigError(
-                f"active_count {schedule.active_count} exceeds "
-                f"{len(self.active)} sockets")
-        self.schedule = schedule
+        findings = schedule_findings(len(self.active), dwell_min, dwell_max,
+                                     active_count)
+        if findings:
+            raise ConfigError("; ".join(findings))
+        self.dwell_min, self.dwell_max = dwell_min, dwell_max
         self.rng = rng
         self._expiry: dict[int, int] = {}
         pool = list(self.active)
-        for _ in range(schedule.active_count):
+        for _ in range(active_count):
             sid = pool.pop(self.rng.randrange(len(pool)))
             self._activate(sid, 0)
 
     def _activate(self, sid: int, tick: int) -> None:
         self.active[sid] = True
-        dwell = self.rng.randint(self.schedule.dwell_min, self.schedule.dwell_max)
+        dwell = self.rng.randint(self.dwell_min, self.dwell_max)
         self._expiry[sid] = tick + dwell
 
     def step(self, tick: int) -> list[tuple[int, bool]]:
@@ -470,8 +476,8 @@ def sense_sockets(pose: Pose, range_m: float, arena: Arena,
     x, y = pose.x, pose.y
     origin = arena.cell_of(x, y)
     out = []
-    for s, centre in zip(arena.sockets, arena.socket_centres):
-        px, py = centre
+    for s in arena.sockets:
+        px, py = centre = s.centre
         d = math.hypot(px - x, py - y)
         if d > range_m or not arena.line_of_sight(origin, s.cell):
             continue

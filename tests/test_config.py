@@ -162,6 +162,18 @@ def test_unknown_section_and_key_become_findings():
     assert "unknown key 'dasy' in [run]" in cfg.findings
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nlog = no\n[roster]\nscout = 1\n[output]\n",
+    "[DEFAULT]\nlog = no\n[roster]\nscout = 1\n",
+])
+def test_a_default_section_is_an_unknown_section(text):
+    # its keys reach no other section: [output] log keeps its default
+    cfg = load(text)
+    assert cfg.findings == ["unknown section [DEFAULT]"]
+    assert cfg.log_enabled is True
+    assert validate_scenario(cfg) == ["unknown section [DEFAULT]"]
+
+
 def test_bad_value_raises():
     with pytest.raises(ConfigError, match="bad value for days"):
         load("[run]\ndays = soon\n")

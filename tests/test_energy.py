@@ -122,10 +122,12 @@ def test_drain_idle_bills_like_per_module_drain(coprocessor_on):
 
 
 def grant(state, *, active=True, rating=20.0, height=0.3, reach=0.3,
-          distance=0.05, dt=10.0, tariff=Tariff(), ledger=None):
+          distance=0.05, dt=10.0, tariff=Tariff(), ledger=None,
+          occupied=False):
     return recharge(state, socket_active=active, socket_rating_w=rating,
                     socket_height=height, reach_m=reach, distance_m=distance,
-                    dt=dt, tariff=tariff, ledger=ledger or EnergyLedger())
+                    dt=dt, tariff=tariff, ledger=ledger or EnergyLedger(),
+                    occupied=occupied)
 
 
 def test_refusal_reasons_in_priority_order():
@@ -138,6 +140,12 @@ def test_refusal_reasons_in_priority_order():
     healthy = module(fraction=0.5)
     assert grant(healthy, distance=0.2, reach=0.1).reason == "position"
     assert grant(healthy, reach=0.1).reason == "reach"
+    # a socket already feeding another module is the last refusal
+    assert grant(healthy, reach=0.1, occupied=True).reason == "reach"
+    led = EnergyLedger()
+    assert grant(healthy, occupied=True, ledger=led) == (
+        False, "occupied", 0.0, 0.0)
+    assert led.drawn_pj == 0 and healthy.battery_pj == healthy.capacity_pj // 2
 
 
 def test_refusal_boundaries_are_inclusive():

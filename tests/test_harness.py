@@ -18,9 +18,11 @@ from hypothesis import example, given, strategies as st
 from orgsim import cli, harness, sensing
 from orgsim.config import (ROSTER_ORDER, load_scenario, load_scenario_file,
                            validate_scenario)
+from orgsim.behaviors import REGISTRY
 from orgsim.control import (ActionProposal, Actuate, Dock, Drive,
                             InteractionChannel, InternalChannel, LocalChannel,
-                            Observation, SelfChannel, ToggleCoprocessor)
+                            Observation, Recharge, SelfChannel,
+                            ToggleCoprocessor)
 from orgsim.docking import FACES, DockPhase, Face, undock
 from orgsim.errors import (ConfigError, FrameworkError, InvariantBreach,
                            ReplayError)
@@ -33,6 +35,8 @@ from orgsim.rng import _BLOCK, Rng, fnv1a64
 from orgsim.robot_model import Health, make_module_spec, to_pj
 from orgsim.sensing import SensedModule, SensedModules
 from orgsim.world import SensedSocket, TerrainClass, parse_arena
+from tests.pinned_runs import (COLONY, CROWD, DISPOSAL_OPEN, HAZARD_BLOCKS,
+                               IDLE_FIELD)
 
 ROOM_MAP = """\
 cellsize 0.25
@@ -190,11 +194,8 @@ def test_seed_override_changes_the_run():
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-@pytest.mark.parametrize("scenario, seed, ticks, pinned", [
-    ("desk_challenge", 11, 500, ["e2fd2665ab52effd", 34]),
-    ("full_scale", 42, 20, ["24e78c658510e1b3", 460]),
-    ("hazard_field", 0, 500, ["216d1570703f4c6d", 211]),
-])
+@pytest.mark.parametrize("scenario, seed, ticks, pinned",
+                         [COLONY, CROWD, IDLE_FIELD])
 def test_bundled_runs_reproduce_their_pinned_digests(scenario, seed, ticks,
                                                      pinned):
     # docking, sensing, motion and energy all feed the digest, so a
@@ -209,7 +210,7 @@ def _hazard_blocks_cfg():
     # survival_zero with batteries that outlast some hazards: five hazard
     # deaths from tick 554 on, five energy deaths from tick 1998 on, and
     # about 15k hazard draws, so nearly four blocks of them
-    cfg = load_scenario_file(CONFIG_DIR / "survival_zero.cfg")
+    cfg = HAZARD_BLOCKS.load()
     return dataclasses.replace(
         cfg, hazard_rate=0.0003,
         module_overrides={**cfg.module_overrides, "battery_capacity": 12000})
@@ -224,11 +225,12 @@ def test_a_run_over_several_hazard_blocks_reproduces_its_pin(monkeypatch):
         return hits(rng, n, p)
 
     monkeypatch.setattr(Rng, "hits", counted)
-    metrics = Simulation(_hazard_blocks_cfg(), 7).run(2200)
+    metrics = Simulation(_hazard_blocks_cfg(),
+                         HAZARD_BLOCKS.seed).run(HAZARD_BLOCKS.ticks)
     assert blocks == [_BLOCK] * 4
     # pinned from drawing one module at a time, before the draws came in
     # blocks
-    assert [metrics.digest, metrics.events] == ["7219456189120713", 31]
+    assert [metrics.digest, metrics.events] == HAZARD_BLOCKS.pinned
     assert metrics.residual_j == 0.0
 
 
@@ -366,7 +368,7 @@ def test_a_refresh_after_a_move_drops_the_last_phase_s_channels(
 
     monkeypatch.setattr(sensing, "LocalChannel", TrackedChannel)
     monkeypatch.setattr(sensing, "SensedModules", TrackedView)
-    sim = Simulation(load_scenario_file(CONFIG_DIR / "full_scale.cfg"), 42)
+    sim = Simulation(CROWD.load(), CROWD.seed)
     keeper = min(i for i, ctls in sim.controllers.items() if ctls)
     kept = []
 
@@ -404,10 +406,10 @@ def test_a_refresh_after_a_move_drops_the_last_phase_s_channels(
     sim._observe = observe_and_track
     gc.disable()
     try:
-        metrics = sim.run(20)
+        metrics = sim.run(CROWD.ticks)
     finally:
         gc.enable()
-    assert [metrics.digest, metrics.events] == ["24e78c658510e1b3", 460]
+    assert [metrics.digest, metrics.events] == CROWD.pinned
     assert checked == [2, 3, 4, 5, 6, 7, 8, 9], checked
     [(obs, modules)] = kept
     view, by_id = obs.local.modules, {m.id: m for m in modules}
@@ -724,10 +726,7 @@ def test_sensed_modules_get_on_a_live_observation():
     assert tuple(view.select()) == scratch == (dead, view.get(3))
 
 
-@pytest.mark.parametrize("scenario, seed, ticks, pinned", [
-    ("full_scale", 42, 20, ["24e78c658510e1b3", 460]),
-    ("desk_challenge", 11, 500, ["e2fd2665ab52effd", 34]),
-])
+@pytest.mark.parametrize("scenario, seed, ticks, pinned", [CROWD, COLONY])
 def test_observing_builds_few_sensed_module_records(scenario, seed, ticks,
                                                     pinned, monkeypatch):
     # a deterministic cost guard: the stock controllers read a few sensed
@@ -763,8 +762,8 @@ def test_open_floor_sightlines_are_neither_traced_nor_cached():
     # a deterministic cost guard: full_scale has walls on its border only,
     # so every sightline between two modules on the floor answers from the
     # wall-count table, with no walk
-    cfg = load_scenario_file(CONFIG_DIR / "full_scale.cfg")
-    sim = Simulation(cfg, 42)
+    cfg = CROWD.load()
+    sim = Simulation(cfg, CROWD.seed)
     arena = sim.arena
     walks = 0
     trace = arena._trace
@@ -775,8 +774,8 @@ def test_open_floor_sightlines_are_neither_traced_nor_cached():
         return trace(p, q)
 
     arena._trace = counting_trace
-    metrics = sim.run(20)
-    assert [metrics.digest, metrics.events] == ["24e78c658510e1b3", 460]
+    metrics = sim.run(CROWD.ticks)
+    assert [metrics.digest, metrics.events] == CROWD.pinned
     assert arena._walls is not None
     assert walks == 0
 
@@ -784,8 +783,8 @@ def test_open_floor_sightlines_are_neither_traced_nor_cached():
 def test_a_run_samples_each_distinct_path_query_once():
     # the arena's path memo samples a query the first time any module asks
     # it, and a run this size evicts nothing
-    cfg = load_scenario_file(CONFIG_DIR / "desk_challenge.cfg")
-    sim = Simulation(cfg, 11)
+    cfg = COLONY.load()
+    sim = Simulation(cfg, COLONY.seed)
     arena = sim.arena
     path_clear = arena.path_clear
     asked = []
@@ -795,8 +794,8 @@ def test_a_run_samples_each_distinct_path_query_once():
         return path_clear(*query)
 
     arena.path_clear = recording
-    metrics = sim.run(500)
-    assert [metrics.digest, metrics.events] == ["e2fd2665ab52effd", 34]
+    metrics = sim.run(COLONY.ticks)
+    assert [metrics.digest, metrics.events] == COLONY.pinned
     info = path_clear.cache_info()
     assert info.misses == info.currsize == len(set(asked))
     assert info.hits == len(asked) - info.misses
@@ -1028,8 +1027,8 @@ def test_docking_keeps_the_cached_reach_of_untouched_organisms(monkeypatch):
         return reach_height(org, specs, *args)
 
     monkeypatch.setattr(harness, "reach_height", counting_reach)
-    cfg = load_scenario_file(CONFIG_DIR / "full_scale.cfg")
-    sim = Simulation(cfg, 42)
+    cfg = CROWD.load()
+    sim = Simulation(cfg, CROWD.seed)
     docking = sim._phase_docking
     kept_across_a_merge = 0
 
@@ -1052,8 +1051,8 @@ def test_docking_keeps_the_cached_reach_of_untouched_organisms(monkeypatch):
                 kept_across_a_merge += sim.merges > merges
 
     sim._phase_docking = docking_and_check
-    metrics = sim.run(20)
-    assert [metrics.digest, metrics.events] == ["24e78c658510e1b3", 460]
+    metrics = sim.run(CROWD.ticks)
+    assert [metrics.digest, metrics.events] == CROWD.pinned
     assert kept_across_a_merge > 0
     assert len(computed) == len(set(computed)) > 0
 
@@ -1308,10 +1307,8 @@ def test_an_open_organism_turn_rotates_the_body_and_bills_its_crew(
         for k in (0, 1)]
 
 
-@pytest.mark.parametrize("scenario, seed, ticks, pinned", [
-    ("disposal_open", 3, 432, ["95413e9143b7c30e", 21]),   # 2 merges, 2 splits
-    ("full_scale", 42, 20, ["24e78c658510e1b3", 460]),     # 65 merges
-])
+@pytest.mark.parametrize("scenario, seed, ticks, pinned",
+                         [DISPOSAL_OPEN, CROWD])
 def test_the_guard_is_handed_each_module_s_current_organism(
         monkeypatch, scenario, seed, ticks, pinned):
     sim = Simulation(load_scenario_file(CONFIG_DIR / f"{scenario}.cfg"), seed)
@@ -1472,6 +1469,12 @@ def _ghost_edge(sim):
         port.peer, port.phase = None, DockPhase.FREE
 
 
+def _socket_overdrawn(sim):
+    # one pJ past what socket 0 can give in a tick
+    rating = sim.arena.socket_by_id(0).rating
+    sim._socket_drawn[0] = to_pj(rating * sim.cfg.dt) + 1
+
+
 def _dead_off_the_arena(sim):
     # a point off the arena is outside the yard; the bounds check reports it
     st = sim.states[2]
@@ -1494,6 +1497,7 @@ BREACHES = {
     "organism_id": _renamed_organism,
     "ghost_edge": _ghost_edge,
     "dead_out_of_bounds": _dead_off_the_arena,
+    "socket_overdraw": _socket_overdrawn,
 }
 # the cases whose breach has another name than the case
 BREACH_NAME = {"dead_out_of_bounds": "out_of_bounds"}
@@ -1517,6 +1521,67 @@ def test_invariant_scan_catches_each_breach(name):
     breach = BREACH_NAME.get(name, name)
     assert (caught.value.tick, caught.value.name) == (3, breach)
     assert f" breach name={breach} " in sim.log.lines[-1]
+
+
+# a 6 x 4 room with one 0.1 m, 20 W socket and two scouts on its anchor
+# cell's centre, each of them plugging in every tick
+SHARED_SOCKET_MAP = """\
+cellsize 0.25
+######
+#....#
+#....#
+######
+socket 0 1 1 0.1 20
+"""
+
+SHARED_SOCKET_SCENARIO = """\
+[run]
+dt = 10
+
+[roster]
+scout = 2
+
+[modules]
+start_fraction = 0.5
+
+[controllers]
+all = plug_in
+
+[spawns]
+mode = fixed
+0 = 0.375 0.375 0
+1 = 0.375 0.375 0
+"""
+
+
+class _PlugIn:
+    """Proposes a recharge at socket 0 every tick."""
+
+    draws_noise = reads_slot = False
+
+    def __init__(self, module_id, spec, rng, params):
+        pass
+
+    def __call__(self, obs):
+        return ActionProposal(10, Recharge(0))
+
+
+def test_a_socket_feeds_one_module_per_tick(monkeypatch):
+    monkeypatch.setitem(REGISTRY, "plug_in", _PlugIn)
+    cfg = load_scenario(SHARED_SOCKET_SCENARIO, map_text=SHARED_SOCKET_MAP)
+    assert validate_scenario(cfg) == []
+    sim = Simulation(cfg)
+    metrics = sim.run(10)
+    # 20 W for 10 ticks of 10 s: 2000 J, all of it to module 0
+    assert metrics.drawn_j == 2000.0
+    assert metrics.charged_j == 1800.0
+    assert metrics.residual_j == 0.0
+    assert [line for line in sim.log.lines if " recharge " in line] == [
+        "1 0 recharge socket=0 state=granted",
+        "1 1 recharge socket=0 state=occupied"]
+    # module 1 only paid its idle draw
+    half = sim.states[1].capacity_pj // 2
+    assert sim.states[0].battery_pj > half > sim.states[1].battery_pj
 
 
 def _breach_at_tick_3(monkeypatch, name):

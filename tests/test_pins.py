@@ -5,19 +5,14 @@ its pin as failed, so a change meant to leave behaviour alone must reproduce
 all of them. This reads the table and changes nothing in it.
 """
 
-import json
-from pathlib import Path
-
 import pytest
 
 from orgsim.config import load_scenario_file
 from orgsim.harness import Simulation
+from tests.pinned_runs import ROOT, WORKLOADS
 
 pytestmark = pytest.mark.slow
 
-ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = json.loads(
-    (ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
 PINS = [pytest.param(name, int(seed), pinned, id=f"{name}-{seed}")
         for name, spec in WORKLOADS.items()
         for seed, pinned in spec["pinned"].items()]

@@ -1,5 +1,6 @@
 """Arena parsing, cell geometry, line of sight, socket schedule, sensing."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -13,8 +14,9 @@ from orgsim.geometry import Pose
 from orgsim.rng import Rng
 from orgsim.robot_model import _ABOVE_GROUND, _TRAVERSABLE
 from orgsim.world import (DEFAULT_CELL_SIZE, PATH_MEMO_SIZE, Arena,
-                          SocketSchedule, SensedSocket, SocketScheduler,
-                          TerrainClass, in_yard, parse_arena, sense_sockets)
+                          SensedSocket, Socket, SocketScheduler, TerrainClass,
+                          in_yard, parse_arena, schedule_findings,
+                          sense_sockets)
 from tests.path_reference import PATH_SAMPLE_STEP, reference_path_clear
 
 
@@ -543,6 +545,22 @@ def test_socket_approach_top_and_bottom_walls():
     assert b.sockets[0].approach_deg == pytest.approx(270.0)
 
 
+def test_an_arena_keeps_new_socket_records_and_leaves_the_given_ones():
+    # one socket list, two grids: a wall above the anchor on the first, a
+    # wall to its right on the second
+    given = [Socket(id=0, cell=(1, 1), height=0.3, rating=20.0)]
+    above = Arena(parse_arena("###\n...\n...").cells, given, None)
+    right = Arena(parse_arena("...\n..#\n...").cells, given, None)
+    assert above.sockets[0].approach_deg == 90.0
+    assert right.sockets[0].approach_deg == 180.0
+    assert above.sockets[0].centre == right.sockets[0].centre == (0.375, 0.375)
+    assert given == [Socket(id=0, cell=(1, 1), height=0.3, rating=20.0)]
+    assert above.socket_by_id(0) is above.sockets[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        above.sockets[0].approach_deg = 0.0
+    assert not hasattr(above, "socket_centres")
+
+
 # -- socket scheduler -----------------------------------------------------
 
 
@@ -552,8 +570,8 @@ def sockets6():
 
 
 def test_scheduler_keeps_exact_active_count():
-    sched = SocketSchedule(dwell_min=5, dwell_max=17, active_count=2)
-    sch = SocketScheduler(sched, sockets6(), Rng(7).substream("schedule"))
+    sch = SocketScheduler(sockets6(), Rng(7).substream("schedule"),
+                          dwell_min=5, dwell_max=17, active_count=2)
     assert list(sch.active) == list(range(6))      # id order
     assert sum(sch.active.values()) == 2
     shadow = dict(sch.active)
@@ -572,9 +590,8 @@ def test_scheduler_keeps_exact_active_count():
 
 def test_scheduler_is_deterministic_per_seed():
     def trace(seed):
-        sch = SocketScheduler(
-            SocketSchedule(dwell_min=3, dwell_max=9, active_count=3),
-            sockets6(), Rng(seed).substream("schedule"))
+        sch = SocketScheduler(sockets6(), Rng(seed).substream("schedule"),
+                              dwell_min=3, dwell_max=9, active_count=3)
         out = [tuple(sid for sid, on in sch.active.items() if on)]
         for tick in range(1, 500):
             out.append(tuple(sch.step(tick)))
@@ -585,25 +602,36 @@ def test_scheduler_is_deterministic_per_seed():
 
 
 def test_scheduler_renews_in_place_when_everything_is_active():
-    sch = SocketScheduler(
-        SocketSchedule(dwell_min=2, dwell_max=4, active_count=6),
-        sockets6(), Rng(1).substream("schedule"))
+    sch = SocketScheduler(sockets6(), Rng(1).substream("schedule"),
+                          dwell_min=2, dwell_max=4, active_count=6)
     for tick in range(1, 200):
         assert sch.step(tick) == []
         assert all(sch.active.values())
 
 
+SCHEDULE_BOUNDS = [
+    ((0, 4, 1), "dwell bounds must satisfy 0 < min <= max, got [0, 4]"),
+    ((5, 4, 1), "dwell bounds must satisfy 0 < min <= max, got [5, 4]"),
+    ((1, 2, -1), "rotating schedule needs active_count > 0"),
+    ((1, 2, 0), "rotating schedule needs active_count > 0"),
+    ((1, 2, 9), "active_count 9 exceeds the 6 sockets on the map"),
+]
+
+
 def test_schedule_validation():
-    with pytest.raises(ConfigError):
-        SocketSchedule(dwell_min=0, dwell_max=4, active_count=1)
-    with pytest.raises(ConfigError):
-        SocketSchedule(dwell_min=5, dwell_max=4, active_count=1)
-    with pytest.raises(ConfigError):
-        SocketSchedule(dwell_min=1, dwell_max=2, active_count=-1)
-    with pytest.raises(ConfigError, match="exceeds"):
-        SocketScheduler(
-            SocketSchedule(dwell_min=1, dwell_max=2, active_count=9),
-            sockets6(), Rng(1))
+    # the scheduler raises what validation reports, in the same words
+    for bounds, finding in SCHEDULE_BOUNDS:
+        assert schedule_findings(6, *bounds) == [finding]
+        with pytest.raises(ConfigError) as caught:
+            SocketScheduler(sockets6(), Rng(1), *bounds)
+        assert str(caught.value) == finding
+    assert schedule_findings(6, 1, 1, 6) == []
+    # every broken bound is listed, and the scheduler joins them with "; "
+    assert schedule_findings(0, 3, 2, 0) == [
+        "rotating schedule needs active_count > 0",
+        "dwell bounds must satisfy 0 < min <= max, got [3, 2]"]
+    with pytest.raises(ConfigError, match="exceeds.*; dwell bounds"):
+        SocketScheduler([], Rng(1), 3, 2, 1)
 
 
 # -- sensing --------------------------------------------------------------

@@ -283,11 +283,14 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     runnable. Unknown keys found during parsing are included. A
     `Simulation` refuses a config with any.
     """
+    findings = list(cfg.findings)
+    # the log's header gives the name one line
+    if "\n" in cfg.name:
+        findings.append(f"run name {cfg.name!r} must be one line")
     try:
         arena = cfg.arena
     except ConfigError as exc:
-        return [*cfg.findings, str(exc)]
-    findings = list(cfg.findings)
+        return [*findings, str(exc)]
     n = cfg.module_count
     if n == 0:
         findings.append("roster is empty")

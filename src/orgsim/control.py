@@ -453,7 +453,7 @@ class MessageBus:
     PER_DEST_LIMIT = 64
 
     def __init__(self, range_m: float):
-        if range_m < 0:
+        if not range_m >= 0:
             raise ValueError("radio range must be >= 0")
         self.range_m = range_m
         self._pending: dict[int, list[Message]] = {}

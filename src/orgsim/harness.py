@@ -60,6 +60,11 @@ def _enc(text: str) -> str:
     return urllib.parse.quote(text, safe="")
 
 
+def _ids(ids: tuple[int, ...]) -> str:
+    """A merge or split line's id list: `3+7`, or `-` for none."""
+    return "+".join(map(str, ids)) or "-"
+
+
 @dataclass
 class RunMetrics:
     """Everything a finished run reports, mirrored into metrics text files."""
@@ -537,20 +542,19 @@ class Simulation:
                     interaction[mid] = None
                 self.merges += 1
                 self.log.event(self.tick, -1, "merge", org=ev.organism_id,
-                               size=len(ev.nodes),
-                               absorbed="+".join(map(str, ev.absorbed)) or "-")
+                               size=len(ev.nodes), absorbed=_ids(ev.absorbed))
                 if pairing.tow:
                     self._refresh_carried(pa.owner, pb.owner)
             elif now is _SEPARATING and prev is DockPhase.UNLOCKING:
                 # link is no longer real; the organism loses this edge now,
                 # which is exactly what lets the halves move apart
-                for mid in self.registry.organism_of(pa.owner).nodes:
-                    interaction[mid] = None
                 ev = self.registry.remove_edge(key)
+                for mid in ev.nodes:
+                    interaction[mid] = None
                 self.splits += 1
                 self.log.event(self.tick, -1, "split", org=ev.organism_id,
-                               survivors="+".join(map(str, ev.survivors)) or "-",
-                               dissolved="+".join(map(str, ev.dissolved)) or "-")
+                               survivors=_ids(ev.survivors),
+                               dissolved=_ids(ev.dissolved))
                 self._refresh_carried(pa.owner, pb.owner)
             if now is _FREE:
                 del self.pairs[key]

@@ -53,11 +53,15 @@ class Organism:
     def adjacency(self) -> dict[int, list[int]]:
         """Each member's neighbours in ascending id, each once however many
         edges join the two, keyed in ascending id."""
-        adj: dict[int, set[int]] = {n: set() for n in self.sorted_nodes()}
-        for (a, _), (b, _) in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return {n: sorted(nbs) for n, nbs in adj.items()}
+        return _adjacency(self.nodes, self.edges)
+
+
+def _adjacency(nodes: set[int], edges: set[EdgeKey]) -> dict[int, list[int]]:
+    adj: dict[int, set[int]] = {n: set() for n in sorted(nodes)}
+    for (a, _), (b, _) in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return {n: sorted(nbs) for n, nbs in adj.items()}
 
 
 @dataclass(frozen=True)
@@ -72,10 +76,13 @@ class SplitEvent:
     organism_id: int            # organism the edge was removed from
     survivors: tuple[int, ...]  # organism ids existing afterwards
     dissolved: tuple[int, ...]  # modules that became singletons
+    nodes: tuple[int, ...]      # the members it had
 
 
 class OrganismRegistry:
-    """All organisms of a run, updated as docked edges come and go."""
+    """All organisms of a run, updated as docked edges come and go. Every
+    change follows one rule: the organisms an edge touches give way to new
+    ones."""
 
     def __init__(self):
         self.organisms: dict[int, Organism] = {}
@@ -86,87 +93,60 @@ class OrganismRegistry:
         return self.organisms[org_id] if org_id is not None else None
 
     def register_edge(self, port_a: DockPort, port_b: DockPort) -> MergeEvent:
-        """Record a freshly docked connection, merging organisms as needed."""
+        """Record a freshly docked connection: the organisms of its two
+        ends, none, one or two, give way to one holding them and the edge."""
         if port_a.phase is not DockPhase.DOCKED or port_b.phase is not DockPhase.DOCKED:
             raise ProtocolError("register_edge wants two docked ports")
         if port_a.peer is not port_b or port_b.peer is not port_a:
             raise ProtocolError("register_edge wants mutually peered ports")
-        key = edge_key(port_a, port_b)
-        a, b = port_a.owner, port_b.owner
-        org_a = self.organism_of(a)
-        org_b = self.organism_of(b)
-        absorbed = []
-        if org_a is None and org_b is None:
-            org = Organism(id=min(a, b), nodes={a, b}, edges={key})
-        elif org_a is org_b:   # an extra edge closing a loop
-            org = Organism(id=org_a.id, nodes=set(org_a.nodes),
-                           edges=org_a.edges | {key})
-        else:
-            parts = [o for o in (org_a, org_b) if o is not None]
-            nodes = {a, b}
-            edges = {key}
-            for o in parts:
-                nodes |= o.nodes
-                edges |= o.edges
-                absorbed.append(o.id)
-                del self.organisms[o.id]
-            org = Organism(id=min(nodes), nodes=nodes, edges=edges)
-        self.organisms[org.id] = org
-        for n in org.nodes:
-            self._member_of[n] = org.id
-        return MergeEvent(org.id, tuple(sorted(set(absorbed) - {org.id})),
-                          tuple(org.sorted_nodes()))
+        nodes = {port_a.owner, port_b.owner}
+        edges = {edge_key(port_a, port_b)}
+        gone = {self._member_of[n] for n in nodes if n in self._member_of}
+        for org_id in sorted(gone):
+            org = self.organisms.pop(org_id)
+            nodes |= org.nodes
+            edges |= org.edges
+        self._publish(nodes, edges)
+        return MergeEvent(min(nodes), tuple(sorted(gone - {min(nodes)})),
+                          tuple(sorted(nodes)))
 
     def remove_edge(self, key: EdgeKey) -> SplitEvent:
-        """Drop a separated connection; may split the organism apart."""
+        """Drop a separated connection. What is left of its organism is one
+        part or, when the edge was a bridge, two; a lone module falls back
+        to being a plain singleton."""
         (a, _), (b, _) = key
         org = self.organism_of(a)
         if org is None or key not in org.edges:
             raise ValueError(f"edge {key} is not registered")
-        old_id = org.id
+        del self.organisms[org.id]
         edges = org.edges - {key}
-        del self.organisms[old_id]
-        for n in org.nodes:
-            del self._member_of[n]
-
-        components = _components(org.nodes, edges)
-        survivors = []
-        dissolved = []
-        for comp in components:
-            if len(comp) == 1:
-                dissolved.append(next(iter(comp)))
-                continue
-            new_org = Organism(
-                id=min(comp), nodes=set(comp),
-                edges={e for e in edges if e[0][0] in comp and e[1][0] in comp})
-            self.organisms[new_org.id] = new_org
-            for n in comp:
-                self._member_of[n] = new_org.id
-            survivors.append(new_org.id)
-        return SplitEvent(old_id, tuple(sorted(survivors)), tuple(sorted(dissolved)))
-
-
-def _components(nodes: set[int], edges: set[EdgeKey]) -> list[set[int]]:
-    adj: dict[int, set[int]] = {n: set() for n in nodes}
-    for (a, _), (b, _) in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen: set[int] = set()
-    out = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
+        adj = _adjacency(org.nodes, edges)
+        part = {a}
+        frontier = [a]
         while frontier:
-            n = frontier.pop()
-            for m in adj[n]:
-                if m not in comp:
-                    comp.add(m)
+            for m in adj[frontier.pop()]:
+                if m not in part:
+                    part.add(m)
                     frontier.append(m)
-        seen |= comp
-        out.append(comp)
-    return out
+        parts = [part] if b in part else sorted((part, org.nodes - part), key=min)
+        survivors, dissolved = [], []
+        for nodes in parts:
+            kept = self._publish(nodes, {e for e in edges if e[0][0] in nodes})
+            (survivors if kept else dissolved).append(min(nodes))
+        return SplitEvent(org.id, tuple(survivors), tuple(dissolved),
+                          tuple(org.sorted_nodes()))
+
+    def _publish(self, nodes: set[int], edges: set[EdgeKey]) -> bool:
+        """Make `nodes` one new organism, True, or a lone module a plain
+        singleton again, False."""
+        if len(nodes) == 1:
+            del self._member_of[min(nodes)]
+            return False
+        org = Organism(id=min(nodes), nodes=nodes, edges=edges)
+        self.organisms[org.id] = org
+        for n in nodes:
+            self._member_of[n] = org.id
+        return True
 
 
 # -- mass and lift queries ------------------------------------------------

@@ -471,7 +471,7 @@ def sense_sockets(pose: Pose, range_m: float, arena: Arena,
     """Sockets within Euclidean range and grid line of sight, sorted by id,
     each with its flag in `active` (socket id -> on). A socket's position
     is the centre of its anchor cell."""
-    if range_m < 0:
+    if not range_m >= 0:
         raise ValueError(f"sensing range must not be negative, got {range_m}")
     x, y = pose.x, pose.y
     origin = arena.cell_of(x, y)

@@ -561,6 +561,28 @@ def test_cli_run_reports_a_spawn_heading_that_is_not_finite(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_cli_refuses_a_run_name_that_spans_lines(tmp_path, capsys):
+    # written in [run] or taken from the file's stem alike: the log header
+    # would end at the line break, and the log would not replay
+    (tmp_path / "maps").mkdir()
+    (tmp_path / "maps" / "ample.map").write_text(
+        (CONFIG_DIR / "maps" / "ample.map").read_text())
+    text = (CONFIG_DIR / "survival_ample.cfg").read_text()
+    named = tmp_path / "named.cfg"
+    named.write_text(text.replace("name = survival_ample",
+                                  "name = survival\n  ample"))
+    stem = tmp_path / "survival\nample.cfg"
+    stem.write_text(text.replace("name = survival_ample\n", ""))
+    finding = "finding: run name 'survival\\nample' must be one line"
+    for cfg in (named, stem):
+        assert cli.main(["validate", "--config", str(cfg)]) == 2
+        assert finding in capsys.readouterr().out
+        assert cli.main(["run", "--config", str(cfg), "--ticks", "1",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert finding in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_seeded_needs_room():
     findings = check("[roster]\nscout = 99\n")
     assert any("cannot spawn on" in f for f in findings)
@@ -622,10 +644,14 @@ def test_cli_run_reports_a_roster_too_big_for_the_free_cells(tmp_path, capsys):
      "map does not load: socket 0 rating inf must be finite"),
     ("cellsize 0.25", "cellsize inf",
      "map does not load: cell_size must be finite, got inf"),
+    # its log header would end at the line break, so it would not replay
+    ("name = desk_challenge", "name = desk\n  challenge",
+     "run name 'desk\\nchallenge' must be one line"),
 ], ids=["negative-range", "inf-heading", "off-arena", "no-active-socket",
         "certain-hazard", "spawn-in-wall", "typo-key", "negative-tariff",
         "nan-tariff", "zero-efficiency", "inf-idle", "inf-share-rate",
-        "inf-lock", "inf-mass", "inf-socket-rating", "inf-cellsize"])
+        "inf-lock", "inf-mass", "inf-socket-rating", "inf-cellsize",
+        "two-line-name"])
 def test_a_simulation_refuses_what_validation_reports(old, new, finding):
     text = (CONFIG_DIR / "desk_challenge.cfg").read_text()
     map_text = (CONFIG_DIR / "maps" / "challenge.map").read_text()

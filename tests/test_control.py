@@ -721,8 +721,9 @@ def test_bus_range_gate_and_missing_positions():
     positions = {0: Pose(0, 0, 0), 1: Pose(0.5, 0, 0), 2: Pose(50, 0, 0)}
     got = bus.deliver(positions)
     assert got == {1: [Message(0, 1, "near")]}
-    with pytest.raises(ValueError):
-        MessageBus(range_m=-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            MessageBus(range_m=bad)
 
 
 def test_mailbox_stamps_its_sender():

@@ -1,8 +1,9 @@
 """Organism registry, lift queries, and rigid-body motion.
 
-The registry tests cross-check merge/split bookkeeping against a small
-union-find written here in the test, so the two sides share no code: the
-implementation walks components with BFS, the oracle with path compression.
+The registry tests cross-check merge/split bookkeeping and events against a
+small union-find written here in the test, so the two sides share no code:
+the implementation walks the graph from one end of a removed edge, the
+oracle joins sets with path compression.
 """
 
 import gc
@@ -16,10 +17,11 @@ from orgsim.docking import DockPhase, DockPort, Face
 from orgsim.energy import Tariff
 from orgsim.errors import CommandError, ProtocolError
 from orgsim.geometry import Pose
-from orgsim.organism import (G, LiftQuery, Organism, OrganismRegistry,
-                             _longest_chain, center_of_mass, edge_key,
-                             lift_feasible, lift_torque_nm, organism_move,
-                             reach_height, scout_carry_configuration,
+from orgsim.organism import (G, LiftQuery, MergeEvent, Organism,
+                             OrganismRegistry, _longest_chain, center_of_mass,
+                             edge_key, lift_feasible, lift_torque_nm,
+                             organism_move, reach_height,
+                             scout_carry_configuration, SplitEvent,
                              worst_case_chain)
 from orgsim.robot_model import (Health, ModuleClass, make_module_spec,
                                 new_module_state)
@@ -73,17 +75,37 @@ def test_registry_tracks_components_exactly(toggles):
     # merges, splits and loop-closing edges all build new organisms, so what
     # a caller keeps on one it was handed, such as its reach, stays true
     published = {}  # id(org) -> (org, nodes, edges) when first seen
+    expected = {}  # organism id -> members, by the oracle
     for t in toggles:
         a, b = ALL_PAIRS[t]
+        before = expected
         if (a, b) in live:
-            reg.remove_edge(live.pop((a, b)))
+            ev = reg.remove_edge(live.pop((a, b)))
         else:
             pa, pb = docked_pair(a, b)
-            reg.register_edge(pa, pb)
+            ev = reg.register_edge(pa, pb)
             live[(a, b)] = edge_key(pa, pb)
 
         expected = {min(c): c for c in
                     uf_components(range(N_MODULES), live) if len(c) > 1}
+        # the event names what the oracle says the edge touched
+        touched = {oid for oid, c in before.items() if a in c or b in c}
+        if isinstance(ev, MergeEvent):
+            (new_id, members), = [(oid, c) for oid, c in expected.items()
+                                  if a in c]
+            assert ev.organism_id == new_id
+            assert ev.absorbed == tuple(sorted(touched - {new_id}))
+            assert ev.nodes == tuple(sorted(members))
+        else:
+            old_id, = touched
+            old = before[old_id]
+            parts = uf_components(old, [p for p in live if p[0] in old])
+            assert ev.organism_id == old_id
+            assert ev.survivors == tuple(sorted(
+                min(c) for c in parts if len(c) > 1))
+            assert ev.dissolved == tuple(sorted(
+                min(c) for c in parts if len(c) == 1))
+            assert ev.nodes == tuple(sorted(old))
         got = {oid: set(org.nodes) for oid, org in reg.organisms.items()}
         assert got == expected
         for oid, org in reg.organisms.items():
@@ -160,9 +182,9 @@ def test_split_events():
     reg.register_edge(*docked_pair(0, 1))
     reg.register_edge(*docked_pair(1, 2))
     sp = reg.remove_edge(((0, "N"), (1, "S")))
-    assert (sp.organism_id, sp.survivors, sp.dissolved) == (0, (1,), (0,))
+    assert sp == SplitEvent(0, (1,), (0,), (0, 1, 2))
     sp = reg.remove_edge(((1, "N"), (2, "S")))
-    assert (sp.organism_id, sp.survivors, sp.dissolved) == (1, (), (1, 2))
+    assert sp == SplitEvent(1, (), (1, 2), (1, 2))
     assert reg.organisms == {}
     with pytest.raises(ValueError):
         reg.remove_edge(((0, "N"), (1, "S")))

@@ -647,8 +647,9 @@ def test_sense_sockets_range_and_order(room):
     assert near[0].active is False
     both = sense_sockets(pose, 2.0, room, ROOM_OFF)
     assert [s.id for s in both] == [0, 1]
-    with pytest.raises(ValueError):
-        sense_sockets(pose, -1.0, room, ROOM_OFF)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="must not be negative"):
+            sense_sockets(pose, bad, room, ROOM_OFF)
 
 
 def test_sense_sockets_respects_line_of_sight(room):

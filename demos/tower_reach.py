@@ -6,8 +6,8 @@ square-ish sum 1+2+...+n of edge lengths.
 """
 
 from orgsim.docking import DockPhase, DockPort, Face
-from orgsim.organism import (LiftQuery, OrganismRegistry, lift_feasible,
-                             lift_torque_nm, reach_height)
+from orgsim.organism import (OrganismRegistry, lift_feasible, lift_torque_nm,
+                             reach_height)
 from orgsim.robot_model import ModuleClass, make_module_spec
 
 
@@ -35,13 +35,13 @@ def main():
           "  ".join(f"{mc.value:>12s}" for mc in bases))
     for lifted in range(1, 5):
         specs = {i: scout for i in range(lifted + 1)}
-        q = LiftQuery(pivot=0, pivot_dof=0, chain=tuple(range(1, lifted + 1)))
-        need = lift_torque_nm(q, specs)
+        lift = tuple(range(1, lifted + 1))
+        need = lift_torque_nm(0, lift, specs)
         verdicts = []
         for mc, spec in bases.items():
             mix = dict(specs)
             mix[0] = spec
-            ok = lift_feasible(q, mix)
+            ok = lift_feasible(0, lift, mix)
             verdicts.append(f"{'yes' if ok else 'no':>12s}")
         print(f"{lifted:>8d} {need:>10.3f}   " + "  ".join(verdicts))
 
@@ -52,8 +52,7 @@ def main():
         h = reach_height(org, specs)
         print(f"  {mc.value:>12s} base: {h:.2f} m"
               f"  ({'reaches a 0.35 m socket' if h >= 0.35 else 'too low'})")
-    print(f"\nany module alone: "
-          f"{reach_height(None, {9: scout}, singleton=9):.2f} m")
+    print(f"\nany module alone: {scout.edge_length:.2f} m")
 
 
 if __name__ == "__main__":

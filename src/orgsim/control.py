@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .docking import DockPhase, Face
 from .errors import CommandError, FrameworkError
 from .geometry import Pose, rotate_vec
-from .organism import (LiftQuery, Organism, lift_torque_nm,
+from .organism import (Organism, lift_feasible, lift_torque_nm,
                        plan_organism_move, worst_case_chain)
 from .robot_model import (DriveKind, Health, ModuleClass, ModuleSpec,
                           ModuleState, dof_range, passable_terrain)
@@ -382,9 +382,9 @@ def _guard_actuate(action: Actuate, st: ModuleState,
                                       f"{action.dof_index}"))
     clamped = max(-limit, min(limit, action.target_deg))
     if organism is not None:
-        chain = worst_case_chain(organism, st.id)
-        load = lift_torque_nm(LiftQuery(st.id, action.dof_index, chain), ctx.specs)
-        if load > spec.max_torque:
+        chain = worst_case_chain(organism, st.id, ctx.specs)
+        if not lift_feasible(st.id, chain, ctx.specs):
+            load = lift_torque_nm(st.id, chain, ctx.specs)
             return _rejected(("overload",
                               f"lifting {len(chain)} modules needs "
                               f"{load:.2f} N*m, joint rated {spec.max_torque}"))

@@ -51,6 +51,8 @@ _OK, _ENERGY_DEAD, _FREE = Health.OK, Health.ENERGY_DEAD, DockPhase.FREE
 _DOCKED = DockPhase.DOCKED
 _APPROACHING, _ALIGNING = DockPhase.APPROACHING, DockPhase.ALIGNING
 _SEPARATING = DockPhase.SEPARATING
+# aligning advances a pairing may spend without aligning; the next aborts it
+ALIGN_LIMIT = 10
 # a face's value to its port's index in ModuleState.ports, for the organism
 # edges, which hold faces by value
 _PORT_OF_FACE = {face.value: k for k, face in enumerate(FACES)}
@@ -124,6 +126,7 @@ class _Pairing:
     port_a: object
     port_b: object
     tow: bool
+    aligning: int = 0   # advances made while aligning
 
 
 class Simulation:
@@ -140,10 +143,10 @@ class Simulation:
 
     def __init__(self, cfg: ScenarioConfig, seed: int | None = None,
                  log: EventLog | None = None):
-        self.arena = cfg.arena
         findings = validate_scenario(cfg)
         if findings:
             raise ConfigError("; ".join(findings))
+        self.arena = cfg.arena
         self.cfg = cfg
         self.seed = cfg.seed if seed is None else seed
         self.log = EventLog() if log is None else log
@@ -487,7 +490,9 @@ class Simulation:
     def _phase_docking(self) -> None:
         """Advance every pending pairing one step, in key order. Each pairing
         is asked only what its phase reads: the face gap while approaching,
-        aligning or separating, and `attempt_align` while aligning.
+        aligning or separating, and `attempt_align` while aligning. A gap
+        over 0.5 m, or an aligning advance past the first ALIGN_LIMIT,
+        aborts the attempt.
 
         A module's interaction channel reads its own ports and organism, and
         every peer, organism and reach change comes with a phase change, so
@@ -511,15 +516,18 @@ class Simulation:
                 gap = math.hypot(ax - bx, ay - by)
                 if prev is _SEPARATING:
                     inp = TickInput(separated=gap >= edge)
+                elif prev is _APPROACHING:
+                    inp = TickInput(abort=gap > 0.5)
                 else:
+                    pairing.aligning += 1
                     # attempt_align is read from this module's globals on
                     # every call, where perfbench/tracer.py wraps it
                     inp = TickInput(
-                        aligned=prev is _ALIGNING and attempt_align(
+                        aligned=attempt_align(
                             sta.pose, pa.face, stb.pose, pb.face,
                             pair_tolerance(sta.module_class,
                                            stb.module_class), edge),
-                        abort=gap > 0.5)
+                        abort=gap > 0.5 or pairing.aligning > ALIGN_LIMIT)
             else:
                 inp = TickInput()
             advance_dock(pa, pb, inp,

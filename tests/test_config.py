@@ -672,6 +672,16 @@ def test_a_simulation_joins_every_finding_in_validation_order():
                         "hazard_rate 2.0 outside [0, 1)"]
     with pytest.raises(ConfigError, match=re.escape("; ".join(findings))):
         Simulation(cfg)
+    # a map that does not load is one finding among the others
+    cfg = load("[roster]\nscout = 1\n\n[bogus]\nx = 1\n",
+               map_text=MAP + "socket 2 9 9 0.3 10\n")
+    findings = validate_scenario(cfg)
+    assert findings == ["unknown section [bogus]",
+                        "map does not load: socket 2 anchor (9, 9) "
+                        "outside arena"]
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape('; '.join(findings))}$"):
+        Simulation(cfg)
 
 
 def test_a_simulation_refuses_a_map_that_does_not_load_in_validation_s_words():

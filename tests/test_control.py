@@ -636,9 +636,11 @@ def test_guard_actuate_clamps_and_checks_torque():
     assert isinstance(got, Rejected) and got.reason == "overload"
     specs[0] = BACKBONE
     states[0] = new_module_state(0, BACKBONE, Pose(0, 0, 0))
-    got = guard_action(Actuate(0, 30.0), 0, org,
-                       ctx_for(states[0], BACKBONE, states, specs))
-    assert got == Actuate(0, 30.0)
+    ctx = ctx_for(states[0], BACKBONE, states, specs)
+    assert guard_action(Actuate(0, 30.0), 0, org, ctx) == Actuate(0, 30.0)
+    # a backbone has one joint, in an organism as alone
+    got = guard_action(Actuate(1, 30.0), 0, org, ctx)
+    assert got == Rejected("protocol", "backbone has no dof 1")
 
 
 def test_guard_dock_cases():

@@ -444,7 +444,8 @@ def _observation_from_scratch(sim, i, delivered):
                   else None for p in ports),
             None if org is None else org.id,
             1 if org is None else len(org.nodes),
-            reach_height(org, sim.specs, singleton=i),
+            (sim.specs[i].edge_length if org is None
+             else reach_height(org, sim.specs)),
             tuple(delivered.get(i, ()))),
         InternalChannel(sim.tick, sim.cfg.dt,
                         sum(len(v) for v in delivered.values()),
@@ -1077,6 +1078,40 @@ def test_a_port_paired_earlier_in_the_phase_refuses_a_second_dock():
     assert [p.phase for p in (sim.states[0].port(Face.EAST),
                               sim.states[2].port(Face.WEST))] == [
         DockPhase.APPROACHING] * 2
+
+
+def test_a_pairing_that_never_aligns_frees_its_faces_after_the_bound():
+    # at heading 0 the east faces look sideways, so 0's east and 1's west
+    # face centres sit 0.14 m apart, within the 0.5 m gap that aborts, but
+    # too far for a scout to align: only the aligning bound ends the attempt
+    text = ("[spawns]\nmode = fixed\n0 = 1.0 0.5 0\n1 = 1.1 0.5 0\n"
+            "[roster]\nscout = 2\n")
+    sim = Simulation(load_scenario(text, map_text=ROOM_MAP))
+    east = sim.states[0].port(Face.EAST)
+    dock = Dock(Face.EAST, 1, Face.WEST)
+
+    def dock_when_free(obs):
+        if east.phase is DockPhase.FREE:
+            return ActionProposal(40, dock)
+        return None
+
+    sim.controllers[0] = {"dock": dock_when_free}
+    # approaching on tick 1, aligning on 2, ALIGN_LIMIT failed aligning
+    # advances, and the next one aborts; a tick later the freed faces take
+    # the dock again
+    freed = 3 + harness.ALIGN_LIMIT
+    sim.run(freed + 1)
+    phases = [line for line in sim.log.lines if " phase " in line]
+    assert [line.split()[-2] for line in phases] == [
+        "state=approaching", "state=aligning", "state=free",
+        "state=approaching"]
+    assert phases[2:] == [
+        f"{freed} 0 phase a=0 fa=E b=1 fb=W state=free tow=0",
+        f"{freed + 1} 0 phase a=0 fa=E b=1 fb=W state=approaching tow=0"]
+    assert not [line for line in sim.log.lines if " reject " in line]
+    west = sim.states[1].port(Face.WEST)
+    assert (east.phase, west.phase) == (DockPhase.APPROACHING,) * 2
+    assert list(sim.pairs) == [((0, "E"), (1, "W"))]
 
 
 def guard_checking_the_organism(monkeypatch, sim):

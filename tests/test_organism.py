@@ -12,12 +12,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from orgsim.control import Drive
+from orgsim.control import Actuate, Drive, GuardContext, Rejected, guard_action
 from orgsim.docking import DockPhase, DockPort, Face
 from orgsim.energy import Tariff
 from orgsim.errors import CommandError, ProtocolError
 from orgsim.geometry import Pose
-from orgsim.organism import (G, LiftQuery, MergeEvent, Organism,
+from orgsim.organism import (G, MergeEvent, Organism,
                              OrganismRegistry, _longest_chain, center_of_mass,
                              edge_key, lift_feasible, lift_torque_nm,
                              organism_move, reach_height,
@@ -207,20 +207,16 @@ def test_center_of_mass_weights_by_mass():
 def test_lift_torque_oracle_values():
     # chain of unit masses on 0.10 m pitch: g * edge * (1 + 2 + ... + n)
     specs = {i: SCOUT for i in range(4)}
-    two = LiftQuery(pivot=0, pivot_dof=0, chain=(1, 2))
-    three = LiftQuery(pivot=0, pivot_dof=0, chain=(1, 2, 3))
-    assert lift_torque_nm(two, specs) == pytest.approx(2.943)
-    assert lift_torque_nm(three, specs) == pytest.approx(5.886)
+    assert lift_torque_nm(0, (1, 2), specs) == pytest.approx(2.943)
+    assert lift_torque_nm(0, (1, 2, 3), specs) == pytest.approx(5.886)
 
 
 def test_lift_feasibility_by_class():
     scout_specs = {i: SCOUT for i in range(4)}
-    assert lift_feasible(LiftQuery(0, 0, (1, 2)), scout_specs)          # 2.943 <= 3
-    assert not lift_feasible(LiftQuery(0, 0, (1, 2, 3)), scout_specs)   # 5.886 > 3
+    assert lift_feasible(0, (1, 2), scout_specs)          # 2.943 <= 3
+    assert not lift_feasible(0, (1, 2, 3), scout_specs)   # 5.886 > 3
     bb_base = {0: BACKBONE, 1: SCOUT, 2: SCOUT, 3: SCOUT}
-    assert lift_feasible(LiftQuery(0, 0, (1, 2, 3)), bb_base)           # 5.886 <= 7
-    with pytest.raises(ValueError):
-        lift_feasible(LiftQuery(0, 1, (1,)), bb_base)  # backbone has one joint
+    assert lift_feasible(0, (1, 2, 3), bb_base)           # 5.886 <= 7
 
 
 def chain_org(reg_ids):
@@ -231,9 +227,10 @@ def chain_org(reg_ids):
 
 
 def test_reach_singleton_is_one_edge():
-    assert reach_height(None, {5: SCOUT}, singleton=5) == pytest.approx(0.10)
-    with pytest.raises(ValueError):
-        reach_height(None, {5: SCOUT})
+    # a lone module has no organism (Simulation._reach_of gives it its edge
+    # length); a one-module organism, which the search can be handed, agrees
+    alone = Organism(id=5, nodes={5}, edges=set())
+    assert reach_height(alone, {5: SCOUT}) == pytest.approx(0.10)
 
 
 def test_reach_designated_stack_is_all_or_nothing():
@@ -311,8 +308,7 @@ def exhaustive_reach(org, specs):
     best = 1
     for start in org.sorted_nodes():
         for path in _all_simple_paths(adj, start):
-            if len(path) > best and lift_feasible(
-                    LiftQuery(path[0], 0, path[1:]), specs):
+            if len(path) > best and lift_feasible(path[0], path[1:], specs):
                 best = len(path)
     return best * specs[org.sorted_nodes()[0]].edge_length
 
@@ -367,10 +363,10 @@ def test_pruned_reach_equals_the_exhaustive_search(case):
 
 @given(shaped_organisms())
 def test_worst_case_chain_equals_the_exhaustive_search(case):
-    org, _ = case
+    org, specs = case
     for mid in org.sorted_nodes():
-        assert worst_case_chain(org, mid) == exhaustive_worst_case_chain(
-            org, mid), mid
+        assert worst_case_chain(org, mid, specs) == \
+            exhaustive_worst_case_chain(org, mid), mid
 
 
 @pytest.mark.parametrize("links", [1, 2, 3, 4])
@@ -386,7 +382,7 @@ def test_pruned_reach_is_exact_at_the_torque_limit(pivot_class, links):
         return {0: pivot, **{i: light for i in range(1, links + 2)}}
 
     def torque(mass):
-        return lift_torque_nm(LiftQuery(0, 0, chain), specs_of(mass))
+        return lift_torque_nm(0, chain, specs_of(mass))
 
     mass = pivot.max_torque / (G * pivot.edge_length * links * (links + 1) / 2)
     while torque(mass) > pivot.max_torque:
@@ -407,6 +403,22 @@ def test_pruned_reach_is_exact_at_the_torque_limit(pivot_class, links):
     for specs in (specs_of(mass), specs_of(heavier)):
         assert reach_height(org, specs) == exhaustive_reach(org, specs)
 
+    # the guard judges by the same rule: pivot 0 of a line that ends with
+    # the chain may swing it at that mass, not one ulp heavier
+    line = chain_org(list(range(links + 1)))
+
+    def guarded(specs):
+        states = {i: new_module_state(i, specs[i], Pose(0.1 * i, 0, 0))
+                  for i in line.nodes}
+        ctx = GuardContext(states, specs, path_clear=None, dt=10.0,
+                           socket_by_id=None)
+        return guard_action(Actuate(0, 30.0), 0, line, ctx)
+
+    assert worst_case_chain(line, 0, specs_of(mass)) == chain
+    assert guarded(specs_of(mass)) == Actuate(0, 30.0)
+    refused = guarded(specs_of(heavier))
+    assert isinstance(refused, Rejected) and refused.reason == "overload"
+
 
 def ladder(rungs):
     """Two rails of `rungs` modules, 0..rungs-1 and rungs..2*rungs-1, with a
@@ -424,40 +436,44 @@ def test_reach_of_a_two_by_twelve_ladder_of_backbones():
     # at 0.25 kg seven links cost 6.867 N*m and eight 8.829
     light = make_module_spec(ModuleClass.BACKBONE, {"mass": 0.25})
     specs = {i: light for i in org.nodes}
-    assert lift_feasible(LiftQuery(0, 0, tuple(range(1, 8))), specs)
+    assert lift_feasible(0, tuple(range(1, 8)), specs)
     assert reach_height(org, specs) == 8 * 0.10
 
 
 def test_worst_case_chain_hangs_the_long_side():
     org = chain_org([0, 1, 2, 3])
-    assert worst_case_chain(org, 1) == (2, 3)
-    assert worst_case_chain(org, 0) == (1, 2, 3)
-    assert worst_case_chain(org, 3) == (2, 1, 0)
+    # the guard's chain is the load whatever it weighs: no torque bound
+    specs = {i: SCOUT for i in org.nodes}
+    assert worst_case_chain(org, 1, specs) == (2, 3)
+    assert worst_case_chain(org, 0, specs) == (1, 2, 3)
+    assert worst_case_chain(org, 3, specs) == (2, 1, 0)
 
 
 def test_worst_case_chain_of_a_ladder_takes_ascending_ids_first():
     # the edge keys list some rung neighbours before rail neighbours of a
     # lower id; the walk must still try the lower id first
     org = ladder(10)
+    specs = {i: SCOUT for i in org.nodes}
     for mid in org.sorted_nodes():
-        assert worst_case_chain(org, mid) == exhaustive_worst_case_chain(
-            org, mid), mid
-    assert worst_case_chain(org, 0) == (1, 2, 3, 4, 5, 6, 7, 8, 9, 19, 18,
-                                        17, 16, 15, 14, 13, 12, 11, 10)
+        assert worst_case_chain(org, mid, specs) == \
+            exhaustive_worst_case_chain(org, mid), mid
+    assert worst_case_chain(org, 0, specs) == (1, 2, 3, 4, 5, 6, 7, 8, 9, 19,
+                                               18, 17, 16, 15, 14, 13, 12, 11,
+                                               10)
 
 
 def test_a_thirty_module_line_hits_the_chain_limit():
     org = chain_org(list(range(30)))
-    assert worst_case_chain(org, 0) == tuple(range(1, 25))
-    assert worst_case_chain(org, 29) == tuple(range(28, 4, -1))
-    assert worst_case_chain(org, 10) == tuple(range(11, 30))
-    for mid in org.sorted_nodes():
-        assert worst_case_chain(org, mid) == exhaustive_worst_case_chain(
-            org, mid), mid
     # reach counts the pivot among its 24 modules: 23 links of 0.01 kg
     # cost 0.00981 * 276 = 2.71 N*m, well within a Backbone's 7
     light = make_module_spec(ModuleClass.BACKBONE, {"mass": 0.01})
     specs = {i: light for i in org.nodes}
+    assert worst_case_chain(org, 0, specs) == tuple(range(1, 25))
+    assert worst_case_chain(org, 29, specs) == tuple(range(28, 4, -1))
+    assert worst_case_chain(org, 10, specs) == tuple(range(11, 30))
+    for mid in org.sorted_nodes():
+        assert worst_case_chain(org, mid, specs) == \
+            exhaustive_worst_case_chain(org, mid), mid
     assert reach_height(org, specs) == exhaustive_reach(org, specs) == 24 * 0.10
 
 
@@ -472,7 +488,7 @@ def test_the_chain_search_leaves_no_reference_cycle():
     try:
         del gc.garbage[:]
         assert reach_height(org, specs) == 4 * 0.10
-        assert worst_case_chain(org, 0) == (1, 2, 3, 7, 6, 5, 4)
+        assert worst_case_chain(org, 0, specs) == (1, 2, 3, 7, 6, 5, 4)
         gc.collect()
         leaked = [o for o in gc.garbage
                   if "_longest_chain" in getattr(o, "__qualname__", "")]

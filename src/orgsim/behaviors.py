@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .control import (IDLE, Dock, Drive, Observation, Tow, Undock, _drive,
-                      _proposal, _recharge)
-from .docking import FACES, Face, attempt_align
+from .control import (IDLE, ActionProposal, Dock, Drive, Observation, Tow,
+                      Undock, _drive, _proposal, _recharge)
+from .docking import FACES, _EAST, _NORTH, _SOUTH, _WEST, attempt_align
 from .errors import ConfigError
 from .geometry import Pose, ang_diff_deg, heading_vec, norm_deg, rotate_vec
 from .rng import Rng
@@ -41,15 +41,12 @@ ARRIVE_TOL = 0.004        # snug inside the tightest docking tolerance
 HEADING_TOL = 1.0
 AT_SLOT_RADIUS = 0.05     # close enough to call a slot "mine"
 
-# proposals are built in C by orgsim.control's builders; a hold proposal
-# never changes, so every hold is this one
-HOLD_PROPOSAL = _proposal((HOLD_PRIORITY, IDLE, ""))
-
 # per-call code reads these members bound once: an Enum class attribute
 # lookup goes through a slow-path __getattr__
 _OK = Health.OK
 _ACTIVE_WHEEL = ModuleClass.ACTIVE_WHEEL
 _TRACKED = DriveKind.TRACKED
+_SOUTH_PORT = FACES.index(_SOUTH)    # the index of its port phase
 
 
 # -- navigation servos ----------------------------------------------------
@@ -158,18 +155,34 @@ class _Controller:
     sets `draws_noise`; only such a class is handed a noise stream, the
     others get None. A class that reads its stack slot sets `reads_slot`;
     build_controllers hands each such controller its module's `_SlotMemo`,
-    and one built alone makes its own on first use."""
+    and one built alone makes its own on first use.
 
+    A controller returns None or a tuple of proposals stamped with `name`,
+    the name build_controllers registers it under ("" for one built alone,
+    whose proposals step_controllers restamps). It remembers its last
+    answer in `_answer` and the objects it read to work it out in `_key`,
+    and hands back that same tuple while every input it reads is the same
+    object as on its last call. Every such input is immutable: a frozen
+    Pose, a float, a bool, a tuple or an Enum member; the module table of
+    `local.modules` stands for the observer's row as well, by the rule
+    SensedModules states. So an identity match is exact, for -0.0 and NaN
+    too."""
+
+    __slots__ = ("module_id", "spec", "name", "_slot_memo", "_servo_memo",
+                 "_key", "_answer")
     draws_noise = False
     reads_slot = False
-    _slot_memo: _SlotMemo | None = None
-    # the last servo call: (pose, tx, ty, target_heading, dt, its Drive)
-    _servo_memo: tuple | None = None
 
     def __init__(self, module_id: int, spec: ModuleSpec, rng: Rng | None,
                  params: dict | None = None):
         self.module_id = module_id
         self.spec = spec
+        self.name = ""
+        self._slot_memo: _SlotMemo | None = None
+        # the last servo call: (pose, tx, ty, target_heading, dt, its Drive)
+        self._servo_memo: tuple | None = None
+        self._key: tuple | None = None     # explore keeps a Drive here
+        self._answer: tuple[ActionProposal, ...] | None = None
 
     def _assigned_slot(self, obs: Observation) -> StackSlot | None:
         """assigned_slot of this module for the sockets it senses, through
@@ -209,8 +222,13 @@ class SeekEnergyController(_Controller):
     Battery below the emergency fraction promotes every proposal into the
     self-protection band. A module docked at a slot that no longer matches
     its assignment unplugs one face per tick until free to walk again.
+
+    The answer is keyed on `local.sockets`, `me.pose`, whether the battery
+    is below the emergency fraction, `interaction.docked_faces`,
+    `me.carried` and `internal.dt`.
     """
 
+    __slots__ = ("emergency_fraction",)
     reads_slot = True
 
     def __init__(self, module_id: int, spec: ModuleSpec, rng: Rng | None,
@@ -221,47 +239,77 @@ class SeekEnergyController(_Controller):
                                               EMERGENCY_FRACTION))
 
     def __call__(self, obs: Observation):
+        me = obs.me
+        sockets, pose, carried = obs.local.sockets, me.pose, me.carried
+        urgent = me.battery_fraction < self.emergency_fraction
+        docked_faces, dt = obs.interaction.docked_faces, obs.internal.dt
+        key = self._key
+        if (key is not None and key[0] is sockets and key[1] is pose
+                and key[2] is urgent and key[3] is docked_faces
+                and key[4] is carried and key[5] is dt):
+            return self._answer
+        self._key = (sockets, pose, urgent, docked_faces, carried, dt)
+        answer = self._answer = self._propose(obs, urgent)
+        return answer
+
+    def _propose(self, obs: Observation, urgent: bool):
         slot = self._assigned_slot(obs)
         if slot is None:
             return None
-        urgent = obs.me.battery_fraction < self.emergency_fraction
+        name = self.name
         seek_pri = EMERGENCY_PRIORITY if urgent else SEEK_PRIORITY
         pose = obs.me.pose
         at_slot = (math.hypot(pose.x - slot.position[0],
                               pose.y - slot.position[1]) < AT_SLOT_RADIUS)
-        docked = bool(obs.interaction.docked_faces)
-        out = []
+        docked_faces = obs.interaction.docked_faces
 
-        if docked and not at_slot:
+        if docked_faces and not at_slot:
             # wrong place for the current assignment; let go before walking
-            face = next(f for f in FACES
-                        if f.value in obs.interaction.docked_faces)
+            face = next(f for f in FACES if f.value in docked_faces)
             pri = EMERGENCY_PRIORITY if urgent else LEAVE_SOCKET_PRIORITY
-            out.append(_proposal((pri, Undock(face), "")))
-            return out
+            return (_proposal((pri, Undock(face), name)),)
 
-        parked = True
-        if not docked and not obs.me.carried:
+        if not docked_faces and not obs.me.carried:
             # drive all the way down to servo tolerance; dock latches need
             # millimetres, not the loose at-slot radius
             cmd = self._servo(obs, slot.position[0], slot.position[1],
                               target_heading=slot.heading)
             if cmd is not None:
-                parked = False
-                out.append(_proposal((seek_pri, cmd, "")))
+                return (_proposal((seek_pri, cmd, name)),)
 
-        if parked and slot.rank == 0 and slot.socket.active:
+        if slot.rank == 0 and slot.socket.active:
             pri = EMERGENCY_PRIORITY if urgent else RECHARGE_PRIORITY
-            out.append(_proposal((pri, _recharge((slot.socket.id,)), "")))
-        return out or None
+            return (_proposal((pri, _recharge((slot.socket.id,)), name)),)
+        return None
 
 
 class AggregateController(_Controller):
-    """Form and hold the stack: dock onto the predecessor, then stand still."""
+    """Form and hold the stack: dock onto the predecessor, then stand still.
 
+    The answer is keyed on `local.sockets`, the module table of
+    `local.modules`, the `interaction` channel, `me.pose`, `me.module_class`
+    and `internal.dt`.
+    """
+
+    __slots__ = ()
     reads_slot = True
 
     def __call__(self, obs: Observation):
+        me = obs.me
+        local = obs.local
+        sockets, table = local.sockets, local.modules.table
+        interaction, pose, dt = obs.interaction, me.pose, obs.internal.dt
+        module_class = me.module_class
+        key = self._key
+        if (key is not None and key[0] is sockets and key[1] is table
+                and key[2] is interaction and key[3] is pose
+                and key[4] is dt and key[5] is module_class):
+            return self._answer
+        self._key = (sockets, table, interaction, pose, dt, module_class)
+        answer = self._answer = self._propose(obs)
+        return answer
+
+    def _propose(self, obs: Observation):
         slot = self._assigned_slot(obs)
         if slot is None:
             return None
@@ -275,26 +323,30 @@ class AggregateController(_Controller):
             # the seek servo is still driving; holding any earlier would
             # freeze the module before it is latch-accurate
             return None
-        out = [HOLD_PROPOSAL]
+        hold = _proposal((HOLD_PRIORITY, IDLE, self.name))
 
-        if slot.predecessor is not None:
-            south = FACES.index(Face.SOUTH)
-            south_free = obs.interaction.port_phases[south] == "free"
-            if south_free:
-                pred = obs.local.modules.get(slot.predecessor)
-                if pred is not None and pred.health is _OK:
-                    tol = pair_tolerance(obs.me.module_class, pred.module_class)
-                    if attempt_align(pose, Face.SOUTH, pred.pose, Face.NORTH,
-                                     tol, self.spec.edge_length):
-                        out.append(_proposal((
-                            DOCK_PRIORITY,
-                            Dock(Face.SOUTH, pred.id, Face.NORTH), "")))
-        return out
+        if (slot.predecessor is not None
+                and obs.interaction.port_phases[_SOUTH_PORT] == "free"):
+            pred = obs.local.modules.get(slot.predecessor)
+            if pred is not None and pred.health is _OK:
+                tol = pair_tolerance(obs.me.module_class, pred.module_class)
+                if attempt_align(pose, _SOUTH, pred.pose, _NORTH,
+                                 tol, self.spec.edge_length):
+                    return (hold, _proposal((
+                        DOCK_PRIORITY, Dock(_SOUTH, pred.id, _NORTH),
+                        self.name)))
+        return (hold,)
 
 
 class ExploreController(_Controller):
-    """Random waypoint wandering; the only stochastic baseline behavior."""
+    """Random waypoint wandering; the only stochastic baseline behavior.
 
+    The stuck count, the waypoint and its draws are worked out on every
+    call; only the proposal is kept, handed out again while the servo
+    answers with the same Drive object.
+    """
+
+    __slots__ = ("rng", "waypoint", "last_pos", "stuck")
     draws_noise = True
 
     def __init__(self, module_id: int, spec: ModuleSpec, rng: Rng,
@@ -326,26 +378,51 @@ class ExploreController(_Controller):
         cmd = self._servo(obs, self.waypoint[0], self.waypoint[1])
         if cmd is None:
             return None
-        return [_proposal((EXPLORE_PRIORITY, cmd, ""))]
+        if cmd is not self._key:
+            self._key = cmd
+            self._answer = (_proposal((EXPLORE_PRIORITY, cmd, self.name)),)
+        return self._answer
 
 
 class DisposalController(_Controller):
     """Two wheeled haulers drag each dead module into the graveyard.
 
-    Recomputed from observation every tick, no internal state: the two
+    Recomputed from observation, no internal state: the two
     lowest-id undocked healthy wheeled modules in sensor range answer for
     the lowest-id corpse outside the graveyard. One grabs the east face,
     the other the west, and once all three bodies form one organism they
     drive it home, unplug and back away.
+
+    A wheeled module's answer is keyed on the module table of
+    `local.modules`, the `interaction` channel, `me.pose`, `internal.dt`,
+    `local.graveyard` and `local.arena_size`.
     """
 
+    __slots__ = ()
+
     def __call__(self, obs: Observation):
-        if obs.me.module_class is not _ACTIVE_WHEEL:
+        me = obs.me
+        if me.module_class is not _ACTIVE_WHEEL:
             return None
+        local = obs.local
+        table, interaction = local.modules.table, obs.interaction
+        pose, dt = me.pose, obs.internal.dt
+        yard, size = local.graveyard, local.arena_size
+        key = self._key
+        if (key is not None and key[0] is table and key[1] is interaction
+                and key[2] is pose and key[3] is dt and key[4] is yard
+                and key[5] is size):
+            return self._answer
+        self._key = (table, interaction, pose, dt, yard, size)
+        answer = self._answer = self._propose(obs)
+        return answer
+
+    def _propose(self, obs: Observation):
         yard = obs.local.graveyard
         if yard is None:
             return None
         pose = obs.me.pose
+        name = self.name
 
         # backing off after a drop: finish separating before anything else
         mid_release = any(ph in ("unlocking", "separating")
@@ -367,7 +444,7 @@ class DisposalController(_Controller):
                          h - margin)
                 cmd = self._servo(obs, tx, ty)
                 if cmd is not None:
-                    return [_proposal((DISPOSAL_PRIORITY, cmd, ""))]
+                    return (_proposal((DISPOSAL_PRIORITY, cmd, name)),)
             return None
 
         if corpse_peer is not None:
@@ -380,21 +457,20 @@ class DisposalController(_Controller):
         if rank is None:
             return None
         # rank 0 takes the corpse's east flank, rank 1 the west
-        side = Face.EAST if rank == 0 else Face.WEST
-        grab = Face.WEST if rank == 0 else Face.EAST
+        side, grab = (_EAST, _WEST) if rank == 0 else (_WEST, _EAST)
         nx, ny = heading_vec(norm_deg(corpse.pose.heading + side.offset_deg))
         edge = self.spec.edge_length
         px = corpse.pose.x + edge * nx
         py = corpse.pose.y + edge * ny
         cmd = self._servo(obs, px, py, target_heading=corpse.pose.heading)
         if cmd is not None:
-            return [_proposal((DISPOSAL_PRIORITY, cmd, ""))]
+            return (_proposal((DISPOSAL_PRIORITY, cmd, name)),)
         if obs.interaction.port_phases[FACES.index(grab)] == "free":
             tol = pair_tolerance(obs.me.module_class, corpse.module_class)
             if attempt_align(pose, grab, corpse.pose, side, tol, edge):
-                return [_proposal((DISPOSAL_PRIORITY,
-                                   Tow(grab, corpse.id, side), ""))]
-        return [_proposal((DISPOSAL_PRIORITY, IDLE, ""))]
+                return (_proposal((DISPOSAL_PRIORITY,
+                                   Tow(grab, corpse.id, side), name)),)
+        return (_proposal((DISPOSAL_PRIORITY, IDLE, name)),)
 
     def _docked_corpse(self, obs: Observation):
         for i, peer in enumerate(obs.interaction.port_peers):
@@ -409,19 +485,21 @@ class DisposalController(_Controller):
         face, corpse = corpse_peer
         yard = obs.local.graveyard
         pose = obs.me.pose
+        name = self.name
         if in_yard(yard, corpse.pose.x, corpse.pose.y):
-            return [_proposal((DISPOSAL_PRIORITY, Undock(face), ""))]
+            return (_proposal((DISPOSAL_PRIORITY, Undock(face), name)),)
         if obs.interaction.organism_size < 3:
-            return [_proposal((DISPOSAL_PRIORITY, IDLE, ""))]  # partner inbound
+            # partner inbound
+            return (_proposal((DISPOSAL_PRIORITY, IDLE, name)),)
         gx = (yard[0] + yard[2]) / 2.0
         gy = (yard[1] + yard[3]) / 2.0
         dx, dy = gx - corpse.pose.x, gy - corpse.pose.y
         dist = math.hypot(dx, dy)
         if dist < 1e-9:
-            return [_proposal((DISPOSAL_PRIORITY, IDLE, ""))]
+            return (_proposal((DISPOSAL_PRIORITY, IDLE, name)),)
         v = min(self.spec.max_speed, dist / obs.internal.dt) / dist
         bx, by = rotate_vec(dx * v, dy * v, -pose.heading)
-        return [_proposal((DISPOSAL_PRIORITY, _drive((bx, by, 0.0)), ""))]
+        return (_proposal((DISPOSAL_PRIORITY, _drive((bx, by, 0.0)), name)),)
 
     def _target_corpse(self, obs: Observation):
         yard = obs.local.graveyard
@@ -456,10 +534,11 @@ REGISTRY = {
 def build_controllers(names, module_id: int, spec: ModuleSpec, rng: Rng,
                       params: dict | None = None) -> dict:
     """Instantiate named controllers for one module, in the given order,
-    each holding the module's own ModuleSpec. A controller class that
-    draws gets the substream `<name>/<module_id>` of `rng`; the others get
-    None, so no stream is derived for them. The controllers that read a
-    slot share one `_SlotMemo`, made here for this module alone."""
+    each holding the module's own ModuleSpec and stamping its proposals
+    with its name. A controller class that draws gets the substream
+    `<name>/<module_id>` of `rng`; the others get None, so no stream is
+    derived for them. The controllers that read a slot share one
+    `_SlotMemo`, made here for this module alone."""
     out = {}
     memo = None
     for name in names:
@@ -470,6 +549,7 @@ def build_controllers(names, module_id: int, spec: ModuleSpec, rng: Rng,
         ctl = out[name] = factory(module_id, spec,
                                   rng.substream(f"{name}/{module_id}")
                                   if factory.draws_noise else None, params)
+        ctl.name = name
         if factory.reads_slot:
             if memo is None:
                 memo = _SlotMemo(module_id, spec.edge_length)

@@ -188,7 +188,10 @@ def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
     `controllers` is an ordered mapping name -> callable(obs). A controller
     may return None, one proposal or an iterable of proposals. Bad
     priorities, oversized batches, bare actions and controller crashes are
-    framework errors, not silent drops.
+    framework errors, not silent drops. Every proposal is checked on every
+    call, a batch handed out again included. Each one goes out with the
+    controller's name as its source: an ActionProposal that already
+    carries it is passed on as it is, any other is restamped.
     """
     out: list[ActionProposal] = []
     for name, fn in controllers.items():
@@ -196,8 +199,9 @@ def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
             result = fn(obs)
         except Exception as exc:
             raise FrameworkError(f"controller {name!r} raised {exc!r}") from exc
-        # the stock controllers return None or a list; a list or a plain
-        # tuple is read as it is, with no copy
+        # the stock controllers return None or a tuple, often the same
+        # tuple as last tick; a list or a plain tuple is read as it is,
+        # with no copy
         if result is None:
             continue
         kind = type(result)
@@ -230,7 +234,7 @@ def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
                 raise FrameworkError(
                     f"controller {name!r} returned {prop!r}, "
                     f"expected ActionProposal")
-            priority, action, _ = prop
+            priority, action, source = prop
             # the type first: comparing a str or None with an int raises.
             # A bool is an int as well, but no priority
             if not (isinstance(priority, int) and type(priority) is not bool
@@ -238,7 +242,9 @@ def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
                 raise FrameworkError(
                     f"controller {name!r} used priority {priority!r}, "
                     f"must be an int in [{PRIORITY_MIN}, {PRIORITY_MAX}]")
-            out.append(_proposal((priority, action, name)))
+            if source != name or type(prop) is not ActionProposal:
+                prop = _proposal((priority, action, name))
+            out.append(prop)
     return out
 
 

@@ -45,6 +45,12 @@ class SensedModules:
     sight. NaN is only this internal mark: no record carries it. Records
     are built only when read: `get` and `select` build the ones they
     return.
+
+    `table` hands out the shared module table itself. A `Sight` rebuilds
+    it on every move and every death, and rewrites a row only on a move,
+    so while an observer's view shares last phase's table object, its row
+    equals last phase's too: a controller may key a memo on the table
+    object in place of the view, whose row is a private copy.
     """
 
     __slots__ = ("_table", "_unwell", "_row")
@@ -55,6 +61,12 @@ class SensedModules:
         self._table = table
         self._unwell = unwell
         self._row = row
+
+    @property
+    def table(self) -> tuple[tuple[ModuleClass, Pose, Health] | None, ...]:
+        """The module table this view reads, shared by every view of one
+        decide phase."""
+        return self._table
 
     @classmethod
     def of(cls, records) -> "SensedModules":
@@ -130,6 +142,12 @@ class Sight:
     generation of rows is held. `table` and `unwell`, shared by one decide
     phase's local channels, hold (module_class, pose, health) per id and
     the ids whose health is not OK.
+
+    A refresh builds a new `table` on every move and every death, and
+    rewrites a row only on a move. So while an observer's local channel
+    shares last phase's `table` object, its row equals last phase's, and
+    so do its sockets unless a socket toggled: a toggle gives the
+    observers new sockets tuples and keeps the table.
     """
 
     def __init__(self, arena, active: dict[int, bool], range_m: float, n: int,

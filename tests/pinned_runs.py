@@ -1,9 +1,9 @@
 """The whole runs whose digest and event count the tests pin, in one table.
 
 Three are benchmark workloads at their config seed, read from
-perfbench/workloads.json, which this module only reads. The other two are
+perfbench/workloads.json, which this module only reads. The other four are
 pinned here. A change that alters behaviour on purpose re-pins with
-perfbench/pin.py and then edits the two entries below, nothing else.
+perfbench/pin.py and then edits the four entries below, nothing else.
 """
 
 import json
@@ -43,3 +43,7 @@ IDLE_FIELD = _workload("idle_field")
 HAZARD_BLOCKS = PinnedRun("survival_zero", 7, 2200, ["7219456189120713", 31])
 DISPOSAL_OPEN = PinnedRun("disposal_open", 3, 432,   # 2 merges, 2 splits
                           ["95413e9143b7c30e", 21])
+# desk_challenge for one day, 8,640 ticks: a memo that goes wrong only late
+# in a run shows here and not in the 500-tick pins
+DESK_DAY = (PinnedRun("desk_challenge", 11, 8640, ["fd952bb6ddef0789", 476]),
+            PinnedRun("desk_challenge", 12, 8640, ["efa7925bab223a3e", 502]))

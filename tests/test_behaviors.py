@@ -5,8 +5,10 @@ The servo tests close the loop through the real locomotion integrator, so
 the controller merely keeps emitting plausible commands.
 """
 
+import copy
 import dataclasses
 import math
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -39,6 +41,7 @@ from orgsim.robot_model import (DriveKind, Health, ModuleClass,
 from orgsim.sensing import SensedModule, SensedModules
 from orgsim.world import SensedSocket, TerrainClass
 from tests.path_reference import sampled
+from tests.pinned_runs import COLONY, DISPOSAL_OPEN, PinnedRun
 
 TARIFF = Tariff()
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -268,7 +271,7 @@ def test_seek_releases_a_dock_that_no_longer_matches():
     obs = obs_for(pose=Pose(3.0, 2.0, 0.0), sockets=[socket(0, 1.0, 0.25)],
                   docked=("N",), phases=("docked", "free", "free", "free"))
     props = ctl(obs)
-    assert props == [props[0]]
+    assert props == (props[0],)
     assert (props[0].priority, props[0].action) == (LEAVE_SOCKET_PRIORITY,
                                                     Undock(Face.NORTH))
 
@@ -406,7 +409,7 @@ def test_aggregate_holds_at_its_slot_exactly_when_the_servo_stops(
     stopped = servo_drive(pose, kind, spec.max_speed,
                           1.0, 1.0, 10.0, target_heading) is None
     props = AggregateController(0, spec, Rng(1))(obs)
-    assert props == ([ActionProposal(HOLD_PRIORITY, Idle())] if stopped
+    assert props == ((ActionProposal(HOLD_PRIORITY, Idle()),) if stopped
                      else None)
 
 
@@ -461,6 +464,180 @@ def test_explore_is_deterministic_per_stream():
     assert pa == pb
     assert pa[0].priority == EXPLORE_PRIORITY
     assert ExploreController(3, SCOUT_SPEC, Rng(9))(obs_for(carried=True)) is None
+
+
+# -- answer memos ---------------------------------------------------------
+
+
+def _unmemoised(ctl, obs):
+    """ctl's answer to obs worked out afresh, by a copy of ctl that
+    remembers no answer, slot or servo call."""
+    fresh = copy.copy(ctl)
+    fresh._key = fresh._answer = fresh._servo_memo = fresh._slot_memo = None
+    return fresh(obs)
+
+
+def _with(obs, channel, **fields):
+    """obs with these fields of one channel replaced by new objects; every
+    other field is the same object as in obs."""
+    return obs._replace(**{channel: getattr(obs, channel)._replace(**fields)})
+
+
+# module 0 a step short of its slot at (1.0, 0.25), facing away from its
+# heading of 90: the servo swings it, at a rate that reads dt
+SEEK_BASE = obs_for(pose=Pose(1.0, 0.22, 0.0), sockets=[socket(0, 1.0, 0.25)])
+# module 1 at its slot, rank 1, over a backbone predecessor 7 degrees off
+# its heading: inside a scout's docking tolerance, outside a backbone's
+AGGREGATE_BASE = obs_for(
+    mid=1, pose=Pose(1.0, 0.35, 90.0), sockets=[socket(0, 1.0, 0.25)],
+    modules=[SensedModule(0, ModuleClass.BACKBONE, Pose(1.0, 0.25, 97.0),
+                          Health.OK, 0.1)])
+
+
+def corpse(x, y, distance):
+    """Dead scout 1 as sensed."""
+    return SensedModule(1, ModuleClass.SCOUT, Pose(x, y, 0.0),
+                        Health.ENERGY_DEAD, distance)
+
+
+# wheel 0 driving to the east flank of a corpse, slowly enough that the
+# speed reads dt
+DISPOSAL_BASE = obs_for(pose=Pose(2.0, 0.5, 0.0), mc=ModuleClass.ACTIVE_WHEEL,
+                        modules=[corpse(2.0, 1.0, 0.5)])
+# wheel 0 backing away east from a corpse it let go of, toward a spot the
+# east wall clamps
+RELEASE_BASE = obs_for(pose=Pose(3.8, 1.0, 0.0), mc=ModuleClass.ACTIVE_WHEEL,
+                       phases=("free", "free", "free", "separating"),
+                       modules=[corpse(3.7, 1.0, 0.1)])
+
+MEMO_KEYS = {
+    "seek_energy": [
+        (SEEK_BASE, "local", dict(sockets=(socket(0, 2.0, 0.25),))),
+        (SEEK_BASE, "me", dict(pose=Pose(1.0, 0.22, 45.0))),
+        (SEEK_BASE, "me", dict(battery_fraction=0.1)),       # urgent
+        (SEEK_BASE, "interaction", dict(docked_faces=("N",))),
+        (SEEK_BASE, "me", dict(carried=True)),
+        (SEEK_BASE, "internal", dict(dt=5.0)),
+    ],
+    "aggregate": [
+        (AGGREGATE_BASE, "local", dict(sockets=(socket(0, 2.0, 0.25),))),
+        (AGGREGATE_BASE, "local", dict(modules=SensedModules.of([
+            SensedModule(0, ModuleClass.BACKBONE, Pose(1.0, 0.25, 97.0),
+                         Health.ENERGY_DEAD, 0.1)]))),
+        (AGGREGATE_BASE, "interaction",
+         dict(port_phases=("free", "free", "approaching", "free"))),
+        (AGGREGATE_BASE, "me", dict(pose=Pose(1.0, 0.35, 80.0))),
+        (AGGREGATE_BASE, "me", dict(module_class=ModuleClass.BACKBONE)),
+    ],
+    "disposal": [
+        (DISPOSAL_BASE, "local",
+         dict(modules=SensedModules.of([corpse(2.5, 1.0, 0.5)]))),
+        (DISPOSAL_BASE, "interaction", dict(docked_faces=("N",))),
+        (DISPOSAL_BASE, "me", dict(pose=Pose(2.1, 0.5, 0.0))),
+        (DISPOSAL_BASE, "internal", dict(dt=5.0)),
+        (DISPOSAL_BASE, "local", dict(graveyard=(1.5, 0.5, 2.5, 1.5))),
+        (RELEASE_BASE, "local", dict(arena_size=(5.0, 3.0))),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, base, channel, fields", [
+    (name, base, channel, fields)
+    for name, cases in MEMO_KEYS.items()
+    for base, channel, fields in cases
+], ids=[f"{name}-{channel}.{'/'.join(fields)}"
+        for name, cases in MEMO_KEYS.items() for _, channel, fields in cases])
+def test_a_memoised_controller_answers_anew_when_an_input_it_reads_changes(
+        name, base, channel, fields):
+    # every other input of `changed` is the same object as in `base`, so a
+    # memo that left this input out of its key would answer it from `base`
+    spec = WHEEL_SPEC if name == "disposal" else SCOUT_SPEC
+    ctl = build_controllers([name], base.me.id, spec, None)[name]
+    changed = _with(base, channel, **fields)
+    first = ctl(base)
+    assert first == _unmemoised(ctl, base)
+    answer = ctl(changed)
+    assert answer == _unmemoised(ctl, changed)
+    assert answer != first
+
+
+@pytest.mark.parametrize("name, base", [
+    ("seek_energy", SEEK_BASE), ("aggregate", AGGREGATE_BASE),
+    ("disposal", DISPOSAL_BASE), ("disposal", RELEASE_BASE)])
+def test_a_memoised_controller_hands_its_answer_out_again(name, base):
+    # a new observation whose keyed inputs are the same objects, as the
+    # harness builds on a tick where nothing the controller reads changed:
+    # the battery drains, the tick counts on, and the local channel is
+    # another one, with its own copy of the row, over the same table
+    spec = WHEEL_SPEC if name == "disposal" else SCOUT_SPEC
+    ctl = build_controllers([name], base.me.id, spec, None)[name]
+    first = ctl(base)
+    assert type(first) is tuple and first
+    assert all(p.source == name for p in first)
+    local = base.local
+    view = local.modules
+    again = base._replace(
+        me=base.me._replace(battery_fraction=0.9),
+        local=local._replace(modules=SensedModules(
+            view.table, view._unwell, array("d", view._row))),
+        internal=base.internal._replace(tick=6))
+    assert again.local.modules is not view
+    assert ctl(again) is first
+
+
+@pytest.mark.parametrize("run, changes", [
+    (COLONY, None),
+    # sockets toggle every few ticks, so still modules get new sockets
+    (PinnedRun("desk_challenge", 11, 300, None),
+     dict(dwell_min=2, dwell_max=5)),
+    (DISPOSAL_OPEN, None),
+    (PinnedRun("full_scale", 42, 200, None), None),
+], ids=["colony", "desk_challenge-short-dwells", "disposal_open",
+        "full_scale"])
+def test_memoised_answers_equal_answers_worked_out_afresh(run, changes,
+                                                         monkeypatch):
+    # at every call over a run, the memoised answer of seek_energy,
+    # aggregate and disposal equals one worked out afresh; explore hands
+    # out the proposal of the Drive its servo returned, under its name
+    drives = {}
+    servo = behaviors._Controller._servo
+
+    def recording_servo(self, obs, *args, **kwargs):
+        drive = drives[self] = servo(self, obs, *args, **kwargs)
+        return drive
+
+    monkeypatch.setattr(ExploreController, "_servo", recording_servo)
+    cfg = run.load()
+    sim = Simulation(dataclasses.replace(cfg, **changes) if changes else cfg,
+                     run.seed)
+    answered = Counter()         # (name, answered from the memo) -> calls
+
+    def checked(name, ctl):
+        def call(obs):
+            key = ctl._key
+            answer = ctl(obs)
+            where = (sim.tick, ctl.module_id, name)
+            if name == "explore":
+                drive = drives.pop(ctl, None)
+                assert answer == (None if drive is None else (
+                    ActionProposal(EXPLORE_PRIORITY, drive, name),)), where
+            else:
+                assert answer == _unmemoised(ctl, obs), where
+            # a memo that answers keeps its key object
+            answered[name, key is not None and ctl._key is key] += 1
+            return answer
+
+        return call
+
+    for ctls in sim.controllers.values():
+        for name, ctl in ctls.items():
+            ctls[name] = checked(name, ctl)
+    metrics = sim.run(run.ticks)
+    if run.pinned is not None:
+        assert [metrics.digest, metrics.events] == run.pinned
+    # each controller both answered from its memo and worked answers out
+    for name in {name for ctls in sim.controllers.values() for name in ctls}:
+        assert answered[name, True] > 0 and answered[name, False] > 0, name
 
 
 # -- registry -------------------------------------------------------------

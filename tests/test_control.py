@@ -14,7 +14,7 @@ from orgsim.control import (IDLE, IDLE_PROPOSAL, MAX_PROPOSALS_PER_CONTROLLER,
                             MessageBus, Observation, Recharge, Rejected,
                             SelfChannel, ToggleCoprocessor, Tow, Undock,
                             guard_action, select_action, step_controllers)
-from orgsim.behaviors import HOLD_PRIORITY, HOLD_PROPOSAL, StackSlot
+from orgsim.behaviors import HOLD_PRIORITY, StackSlot, build_controllers
 from orgsim.docking import DockPhase, Face, TickInput
 from orgsim.energy import RechargeResult, ShareTransfer, Tariff
 from orgsim.errors import CommandError, FrameworkError
@@ -149,6 +149,41 @@ def test_step_controllers_stamps_the_controller_name():
         make_obs())
     assert props == [ActionProposal(60, drive, "honest")]
     assert props[0].action is drive
+
+
+def test_step_controllers_passes_a_stamped_proposal_on_as_it_is():
+    stamped = ActionProposal(60, Drive(0.1), "honest")
+    [prop] = step_controllers({"honest": lambda o: (stamped,)}, make_obs())
+    assert prop is stamped
+    # a blank source, another controller's name or a subclass is restamped
+    for other in (ActionProposal(60, Drive(0.1)),
+                  ActionProposal(60, Drive(0.1), "spoofed"),
+                  _Urgent(60, Drive(0.1), "honest")):
+        [prop] = step_controllers({"honest": lambda o: other}, make_obs())
+        assert prop is not other and type(prop) is ActionProposal
+        assert prop == stamped
+
+
+def test_step_controllers_checks_a_batch_handed_out_again():
+    # a controller may answer with the same tuple object tick after tick;
+    # the framework keeps no memo of it and checks it on every call
+    bad = (ActionProposal(50, Idle(), "reused"),
+           ActionProposal(300, Idle(), "reused"))
+    calls = []
+
+    def reused(o):
+        calls.append(o)
+        return bad
+
+    for _ in range(2):
+        with pytest.raises(FrameworkError,
+                           match="'reused' used priority 300"):
+            step_controllers({"reused": reused}, make_obs())
+    assert len(calls) == 2
+    good = (ActionProposal(50, Idle(), "reused"),)
+    for _ in range(2):
+        [prop] = step_controllers({"reused": lambda o: good}, make_obs())
+        assert prop is good[0]
 
 
 def test_step_controllers_flags_misbehavior():
@@ -326,7 +361,14 @@ def test_each_builder_makes_the_record_its_class_makes(builder, cls, fields):
 def test_shared_idle_records_equal_fresh_ones():
     assert type(IDLE) is Idle and IDLE == Idle()
     assert IDLE_PROPOSAL == ActionProposal(255, Idle(), "framework")
-    assert repr(HOLD_PROPOSAL) == repr(ActionProposal(HOLD_PRIORITY, Idle()))
+    # an aggregate parked at its slot holds with a record built in C: it
+    # equals, and reads as, one built the usual way
+    aggregate = build_controllers(["aggregate"], 0, SCOUT, None)["aggregate"]
+    at_slot = SensedSocket(0, (0.0, 0.0), True, 20.0, 0.0, 0.3, 0.0)
+    [hold] = aggregate(make_obs(sockets=[at_slot]))
+    assert hold == ActionProposal(HOLD_PRIORITY, Idle(), "aggregate")
+    assert repr(hold) == repr(ActionProposal(HOLD_PRIORITY, Idle(),
+                                             "aggregate"))
 
 
 def test_a_tow_is_a_dock_with_the_same_fields():

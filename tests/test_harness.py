@@ -35,8 +35,8 @@ from orgsim.rng import _BLOCK, Rng, fnv1a64
 from orgsim.robot_model import Health, make_module_spec, to_pj
 from orgsim.sensing import SensedModule, SensedModules
 from orgsim.world import SensedSocket, TerrainClass, parse_arena
-from tests.pinned_runs import (COLONY, CROWD, DISPOSAL_OPEN, HAZARD_BLOCKS,
-                               IDLE_FIELD)
+from tests.pinned_runs import (COLONY, CROWD, DESK_DAY, DISPOSAL_OPEN,
+                               HAZARD_BLOCKS, IDLE_FIELD)
 
 ROOM_MAP = """\
 cellsize 0.25
@@ -206,6 +206,14 @@ def test_bundled_runs_reproduce_their_pinned_digests(scenario, seed, ticks,
     assert metrics.residual_j == 0.0
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("run", DESK_DAY, ids=lambda run: f"seed{run.seed}")
+def test_a_day_of_desk_challenge_reproduces_its_pin(run):
+    metrics = Simulation(run.load(), run.seed).run(run.ticks)
+    assert [metrics.digest, metrics.events] == run.pinned
+    assert metrics.residual_j == 0.0
+
+
 def _hazard_blocks_cfg():
     # survival_zero with batteries that outlast some hazards: five hazard
     # deaths from tick 554 on, five energy deaths from tick 1998 on, and
@@ -345,6 +353,56 @@ def test_an_observation_is_a_snapshot_of_its_tick(scenario, seed, ticks,
         assert [view.get(j) for j in ids] == [by_id.get(j) for j in ids], (t, i)
         assert tuple(view.select()) == modules, (t, i)
         assert obs.local.sockets == sockets, (t, i)
+
+
+@pytest.mark.parametrize("scenario, seed, ticks, dwell", [
+    ("full_scale", 42, 20, None),
+    ("desk_challenge", 11, 300, (2, 5)),
+])
+def test_a_view_that_shares_last_phase_s_table_reads_last_phase_s_row(
+        scenario, seed, ticks, dwell):
+    # the memo keys of the stock controllers rest on this: the sight builds
+    # a new module table on every move and every death and rewrites a row
+    # only on a move, so while an observer's view shares last phase's table
+    # object its row is last phase's, and so are its sockets unless a
+    # socket toggled, which gives new sockets and keeps the table (short
+    # dwells toggle sockets every few ticks)
+    cfg = load_scenario_file(CONFIG_DIR / f"{scenario}.cfg")
+    if dwell is not None:
+        cfg = dataclasses.replace(cfg, dwell_min=dwell[0], dwell_max=dwell[1])
+    sim = Simulation(cfg, seed)
+    observe = sim._observe
+    last = {}
+    seen = {"shared": 0, "shared, new sockets": 0}
+
+    def observe_and_check(i, delivered):
+        obs = observe(i, delivered)
+        view = obs.local.modules
+        now = (sim.tick, view.table, tuple(view.select()), obs.local.sockets,
+               [st.pose for st in sim.states.values()],
+               sim.deaths_energy + sim.deaths_hardware,
+               tuple(sim.socket_active.values()))
+        before, last[i] = last.get(i), now
+        if before is None:
+            return obs
+        assert before[0] == sim.tick - 1
+        moved = any(a is not b for a, b in zip(now[4], before[4]))
+        shared = view.table is before[1]
+        assert shared is not (moved or now[5] != before[5]), (sim.tick, i)
+        if shared:
+            seen["shared"] += 1
+            assert now[2] == before[2], (sim.tick, i)
+            if now[6] == before[6]:
+                assert now[3] == before[3], (sim.tick, i)
+            elif now[3] != before[3]:
+                seen["shared, new sockets"] += 1
+        return obs
+
+    sim._observe = observe_and_check
+    sim.run(ticks)
+    assert seen["shared"] > 0
+    if dwell is not None:
+        assert seen["shared, new sockets"] > 0
 
 
 def test_a_refresh_after_a_move_drops_the_last_phase_s_channels(

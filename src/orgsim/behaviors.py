@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .control import (IDLE, ActionProposal, Dock, Drive, Observation, Tow,
-                      Undock, _drive, _proposal, _recharge)
+from .control import (IDLE, ActionProposal, Dock, Drive, Observation,
+                      Recharge, Tow, Undock)
 from .docking import FACES, _EAST, _NORTH, _SOUTH, _WEST, attempt_align
 from .errors import ConfigError
 from .geometry import Pose, ang_diff_deg, heading_vec, norm_deg, rotate_vec
@@ -67,7 +67,7 @@ def servo_drive(pose: Pose, drive_kind: DriveKind, max_speed: float,
         if target_heading is not None:
             err = ang_diff_deg(target_heading, pose.heading)
             if abs(err) > HEADING_TOL:
-                return _drive((0.0, 0.0, err / dt))
+                return Drive(0.0, 0.0, err / dt)
         return None
 
     if drive_kind is not _TRACKED:
@@ -75,7 +75,7 @@ def servo_drive(pose: Pose, drive_kind: DriveKind, max_speed: float,
         want = target_heading if target_heading is not None else pose.heading
         err = ang_diff_deg(want, pose.heading)
         v = min(max_speed, dist / dt) / dist
-        return _drive((bx * v, by * v, err / dt))
+        return Drive(bx * v, by * v, err / dt)
 
     bearing = math.degrees(math.atan2(dy, dx))
     err_fwd = ang_diff_deg(bearing, pose.heading)
@@ -85,9 +85,9 @@ def servo_drive(pose: Pose, drive_kind: DriveKind, max_speed: float,
         want, sign = norm_deg(bearing + 180.0), -1.0
     err = ang_diff_deg(want, pose.heading)
     if abs(err) > HEADING_TOL:
-        return _drive((0.0, 0.0, err / dt))    # swing first, then roll
+        return Drive(0.0, 0.0, err / dt)    # swing first, then roll
     speed = min(max_speed, dist / dt)
-    return _drive((sign * speed, 0.0, err / dt))
+    return Drive(sign * speed, 0.0, err / dt)
 
 
 # -- socket stacking arithmetic -------------------------------------------
@@ -159,17 +159,18 @@ class _Controller:
 
     A controller returns None or a tuple of proposals stamped with `name`,
     the name build_controllers registers it under ("" for one built alone,
-    whose proposals step_controllers restamps). It remembers its last
-    answer in `_answer` and the objects it read to work it out in `_key`,
-    and hands back that same tuple while every input it reads is the same
-    object as on its last call. Every such input is immutable: a frozen
-    Pose, a float, a bool, a tuple or an Enum member; the module table of
-    `local.modules` stands for the observer's row as well, by the rule
-    SensedModules states. So an identity match is exact, for -0.0 and NaN
-    too."""
+    whose proposals step_controllers restamps). It keeps one memo: its last
+    answer in `_answer` and the objects it read to work it out in `_key`.
+    It hands back that same tuple while every input it reads is the same
+    object as on its last call, and works an answer out, proposals and
+    their actions built anew, only when some input is a new object.
+    Every such input is immutable: a frozen Pose, a float, a bool, a tuple
+    or an Enum member; the module table of `local.modules` stands for the
+    observer's row as well, by the rule SensedModules states. So an
+    identity match is exact, for -0.0 and NaN too."""
 
-    __slots__ = ("module_id", "spec", "name", "_slot_memo", "_servo_memo",
-                 "_key", "_answer")
+    __slots__ = ("module_id", "spec", "name", "_slot_memo", "_key",
+                 "_answer")
     draws_noise = False
     reads_slot = False
 
@@ -179,9 +180,7 @@ class _Controller:
         self.spec = spec
         self.name = ""
         self._slot_memo: _SlotMemo | None = None
-        # the last servo call: (pose, tx, ty, target_heading, dt, its Drive)
-        self._servo_memo: tuple | None = None
-        self._key: tuple | None = None     # explore keeps a Drive here
+        self._key: tuple | None = None
         self._answer: tuple[ActionProposal, ...] | None = None
 
     def _assigned_slot(self, obs: Observation) -> StackSlot | None:
@@ -195,25 +194,10 @@ class _Controller:
 
     def _servo(self, obs: Observation, tx: float, ty: float,
                target_heading: float | None = None) -> Drive | None:
-        """servo_drive from the module's pose at its drive and speed.
-
-        The last call is remembered and answered again for the same pose
-        object and the same target, heading and dt objects: a Pose is
-        frozen, a float cannot change, and servo_drive is a pure function
-        of them. Matching by identity is exact even for -0.0 and NaN; a
-        controller that keeps its target (a slot, a waypoint) passes the
-        same floats tick after tick, and an unmoved module the same pose."""
-        pose, dt = obs.me.pose, obs.internal.dt
-        memo = self._servo_memo
-        if (memo is not None and memo[0] is pose and memo[1] is tx
-                and memo[2] is ty and memo[3] is target_heading
-                and memo[4] is dt):
-            return memo[5]
+        """servo_drive from the module's pose at its drive and speed."""
         spec = self.spec
-        drive = servo_drive(pose, spec.drive_kind, spec.max_speed,
-                            tx, ty, dt, target_heading)
-        self._servo_memo = (pose, tx, ty, target_heading, dt, drive)
-        return drive
+        return servo_drive(obs.me.pose, spec.drive_kind, spec.max_speed,
+                           tx, ty, obs.internal.dt, target_heading)
 
 
 class SeekEnergyController(_Controller):
@@ -267,7 +251,7 @@ class SeekEnergyController(_Controller):
             # wrong place for the current assignment; let go before walking
             face = next(f for f in FACES if f.value in docked_faces)
             pri = EMERGENCY_PRIORITY if urgent else LEAVE_SOCKET_PRIORITY
-            return (_proposal((pri, Undock(face), name)),)
+            return (ActionProposal(pri, Undock(face), name),)
 
         if not docked_faces and not obs.me.carried:
             # drive all the way down to servo tolerance; dock latches need
@@ -275,11 +259,11 @@ class SeekEnergyController(_Controller):
             cmd = self._servo(obs, slot.position[0], slot.position[1],
                               target_heading=slot.heading)
             if cmd is not None:
-                return (_proposal((seek_pri, cmd, name)),)
+                return (ActionProposal(seek_pri, cmd, name),)
 
         if slot.rank == 0 and slot.socket.active:
             pri = EMERGENCY_PRIORITY if urgent else RECHARGE_PRIORITY
-            return (_proposal((pri, _recharge((slot.socket.id,)), name)),)
+            return (ActionProposal(pri, Recharge(slot.socket.id), name),)
         return None
 
 
@@ -323,7 +307,7 @@ class AggregateController(_Controller):
             # the seek servo is still driving; holding any earlier would
             # freeze the module before it is latch-accurate
             return None
-        hold = _proposal((HOLD_PRIORITY, IDLE, self.name))
+        hold = ActionProposal(HOLD_PRIORITY, IDLE, self.name)
 
         if (slot.predecessor is not None
                 and obs.interaction.port_phases[_SOUTH_PORT] == "free"):
@@ -332,9 +316,9 @@ class AggregateController(_Controller):
                 tol = pair_tolerance(obs.me.module_class, pred.module_class)
                 if attempt_align(pose, _SOUTH, pred.pose, _NORTH,
                                  tol, self.spec.edge_length):
-                    return (hold, _proposal((
+                    return (hold, ActionProposal(
                         DOCK_PRIORITY, Dock(_SOUTH, pred.id, _NORTH),
-                        self.name)))
+                        self.name))
         return (hold,)
 
 
@@ -342,8 +326,8 @@ class ExploreController(_Controller):
     """Random waypoint wandering; the only stochastic baseline behavior.
 
     The stuck count, the waypoint and its draws are worked out on every
-    call; only the proposal is kept, handed out again while the servo
-    answers with the same Drive object.
+    call. The answer is keyed on `me.pose`, the `waypoint` tuple and
+    `internal.dt`.
     """
 
     __slots__ = ("rng", "waypoint", "last_pos", "stuck")
@@ -375,13 +359,17 @@ class ExploreController(_Controller):
             self.waypoint = (self.rng.uniform(margin, w - margin),
                              self.rng.uniform(margin, h - margin))
             self.stuck = 0
-        cmd = self._servo(obs, self.waypoint[0], self.waypoint[1])
-        if cmd is None:
-            return None
-        if cmd is not self._key:
-            self._key = cmd
-            self._answer = (_proposal((EXPLORE_PRIORITY, cmd, self.name)),)
-        return self._answer
+        waypoint, dt = self.waypoint, obs.internal.dt
+        key = self._key
+        if (key is not None and key[0] is pose and key[1] is waypoint
+                and key[2] is dt):
+            return self._answer
+        self._key = (pose, waypoint, dt)
+        cmd = self._servo(obs, *waypoint)
+        answer = self._answer = (
+            None if cmd is None
+            else (ActionProposal(EXPLORE_PRIORITY, cmd, self.name),))
+        return answer
 
 
 class DisposalController(_Controller):
@@ -444,7 +432,7 @@ class DisposalController(_Controller):
                          h - margin)
                 cmd = self._servo(obs, tx, ty)
                 if cmd is not None:
-                    return (_proposal((DISPOSAL_PRIORITY, cmd, name)),)
+                    return (ActionProposal(DISPOSAL_PRIORITY, cmd, name),)
             return None
 
         if corpse_peer is not None:
@@ -464,13 +452,13 @@ class DisposalController(_Controller):
         py = corpse.pose.y + edge * ny
         cmd = self._servo(obs, px, py, target_heading=corpse.pose.heading)
         if cmd is not None:
-            return (_proposal((DISPOSAL_PRIORITY, cmd, name)),)
+            return (ActionProposal(DISPOSAL_PRIORITY, cmd, name),)
         if obs.interaction.port_phases[FACES.index(grab)] == "free":
             tol = pair_tolerance(obs.me.module_class, corpse.module_class)
             if attempt_align(pose, grab, corpse.pose, side, tol, edge):
-                return (_proposal((DISPOSAL_PRIORITY,
-                                   Tow(grab, corpse.id, side), name)),)
-        return (_proposal((DISPOSAL_PRIORITY, IDLE, name)),)
+                return (ActionProposal(DISPOSAL_PRIORITY,
+                                       Tow(grab, corpse.id, side), name),)
+        return (ActionProposal(DISPOSAL_PRIORITY, IDLE, name),)
 
     def _docked_corpse(self, obs: Observation):
         for i, peer in enumerate(obs.interaction.port_peers):
@@ -487,19 +475,19 @@ class DisposalController(_Controller):
         pose = obs.me.pose
         name = self.name
         if in_yard(yard, corpse.pose.x, corpse.pose.y):
-            return (_proposal((DISPOSAL_PRIORITY, Undock(face), name)),)
+            return (ActionProposal(DISPOSAL_PRIORITY, Undock(face), name),)
         if obs.interaction.organism_size < 3:
             # partner inbound
-            return (_proposal((DISPOSAL_PRIORITY, IDLE, name)),)
+            return (ActionProposal(DISPOSAL_PRIORITY, IDLE, name),)
         gx = (yard[0] + yard[2]) / 2.0
         gy = (yard[1] + yard[3]) / 2.0
         dx, dy = gx - corpse.pose.x, gy - corpse.pose.y
         dist = math.hypot(dx, dy)
         if dist < 1e-9:
-            return (_proposal((DISPOSAL_PRIORITY, IDLE, name)),)
+            return (ActionProposal(DISPOSAL_PRIORITY, IDLE, name),)
         v = min(self.spec.max_speed, dist / obs.internal.dt) / dist
         bx, by = rotate_vec(dx * v, dy * v, -pose.heading)
-        return (_proposal((DISPOSAL_PRIORITY, _drive((bx, by, 0.0)), name)),)
+        return (ActionProposal(DISPOSAL_PRIORITY, Drive(bx, by, 0.0), name),)
 
     def _target_corpse(self, obs: Observation):
         yard = obs.local.graveyard

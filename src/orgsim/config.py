@@ -222,11 +222,14 @@ def load_scenario(text: str, *, base_dir: Path | None = None,
         for key in cp["spawns"]:
             if key == "mode":
                 continue
+            # an id in plain decimal only: int() also reads 01, 0_1 and
+            # +1, and two spellings of one id would overwrite each other
             try:
                 mid = int(key)
             except ValueError:
-                raise ConfigError(
-                    f"spawn keys are module ids, got {key!r}") from None
+                mid = None
+            if mid is None or str(mid) != key:
+                raise ConfigError(f"spawn keys are module ids, got {key!r}")
             fixed_spawns[mid] = get("spawns", key, None, _parse_spawn)
 
     name = value["run", "name"]

@@ -111,11 +111,13 @@ _observation = partial(tuple.__new__, Observation)
 # construct than a frozen dataclass. Their reprs reach the log,
 # because a Rejected detail may embed an action's repr.
 #
-# Each record built on every tick has a private builder beside its class,
-# `partial(tuple.__new__, X)`, called with one tuple of every field,
-# defaults included. It builds the record in C; `X(...)` would run the
-# Python-level __new__ that NamedTuple generates. A builder checks no
-# arity, so a missing field gives a short record.
+# The records built on every observer tick or guard call (the self and
+# internal channels, the observation and a Rejected) have a private
+# builder beside their class, `partial(tuple.__new__, X)`, called with one
+# tuple of every field, defaults included. It builds the record in C;
+# `X(...)` would run the Python-level __new__ that NamedTuple generates. A
+# builder checks no arity, so a missing field gives a short record. Every
+# other record is built with its class.
 
 
 class Drive(NamedTuple):
@@ -125,9 +127,6 @@ class Drive(NamedTuple):
     linear: float = 0.0
     lateral: float = 0.0
     angular: float = 0.0
-
-
-_drive = partial(tuple.__new__, Drive)
 
 
 class Actuate(NamedTuple):
@@ -155,9 +154,6 @@ class Recharge(NamedTuple):
     socket_id: int
 
 
-_recharge = partial(tuple.__new__, Recharge)
-
-
 class ToggleCoprocessor(NamedTuple):
     on: bool
 
@@ -178,8 +174,7 @@ class ActionProposal(NamedTuple):
     source: str = ""   # controller name, stamped by the framework
 
 
-_proposal = partial(tuple.__new__, ActionProposal)
-IDLE_PROPOSAL = _proposal((PRIORITY_MAX, IDLE, "framework"))
+IDLE_PROPOSAL = ActionProposal(PRIORITY_MAX, IDLE, "framework")
 
 
 def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
@@ -243,7 +238,7 @@ def step_controllers(controllers, obs: Observation) -> list[ActionProposal]:
                     f"controller {name!r} used priority {priority!r}, "
                     f"must be an int in [{PRIORITY_MIN}, {PRIORITY_MAX}]")
             if source != name or type(prop) is not ActionProposal:
-                prop = _proposal((priority, action, name))
+                prop = ActionProposal(priority, action, name)
             out.append(prop)
     return out
 
@@ -296,8 +291,10 @@ def guard_action(action: Action, module_id: int, organism: Organism | None,
 
     `organism` is the module's current organism, None when it is alone.
     Actuation targets are clamped into the joint's range instead of being
-    bounced. Everything else either passes through unchanged or comes back
-    as a Rejected with a machine-readable reason.
+    bounced; a NaN target has no place in it and is rejected. A drive with
+    a NaN or infinite field, and a coprocessor flag that is not a bool, are
+    rejected too. Everything else either passes through unchanged or comes
+    back as a Rejected with a machine-readable reason.
     """
     if isinstance(action, Idle):
         return action
@@ -308,6 +305,10 @@ def guard_action(action: Action, module_id: int, organism: Organism | None,
     if isinstance(action, Drive):
         if st.carried:
             return _rejected(("protocol", "carried modules do not drive"))
+        linear, lateral, angular = action
+        if not (math.isfinite(linear) and math.isfinite(lateral)
+                and math.isfinite(angular)):
+            return _rejected(("protocol", f"{action!r} is not finite"))
         if organism is None:
             return _guard_drive(action, st, ctx)
         return _guard_organism_drive(action, st, organism, ctx)
@@ -329,6 +330,9 @@ def guard_action(action: Action, module_id: int, organism: Organism | None,
                               f"unknown socket {action.socket_id}"))
         return action
     if isinstance(action, ToggleCoprocessor):
+        if type(action.on) is not bool:
+            return _rejected(("protocol", f"coprocessor flag {action.on!r} "
+                                          f"is not a bool"))
         return action
     return _rejected(("protocol", f"unrecognized action {action!r}"))
 
@@ -386,6 +390,8 @@ def _guard_actuate(action: Actuate, st: ModuleState,
     except ValueError:
         return _rejected(("protocol", f"{spec.module_class.value} has no dof "
                                       f"{action.dof_index}"))
+    if action.target_deg != action.target_deg:
+        return _rejected(("protocol", "joint target nan is not a number"))
     clamped = max(-limit, min(limit, action.target_deg))
     if organism is not None:
         chain = worst_case_chain(organism, st.id, ctx.specs)

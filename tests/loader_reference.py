@@ -130,8 +130,9 @@ def reference_load_scenario(text: str, *, base_dir: Path | None = None,
             try:
                 mid = int(key)
             except ValueError:
-                raise ConfigError(
-                    f"spawn keys are module ids, got {key!r}") from None
+                mid = None
+            if mid is None or str(mid) != key:
+                raise ConfigError(f"spawn keys are module ids, got {key!r}")
             fixed_spawns[mid] = get("spawns", key, None, _parse_spawn)
 
     cfg = ScenarioConfig(

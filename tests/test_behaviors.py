@@ -179,45 +179,6 @@ def test_servo_refines_heading_after_arriving():
                        1.0, 1.0, 10.0, target_heading=90.0) is None
 
 
-def test_servo_memo_answers_what_servo_drive_answers(monkeypatch):
-    # the controller remembers its last servo call; each change of pose,
-    # target, heading or dt must give servo_drive's own answer again
-    computed = []
-
-    def counting_servo(*args):
-        computed.append(args)
-        return servo_drive(*args)
-
-    monkeypatch.setattr(behaviors, "servo_drive", counting_servo)
-    spec = make_module_spec(ModuleClass.SCOUT)
-    ctrl = SeekEnergyController(0, spec, Rng(1))
-
-    def check(obs, tx, ty, heading=None):
-        got = ctrl._servo(obs, tx, ty, heading)
-        assert got == servo_drive(obs.me.pose, spec.drive_kind,
-                                  spec.max_speed, tx, ty, obs.internal.dt,
-                                  heading)
-        return got
-
-    tx, ty, heading = 2.0, 1.5, 90.0
-    obs = obs_for(pose=Pose(1.0, 1.0, 0.0))
-    first = check(obs, tx, ty, heading)
-    assert first is not None
-    assert ctrl._servo(obs, tx, ty, heading) is first
-    assert len(computed) == 1                       # answered from the memo
-    moved = obs_for(pose=Pose(1.0, 1.25, 0.0))
-    check(moved, tx, ty, heading)                   # pose change
-    check(moved, 1.0, ty, heading)                  # target x change
-    check(moved, 1.0, 1.25, heading)                # target y change
-    check(moved, 1.0, 1.25, -0.0)                   # heading change
-    check(moved, 1.0, 1.25, 0.0)                    # the other zero
-    slower = moved._replace(internal=moved.internal._replace(dt=5.0))
-    check(slower, 1.0, 1.25, 0.0)                   # dt change
-    assert check(slower, 1.0, 1.25) is None         # parked, remembered too
-    assert ctrl._servo(slower, 1.0, 1.25) is None
-    assert len(computed) == 8
-
-
 # -- tolerance pairing ----------------------------------------------------
 
 
@@ -471,9 +432,9 @@ def test_explore_is_deterministic_per_stream():
 
 def _unmemoised(ctl, obs):
     """ctl's answer to obs worked out afresh, by a copy of ctl that
-    remembers no answer, slot or servo call."""
+    remembers no answer or slot."""
     fresh = copy.copy(ctl)
-    fresh._key = fresh._answer = fresh._servo_memo = fresh._slot_memo = None
+    fresh._key = fresh._answer = fresh._slot_memo = None
     return fresh(obs)
 
 
@@ -561,16 +522,35 @@ def test_a_memoised_controller_answers_anew_when_an_input_it_reads_changes(
     assert answer != first
 
 
+def _explore_answer(ctl, obs):
+    """What explore answers to obs once it has chosen its waypoint: the
+    proposal of servo_drive toward that waypoint, or None for a carried
+    module or a parked servo."""
+    if obs.me.carried:
+        return None
+    spec = ctl.spec
+    drive = servo_drive(obs.me.pose, spec.drive_kind, spec.max_speed,
+                        *ctl.waypoint, obs.internal.dt)
+    return (None if drive is None
+            else (ActionProposal(EXPLORE_PRIORITY, drive, "explore"),))
+
+
+# scout 0 facing east in mid-room, far from the waypoint its stream draws:
+# the tracked servo swings it first, at a rate that reads dt
+EXPLORE_BASE = obs_for(pose=Pose(2.0, 1.5, 0.0))
+
+
 @pytest.mark.parametrize("name, base", [
     ("seek_energy", SEEK_BASE), ("aggregate", AGGREGATE_BASE),
-    ("disposal", DISPOSAL_BASE), ("disposal", RELEASE_BASE)])
+    ("disposal", DISPOSAL_BASE), ("disposal", RELEASE_BASE),
+    ("explore", EXPLORE_BASE)])
 def test_a_memoised_controller_hands_its_answer_out_again(name, base):
     # a new observation whose keyed inputs are the same objects, as the
     # harness builds on a tick where nothing the controller reads changed:
     # the battery drains, the tick counts on, and the local channel is
     # another one, with its own copy of the row, over the same table
     spec = WHEEL_SPEC if name == "disposal" else SCOUT_SPEC
-    ctl = build_controllers([name], base.me.id, spec, None)[name]
+    ctl = build_controllers([name], base.me.id, spec, Rng(5))[name]
     first = ctl(base)
     assert type(first) is tuple and first
     assert all(p.source == name for p in first)
@@ -585,6 +565,27 @@ def test_a_memoised_controller_hands_its_answer_out_again(name, base):
     assert ctl(again) is first
 
 
+@pytest.mark.parametrize("change", ["pose", "waypoint", "dt"])
+def test_explore_answers_anew_when_an_input_it_reads_changes(change):
+    # every other input is the same object as before, so a memo that left
+    # this one out of its key would hand back the first answer
+    ctl = build_controllers(["explore"], 0, SCOUT_SPEC, Rng(5))["explore"]
+    first = ctl(EXPLORE_BASE)
+    assert first is not None and first == _explore_answer(ctl, EXPLORE_BASE)
+    obs = EXPLORE_BASE
+    if change == "pose":
+        obs = _with(obs, "me", pose=Pose(2.0, 1.5, 30.0))
+    elif change == "waypoint":
+        ctl.waypoint = (3.5, 0.5)
+    else:
+        obs = _with(obs, "internal", dt=5.0)
+    waypoint = ctl.waypoint
+    answer = ctl(obs)
+    assert ctl.waypoint is waypoint       # no draw: only this input changed
+    assert answer == _explore_answer(ctl, obs)
+    assert answer != first
+
+
 @pytest.mark.parametrize("run, changes", [
     (COLONY, None),
     # sockets toggle every few ticks, so still modules get new sockets
@@ -594,19 +595,10 @@ def test_a_memoised_controller_hands_its_answer_out_again(name, base):
     (PinnedRun("full_scale", 42, 200, None), None),
 ], ids=["colony", "desk_challenge-short-dwells", "disposal_open",
         "full_scale"])
-def test_memoised_answers_equal_answers_worked_out_afresh(run, changes,
-                                                         monkeypatch):
+def test_memoised_answers_equal_answers_worked_out_afresh(run, changes):
     # at every call over a run, the memoised answer of seek_energy,
-    # aggregate and disposal equals one worked out afresh; explore hands
-    # out the proposal of the Drive its servo returned, under its name
-    drives = {}
-    servo = behaviors._Controller._servo
-
-    def recording_servo(self, obs, *args, **kwargs):
-        drive = drives[self] = servo(self, obs, *args, **kwargs)
-        return drive
-
-    monkeypatch.setattr(ExploreController, "_servo", recording_servo)
+    # aggregate and disposal equals one worked out afresh; explore's
+    # equals the proposal of servo_drive toward its waypoint, under its name
     cfg = run.load()
     sim = Simulation(dataclasses.replace(cfg, **changes) if changes else cfg,
                      run.seed)
@@ -618,9 +610,7 @@ def test_memoised_answers_equal_answers_worked_out_afresh(run, changes,
             answer = ctl(obs)
             where = (sim.tick, ctl.module_id, name)
             if name == "explore":
-                drive = drives.pop(ctl, None)
-                assert answer == (None if drive is None else (
-                    ActionProposal(EXPLORE_PRIORITY, drive, name),)), where
+                assert answer == _explore_answer(ctl, obs), where
             else:
                 assert answer == _unmemoised(ctl, obs), where
             # a memo that answers keeps its key object

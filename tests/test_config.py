@@ -302,6 +302,19 @@ def test_spawn_key_must_be_module_id():
         load("[spawns]\nfirst = 0.3 0.3 0\n")
 
 
+@pytest.mark.parametrize("key", ["01", "0_1", "+1"])
+def test_a_spawn_key_is_a_module_id_in_plain_decimal(key):
+    # int() reads each of these as 1: beside a `1 = ...` line, one of the
+    # two would silently win
+    text = (CONFIG_DIR / "disposal_open.cfg").read_text(encoding="utf-8")
+    assert "\n1 = 0.60 1.60 0\n" in text
+    twice = text.replace("\n1 = 0.60 1.60 0\n",
+                         f"\n1 = 0.60 1.60 0\n{key} = 9.9 9.9 0\n")
+    with pytest.raises(ConfigError) as err:
+        load_scenario(twice, base_dir=CONFIG_DIR)
+    assert str(err.value) == f"spawn keys are module ids, got {key!r}"
+
+
 # -- derived quantities ---------------------------------------------------
 
 
@@ -796,6 +809,7 @@ _BAD_KEYS = [(section, key, _BAD_VALUE[conv])
     ("run", "days", "0"), ("run", "dt", "nan"), ("run", "dt", "-inf"),
     ("spawns", "0", "0.3 0.3"), ("spawns", "0", "0.3 abc 0"),
     ("spawns", "0", "0.3 0.3 0 health=dead"), ("spawns", "first", "0 0 0"),
+    ("spawns", "00", "0.3 0.3 0"), ("spawns", "+0", "0.3 0.3 0"),
 ], ids=lambda v: str(v))
 def test_one_bad_value_raises_the_reference_s_words(section, key, bad):
     text = f"[roster]\nscout = 1\n[{section}]\n{key} = {bad}\n"

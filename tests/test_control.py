@@ -323,31 +323,34 @@ def test_records_keep_their_repr_and_stay_immutable(record, text):
 
 
 _OBS = make_obs(mid=3, battery=0.5)
+# each case keeps its own id, so dropping a case renames no other
 BUILDER_CASES = [
-    (control._self_channel, SelfChannel, _OBS.me._asdict()),
-    (control._internal_channel, InternalChannel,
-     dict(tick=4, dt=10.0, bus_load=2, outbox=Mailbox(MessageBus(1.0), 3))),
-    (control._internal_channel, InternalChannel,
-     dict(tick=4, dt=10.0, bus_load=0, outbox=None)),
-    (control._observation, Observation, _OBS._asdict()),
-    (control._drive, Drive, dict(linear=0.1, lateral=-0.0, angular=3.5)),
-    (control._recharge, Recharge, dict(socket_id=2)),
-    (control._proposal, ActionProposal,
-     dict(priority=40, action=Recharge(2), source="")),
-    (control._proposal, ActionProposal,
-     dict(priority=255, action=IDLE, source="framework")),
-    (control._rejected, Rejected,
-     dict(reason="collision", detail="path of module 1 is blocked")),
-    (energy._recharge_result, RechargeResult,
-     dict(granted=True, reason=None, drawn_j=200.0, stored_j=180.0)),
-    (energy._recharge_result, RechargeResult,
-     dict(granted=False, reason="reach", drawn_j=0.0, stored_j=0.0)),
+    pytest.param(control._self_channel, SelfChannel, _OBS.me._asdict(),
+                 id="SelfChannel-0"),
+    pytest.param(control._internal_channel, InternalChannel,
+                 dict(tick=4, dt=10.0, bus_load=2,
+                      outbox=Mailbox(MessageBus(1.0), 3)),
+                 id="InternalChannel-1"),
+    pytest.param(control._internal_channel, InternalChannel,
+                 dict(tick=4, dt=10.0, bus_load=0, outbox=None),
+                 id="InternalChannel-2"),
+    pytest.param(control._observation, Observation, _OBS._asdict(),
+                 id="Observation-3"),
+    pytest.param(control._rejected, Rejected,
+                 dict(reason="collision", detail="path of module 1 is blocked"),
+                 id="Rejected-8"),
+    pytest.param(energy._recharge_result, RechargeResult,
+                 dict(granted=True, reason=None, drawn_j=200.0,
+                      stored_j=180.0),
+                 id="RechargeResult-9"),
+    pytest.param(energy._recharge_result, RechargeResult,
+                 dict(granted=False, reason="reach", drawn_j=0.0,
+                      stored_j=0.0),
+                 id="RechargeResult-10"),
 ]
 
 
-@pytest.mark.parametrize("builder, cls, fields", BUILDER_CASES,
-                         ids=[f"{cls.__name__}-{k}" for k, (_, cls, _)
-                              in enumerate(BUILDER_CASES)])
+@pytest.mark.parametrize("builder, cls, fields", BUILDER_CASES)
 def test_each_builder_makes_the_record_its_class_makes(builder, cls, fields):
     # a builder is tuple.__new__ with the class bound: it checks no arity,
     # so a hot site that drops a field would build a short record silently
@@ -361,8 +364,7 @@ def test_each_builder_makes_the_record_its_class_makes(builder, cls, fields):
 def test_shared_idle_records_equal_fresh_ones():
     assert type(IDLE) is Idle and IDLE == Idle()
     assert IDLE_PROPOSAL == ActionProposal(255, Idle(), "framework")
-    # an aggregate parked at its slot holds with a record built in C: it
-    # equals, and reads as, one built the usual way
+    # an aggregate parked at its slot holds under its own name
     aggregate = build_controllers(["aggregate"], 0, SCOUT, None)["aggregate"]
     at_slot = SensedSocket(0, (0.0, 0.0), True, 20.0, 0.0, 0.3, 0.0)
     [hold] = aggregate(make_obs(sockets=[at_slot]))
@@ -534,6 +536,25 @@ def test_guard_drive_judges_a_carried_member_like_execution_does():
                              True)
 
 
+@pytest.mark.parametrize("drive", [
+    Drive(math.nan), Drive(math.inf), Drive(0.0, -math.inf),
+    Drive(0.0, 0.0, math.nan), Drive(0.0, 0.0, -math.inf),
+], ids=["linear-nan", "linear-inf", "lateral-minus-inf", "angular-nan",
+        "angular-minus-inf"])
+def test_guard_rejects_a_drive_that_is_not_finite(drive):
+    # no speed cap or swept path can be worked out of it, alone or in an
+    # organism, so it is refused before either is asked
+    solo = guard_action(drive, 0, None, ctx_for(scout_state(), SCOUT))
+    assert solo == Rejected("protocol", f"{drive!r} is not finite")
+    reg = OrganismRegistry()
+    reg.register_edge(*docked_pair(0, 1))
+    states = {0: scout_state(0), 1: scout_state(1, Pose(0.1, 0, 0))}
+    grouped = guard_action(drive, 0, reg.organisms[0],
+                           ctx_for(states[0], SCOUT, states,
+                                   {0: SCOUT, 1: SCOUT}))
+    assert grouped == solo
+
+
 def pair_near_the_north_wall(height=0.28):
     """Two docked scouts side by side along +x at y = `height`, above a
     wall that fills y < 0.25."""
@@ -663,6 +684,10 @@ def test_guard_actuate_clamps_and_checks_torque():
     assert guard_action(Actuate(0, 45.0), 0, None, ctx) == Actuate(0, 45.0)
     assert guard_action(Actuate(0, 120.0), 0, None, ctx) == Actuate(0, 90.0)
     assert guard_action(Actuate(1, -500.0), 0, None, ctx) == Actuate(1, -180.0)
+    # an infinite target clamps too; a NaN one lies on no side of the range
+    assert guard_action(Actuate(0, math.inf), 0, None, ctx) == Actuate(0, 90.0)
+    assert guard_action(Actuate(0, math.nan), 0, None, ctx) == Rejected(
+        "protocol", "joint target nan is not a number")
     got = guard_action(Actuate(3, 10.0), 0, None, ctx)
     assert isinstance(got, Rejected) and got.reason == "protocol"
 
@@ -730,6 +755,10 @@ def test_guard_undock_and_recharge_and_toggle():
                                             unwired).detail
     assert guard_action(ToggleCoprocessor(True), 2, None,
                         unwired) == ToggleCoprocessor(True)
+    for flag in ("maybe", 1, None):
+        assert guard_action(ToggleCoprocessor(flag), 2, None,
+                            unwired) == Rejected(
+            "protocol", f"coprocessor flag {flag!r} is not a bool")
     assert "unrecognized" in guard_action("warp", 2, None, unwired).detail
 
 

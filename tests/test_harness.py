@@ -1049,6 +1049,28 @@ def test_a_custom_controller_switches_its_coprocessor_and_bends_a_joint():
     assert metrics.residual_j == 0.0
 
 
+@pytest.mark.parametrize("action", [
+    Drive(math.nan, 0.0, 0.0), Drive(math.inf, 0.0, 0.0),
+    Drive(0.0, 0.0, math.nan), Drive(0.0, 0.0, math.inf),
+    Actuate(0, math.nan), ToggleCoprocessor("maybe"),
+], ids=["linear-nan", "linear-inf", "angular-nan", "angular-inf",
+        "joint-target-nan", "coprocessor-maybe"])
+def test_an_action_execution_cannot_carry_out_is_a_protocol_reject(action):
+    # module 4 of desk_challenge asks for it on every tick: the guard
+    # refuses it, so the run goes on and the module stays as it spawned
+    sim = Simulation(load_scenario_file(CONFIG_DIR / "desk_challenge.cfg"), 11)
+    sim.controllers[4] = {"script": lambda obs: ActionProposal(5, action)}
+    st = sim.states[4]
+    pose, joints = st.pose, list(st.joint_angles)
+    sim.run(3)
+    rejects = [line.split()[3] for line in sim.log.lines
+               if line.split()[1:3] == ["4", "reject"]]
+    assert rejects == ["reason=protocol"]
+    assert sim.rejections["protocol"] >= 3
+    assert (st.pose, st.joint_angles, st.coprocessor_on) == (pose, joints,
+                                                            False)
+
+
 def test_credit_log_writes_one_line_per_transfer():
     cfg = dataclasses.replace(
         load_scenario_file(CONFIG_DIR / "desk_challenge.cfg"), credit_log=True)

@@ -165,8 +165,8 @@ class _Controller:
     object as on its last call, and works an answer out, proposals and
     their actions built anew, only when some input is a new object.
     Every such input is immutable: a frozen Pose, a float, a bool, a tuple
-    or an Enum member; the module table of `local.modules` stands for the
-    observer's row as well, by the rule SensedModules states. So an
+    or an Enum member, or the `local` channel, which the sight hands out
+    again only while nothing it holds has changed (see Sight). So an
     identity match is exact, for -0.0 and NaN too."""
 
     __slots__ = ("module_id", "spec", "name", "_slot_memo", "_key",
@@ -270,9 +270,8 @@ class SeekEnergyController(_Controller):
 class AggregateController(_Controller):
     """Form and hold the stack: dock onto the predecessor, then stand still.
 
-    The answer is keyed on `local.sockets`, the module table of
-    `local.modules`, the `interaction` channel, `me.pose`, `me.module_class`
-    and `internal.dt`.
+    The answer is keyed on the `local` channel, the `interaction` channel,
+    `me.pose`, `me.module_class` and `internal.dt`.
     """
 
     __slots__ = ()
@@ -280,16 +279,14 @@ class AggregateController(_Controller):
 
     def __call__(self, obs: Observation):
         me = obs.me
-        local = obs.local
-        sockets, table = local.sockets, local.modules.table
-        interaction, pose, dt = obs.interaction, me.pose, obs.internal.dt
-        module_class = me.module_class
+        local, interaction = obs.local, obs.interaction
+        pose, dt, module_class = me.pose, obs.internal.dt, me.module_class
         key = self._key
-        if (key is not None and key[0] is sockets and key[1] is table
-                and key[2] is interaction and key[3] is pose
-                and key[4] is dt and key[5] is module_class):
+        if (key is not None and key[0] is local and key[1] is interaction
+                and key[2] is pose and key[3] is dt
+                and key[4] is module_class):
             return self._answer
-        self._key = (sockets, table, interaction, pose, dt, module_class)
+        self._key = (local, interaction, pose, dt, module_class)
         answer = self._answer = self._propose(obs)
         return answer
 
@@ -381,9 +378,8 @@ class DisposalController(_Controller):
     the other the west, and once all three bodies form one organism they
     drive it home, unplug and back away.
 
-    A wheeled module's answer is keyed on the module table of
-    `local.modules`, the `interaction` channel, `me.pose`, `internal.dt`,
-    `local.graveyard` and `local.arena_size`.
+    A wheeled module's answer is keyed on the `local` channel, the
+    `interaction` channel, `me.pose` and `internal.dt`.
     """
 
     __slots__ = ()
@@ -392,16 +388,13 @@ class DisposalController(_Controller):
         me = obs.me
         if me.module_class is not _ACTIVE_WHEEL:
             return None
-        local = obs.local
-        table, interaction = local.modules.table, obs.interaction
+        local, interaction = obs.local, obs.interaction
         pose, dt = me.pose, obs.internal.dt
-        yard, size = local.graveyard, local.arena_size
         key = self._key
-        if (key is not None and key[0] is table and key[1] is interaction
-                and key[2] is pose and key[3] is dt and key[4] is yard
-                and key[5] is size):
+        if (key is not None and key[0] is local and key[1] is interaction
+                and key[2] is pose and key[3] is dt):
             return self._answer
-        self._key = (table, interaction, pose, dt, yard, size)
+        self._key = (local, interaction, pose, dt)
         answer = self._answer = self._propose(obs)
         return answer
 

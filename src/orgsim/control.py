@@ -293,8 +293,11 @@ def guard_action(action: Action, module_id: int, organism: Organism | None,
     Actuation targets are clamped into the joint's range instead of being
     bounced; a NaN target has no place in it and is rejected. A drive with
     a NaN or infinite field, and a coprocessor flag that is not a bool, are
-    rejected too. Everything else either passes through unchanged or comes
-    back as a Rejected with a machine-readable reason.
+    rejected too, as is every action with a field of the wrong type: a
+    face that is not a Face, an id or joint index that is not an int, or a
+    drive field or joint target that is not a number. Everything else
+    either passes through unchanged or comes back as a Rejected with a
+    machine-readable reason.
     """
     if isinstance(action, Idle):
         return action
@@ -306,8 +309,12 @@ def guard_action(action: Action, module_id: int, organism: Organism | None,
         if st.carried:
             return _rejected(("protocol", "carried modules do not drive"))
         linear, lateral, angular = action
-        if not (math.isfinite(linear) and math.isfinite(lateral)
-                and math.isfinite(angular)):
+        try:
+            finite = (math.isfinite(linear) and math.isfinite(lateral)
+                      and math.isfinite(angular))
+        except TypeError:
+            return _rejected(("protocol", f"{action!r} is not a number"))
+        if not finite:
             return _rejected(("protocol", f"{action!r} is not finite"))
         if organism is None:
             return _guard_drive(action, st, ctx)
@@ -317,6 +324,8 @@ def guard_action(action: Action, module_id: int, organism: Organism | None,
     if isinstance(action, Dock):    # Tow included
         return _guard_dock(action, st, ctx)
     if isinstance(action, Undock):
+        if type(action.face) is not Face:
+            return _rejected(("protocol", f"{action!r} names no face"))
         port = st.port(action.face)
         if port.phase is not DockPhase.DOCKED:
             return _rejected(("protocol",
@@ -325,6 +334,9 @@ def guard_action(action: Action, module_id: int, organism: Organism | None,
                               f"only a docked face can release"))
         return action
     if isinstance(action, Recharge):
+        if type(action.socket_id) is not int:
+            return _rejected(("protocol", f"socket id {action.socket_id!r} "
+                                          f"is not an int"))
         if ctx.socket_by_id(action.socket_id) is None:
             return _rejected(("protocol",
                               f"unknown socket {action.socket_id}"))
@@ -390,9 +402,11 @@ def _guard_actuate(action: Actuate, st: ModuleState,
     except ValueError:
         return _rejected(("protocol", f"{spec.module_class.value} has no dof "
                                       f"{action.dof_index}"))
-    if action.target_deg != action.target_deg:
-        return _rejected(("protocol", "joint target nan is not a number"))
-    clamped = max(-limit, min(limit, action.target_deg))
+    target = action.target_deg
+    if not isinstance(target, (int, float)) or target != target:
+        return _rejected(("protocol",
+                          f"joint target {target!r} is not a number"))
+    clamped = max(-limit, min(limit, target))
     if organism is not None:
         chain = worst_case_chain(organism, st.id, ctx.specs)
         if not lift_feasible(st.id, chain, ctx.specs):
@@ -400,13 +414,17 @@ def _guard_actuate(action: Actuate, st: ModuleState,
             return _rejected(("overload",
                               f"lifting {len(chain)} modules needs "
                               f"{load:.2f} N*m, joint rated {spec.max_torque}"))
-    if clamped != action.target_deg:
+    if clamped != target:
         return Actuate(action.dof_index, clamped)
     return action
 
 
 def _guard_dock(action: Dock, st: ModuleState,
                 ctx: GuardContext) -> Action | Rejected:
+    if not (type(action.face) is Face and type(action.target_face) is Face
+            and type(action.target_id) is int):
+        return _rejected(("protocol", f"{action!r} has a field of the "
+                                      f"wrong type"))
     if action.target_id == st.id:
         return _rejected(("protocol", "cannot dock to self"))
     other = ctx.states.get(action.target_id)

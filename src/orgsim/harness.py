@@ -350,9 +350,7 @@ class Simulation:
             return selected
         # sense_sockets is read from this module's globals on every call,
         # where perfbench/tracer.py wraps it
-        alive = sight.refresh(self.states,
-                              self.deaths_energy + self.deaths_hardware,
-                              sense_sockets)
+        alive = sight.refresh(self.states, sense_sockets)
         for i in alive:
             obs = self._observe(i, delivered)
             proposals = step_controllers(self.controllers[i], obs)

@@ -104,14 +104,16 @@ def make_module_spec(module_class: ModuleClass,
 
 
 def dof_range(spec: ModuleSpec, dof_index: int) -> float:
-    """Symmetric limit in degrees for one joint."""
-    if not 0 <= dof_index < spec.dof_count:
+    """Symmetric limit in degrees for one joint. ValueError for an index
+    that is not an int naming one of the module's joints."""
+    if not (type(dof_index) is int and 0 <= dof_index < spec.dof_count):
         raise ValueError(
             f"{spec.module_class.value} has {spec.dof_count} joint(s), "
-            f"index {dof_index} invalid")
+            f"index {dof_index!r} invalid")
     if dof_index == 0:
         return spec.bend_range
-    assert spec.rot_range is not None
+    if spec.rot_range is None:
+        raise ValueError(f"{spec.module_class.value} has no rotation joint")
     return spec.rot_range
 
 

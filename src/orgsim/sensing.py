@@ -1,13 +1,12 @@
-"""What an observer senses: the sight table, the view of the modules in
-sight, and the reuse of local channels between decide phases. The harness
-builds one `Sight` per run, only when some module has controllers.
+"""What an observer senses: the per-phase snapshot of the fleet, the view
+of the modules in sight, measured only when read, and the reuse of local
+channels between decide phases. The harness builds one `Sight` per run,
+only when some module has controllers.
 """
 
 from __future__ import annotations
 
-import math
-from array import array
-from itertools import repeat
+from functools import partial
 from numbers import Real
 from typing import NamedTuple
 
@@ -16,7 +15,9 @@ from .geometry import Pose
 from .robot_model import Health, ModuleClass
 
 _OK = Health.OK
-_NAN = math.nan
+# the entry of a module no refresh has seen yet: no pose is None, so every
+# module is new to the first refresh
+_UNSEEN = (None, None, None, None)
 
 
 class SensedModule(NamedTuple):
@@ -31,54 +32,56 @@ class SensedModule(NamedTuple):
     distance: float
 
 
+def _measure(arena, range_m: float, table: tuple, i: int,
+             j: int) -> float | None:
+    """Observer i's distance to module j of the snapshot `table`, or None
+    when j is i, out of range or out of line of sight from i's cell. The
+    distance is `Pose.distance_to` from i, as a fresh scan measures it."""
+    if j == i:
+        return None
+    _, pose, _, cell = table[i]
+    _, other, _, other_cell = table[j]
+    d = pose.distance_to(other)
+    if d > range_m or not arena.line_of_sight(cell, other_cell):
+        return None
+    return d
+
+
 class SensedModules:
     """The modules one observer sees, as a read-only view in ascending id
     order: `get` reads one module, None when it is out of sight; `select`
     lists the modules in sight, every one of them when called without
     filters; and `len` counts them.
 
-    The view reads immutable tables indexed by module id: `table`, one
-    `(module_class, pose, health)` entry per module, and `unwell`, the
-    ascending ids whose health is not OK, both shared by every view of one
-    decide phase; and `row`, this observer's distance to each id as an
-    `array('d')` that nothing else holds or changes, NaN for an id out of
-    sight. NaN is only this internal mark: no record carries it. Records
-    are built only when read: `get` and `select` build the ones they
-    return.
-
-    `table` hands out the shared module table itself. A `Sight` rebuilds
-    it on every move and every death, and rewrites a row only on a move,
-    so while an observer's view shares last phase's table object, its row
-    equals last phase's too: a controller may key a memo on the table
-    object in place of the view, whose row is a private copy.
+    The view reads an immutable snapshot shared by every view of one
+    decide phase: one entry per id that starts `(module_class, pose,
+    health)`, None for an id that holds no module, and `unwell`, the
+    ascending ids whose health is not OK. A module is measured only when
+    read, by `distance` (id -> distance, or None when out of sight): `get`
+    measures the one id it is asked about, and `select` only the ids that
+    pass its class and health filters. Records are built only when read
+    too: `get` and `select` build the ones they return.
     """
 
-    __slots__ = ("_table", "_unwell", "_row")
+    __slots__ = ("_table", "_unwell", "_distance")
 
-    def __init__(self,
-                 table: tuple[tuple[ModuleClass, Pose, Health] | None, ...],
-                 unwell: tuple[int, ...], row: array):
+    def __init__(self, table: tuple, unwell: tuple[int, ...], distance):
         self._table = table
         self._unwell = unwell
-        self._row = row
-
-    @property
-    def table(self) -> tuple[tuple[ModuleClass, Pose, Health] | None, ...]:
-        """The module table this view reads, shared by every view of one
-        decide phase."""
-        return self._table
+        self._distance = distance
 
     @classmethod
     def of(cls, records) -> "SensedModules":
         """A view of exactly these records, for an observation built by
-        hand. Each id must be new and not negative, and each distance a
-        real number that is neither NaN nor negative."""
+        hand: it reads the distances it is handed. Each id must be new and
+        not negative, and each distance a real number that is neither NaN
+        nor negative."""
         records = sorted(records, key=lambda m: m.id)
         n = records[-1].id + 1 if records else 0
         table: list = [None] * n
-        row = array("d", (_NAN,)) * n
+        given: dict[int, float] = {}
         for m in records:
-            if m.id < 0 or row[m.id] == row[m.id]:
+            if m.id < 0 or m.id in given:
                 raise ValueError(f"sensed module id {m.id} is negative "
                                  f"or repeated")
             d = m.distance
@@ -88,66 +91,63 @@ class SensedModules:
                                  f"{d!r}: not a real number, NaN or "
                                  f"negative")
             table[m.id] = (m.module_class, m.pose, m.health)
-            row[m.id] = d
+            given[m.id] = float(d)
         unwell = tuple(m.id for m in records if m.health is not _OK)
-        return cls(tuple(table), unwell, row)
+        return cls(tuple(table), unwell, given.get)
 
     def get(self, module_id: int) -> SensedModule | None:
         """Module `module_id` as sensed, or None when it is out of sight."""
-        row = self._row
-        if 0 <= module_id < len(row):
-            d = row[module_id]
-            if d == d:
-                return SensedModule(module_id, *self._table[module_id], d)
+        table = self._table
+        if 0 <= module_id < len(table):
+            entry = table[module_id]
+            if entry is not None:
+                d = self._distance(module_id)
+                if d is not None:
+                    return SensedModule(module_id, entry[0], entry[1],
+                                        entry[2], d)
         return None
 
     def select(self, module_class: ModuleClass | None = None,
                healthy: bool | None = None) -> list[SensedModule]:
         """The modules in sight of `module_class` (any when None) whose
         health is OK (healthy=True), not OK (False) or either (None), in
-        ascending id order. The filter reads the tables, so only the records
-        returned are built, and healthy=False visits only the unwell ids."""
-        table, row = self._table, self._row
+        ascending id order. The filters read the snapshot, so only the ids
+        that pass them are measured, and healthy=False visits only the
+        unwell ids."""
+        table, distance = self._table, self._distance
         out = []
-        for j in self._unwell if healthy is False else range(len(row)):
-            d = row[j]
-            if d != d:
+        for j in self._unwell if healthy is False else range(len(table)):
+            entry = table[j]
+            if entry is None:
                 continue
-            mc, pose, health = table[j]
+            mc, pose, health = entry[0], entry[1], entry[2]
             if ((module_class is None or mc is module_class)
                     and (healthy is None or (health is _OK) is healthy)):
-                out.append(SensedModule(j, mc, pose, health, d))
+                d = distance(j)
+                if d is not None:
+                    out.append(SensedModule(j, mc, pose, health, d))
         return out
 
     def __len__(self) -> int:
-        row = self._row
-        return len(row) - sum(map(math.isnan, row))
+        table, distance = self._table, self._distance
+        return sum(1 for j, entry in enumerate(table)
+                   if entry is not None and distance(j) is not None)
 
 
 class Sight:
     """What every observer senses, kept from one decide phase to the next.
 
-    Indexed by module id: each Pose (immutable, so an unchanged Pose object
-    is an unmoved module), its x, its y, its (x, y) point and its cell as of
-    the last refresh;
-    `dist`, the flat n x n table of doubles, an `array('d')`, whose entry
-    j * n + k is the distance between modules j and k when in range and in
-    line of sight, else NaN (NaN for j == k): NaN is the table's internal
-    mark, and SensedModules keeps the public contract, None from `get` and
-    absent from `select` and `len`; each live observer's sensed sockets,
-    read with the run's socket flags `active` (socket id -> on); and the
-    local channel its last observation handed out, with its own copy of the
-    observer's row. A move, a socket toggle or a death makes every channel
-    stale, and refresh drops them all before it rewrites any row, so one
-    generation of rows is held. `table` and `unwell`, shared by one decide
-    phase's local channels, hold (module_class, pose, health) per id and
-    the ids whose health is not OK.
-
-    A refresh builds a new `table` on every move and every death, and
-    rewrites a row only on a move. So while an observer's local channel
-    shares last phase's `table` object, its row equals last phase's, and
-    so do its sockets unless a socket toggled: a toggle gives the
-    observers new sockets tuples and keeps the table.
+    `table` is the snapshot of the last refresh, one immutable
+    (module_class, pose, health, cell) entry per id, and `unwell` the
+    ascending ids whose health is not OK; both are replaced, never changed,
+    when a module moves or dies, so every view of one decide phase reads
+    the same snapshot, and a view kept from an earlier phase reads its
+    own. For each live observer the sight keeps its sensed sockets, read
+    with the run's socket flags `active` (socket id -> on), and the local
+    channel its last observation handed out. A move, a socket toggle or a
+    death makes every channel stale, and refresh drops them all; until
+    then an observer's channel goes out again. Nothing is kept per pair: a
+    view measures a pair only when it is read.
     """
 
     def __init__(self, arena, active: dict[int, bool], range_m: float, n: int,
@@ -156,45 +156,20 @@ class Sight:
         self.active = active
         self.range_m = range_m
         self.observers = observers          # live ids with controllers
-        self.poses: list[Pose | None] = [None] * n
-        self.xs = [0.0] * n
-        self.ys = [0.0] * n
-        self.points: list[tuple[float, float]] = [(0.0, 0.0)] * n
-        self.cells: list[tuple[int, int] | None] = [None] * n
-        self.dist = array("d", (_NAN,)) * (n * n)
-        self.sockets: list[tuple] = [()] * n
-        self.table: tuple[tuple, ...] = ()
+        self.table: tuple[tuple, ...] = (_UNSEEN,) * n
         self.unwell: tuple[int, ...] = ()
-        self.deaths = -1            # deaths counted when the table was built
+        self.sockets: list[tuple] = [()] * n
         self.actives: tuple[bool, ...] | None = None  # at the last refresh
         self.local: list[LocalChannel | None] = [None] * n
         cs = arena.cell_size
         self.arena_size = (arena.width * cs, arena.height * cs)
         self.yard = arena.yard
 
-    def refresh(self, states: dict, deaths: int,
-                sense_sockets) -> tuple[int, ...]:
+    def refresh(self, states: dict, sense_sockets) -> tuple[int, ...]:
         """Drop the dead observers and, when stale, every local channel;
-        bring the tables and the observers' sockets up to date with the
-        current poses, and return the live observers in id order.
-        `deaths` counts every death so far; `sense_sockets` reads one
-        observer's sockets.
-
-        Each moved module j gets its distances to every id in one pass,
-        written as row j and, distance and line of sight being symmetric,
-        as column j of the table. Line of sight is decided for the whole
-        fleet first: when every module's cell is on the grid and the
-        rectangle spanning them all holds no wall, it spans every pair's
-        rectangle, so every pair is in sight. Otherwise each moved module
-        asks the arena about each pair in range from its own end; a pair
-        whose ends both moved is asked from both, and gets the same
-        answer, as line of sight is symmetric too.
-
-        A row is `math.dist` from the moved module's point to every point.
-        It equals `hypot(xk - xj, yk - yj)` bit for bit, as both run
-        CPython's one vector norm over the same differences, and the
-        difference from either end differs only in sign, so either end
-        computes the same distance."""
+        bring the snapshot and the observers' sockets up to date with the
+        current poses and health, and return the live observers in id
+        order. `sense_sockets` reads one observer's sockets."""
         observers = self.observers
         alive = [i for i in observers if states[i].health is _OK]
         if len(alive) < len(observers):
@@ -203,85 +178,51 @@ class Sight:
         if not observers:
             self.local = []
             return observers
-        arena, range_m = self.arena, self.range_m
-        poses, xs, ys, cells = self.poses, self.xs, self.ys, self.cells
-        points = self.points
-        moved = []
-        for j, st in states.items():
-            pose = st.pose
-            if pose is not poses[j]:
-                poses[j] = pose
-                x = xs[j] = pose.x
-                y = ys[j] = pose.y
-                points[j] = (x, y)
-                cells[j] = arena.cell_of(x, y)
-                moved.append(j)
-        n = len(poses)
-        active = self.active
-        actives = tuple(active.values())
+        arena = self.arena
+        table = self.table
+        changed = [st for st, (_, pose, health, _) in zip(states.values(),
+                                                          table)
+                   if st.pose is not pose or st.health is not health]
+        actives = tuple(self.active.values())
         toggled = actives != self.actives
         self.actives = actives
-        if moved or toggled or deaths != self.deaths:
-            # every channel handed out is stale: drop them all before any
-            # row is rewritten, so the rows of one decide phase are held,
-            # never those of two
-            self.local = [None] * n
-        if moved:
-            # cell_of floors x / cell_size, which keeps order, so the corner
-            # cells of the fleet come from its extreme coordinates
-            x0, y0 = arena.cell_of(min(xs), min(ys))
-            x1, y1 = arena.cell_of(max(xs), max(ys))
-            all_in_sight = arena.rect_is_open(x0, y0, x1, y1)
-            line_of_sight = arena.line_of_sight
-            distance = math.dist
-            dist = self.dist
-            for j in moved:
-                row = list(map(distance, points, repeat(points[j])))
-                if max(row) > range_m:
-                    row = [d if d <= range_m else _NAN for d in row]
-                row[j] = _NAN
-                if not all_in_sight:
-                    cell = cells[j]
-                    for k, d in enumerate(row):
-                        if d == d and not line_of_sight(cell, cells[k]):
-                            row[k] = _NAN
-                row = array("d", row)
-                dist[j * n:(j + 1) * n] = row
-                dist[j::n] = row
-
+        if changed or toggled:
+            self.local = [None] * len(table)
+        if changed:
+            table = list(table)
+            cell_of = arena.cell_of
+            for st in changed:
+                pose = st.pose
+                table[st.id] = (st.module_class, pose, st.health,
+                                cell_of(pose.x, pose.y))
+            self.table = tuple(table)
+            self.unwell = tuple([j for j, entry in enumerate(table)
+                                 if entry[2] is not _OK])
+        # health changes only by a death, which is final, so a live
+        # observer that changed has moved
         for i in (observers if toggled
-                  else set(moved).intersection(observers)):
-            self.sockets[i] = tuple(sense_sockets(poses[i], range_m, arena,
-                                                  active))
-        if moved or deaths != self.deaths:
-            states = states.values()
-            self.table = tuple([(st.module_class, st.pose, st.health)
-                                for st in states])
-            self.unwell = tuple([st.id for st in states
-                                 if st.health is not _OK])
-            self.deaths = deaths
+                  else {st.id for st in changed}.intersection(observers)):
+            self.sockets[i] = tuple(sense_sockets(self.table[i][1],
+                                                  self.range_m, arena,
+                                                  self.active))
         return observers
 
     def local_channel(self, i: int) -> LocalChannel:
         """Observer i's local channel for this decide phase: the last one
         handed out while refresh has not dropped it, as nothing it reads
-        has changed, else built from i's row of the sight table and this
-        phase's module table."""
+        has changed, else built over this phase's snapshot."""
         local = self.local[i]
         if local is not None:
             return local
-        # the row's refresh put the cell of this very pose in `cells`
-        cx, cy = self.cells[i]
-        arena = self.arena
+        table, arena = self.table, self.arena
+        cx, cy = table[i][3]
         terrain = (arena.terrain_at_cell(cx, cy)
                    if arena.cell_in_bounds(cx, cy) else None)
-        n = len(self.poses)
         # positional arguments, in field order: a keyword call costs about
-        # twice as much. The slice is the view's own copy of row i, an
-        # array of n doubles
+        # twice as much
         local = self.local[i] = LocalChannel(
             terrain, self.sockets[i],
-            SensedModules(self.table, self.unwell,
-                          self.dist[i * n:(i + 1) * n]),
+            SensedModules(table, self.unwell,
+                          partial(_measure, arena, self.range_m, table, i)),
             self.arena_size, self.yard)
         return local

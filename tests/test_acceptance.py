@@ -209,16 +209,24 @@ def test_criterion_4_reach_and_lift_oracle():
 # -- 5: determinism and sweep speed ---------------------------------------
 
 
-def test_criterion_5_digest_determinism_and_sweep_speed():
+@pytest.fixture(scope="module")
+def desk_sweep():
+    """desk_challenge over seeds 1-8, full length, as (results, seconds):
+    one sweep that criteria 5 and 9 share."""
+    cfg = load_scenario_file(f"{CONFIG_DIR}/desk_challenge.cfg")
+    started = time.perf_counter()
+    results = sweep(cfg, range(1, 9))
+    return results, time.perf_counter() - started
+
+
+def test_criterion_5_digest_determinism_and_sweep_speed(desk_sweep):
     cfg = load_scenario_file(f"{CONFIG_DIR}/desk_challenge.cfg")
     assert cfg.module_count == 10 and cfg.days == 3.0
 
     digests = {run_scenario(cfg).digest for _ in range(5)}
     assert len(digests) == 1
 
-    started = time.perf_counter()
-    results = sweep(cfg, range(1, 9))
-    elapsed = time.perf_counter() - started
+    results, elapsed = desk_sweep
     assert len(results) == 8
     assert elapsed < 300.0
     note(5, f"5 identical digests ({digests.pop()}); 8-seed sweep "
@@ -399,3 +407,25 @@ def test_criterion_8_disposal_task():
     m = sim.run()
     assert m.disposed == 0 and m.tasks_open == 1
     note(8, "open fixture disposes the corpse, walled fixture stays open")
+
+
+# -- 9: the Grand Challenge scoreboard ------------------------------------
+
+
+def test_criterion_9_grand_challenge_scoreboard(desk_sweep):
+    # the floor is today's score: a change to behaviour that raises it
+    # raises the floor to its own measurement
+    results, _ = desk_sweep
+    survivors = [m.survivors for m in results]
+    energy = sum(m.deaths_energy for m in results)
+    hardware = sum(m.deaths_hardware for m in results)
+    disposed = sum(m.disposed for m in results)
+    collisions = sum(m.rejections.get("collision", 0) for m in results)
+    modules = sum(m.survivors + m.deaths_energy + m.deaths_hardware
+                  for m in results)
+    assert sum(survivors) >= 33
+    assert hardware == 0
+    note(9, f"desk seeds 1-8: {sum(survivors)}/{modules} survive "
+            f"({', '.join(map(str, survivors))}); deaths {energy} energy, "
+            f"{hardware} hardware; {disposed} corpses disposed; "
+            f"{collisions} collision rejects")

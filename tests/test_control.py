@@ -762,6 +762,27 @@ def test_guard_undock_and_recharge_and_toggle():
     assert "unrecognized" in guard_action("warp", 2, None, unwired).detail
 
 
+@pytest.mark.parametrize("action, spec", [
+    (Actuate(0.5, 10.0), BACKBONE), (Actuate(0.5, 10.0), SCOUT),
+    (Actuate(0, "10"), SCOUT), (Drive("0.1", 0, 0), SCOUT),
+    (Dock("north", 5, Face.SOUTH), SCOUT), (Undock("north"), SCOUT),
+    (Recharge(0.0), SCOUT), (Dock(Face.NORTH, 5.0, Face.SOUTH), SCOUT),
+], ids=["actuate-half-index-backbone", "actuate-half-index-scout",
+        "actuate-str-target", "drive-str-linear", "dock-str-face",
+        "undock-str-face", "recharge-float-id", "dock-float-id"])
+def test_guard_rejects_an_action_with_a_field_of_the_wrong_type(action,
+                                                                spec):
+    # module 5 and socket 0 exist, and 0.0 and 5.0 look them up in a dict,
+    # so only the field's type can refuse these
+    me = new_module_state(0, spec, Pose(0, 0, 0))
+    states = {0: me, 5: scout_state(5, Pose(0.1, 0, 0))}
+    sock = Socket(id=0, cell=(1, 1), height=0.3, rating=20.0)
+    ctx = ctx_for(me, spec, states, {0: spec, 5: SCOUT},
+                  socket_by_id={0: sock}.get)
+    got = guard_action(action, 0, None, ctx)
+    assert isinstance(got, Rejected) and got.reason == "protocol", got
+
+
 # -- radio ----------------------------------------------------------------
 
 

@@ -32,7 +32,7 @@ from orgsim.harness import (EventLog, RunMetrics, Simulation, replay_file,
                             replay_log, run_scenario, sweep)
 from orgsim.organism import reach_height
 from orgsim.rng import _BLOCK, Rng, fnv1a64
-from orgsim.robot_model import Health, make_module_spec, to_pj
+from orgsim.robot_model import Health, ModuleClass, make_module_spec, to_pj
 from orgsim.sensing import SensedModule, SensedModules
 from orgsim.world import SensedSocket, TerrainClass, parse_arena
 from tests.pinned_runs import (COLONY, CROWD, DESK_DAY, DISPOSAL_OPEN,
@@ -286,8 +286,8 @@ def _sensed_from_scratch(sim, i):
     ("full_scale", 42, 20, None),
     ("desk_challenge", 11, 200, (2, 5)),
     ("disposal_open", 3, 432, None),
-    # the one bundled map whose fleet rectangle holds walls: every refresh
-    # asks the arena about each pair in range with a moved end
+    # the one bundled map with walls between its modules: a read asks the
+    # arena about pairs whose rectangle holds walls
     ("disposal_walled", 3, 432, None),
     ("survival_zero", 7, 500, None),
 ])
@@ -328,7 +328,7 @@ def test_incremental_sensing_matches_a_fresh_scan(scenario, seed, ticks,
 def test_an_observation_is_a_snapshot_of_its_tick(scenario, seed, ticks,
                                                   dwell, kept_ticks):
     # observations kept from earlier ticks must keep reading those ticks'
-    # poses, health and distances while rows, poses and health move on
+    # poses, health and distances while poses and health move on
     # (survival_zero: every observer dies from tick 307)
     cfg = load_scenario_file(CONFIG_DIR / f"{scenario}.cfg")
     if dwell is not None:
@@ -359,26 +359,24 @@ def test_an_observation_is_a_snapshot_of_its_tick(scenario, seed, ticks,
     ("full_scale", 42, 20, None),
     ("desk_challenge", 11, 300, (2, 5)),
 ])
-def test_a_view_that_shares_last_phase_s_table_reads_last_phase_s_row(
+def test_a_local_channel_goes_out_again_only_while_nothing_it_reads_changed(
         scenario, seed, ticks, dwell):
-    # the memo keys of the stock controllers rest on this: the sight builds
-    # a new module table on every move and every death and rewrites a row
-    # only on a move, so while an observer's view shares last phase's table
-    # object its row is last phase's, and so are its sockets unless a
-    # socket toggled, which gives new sockets and keeps the table (short
-    # dwells toggle sockets every few ticks)
+    # the memo keys of the stock controllers rest on this: the sight hands
+    # an observer last phase's local channel again exactly when no module
+    # moved or died and no socket toggled, and that channel then senses
+    # what last phase's did (short dwells toggle sockets every few ticks)
     cfg = load_scenario_file(CONFIG_DIR / f"{scenario}.cfg")
     if dwell is not None:
         cfg = dataclasses.replace(cfg, dwell_min=dwell[0], dwell_max=dwell[1])
     sim = Simulation(cfg, seed)
     observe = sim._observe
     last = {}
-    seen = {"shared": 0, "shared, new sockets": 0}
+    seen = {"again": 0, "anew on a toggle alone": 0}
 
     def observe_and_check(i, delivered):
         obs = observe(i, delivered)
-        view = obs.local.modules
-        now = (sim.tick, view.table, tuple(view.select()), obs.local.sockets,
+        local = obs.local
+        now = (sim.tick, local, tuple(local.modules.select()), local.sockets,
                [st.pose for st in sim.states.values()],
                sim.deaths_energy + sim.deaths_hardware,
                tuple(sim.socket_active.values()))
@@ -387,32 +385,31 @@ def test_a_view_that_shares_last_phase_s_table_reads_last_phase_s_row(
             return obs
         assert before[0] == sim.tick - 1
         moved = any(a is not b for a, b in zip(now[4], before[4]))
-        shared = view.table is before[1]
-        assert shared is not (moved or now[5] != before[5]), (sim.tick, i)
-        if shared:
-            seen["shared"] += 1
-            assert now[2] == before[2], (sim.tick, i)
-            if now[6] == before[6]:
-                assert now[3] == before[3], (sim.tick, i)
-            elif now[3] != before[3]:
-                seen["shared, new sockets"] += 1
+        died, toggled = now[5] != before[5], now[6] != before[6]
+        again = local is before[1]
+        assert again is not (moved or died or toggled), (sim.tick, i)
+        if again:
+            seen["again"] += 1
+            assert now[2] == before[2] and now[3] == before[3], (sim.tick, i)
+        elif toggled and not (moved or died):
+            seen["anew on a toggle alone"] += 1
         return obs
 
     sim._observe = observe_and_check
     sim.run(ticks)
-    assert seen["shared"] > 0
+    assert seen["again"] > 0
     if dwell is not None:
-        assert seen["shared, new sockets"] > 0
+        assert seen["anew on a toggle alone"] > 0
 
 
 def test_a_refresh_after_a_move_drops_the_last_phase_s_channels(
         monkeypatch):
     # a refresh that finds a moved module drops every local channel, and
-    # with it every view's copy of a row, before any row is rewritten: the
-    # sight then reaches nothing of the last decide phase, so the rows of
-    # two phases are never held at once. Refcounts alone must free them,
-    # so the collector is off. An observation a controller keeps still
-    # reads its own tick's distances
+    # with it every view: the sight then reaches nothing of the last decide
+    # phase. Refcounts alone must free them, so the collector is off. What
+    # may still hold one is an observation a controller keeps, which still
+    # reads its own tick's distances, or a memo key, which holds the local
+    # channel its controller last read
     class TrackedChannel:
         # LocalChannel's fields: a named tuple takes no weak reference
         __slots__ = LocalChannel._fields + ("__weakref__",)
@@ -439,13 +436,19 @@ def test_a_refresh_after_a_move_drops_the_last_phase_s_channels(
     checked = []
     refresh = sensing.Sight.refresh
 
-    def refresh_and_check(sight, states, deaths, sense_sockets):
+    def refresh_and_check(sight, states, sense_sockets):
         nonlocal this_phase
-        moved = any(st.pose is not sight.poses[j] for j, st in states.items())
+        moved = any(st.pose is not sight.table[j][1]
+                    for j, st in states.items())
         last_phase, this_phase = this_phase, []
-        alive = refresh(sight, states, deaths, sense_sockets)
+        alive = refresh(sight, states, sense_sockets)
         if moved and last_phase:
             keeps = [o for obs, _ in kept for o in (obs.local, obs.local.modules)]
+            keeps += [o for ctls in sim.controllers.values()
+                      for ctl in ctls.values()
+                      for local in getattr(ctl, "_key", None) or ()
+                      if type(local) is TrackedChannel
+                      for o in (local, local.modules)]
             held = [ref() for ref in last_phase]
             assert all(o is None or any(o is k for k in keeps)
                        for o in held), sim.tick
@@ -715,8 +718,9 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False)
          (-1.7976931348623157e308, 1e308))
 @example((1e300, 3.0), (-1e300, 2.999999999999999))
 def test_a_sight_distance_is_hypot_of_the_differences_bit_for_bit(p, q):
-    # Sight.refresh builds its rows with math.dist over (x, y) points; the
-    # rows must equal hypot of the coordinate differences exactly
+    # a view measures with Pose.distance_to, hypot of the coordinate
+    # differences from its observer, as a fresh scan does; the distance
+    # must come out the same from either end and by math.dist
     want = math.hypot(p[0] - q[0], p[1] - q[1])
     assert math.dist(p, q).hex() == want.hex()
     assert math.dist(q, p).hex() == want.hex()
@@ -790,24 +794,35 @@ def test_observing_builds_few_sensed_module_records(scenario, seed, ticks,
                                                     pinned, monkeypatch):
     # a deterministic cost guard: the stock controllers read a few sensed
     # modules by id, so an observation must not build one record per
-    # module in sight, as an eager tuple would
-    built = 0
+    # module in sight, as an eager tuple would, nor measure one pair per
+    # module in sight, as an eager table would
+    built = measured = 0
 
     def counting_record(*fields):
         nonlocal built
         built += 1
         return SensedModule(*fields)
 
+    measure = sensing._measure
+
+    def counting_measure(*args):
+        nonlocal measured
+        measured += 1
+        return measure(*args)
+
     monkeypatch.setattr(sensing, "SensedModule", counting_record)
+    monkeypatch.setattr(sensing, "_measure", counting_measure)
     cfg = load_scenario_file(CONFIG_DIR / f"{scenario}.cfg")
     sim = Simulation(cfg, seed)
     observe = sim._observe
     in_sight = 0
 
     def observe_and_count(i, delivered):
-        nonlocal in_sight
+        nonlocal in_sight, measured
         obs = observe(i, delivered)
+        before = measured
         in_sight += len(obs.local.modules)          # builds nothing
+        measured = before                 # the controllers' reads count
         return obs
 
     sim._observe = observe_and_count
@@ -815,6 +830,7 @@ def test_observing_builds_few_sensed_module_records(scenario, seed, ticks,
     assert [metrics.digest, metrics.events] == pinned
     assert in_sight > 10_000
     assert built <= in_sight // 100, (built, in_sight)
+    assert 0 < measured <= in_sight // 100, (measured, in_sight)
 
 
 def test_open_floor_sightlines_are_neither_traced_nor_cached():
@@ -897,10 +913,11 @@ def test_observation_channels_match_their_enum_values():
     assert docked > 100
 
 
-def test_a_walled_refresh_asks_each_pair_in_range_from_each_moved_end():
-    # disposal_walled's fleet rectangle holds the pocket's walls, and every
-    # module moves on the first refresh: each of the three pairs is asked
-    # from both its ends, and the map has no socket to ask about
+def test_a_view_asks_line_of_sight_only_for_the_ids_it_is_read_about():
+    # disposal_walled: wheels 1 and 2 observe, corpse 0 is the one unwell
+    # id, and the map has no socket to ask about. Each read asks the arena
+    # from the observer's own cell about the ids it returns or filters
+    # through, never about the observer
     cfg = load_scenario_file(CONFIG_DIR / "disposal_walled.cfg")
     sim = Simulation(cfg, 3)
     arena = sim.arena
@@ -908,16 +925,30 @@ def test_a_walled_refresh_asks_each_pair_in_range_from_each_moved_end():
     line_of_sight = arena.line_of_sight
 
     def recording(a, b):
-        asked.append((sim.tick, a, b))
+        asked.append((a, b))
         return line_of_sight(a, b)
 
     arena.line_of_sight = recording
+    reads = {}
+
+    def reader(obs):
+        view, mine = obs.local.modules, []
+        for read in (lambda: view.get(obs.me.id),
+                     lambda: view.select(healthy=False),
+                     lambda: view.select(ModuleClass.ACTIVE_WHEEL, True)):
+            asked.clear()
+            read()
+            mine.append(list(asked))
+        reads[obs.me.id] = mine
+
+    for i, ctls in sim.controllers.items():
+        if ctls:
+            sim.controllers[i] = {"reader": reader}
     cells = [arena.cell_of(st.pose.x, st.pose.y) for st in sim.states.values()]
     sim.run(1)
     assert not arena.sockets
-    assert sorted(asked) == sorted([(1, cells[j], cells[k])
-                                    for j in range(3) for k in range(3)
-                                    if j != k])
+    assert reads == {i: [[], [(cells[i], cells[0])], [(cells[i], cells[3 - i])]]
+                     for i in (1, 2)}
 
 
 POCKET_MAP = """\
@@ -959,21 +990,20 @@ POCKET_TRIP = [3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 3, 2]
 
 
 def test_sensing_matches_a_fresh_scan_into_a_walled_shadow_and_out():
-    # the fleet's rectangle is open while every module stays west of the
-    # wall column, and holds walls while module 0 is east of it: one run
-    # takes both paths, and each tick must sense what a fresh scan does
+    # module 0 walks east of the wall column into the shadow it casts from
+    # module 2, and back out: each tick must sense what a fresh scan does
     sim = Simulation(load_scenario(POCKET_SCENARIO, map_text=POCKET_MAP))
     for i in sim.controllers:
         sim.controllers[i] = {"still": lambda obs: None}
     arena = sim.arena
-    asked = {}
+    asked = []
     line_of_sight = arena.line_of_sight
 
-    def counting(a, b):
-        asked[sim.tick] = asked.get(sim.tick, 0) + 1
+    def recording(a, b):
+        asked.append((a, b))
         return line_of_sight(a, b)
 
-    arena.line_of_sight = counting
+    arena.line_of_sight = recording
     execute = sim._phase_execute
 
     def execute_and_drive(selected):
@@ -992,7 +1022,13 @@ def test_sensing_matches_a_fresh_scan_into_a_walled_shadow_and_out():
     def observe_and_check(i, delivered):
         obs = observe(i, delivered)
         modules, sockets = _sensed_from_scratch(sim, i)
+        # the map has no socket, so only the view asks line_of_sight: from
+        # the observer's cell about both others, every pair being in range
+        cells = [arena.cell_of(st.pose.x, st.pose.y)
+                 for st in sim.states.values()]
+        asked.clear()
         assert tuple(obs.local.modules.select()) == modules, (sim.tick, i)
+        assert asked == [(cells[i], cells[j]) for j in range(3) if j != i]
         assert obs.local.sockets == sockets == (), (sim.tick, i)
         if len(modules) < 2:                # every pair is in range
             occluded.add(sim.tick)
@@ -1002,9 +1038,7 @@ def test_sensing_matches_a_fresh_scan_into_a_walled_shadow_and_out():
     sim.run(len(POCKET_TRIP))
     # module 0 is east of the wall column from tick 3 to tick 10, and out
     # of module 2's sight on each of them but the last, when module 2 sees
-    # it from (1, 5); the map has no socket, so only the per-pair path asks
-    # line_of_sight: modules 0 and 2 each ask about both their pairs
-    assert asked == {t: 4 for t in range(3, 11)}
+    # it from (1, 5)
     assert sorted(occluded) == list(range(3, 10))
 
 

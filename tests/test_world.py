@@ -219,8 +219,9 @@ def _assert_los_matches_trace(arena, cells):
 
 
 def _assert_trace_is_symmetric(arena, cells):
-    # a sightline is answered by walking from whichever end is asked first,
-    # and a Sight refresh writes that one answer for both directions
+    # each observer asks about a sightline from its own end, so the walk
+    # must answer the same from either end: two modules see each other or
+    # neither does
     for k, p in enumerate(cells):
         for q in cells[k + 1:]:
             assert arena._trace(p, q) == arena._trace(q, p), (p, q)

@@ -333,9 +333,11 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
 
     all_lists = [cfg.controllers_all, *cfg.controllers_by_class.values()]
     for names in all_lists:
-        for cname in names:
+        for k, cname in enumerate(names):
             if cname not in REGISTRY:
                 findings.append(f"unknown controller {cname!r}")
+            elif cname in names[:k]:
+                findings.append(f"controller {cname!r} is listed twice")
 
     if cfg.spawn_mode != "fixed" and cfg.fixed_spawns:
         findings.append(

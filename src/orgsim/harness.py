@@ -589,13 +589,16 @@ class Simulation:
     def _phase_death(self) -> None:
         """Energy deaths, then one hazard draw per module still alive, both
         in id order, over the live roster, which leaves with only the
-        survivors. The roster is walked only when some battery is empty."""
+        survivors. The roster is walked only when some battery is empty.
+        A dead module decides no more, so its controllers, and what their
+        memo keys hold, are released as it dies."""
         live = self._live
         if 0 in map(attrgetter("battery_pj"), live):
             kept = []
             for st in live:
                 if st.battery_pj == 0:
                     st.health = _ENERGY_DEAD
+                    self.controllers[st.id] = {}
                     self.deaths_energy += 1
                     self.log.event(self.tick, st.id, "death", cause="energy")
                 else:
@@ -606,6 +609,7 @@ class Simulation:
             for k in hits:
                 st = live[k]
                 st.health = Health.HARDWARE_DEAD
+                self.controllers[st.id] = {}
                 self.deaths_hardware += 1
                 self.log.event(self.tick, st.id, "death", cause="hazard",
                                battery=st.battery)

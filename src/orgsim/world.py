@@ -344,14 +344,16 @@ def parse_arena(text: str) -> Arena:
             if grid_rows:
                 raise ConfigError(f"map line {lineno}: cellsize must precede the grid")
             try:
-                cell_size = float(parts[1])
-            except (IndexError, ValueError):
+                _, size = parts
+                cell_size = float(size)
+            except ValueError:
                 raise ConfigError(f"map line {lineno}: bad cellsize directive") from None
         elif parts[0] == "socket":
             try:
-                sid, cx, cy = int(parts[1]), int(parts[2]), int(parts[3])
-                height, rating = float(parts[4]), float(parts[5])
-            except (IndexError, ValueError):
+                _, sid, cx, cy, height, rating = parts
+                sid, cx, cy = int(sid), int(cx), int(cy)
+                height, rating = float(height), float(rating)
+            except ValueError:
                 raise ConfigError(
                     f"map line {lineno}: socket wants 'socket ID CX CY HEIGHT RATING'") from None
             sockets.append(Socket(id=sid, cell=(cx, cy), height=height, rating=rating))

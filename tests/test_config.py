@@ -660,11 +660,15 @@ def test_cli_run_reports_a_roster_too_big_for_the_free_cells(tmp_path, capsys):
     # its log header would end at the line break, so it would not replay
     ("name = desk_challenge", "name = desk\n  challenge",
      "run name 'desk\\nchallenge' must be one line"),
+    # a name given twice would build one controller
+    ("all = explore, seek_energy, aggregate",
+     "all = explore, seek_energy, explore, aggregate",
+     "controller 'explore' is listed twice"),
 ], ids=["negative-range", "inf-heading", "off-arena", "no-active-socket",
         "certain-hazard", "spawn-in-wall", "typo-key", "negative-tariff",
         "nan-tariff", "zero-efficiency", "inf-idle", "inf-share-rate",
         "inf-lock", "inf-mass", "inf-socket-rating", "inf-cellsize",
-        "two-line-name"])
+        "two-line-name", "twice-listed-controller"])
 def test_a_simulation_refuses_what_validation_reports(old, new, finding):
     text = (CONFIG_DIR / "desk_challenge.cfg").read_text()
     map_text = (CONFIG_DIR / "maps" / "challenge.map").read_text()
@@ -711,6 +715,7 @@ def test_every_bundled_scenario_is_valid_and_builds(path):
     cfg = load_scenario_file(path)
     assert validate_scenario(cfg) == []
     assert len(Simulation(cfg).states) == cfg.module_count
+    assert cli.main(["run", "--config", str(path), "--ticks", "5"]) == 0
 
 
 def _reference_sections() -> dict[str, str]:

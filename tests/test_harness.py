@@ -521,6 +521,14 @@ def _chatter(obs):
     return None
 
 
+def test_a_dead_module_keeps_no_controller():
+    # its controllers' memo keys would hold the snapshot it last sensed
+    sim = Simulation(load_scenario_file(CONFIG_DIR / "survival_zero.cfg"), 7)
+    sim.run(500)
+    assert all(st.health is not Health.OK for st in sim.states.values())
+    assert sim.controllers == dict.fromkeys(sim.states, {})
+
+
 # scenario, seed, ticks, config changes, whether module 0 chatters
 REUSE_RUNS = [
     ("desk_challenge", 11, 300, {"dwell_min": 2, "dwell_max": 5}, True),
@@ -2103,6 +2111,12 @@ def test_cli_validate(cli_dir, capsys):
     assert capsys.readouterr().out.startswith("ok: run (1 modules, 8640 ticks)")
     assert cli.main(["validate", "--config", str(cli_dir / "bad.cfg")]) == 2
     assert "finding:" in capsys.readouterr().out
+    # a scenario that does not load is an error, not a finding
+    (cli_dir / "spawn.cfg").write_text("[arena]\nmap = room.map\n"
+                                       "[spawns]\n0 = 0.3 abc 0\n")
+    assert cli.main(["validate", "--config", str(cli_dir / "spawn.cfg")]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad value for 0 in [spawns]: '0.3 abc 0'\n")
 
 
 def test_cli_replay(cli_dir, capsys):
@@ -2116,7 +2130,8 @@ def test_cli_replay(cli_dir, capsys):
     log = out / "events.log"
     log.write_text(log.read_text().replace("cls=scout", "cls=backbone", 1))
     assert cli.main(["replay", "--log", str(log)]) == 1
-    assert "error:" in capsys.readouterr().err
+    # the edited line is the spawn line after the six header lines
+    assert "error: log diverges at line 7: " in capsys.readouterr().err
 
 
 def test_cli_sweep(cli_dir, capsys):
@@ -2126,6 +2141,14 @@ def test_cli_sweep(cli_dir, capsys):
     out = capsys.readouterr().out
     assert [l.split(":")[0] for l in out.splitlines()] == \
            ["seed 1", "seed 2", "seed 3"]
+    # a comma list runs in the order given
+    assert cli.main(["sweep", "--config", str(cli_dir / "run.cfg"),
+                     "--seeds", "3,1,2", "--ticks", "20"]) == 0
+    assert [l.split(":")[0] for l in capsys.readouterr().out.splitlines()] \
+        == ["seed 3", "seed 1", "seed 2"]
+    assert cli.main(["sweep", "--config", str(cli_dir / "bad.cfg"),
+                     "--seeds", "1"]) == 2
+    assert "finding: unknown controller 'wander'" in capsys.readouterr().err
 
     rc = cli.main(["sweep", "--config", str(cli_dir / "run.cfg"),
                    "--seeds", "5..2", "--ticks", "20"])

@@ -90,6 +90,11 @@ def test_parse_rejects_empty_and_misplaced_directives():
         parse_arena("cellsize nope\n...")
     with pytest.raises(ConfigError, match="socket wants"):
         parse_arena("...\nsocket 0 1")
+    # each directive takes exactly its fields
+    with pytest.raises(ConfigError, match="^map line 2: socket wants"):
+        parse_arena("...\nsocket 0 4 1 0.2 20 99 junk")
+    with pytest.raises(ConfigError, match="^map line 1: bad cellsize"):
+        parse_arena("cellsize 0.25 0.5\n...")
 
 
 def test_socket_validation():

@@ -15,6 +15,7 @@ to the graveyard 100, wandering 200.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .control import (IDLE, ActionProposal, Dock, Drive, Observation,
@@ -101,7 +102,7 @@ class StackSlot(NamedTuple):
     predecessor: int | None    # module id expected one step closer to the wall
 
 
-def assigned_slot(module_id: int, sockets: list[SensedSocket],
+def assigned_slot(module_id: int, sockets: Sequence[SensedSocket],
                   pitch: float) -> StackSlot | None:
     """Where this module belongs, from shared arithmetic on sensed sockets.
 
@@ -124,38 +125,13 @@ def assigned_slot(module_id: int, sockets: list[SensedSocket],
     return StackSlot(sock, rank, (px, py), sock.approach_deg, pred)
 
 
-class _SlotMemo:
-    """assigned_slot of one module, worked out again only for another
-    sockets tuple: the harness hands out the same tuple object until the
-    module moves or a socket toggles, and a tuple cannot change.
-    build_controllers makes one per module and shares it among the
-    module's controllers that read a slot, so each tuple is worked out
-    once per module, not once per controller."""
-
-    __slots__ = ("module_id", "pitch", "sockets", "slot")
-
-    def __init__(self, module_id: int, pitch: float):
-        self.module_id = module_id
-        self.pitch = pitch
-        self.sockets: tuple[SensedSocket, ...] | None = None
-        self.slot: StackSlot | None = None
-
-    def __call__(self, sockets: tuple[SensedSocket, ...]) -> StackSlot | None:
-        if sockets is not self.sockets:
-            self.slot = assigned_slot(self.module_id, list(sockets),
-                                      self.pitch)
-            self.sockets = sockets
-        return self.slot
-
-
 class _Controller:
     """Base of the baseline controllers. A controller serves one module
     and holds its ModuleSpec, the hardware envelope it drives and docks by:
     speed, drive kind and edge length. A class that draws random numbers
     sets `draws_noise`; only such a class is handed a noise stream, the
-    others get None. A class that reads its stack slot sets `reads_slot`;
-    build_controllers hands each such controller its module's `_SlotMemo`,
-    and one built alone makes its own on first use.
+    others get None. Controllers share no state, not even the controllers
+    of one module: each works out what it reads from its own observation.
 
     A controller returns None or a tuple of proposals stamped with `name`,
     the name build_controllers registers it under ("" for one built alone,
@@ -169,28 +145,16 @@ class _Controller:
     again only while nothing it holds has changed (see Sight). So an
     identity match is exact, for -0.0 and NaN too."""
 
-    __slots__ = ("module_id", "spec", "name", "_slot_memo", "_key",
-                 "_answer")
+    __slots__ = ("module_id", "spec", "name", "_key", "_answer")
     draws_noise = False
-    reads_slot = False
 
     def __init__(self, module_id: int, spec: ModuleSpec, rng: Rng | None,
                  params: dict | None = None):
         self.module_id = module_id
         self.spec = spec
         self.name = ""
-        self._slot_memo: _SlotMemo | None = None
         self._key: tuple | None = None
         self._answer: tuple[ActionProposal, ...] | None = None
-
-    def _assigned_slot(self, obs: Observation) -> StackSlot | None:
-        """assigned_slot of this module for the sockets it senses, through
-        the module's slot memo."""
-        memo = self._slot_memo
-        if memo is None:
-            memo = self._slot_memo = _SlotMemo(self.module_id,
-                                               self.spec.edge_length)
-        return memo(obs.local.sockets)
 
     def _servo(self, obs: Observation, tx: float, ty: float,
                target_heading: float | None = None) -> Drive | None:
@@ -209,11 +173,11 @@ class SeekEnergyController(_Controller):
 
     The answer is keyed on `local.sockets`, `me.pose`, whether the battery
     is below the emergency fraction, `interaction.docked_faces`,
-    `me.carried` and `internal.dt`.
+    `me.carried` and `internal.dt`. The stack slot is worked out afresh
+    from `local.sockets` each time the answer is.
     """
 
     __slots__ = ("emergency_fraction",)
-    reads_slot = True
 
     def __init__(self, module_id: int, spec: ModuleSpec, rng: Rng | None,
                  params: dict | None = None):
@@ -237,7 +201,8 @@ class SeekEnergyController(_Controller):
         return answer
 
     def _propose(self, obs: Observation, urgent: bool):
-        slot = self._assigned_slot(obs)
+        slot = assigned_slot(self.module_id, obs.local.sockets,
+                             self.spec.edge_length)
         if slot is None:
             return None
         name = self.name
@@ -271,11 +236,19 @@ class AggregateController(_Controller):
     """Form and hold the stack: dock onto the predecessor, then stand still.
 
     The answer is keyed on the `local` channel, the `interaction` channel,
-    `me.pose`, `me.module_class` and `internal.dt`.
+    `me.pose`, `me.module_class` and `internal.dt`. The controller keeps
+    the last `local.sockets` tuple it read and its stack slot, and works
+    the slot out again only for another tuple object: the sight hands out
+    the same tuple until the module moves or a socket toggles.
     """
 
-    __slots__ = ()
-    reads_slot = True
+    __slots__ = ("_sockets", "_slot")
+
+    def __init__(self, module_id: int, spec: ModuleSpec, rng: Rng | None,
+                 params: dict | None = None):
+        super().__init__(module_id, spec, rng)
+        self._sockets: tuple[SensedSocket, ...] | None = None
+        self._slot: StackSlot | None = None
 
     def __call__(self, obs: Observation):
         me = obs.me
@@ -291,7 +264,12 @@ class AggregateController(_Controller):
         return answer
 
     def _propose(self, obs: Observation):
-        slot = self._assigned_slot(obs)
+        sockets = obs.local.sockets
+        if sockets is not self._sockets:
+            self._sockets = sockets
+            self._slot = assigned_slot(self.module_id, sockets,
+                                       self.spec.edge_length)
+        slot = self._slot
         if slot is None:
             return None
         pose = obs.me.pose
@@ -518,10 +496,8 @@ def build_controllers(names, module_id: int, spec: ModuleSpec, rng: Rng,
     each holding the module's own ModuleSpec and stamping its proposals
     with its name. A controller class that draws gets the substream
     `<name>/<module_id>` of `rng`; the others get None, so no stream is
-    derived for them. The controllers that read a slot share one
-    `_SlotMemo`, made here for this module alone."""
+    derived for them."""
     out = {}
-    memo = None
     for name in names:
         factory = REGISTRY.get(name)
         if factory is None:
@@ -531,8 +507,4 @@ def build_controllers(names, module_id: int, spec: ModuleSpec, rng: Rng,
                                   rng.substream(f"{name}/{module_id}")
                                   if factory.draws_noise else None, params)
         ctl.name = name
-        if factory.reads_slot:
-            if memo is None:
-                memo = _SlotMemo(module_id, spec.edge_length)
-            ctl._slot_memo = memo
     return out

@@ -166,14 +166,18 @@ class Sight:
         self.yard = arena.yard
 
     def refresh(self, states: dict, sense_sockets) -> tuple[int, ...]:
-        """Drop the dead observers and, when stale, every local channel;
-        bring the snapshot and the observers' sockets up to date with the
-        current poses and health, and return the live observers in id
-        order. `sense_sockets` reads one observer's sockets."""
+        """Drop the dead observers with their sensed sockets and, when
+        stale, every local channel; bring the snapshot and the observers'
+        sockets up to date with the current poses and health, and return
+        the live observers in id order. `sense_sockets` reads one
+        observer's sockets."""
         observers = self.observers
         alive = [i for i in observers if states[i].health is _OK]
         if len(alive) < len(observers):
-            # death is final: the dead never observe again
+            # death is final: the dead never observe again, so their
+            # sensed sockets are released
+            for i in set(observers).difference(alive):
+                self.sockets[i] = ()
             observers = self.observers = tuple(alive)
         if not observers:
             self.local = []

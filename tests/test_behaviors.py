@@ -251,30 +251,30 @@ def test_the_slot_is_worked_out_again_only_for_another_sockets_tuple(
     monkeypatch.setattr(behaviors, "assigned_slot", counting_slot)
     lit = (socket(0, 1.0, 0.25), socket(1, 2.0, 0.25))
     one_dark = (socket(0, 1.0, 0.25), socket(1, 2.0, 0.25, active=False))
-    for ctl in (SeekEnergyController(1, SCOUT_SPEC, Rng(1)),
-                AggregateController(1, SCOUT_SPEC, Rng(1))):
-        calls.clear()
-        seen = []
-        for sockets in (lit, lit, list(lit), one_dark, one_dark):
-            obs = obs_for(mid=1, pose=Pose(2.5, 1.5, 0.0), sockets=sockets)
-            ctl(obs)
-            seen.append(ctl._assigned_slot(obs))
-        # the same tuple object is reused; an equal but new tuple, or a
-        # changed one, is worked out again
-        assert calls == [1, 1, 1]
-        assert seen == [assigned_slot(1, list(s), EDGE) for s in
-                        (lit, lit, lit, one_dark, one_dark)]
-        assert seen[0].socket.id == 1 and seen[3].socket.id == 0
+    ctl = AggregateController(1, SCOUT_SPEC, Rng(1))
+    seen = []
+    for sockets in (lit, lit, list(lit), one_dark, one_dark):
+        # each observation holds a new local channel, so the answer memo
+        # misses every time
+        ctl(obs_for(mid=1, pose=Pose(2.5, 1.5, 0.0), sockets=sockets))
+        seen.append(ctl._slot)
+    # the same tuple object is reused; an equal but new tuple, or a
+    # changed one, is worked out again
+    assert calls == [1, 1, 1]
+    assert seen == [assigned_slot(1, list(s), EDGE) for s in
+                    (lit, lit, lit, one_dark, one_dark)]
+    assert seen[0].socket.id == 1 and seen[3].socket.id == 0
 
 
 def test_a_module_works_out_its_slot_once_per_sockets_tuple(monkeypatch):
-    # seek_energy and aggregate share their module's slot memo: over a run,
-    # assigned_slot runs once each time a module senses a new sockets
-    # tuple, not once per controller
-    calls = Counter()
+    # a cost guard: over a run, aggregate works its slot out once each time
+    # its module senses a new sockets tuple, and seek_energy once each time
+    # its answer memo misses
+    calls = Counter()            # (controller name, module id) -> calls
+    caller = []
 
     def counting_slot(mid, sockets, pitch):
-        calls[mid] += 1
+        calls[caller[-1], mid] += 1
         return assigned_slot(mid, sockets, pitch)
 
     monkeypatch.setattr(behaviors, "assigned_slot", counting_slot)
@@ -287,6 +287,7 @@ def test_a_module_works_out_its_slot_once_per_sockets_tuple(monkeypatch):
     observe = sim._observe
     last = {}                       # module id -> its last sockets tuple
     tuples = Counter()
+    misses = Counter()           # (controller name, module id) -> misses
 
     def observe_and_count(i, delivered):
         obs = observe(i, delivered)
@@ -295,24 +296,36 @@ def test_a_module_works_out_its_slot_once_per_sockets_tuple(monkeypatch):
             tuples[i] += 1
         return obs
 
+    def counted(name, ctl):
+        def call(obs):
+            key = ctl._key
+            caller.append(name)
+            answer = ctl(obs)
+            caller.pop()
+            if ctl._key is not key:
+                misses[name, ctl.module_id] += 1
+            return answer
+
+        return call
+
+    for ctls in sim.controllers.values():
+        for name in ("seek_energy", "aggregate"):
+            ctls[name] = counted(name, ctls[name])
     sim._observe = observe_and_count
     sim.run(300)
     assert sum(tuples.values()) > 100
-    assert calls == tuples
+    assert {i: calls["aggregate", i] for i in tuples} == tuples
+    assert {i: calls["seek_energy", i] for i in tuples} == {
+        i: misses["seek_energy", i] for i in tuples}
+    # aggregate's answer memo misses more often than its slot is worked out
+    assert sum(tuples.values()) < sum(misses["aggregate", i] for i in tuples)
 
 
-def test_two_simulations_share_no_slot_memo():
+def test_two_simulations_of_one_scenario_log_alike():
+    # both are built before either runs, so state one kept beyond its own
+    # controllers would show in the other's log
     cfg = load_scenario_file(CONFIG_DIR / "desk_challenge.cfg")
     sims = Simulation(cfg), Simulation(cfg)
-    memos = []
-    for sim in sims:
-        for i, ctls in sim.controllers.items():
-            mine = [c._slot_memo for c in ctls.values() if c.reads_slot]
-            # one memo per module, shared by its controllers that read a slot
-            assert len(mine) == 2 and mine[0] is mine[1]
-            assert mine[0].module_id == i
-            memos.append(mine[0])
-    assert len({id(m) for m in memos}) == len(memos) == 20
     first, second = (sim.run(200) for sim in sims)
     assert first.digest == second.digest
 
@@ -433,7 +446,9 @@ def _unmemoised(ctl, obs):
     """ctl's answer to obs worked out afresh, by a copy of ctl that
     remembers no answer or slot."""
     fresh = copy.copy(ctl)
-    fresh._key = fresh._answer = fresh._slot_memo = None
+    fresh._key = fresh._answer = None
+    if isinstance(fresh, AggregateController):
+        fresh._sockets = fresh._slot = None
     return fresh(obs)
 
 

@@ -529,6 +529,18 @@ def test_a_dead_module_keeps_no_controller():
     assert sim.controllers == dict.fromkeys(sim.states, {})
 
 
+def test_a_dead_observer_keeps_no_sensed_sockets():
+    # the dead never observe again, so the sight holds no reading for them
+    cfg = load_scenario_file(CONFIG_DIR / "desk_challenge.cfg")
+    sim = Simulation(dataclasses.replace(cfg, hazard_rate=0.01), 12)
+    sim.run(200)
+    dead = [i for i, st in sim.states.items() if st.health is not Health.OK]
+    assert dead == [0, 1, 2, 3, 4, 5, 6, 8, 9]
+    assert sim._sight.observers == (7,)
+    assert all(sim._sight.sockets[i] == () for i in dead)
+    assert len(sim._sight.sockets[7]) == 6
+
+
 # scenario, seed, ticks, config changes, whether module 0 chatters
 REUSE_RUNS = [
     ("desk_challenge", 11, 300, {"dwell_min": 2, "dwell_max": 5}, True),
@@ -1714,7 +1726,7 @@ mode = fixed
 class _PlugIn:
     """Proposes a recharge at socket 0 every tick."""
 
-    draws_noise = reads_slot = False
+    draws_noise = False
 
     def __init__(self, module_id, spec, rng, params):
         pass
